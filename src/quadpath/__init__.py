@@ -13,15 +13,11 @@ from .dynamics import (
 from .paths import (
     CorridorPath,
     Path,
-    corridor_timing_law,
-    eval_corridor,
     eval_lemniscate,
     eval_sinusoid,
     eval_spiral,
     make_path,
-    nominal_yaw_rate,
     path_error,
-    timing_law,
     wrap_angle,
 )
 from .simulate import (
@@ -40,7 +36,6 @@ from .solver import (
     DenseNlp,
     SolveResult,
     SolverSettings,
-    kkt_residual,
     solve,
     warm_start_shift,
 )
@@ -48,9 +43,6 @@ from .transcription import (
     OcpConfig,
     OcpProblem,
     build_ocp,
-    stage_cost,
-    terminal_cost,
-    terminal_sets_stub,
 )
 
 __version__ = "0.1.0"

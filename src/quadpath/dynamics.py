@@ -48,19 +48,6 @@ class ModelParams:
                 raise ValueError(f"{name} must be positive and finite")
 
 
-def quad_state(position, velocity, attitude) -> np.ndarray:
-    """Pack position/velocity/attitude blocks into a 9-vector."""
-    return np.concatenate([
-        np.asarray(position, dtype=float),
-        np.asarray(velocity, dtype=float),
-        np.asarray(attitude, dtype=float),
-    ])
-
-
-def quad_input(delta_thrust=0.0, roll_cmd=0.0, pitch_cmd=0.0, yaw_rate_cmd=0.0) -> np.ndarray:
-    return np.array([delta_thrust, roll_cmd, pitch_cmd, yaw_rate_cmd], dtype=float)
-
-
 def rotation_matrix(attitude) -> np.ndarray:
     """Body-to-world rotation for yaw-pitch-roll (ZYX) Euler angles.
 
@@ -81,13 +68,12 @@ def rotation_matrix(attitude) -> np.ndarray:
     R = np.empty(att.shape[:-1] + (3, 3), dtype=float)
     R[..., 0, 0] = cps * cth
     R[..., 0, 1] = cps * sph * sth - cph * sps
-    R[..., 0, 2] = sph * sps + cph * cps * sth
     R[..., 1, 0] = cth * sps
     R[..., 1, 1] = cph * cps + sph * sps * sth
-    R[..., 1, 2] = cph * sps * sth - cps * sph
     R[..., 2, 0] = -sth
     R[..., 2, 1] = cth * sph
-    R[..., 2, 2] = cph * cth
+    # the third column is the thrust axis the dynamics use
+    R[..., :, 2] = _thrust_axis(att)
     return R
 
 

@@ -19,6 +19,7 @@ S_START = -1.0
 _DOMAIN_TOL = 1e-9
 
 TWO_PI = 2.0 * np.pi
+CORRIDOR_S2_BOUNDS = (-0.5 * np.pi, 0.5 * np.pi)
 
 
 def wrap_angle(angle):
@@ -116,28 +117,6 @@ def _sinusoid_derivative(s) -> np.ndarray:
     )
 
 
-def nominal_yaw_rate(s, s_dot):
-    """Yaw rate required to stay tangential to the sinusoid at progress rate
-    ``s_dot``, assuming exact tracking."""
-    s = np.asarray(s, dtype=float)
-    a = TWO_PI * s
-    rate = 2.0 * np.pi**2 * np.sin(a) / (np.pi**2 * np.cos(a) ** 2 + 1.0) * np.asarray(s_dot, dtype=float)
-    if rate.ndim == 0:
-        return float(rate)
-    return rate
-
-
-def eval_corridor(s1, s2) -> np.ndarray:
-    """Sinusoid with a bounded yaw offset ``s2`` within [-pi/2, pi/2]."""
-    s2 = np.asarray(s2, dtype=float)
-    if np.any(np.abs(s2) > 0.5 * np.pi + _DOMAIN_TOL):
-        raise ValueError("corridor offset outside [-pi/2, pi/2]")
-    point = eval_sinusoid(s1)
-    point = np.array(point, dtype=float)
-    point[..., 3] += s2
-    return point
-
-
 @dataclass(frozen=True)
 class Path:
     """Evaluable curve in the output space, defined on s in [-1, 0]."""
@@ -145,7 +124,6 @@ class Path:
     name: str
     _point: Callable[[np.ndarray], np.ndarray]
     _derivative: Callable[[np.ndarray], np.ndarray]
-    s_initial: float = S_START
 
     def point(self, s) -> np.ndarray:
         return self._point(s)
@@ -182,7 +160,7 @@ class CorridorPath:
 
     base: Path
     direction: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
-    s2_bounds: tuple[float, float] = (-0.5 * np.pi, 0.5 * np.pi)
+    s2_bounds: tuple[float, float] = CORRIDOR_S2_BOUNDS
 
     def __post_init__(self) -> None:
         lo, hi = self.s2_bounds
@@ -192,10 +170,6 @@ class CorridorPath:
     @property
     def name(self) -> str:
         return self.base.name + "-corridor"
-
-    @property
-    def s_initial(self) -> float:
-        return self.base.s_initial
 
     def point(self, s1, s2) -> np.ndarray:
         s2 = np.asarray(s2, dtype=float)
@@ -211,33 +185,29 @@ class CorridorPath:
         return self.base.derivative(s1)
 
 
-def make_path(name: str):
-    """Look up a path by its scenario name."""
-    if name == "spiral":
-        return Path("spiral", eval_spiral, _spiral_derivative)
-    if name == "lemniscate":
-        return Path("lemniscate", eval_lemniscate, _lemniscate_derivative)
-    if name == "sinusoid":
-        return Path("sinusoid", eval_sinusoid, _sinusoid_derivative)
+_BASE_PATHS = {
+    "spiral": (eval_spiral, _spiral_derivative),
+    "lemniscate": (eval_lemniscate, _lemniscate_derivative),
+    "sinusoid": (eval_sinusoid, _sinusoid_derivative),
+}
+
+# every name make_path accepts; the scenario names are these
+PATH_NAMES = (*_BASE_PATHS, "sinusoid-corridor", "hover")
+
+
+def make_path(name: str, s2_bounds: tuple[float, float] = CORRIDOR_S2_BOUNDS):
+    """Look up a path by its scenario name (one of ``PATH_NAMES``).
+
+    ``s2_bounds`` sets the offset bounds of the corridor path; the other
+    paths ignore it.
+    """
+    if name in _BASE_PATHS:
+        return Path(name, *_BASE_PATHS[name])
     if name == "sinusoid-corridor":
-        return CorridorPath(Path("sinusoid", eval_sinusoid, _sinusoid_derivative))
+        return CorridorPath(make_path("sinusoid"), s2_bounds=s2_bounds)
     if name == "hover":
         return _constant_path(HOVER_POINT)
     raise ValueError(f"unknown path {name!r}")
-
-
-def timing_law(z, nu) -> np.ndarray:
-    """Double-integrator progress dynamics: d[s, s_dot]/dt = [s_dot, nu]."""
-    z = np.asarray(z, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    return np.stack([z[..., 1], np.broadcast_to(nu, z[..., 1].shape)], axis=-1)
-
-
-def corridor_timing_law(z, nu) -> np.ndarray:
-    """Two parallel integrator chains; state order [s1, s2, s1_dot, s2_dot]."""
-    z = np.asarray(z, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    return np.concatenate([z[..., 2:4], nu[..., 0:2]], axis=-1)
 
 
 def step_timing(z, nu, dt: float) -> np.ndarray:

@@ -21,10 +21,11 @@ import numpy as np
 
 from .controller import PathController
 from .dynamics import ModelParams, output_map, rk4_step
-from .paths import CorridorPath, make_path, path_error
+from .paths import PATH_NAMES, make_path, path_error
 from .transcription import OcpConfig
 
-SCENARIOS = ("spiral", "lemniscate", "sinusoid", "sinusoid-corridor", "hover")
+# a scenario flies the path of the same name
+SCENARIOS = PATH_NAMES
 
 PATH_END_THRESHOLD = -1e-3   # progress value treated as "path end reached"
 SETTLE_ERROR = 0.02          # output-error norm required while settling
@@ -92,23 +93,20 @@ class ScenarioConfig:
 _SINUSOID_Q = (80.0, 80.0, 100.0, 200.0, 1.0, 1.0, 1.0, 5.0)
 _SINUSOID_R = (20.0, 10.0, 10.0, 30.0, 2.0)
 
+# departures from the ScenarioConfig defaults, by scenario
 _SCENARIO_DEFAULTS = {
-    "spiral": dict(s_dot_max=0.04, total_time=40.0),
-    "lemniscate": dict(s_dot_max=0.04, total_time=40.0),
     "sinusoid": dict(s_dot_max=0.02, total_time=120.0, yawrate_cmd_bound=0.2,
                      q_diag=_SINUSOID_Q, r_diag=_SINUSOID_R),
     "sinusoid-corridor": dict(s_dot_max=0.02, total_time=100.0, yawrate_cmd_bound=0.2,
                               q_diag=_SINUSOID_Q + (2.0,), r_diag=_SINUSOID_R + (0.5,),
                               terminal_weight_s2=1.0),
-    "hover": dict(s_dot_max=0.04, total_time=30.0),
+    "hover": dict(total_time=30.0),
 }
 
 
 def scenario_config(name: str, **overrides) -> ScenarioConfig:
     """Scenario defaults by name, with keyword overrides."""
-    if name not in _SCENARIO_DEFAULTS:
-        raise ValueError(f"unknown scenario {name!r}")
-    kwargs = dict(_SCENARIO_DEFAULTS[name])
+    kwargs = dict(_SCENARIO_DEFAULTS.get(name, {}))
     kwargs.update(overrides)
     return ScenarioConfig(scenario=name, **kwargs)
 
@@ -148,10 +146,7 @@ def _parse_value(key: str, val: str):
 
 def build_components(cfg: ScenarioConfig):
     """Path, OCP configuration and model parameters for a scenario."""
-    path = make_path("hover" if cfg.scenario == "hover" else
-                     "sinusoid" if cfg.scenario == "sinusoid" else cfg.scenario)
-    if cfg.corridor:
-        path = CorridorPath(make_path("sinusoid"), s2_bounds=(cfg.s2_min, cfg.s2_max))
+    path = make_path(cfg.scenario, s2_bounds=(cfg.s2_min, cfg.s2_max))
     params = ModelParams(cfg.mass, cfg.gravity, cfg.tau_roll, cfg.tau_pitch)
     input_bound = np.array([cfg.thrust_bound, cfg.tilt_cmd_bound,
                             cfg.tilt_cmd_bound, cfg.yawrate_cmd_bound])
@@ -362,8 +357,7 @@ def compute_metrics(log: SimLog, cfg: ScenarioConfig, ocp: OcpConfig) -> RunMetr
 
     return RunMetrics(
         scenario=cfg.scenario,
-        path_name="hover" if cfg.scenario == "hover" else
-                  "sinusoid" if cfg.corridor else cfg.scenario,
+        path_name=cfg.scenario.removesuffix("-corridor"),
         s_dot_max=cfg.s_dot_max,
         config_hash=cfg.config_hash(),
         rms_position_error=rms_pos,

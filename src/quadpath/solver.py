@@ -57,7 +57,6 @@ class SolverSettings:
     linesearch_backtrack: float = 0.5
     merit_penalty: float = 1e3
     regularization_floor: float = 1e-8
-    keep_history: bool = False
 
     def __post_init__(self) -> None:
         positives = (
@@ -82,7 +81,6 @@ class SolveResult:
     iterations: int
     solve_time: float
     multipliers: np.ndarray
-    history: Optional[list] = None
 
 
 @dataclass
@@ -159,35 +157,6 @@ def _step_to_boundary(w, dw, lower, upper, active, tau: float) -> float:
     if np.any(pos):
         alpha = min(alpha, tau * np.min((upper[pos] - w[pos]) / dw[pos]))
     return max(alpha, 0.0)
-
-
-def kkt_residual(problem, point, multipliers, mu: float) -> float:
-    """Infinity norm of barrier stationarity stacked with equality residual.
-
-    Raises ``ValueError`` when the point is not strictly interior to the box
-    (frozen coordinates must sit on their pin).
-    """
-    w = np.asarray(point, dtype=float)
-    lo = np.asarray(problem.lower, dtype=float)
-    hi = np.asarray(problem.upper, dtype=float)
-    frozen = _frozen_mask(lo, hi)
-    active = ~frozen
-    if np.any(active & np.isfinite(lo) & (w <= lo)) or np.any(active & np.isfinite(hi) & (w >= hi)):
-        raise ValueError("point is not strictly interior to the box bounds")
-    if np.any(np.abs(w[frozen] - lo[frozen]) > 1e-9):
-        raise ValueError("frozen coordinate off its pinned value")
-    _, bgrad = _barrier_terms(w, lo, hi, active)
-    r = problem.residual(w)
-    J = problem.residual_jacobian(w)
-    c = problem.equality(w)
-    A = problem.equality_jacobian(w)
-    lam = np.asarray(multipliers, dtype=float)
-    g = 2.0 * (J.T @ r) + mu * bgrad
-    if A.shape[0]:
-        g = g + A.T @ lam
-    stat = np.max(np.abs(g[active])) if np.any(active) else 0.0
-    eq = np.max(np.abs(c)) if c.size else 0.0
-    return float(max(stat, eq))
 
 
 def _newton_direction(h, g, a, c, free, keep_rows, reg):
@@ -291,7 +260,6 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
     if lam.shape != (m,):
         raise ValueError("multiplier vector has the wrong length")
 
-    history: Optional[list] = [] if st.keep_history else None
     rho = st.merit_penalty
     schedule = _barrier_schedule(st)
     duals = _BoundDuals(w, lo, hi, free, schedule[0])
@@ -304,7 +272,6 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
             decision=w, status=stat, kkt_residual=float(kkt_val),
             equality_residual_inf=float(eq_val), iterations=iters,
             solve_time=time.perf_counter() - t_start, multipliers=lam,
-            history=history,
         )
 
     if log is not None:
@@ -395,14 +362,10 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
             duals.clip(w, mu)
             lam = lam_new.copy()
             iters += 1
-            if history is not None:
-                history.append({
-                    "mu": mu, "merit": merit, "merit_before": merit0,
-                    "alpha": alpha, "kkt": kkt_val, "eq": eq_val, "iter": iters,
-                })
             if log is not None:
                 log.write(
-                    f"mu={mu:9.3e} it={iters:3d} merit={merit: .6e} "
+                    f"mu={mu:9.3e} it={iters:3d} merit={merit:.17g} "
+                    f"merit_before={merit0:.17g} "
                     f"alpha={alpha:8.3e} kkt={kkt_val:9.3e} eq={eq_val:9.3e}\n"
                 )
 

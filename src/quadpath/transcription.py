@@ -12,9 +12,9 @@ states (2-dim classic, 4-dim corridor ordered [s1, s2, s1_dot, s2_dot]) and
 order: the two initial-condition pins, then the state shooting gaps
 ``x_{k+1} - F(x_k, u_k)`` for k = 0..N-1, then the timing gaps.
 
-The quadratic running cost is encoded twice on purpose: once as a weighted
-least-squares residual (consumed by the Gauss-Newton solver) and once as a
-direct rectangle-rule quadrature over the stage cost; both must agree.
+The quadratic running cost (rectangle-rule quadrature of the stage cost plus
+a terminal cost) is encoded as a weighted least-squares residual, which is
+what the Gauss-Newton solver consumes.
 """
 
 from __future__ import annotations
@@ -146,36 +146,6 @@ class OcpConfig:
                 np.array([self.nu_bound, self.nu2_bound]),
             )
         return np.array([-self.nu_bound]), np.array([self.nu_bound])
-
-
-def stage_cost(e, xi_dot, z_path, u, nu, config: OcpConfig) -> float:
-    """Weighted quadratic running cost of one stage (before quadrature)."""
-    vec_q = np.concatenate([np.atleast_1d(e), np.atleast_1d(xi_dot), np.atleast_1d(z_path)])
-    vec_r = np.concatenate([np.atleast_1d(u), np.atleast_1d(nu)])
-    nq = config.q_weight.shape[0]
-    nr = config.r_weight.shape[0]
-    if vec_q.shape != (nq,) or vec_r.shape != (nr,):
-        raise ValueError("stage cost arguments do not match the configured weights")
-    return float(vec_q @ config.q_weight @ vec_q + vec_r @ config.r_weight @ vec_r)
-
-
-def terminal_cost(z_terminal, config: OcpConfig) -> float:
-    """Quadratic pull of the final progress (and corridor offset) to zero."""
-    z = np.atleast_1d(np.asarray(z_terminal, dtype=float))
-    cost = config.terminal_weight * float(z[0]) ** 2
-    if config.corridor:
-        cost += config.terminal_weight_s2 * float(z[1]) ** 2
-    return cost
-
-
-def terminal_sets_stub() -> None:
-    """Terminal constraint sets are an intentional extension point.
-
-    Only the quadratic terminal cost is implemented; no terminal inequality
-    rows are ever added to the problem.  Designing stabilizing terminal sets
-    is out of scope for this artifact.
-    """
-    raise NotImplementedError("terminal constraint sets are not implemented")
 
 
 class OcpProblem:
@@ -320,7 +290,7 @@ class OcpProblem:
         upper[self.z_slice(0)] = INF
         return lower, upper, events
 
-    # ----- cost (two independent routes) -------------------------------------
+    # ----- cost --------------------------------------------------------------
 
     def _reference(self, Z):
         """Path points at the stage progress values.
@@ -389,18 +359,6 @@ class OcpProblem:
         if self.config.corridor:
             J[trow + 1, self.z_slice(N).start + 1] = np.sqrt(self.config.terminal_weight_s2)
         return J
-
-    def cost(self, w) -> float:
-        """Rectangle-rule quadrature of the stage cost plus terminal cost."""
-        X, U, Z, V = self.unpack(w)
-        N = self.config.horizon
-        total = 0.0
-        for k in range(N):
-            p = self._reference(Z[k])
-            e = path_error(output_map(X[k]), p)
-            zpart = Z[k, 0:2] if self.config.corridor else Z[k, 0:1]
-            total += self.config.delta * stage_cost(e, X[k, 3:6], zpart, U[k], V[k], self.config)
-        return total + terminal_cost(Z[N], self.config)
 
     # ----- equality constraints ----------------------------------------------
 

@@ -1,7 +1,9 @@
 """Built-in invariant checks behind the ``quadpath validate`` command.
 
 These are fast self-contained versions of the core model and solver
-properties; the full test suite lives in tests/.
+properties; the acceptance suite in tests/ runs the same functions.  Each
+check takes a numpy random generator (used or not) and returns
+``(ok, detail)``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .paths import make_path
 from .solver import DenseNlp, solve
 
 
-def _check_rotation(rng) -> tuple[bool, str]:
+def check_rotation(rng) -> tuple[bool, str]:
     att = rng.uniform(-1.0, 1.0, size=(1000, 3))
     R = rotation_matrix(att)
     orth = np.max(np.abs(R @ np.swapaxes(R, -1, -2) - np.eye(3)))
@@ -29,7 +31,7 @@ def _check_rotation(rng) -> tuple[bool, str]:
     return ok, f"rotation orthonormality {orth:.2e}, det error {det:.2e}"
 
 
-def _check_body_rates(rng) -> tuple[bool, str]:
+def check_body_rates(rng) -> tuple[bool, str]:
     att = rng.uniform(-1.0, 1.0, size=(1000, 3))
     rate = rng.uniform(-1.0, 1.0, size=(1000, 3))
     R = rotation_matrix(att)
@@ -39,12 +41,12 @@ def _check_body_rates(rng) -> tuple[bool, str]:
     return err < 1e-12, f"body-rate oracle error {err:.2e}"
 
 
-def _check_hover() -> tuple[bool, str]:
+def check_hover(_rng) -> tuple[bool, str]:
     err = np.max(np.abs(dynamics(np.zeros(9), np.zeros(4), ModelParams())))
     return err == 0.0, f"hover equilibrium derivative {err:.2e}"
 
 
-def _check_rk4_order() -> tuple[bool, str]:
+def check_rk4_order(_rng) -> tuple[bool, str]:
     params = ModelParams()
     x = np.zeros(9)
     x[3:6] = [0.1, -0.05, 0.08]
@@ -57,7 +59,7 @@ def _check_rk4_order() -> tuple[bool, str]:
     return 14.0 <= ratio <= 18.0, f"step-halving error ratio {ratio:.2f}"
 
 
-def _check_path_derivatives() -> tuple[bool, str]:
+def check_path_derivatives(_rng) -> tuple[bool, str]:
     h = 1e-6
     worst = 0.0
     for name in ("spiral", "lemniscate", "sinusoid"):
@@ -69,7 +71,7 @@ def _check_path_derivatives() -> tuple[bool, str]:
     return worst < 1e-5, f"path derivative vs finite differences {worst:.2e}"
 
 
-def _check_solver() -> tuple[bool, str]:
+def check_solver(_rng) -> tuple[bool, str]:
     inf = np.inf
     a = np.array([1.0, -2.0, 0.5])
     r1 = solve(DenseNlp(3, lambda w: w - a, lambda w: np.eye(3),
@@ -89,19 +91,22 @@ def _check_solver() -> tuple[bool, str]:
     return ok1 and ok2 and ok3, "three analytic optimization problems"
 
 
+CHECKS = (
+    ("rotation matrix", check_rotation),
+    ("body angular velocity", check_body_rates),
+    ("hover equilibrium", check_hover),
+    ("integrator order", check_rk4_order),
+    ("path derivatives", check_path_derivatives),
+    ("nlp solver", check_solver),
+)
+
+
 def run_all(emit=print) -> int:
     """Run every check; returns the number of failures."""
     rng = np.random.default_rng(7)
-    checks = [
-        ("rotation matrix", _check_rotation(rng)),
-        ("body angular velocity", _check_body_rates(rng)),
-        ("hover equilibrium", _check_hover()),
-        ("integrator order", _check_rk4_order()),
-        ("path derivatives", _check_path_derivatives()),
-        ("nlp solver", _check_solver()),
-    ]
     failures = 0
-    for name, (ok, detail) in checks:
+    for name, check in CHECKS:
+        ok, detail = check(rng)
         emit(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         failures += 0 if ok else 1
     return failures

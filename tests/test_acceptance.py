@@ -11,23 +11,24 @@ import time
 import numpy as np
 import pytest
 
-from quadpath.dynamics import (
-    ModelParams,
-    body_angular_velocity,
-    dynamics,
-    rk4_step,
-    rotation_jacobian,
-    rotation_matrix,
-)
-from quadpath.paths import make_path, nominal_yaw_rate
+from quadpath.dynamics import ModelParams
+from quadpath.paths import make_path
 from quadpath.simulate import (
     compare_corridor,
     export_csv,
     run_scenario,
     scenario_config,
 )
-from quadpath.solver import CONVERGED, DenseNlp, solve
 from quadpath.transcription import OcpConfig, build_ocp
+from quadpath.validate import (
+    check_body_rates,
+    check_hover,
+    check_rk4_order,
+    check_rotation,
+    check_solver,
+)
+
+from oracles import nominal_yaw_rate, quadrature_cost
 
 PARAMS = ModelParams()
 
@@ -103,53 +104,21 @@ def saturation_and_line_deviation(log, s_dot_max):
 def test_criterion_1_model_correctness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20)
-
-    att = rng.uniform(-1.0, 1.0, size=(1000, 3))
-    R = rotation_matrix(att)
-    orth = np.max(np.abs(R @ np.swapaxes(R, -1, -2) - np.eye(3)))
-    det = np.max(np.abs(np.linalg.det(R) - 1.0))
-    assert orth < 1e-12 and det < 1e-12
-
-    rate = rng.uniform(-1.0, 1.0, size=(1000, 3))
-    J = rotation_jacobian(att)
-    oracle = np.einsum("...ji,...jk,...k->...i", R, J, rate)
-    assert np.max(np.abs(body_angular_velocity(att, rate) - oracle)) < 1e-12
-
-    assert np.array_equal(dynamics(np.zeros(9), np.zeros(4), PARAMS), np.zeros(9))
-
-    x = np.zeros(9)
-    x[3:6] = [0.1, -0.05, 0.08]
-    x[6:9] = [0.15, -0.1, 0.3]
-    u = np.array([0.02, 0.2, -0.15, 0.3])
-    ref = rk4_step(x, u, 0.2, PARAMS, substeps=1024)
-    e1 = np.linalg.norm(rk4_step(x, u, 0.2, PARAMS, substeps=8) - ref)
-    e2 = np.linalg.norm(rk4_step(x, u, 0.2, PARAMS, substeps=16) - ref)
-    ratio = e1 / e2
-    assert 14.0 <= ratio <= 18.0
+    details = []
+    for check in (check_rotation, check_body_rates, check_hover, check_rk4_order):
+        ok, detail = check(rng)
+        assert ok, detail
+        details.append(detail)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(f"\nACCEPTANCE 1: PASS — model properties hold "
-          f"(orthonormality {orth:.1e}, order ratio {ratio:.1f}, {elapsed:.2f}s)")
+          f"({'; '.join(details)}; {elapsed:.2f}s)")
 
 
 def test_criterion_2_solver_correctness():
-    inf = np.inf
-    a = np.array([1.0, -2.0, 0.5])
-    r1 = solve(DenseNlp(3, lambda w: w - a, lambda w: np.eye(3),
-                        np.full(3, -inf), np.full(3, inf)), np.zeros(3))
-    assert r1.status == CONVERGED and np.max(np.abs(r1.decision - a)) < 1e-8
-
-    r2 = solve(DenseNlp(1, lambda w: w - 2.0, lambda w: np.eye(1),
-                        np.array([-inf]), np.array([1.0])), np.array([0.0]))
-    assert r2.status == CONVERGED and abs(r2.decision[0] - 1.0) < 1e-5
-
-    r3 = solve(DenseNlp(2, lambda w: w, lambda w: np.eye(2),
-                        np.full(2, -inf), np.full(2, inf),
-                        equality=lambda w: np.array([w[0] + w[1] - 1.0]),
-                        equality_jacobian=lambda w: np.array([[1.0, 1.0]])),
-               np.array([3.0, -1.0]))
-    assert r3.status == CONVERGED and np.max(np.abs(r3.decision - 0.5)) < 1e-8
+    ok, detail = check_solver(np.random.default_rng(20))
+    assert ok, detail
 
     # cost and constraint Jacobians vs central differences, 20 random points
     cfg = OcpConfig()
@@ -174,7 +143,7 @@ def test_criterion_2_solver_correctness():
             wp, wm = w.copy(), w.copy()
             wp[i] += h
             wm[i] -= h
-            fd = (prob.cost(wp) - prob.cost(wm)) / (2 * h)
+            fd = (quadrature_cost(prob, wp) - quadrature_cost(prob, wm)) / (2 * h)
             worst_grad = max(worst_grad, abs(g[i] - fd) / max(abs(fd), 1.0))
             col = (prob.equality(wp) - prob.equality(wm)) / (2 * h)
             worst_jac = max(worst_jac, np.max(np.abs(A[:, i] - col) / np.maximum(np.abs(col), 1.0)))

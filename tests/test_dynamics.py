@@ -7,8 +7,6 @@ from quadpath.dynamics import (
     dynamics,
     dynamics_jacobians,
     output_map,
-    quad_input,
-    quad_state,
     rk4_step,
     rk4_step_with_jacobians,
     rotation_jacobian,
@@ -101,10 +99,22 @@ class TestDynamics:
         assert xdot[6] == pytest.approx(-0.5, abs=1e-15)
 
     def test_thrust_step_vertical_acceleration(self):
-        u = quad_input(delta_thrust=0.1 * PARAMS.mass * PARAMS.gravity)
+        u = np.array([0.1 * PARAMS.mass * PARAMS.gravity, 0.0, 0.0, 0.0])
         xdot = dynamics(np.zeros(9), u, PARAMS)
         assert xdot[5] == pytest.approx(0.1 * PARAMS.gravity, rel=1e-12)
         np.testing.assert_allclose(xdot[3:5], 0.0, atol=1e-15)
+
+    def test_acceleration_is_rotated_thrust(self):
+        # ties the model's thrust direction to the validated rotation matrix
+        rng = np.random.default_rng(17)
+        x = rng.uniform(-1.0, 1.0, size=(1000, 9))
+        u = rng.uniform(-0.15, 0.15, size=(1000, 4))
+        thrust = (u[:, 0] + PARAMS.mass * PARAMS.gravity) / PARAMS.mass
+        body = np.zeros((1000, 3))
+        body[:, 2] = thrust
+        expected = np.einsum("...ij,...j->...i", rotation_matrix(x[:, 6:9]), body)
+        expected[:, 2] -= PARAMS.gravity
+        assert np.max(np.abs(dynamics(x, u, PARAMS)[:, 3:6] - expected)) < 1e-12
 
     def test_position_never_feeds_back(self):
         rng = np.random.default_rng(3)
@@ -146,7 +156,7 @@ class TestDynamics:
 
 class TestOutputMap:
     def test_projection(self):
-        x = quad_state([1.0, 2.0, 3.0], [0.4, 0.5, 0.6], [0.7, 0.8, 0.5])
+        x = np.array([1.0, 2.0, 3.0, 0.4, 0.5, 0.6, 0.7, 0.8, 0.5])
         np.testing.assert_array_equal(output_map(x), [1.0, 2.0, 3.0, 0.5])
 
     def test_zero_state(self):

@@ -3,19 +3,18 @@ import pytest
 
 from quadpath.paths import (
     CorridorPath,
-    corridor_timing_law,
-    eval_corridor,
+    PATH_NAMES,
     eval_lemniscate,
     eval_sinusoid,
     eval_spiral,
     make_path,
-    nominal_yaw_rate,
     path_error,
     step_timing,
-    timing_law,
     timing_matrices,
     wrap_angle,
 )
+
+from oracles import nominal_yaw_rate, timing_law
 
 
 class TestSpiral:
@@ -97,23 +96,25 @@ class TestNominalYawRate:
 
 
 class TestCorridor:
+    corridor = make_path("sinusoid-corridor")
+
     def test_zero_offset_equals_base(self):
         s = np.linspace(-1.0, 0.0, 11)
-        np.testing.assert_array_equal(eval_corridor(s, np.zeros(11)), eval_sinusoid(s))
+        np.testing.assert_array_equal(self.corridor.point(s, np.zeros(11)), eval_sinusoid(s))
 
     def test_offset_additivity(self):
-        p = eval_corridor(-1.0, 0.5)
+        p = self.corridor.point(-1.0, 0.5)
         base = eval_sinusoid(-1.0)
         assert p[3] == pytest.approx(base[3] + 0.5, abs=1e-12)
         np.testing.assert_array_equal(p[:3], base[:3])
 
     def test_boundary_offset(self):
-        p = eval_corridor(-1.0, -0.5 * np.pi)
+        p = self.corridor.point(-1.0, -0.5 * np.pi)
         assert p[3] == pytest.approx(0.30817 - 0.5 * np.pi, abs=1e-5)
 
     def test_rejects_out_of_corridor(self):
         with pytest.raises(ValueError):
-            eval_corridor(-0.5, 0.5 * np.pi + 1e-3)
+            self.corridor.point(-0.5, 0.5 * np.pi + 1e-3)
 
     def test_corridor_path_requires_zero_inside(self):
         base = make_path("sinusoid")
@@ -135,8 +136,8 @@ class TestTimingLaw:
 
     def test_corridor_direct_read(self):
         z = np.array([-1.0, 0.0, 0.04, 0.0])
-        np.testing.assert_array_equal(corridor_timing_law(z, np.zeros(2)), [0.04, 0.0, 0.0, 0.0])
-        dz = corridor_timing_law(z, np.array([0.0, 0.1]))
+        np.testing.assert_array_equal(timing_law(z, np.zeros(2)), [0.04, 0.0, 0.0, 0.0])
+        dz = timing_law(z, np.array([0.0, 0.1]))
         assert dz[1] == 0.0 and dz[3] == 0.1
 
     def test_projection_reproduces_single_chain(self):
@@ -144,9 +145,9 @@ class TestTimingLaw:
         for _ in range(50):
             z4 = rng.uniform(-1.0, 1.0, 4)
             nu2 = rng.uniform(-1.0, 1.0, 2)
-            dz4 = corridor_timing_law(z4, nu2)
-            dz2 = timing_law(z4[[0, 2]], nu2[0])
-            np.testing.assert_array_equal(dz4[[0, 2]], dz2)
+            z4_next = step_timing(z4, nu2, 0.05)
+            z2_next = step_timing(z4[[0, 2]], nu2[0], 0.05)
+            np.testing.assert_array_equal(z4_next[[0, 2]], z2_next)
 
     def test_superposition_to_machine_precision(self):
         rng = np.random.default_rng(9)
@@ -165,16 +166,19 @@ class TestTimingLaw:
         assert z[0] == pytest.approx(-0.5 + 0.02 * 0.05 + 0.5 * 0.02 * 0.0025, abs=1e-15)
 
     def test_step_matches_generic_rk4(self):
-        # the chains are double integrators, so one RK4 step is exact
-        z = np.array([-0.4, 0.01])
-        nu = 0.03
+        # the chains are double integrators, so one RK4 step is exact;
+        # classic chain, then the corridor's two chains
         dt = 0.05
-        k1 = timing_law(z, nu)
-        k2 = timing_law(z + 0.5 * dt * k1, nu)
-        k3 = timing_law(z + 0.5 * dt * k2, nu)
-        k4 = timing_law(z + dt * k3, nu)
-        rk4 = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        np.testing.assert_allclose(step_timing(z, nu, dt), rk4, atol=1e-18)
+        for z, nu in (
+            (np.array([-0.4, 0.01]), 0.03),
+            (np.array([-0.4, 0.7, 0.01, -0.2]), np.array([0.03, -0.4])),
+        ):
+            k1 = timing_law(z, nu)
+            k2 = timing_law(z + 0.5 * dt * k1, nu)
+            k3 = timing_law(z + 0.5 * dt * k2, nu)
+            k4 = timing_law(z + dt * k3, nu)
+            rk4 = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            np.testing.assert_allclose(step_timing(z, nu, dt), rk4, atol=1e-18)
 
     def test_timing_matrices_match_step(self):
         ad, bd = timing_matrices(2, 0.05)
@@ -206,7 +210,9 @@ class TestPathError:
 
 
 def test_make_path_names():
-    for name in ("spiral", "lemniscate", "sinusoid", "sinusoid-corridor", "hover"):
+    assert PATH_NAMES == ("spiral", "lemniscate", "sinusoid", "sinusoid-corridor", "hover")
+    for name in PATH_NAMES:
         make_path(name)
+    assert make_path("sinusoid-corridor", s2_bounds=(0.0, 0.0)).s2_bounds == (0.0, 0.0)
     with pytest.raises(ValueError):
         make_path("zigzag")

@@ -1,3 +1,6 @@
+import io
+import re
+
 import numpy as np
 import pytest
 
@@ -7,13 +10,14 @@ from quadpath.solver import (
     CONVERGED,
     DenseNlp,
     SolverSettings,
-    kkt_residual,
     project_interior,
     solve,
     warm_start_shift,
 )
 from quadpath.solver import _newton_direction, _barrier_terms
 from quadpath.transcription import OcpConfig, build_ocp
+
+from oracles import kkt_residual
 
 INF = np.inf
 
@@ -114,10 +118,13 @@ class TestGlobalization:
         x0[:3] = p0[:3]
         x0[8] = p0[3]
         prob = build_ocp(x0, np.array([-1.0, 1e-5]), path, cfg, ModelParams())
-        res = solve(prob, prob.rollout(), SolverSettings(keep_history=True))
+        trace = io.StringIO()
+        res = solve(prob, prob.rollout(), log=trace)
         assert res.status == CONVERGED
-        for row in res.history:
-            assert row["merit"] <= row["merit_before"] + 1e-12
+        rows = re.findall(r"merit=(\S+) merit_before=(\S+)", trace.getvalue())
+        assert len(rows) == res.iterations
+        for merit, merit_before in rows:
+            assert float(merit) <= float(merit_before) + 1e-12
 
     def test_newton_direction_is_merit_descent(self):
         prob = DenseNlp(
