@@ -59,10 +59,11 @@ def _cmd_run(args) -> int:
 
     export_csv(log, os.path.join(args.out, "log.csv"))
     summarize_json(metrics, os.path.join(args.out, "summary.json"))
+    end = metrics.time_to_path_end
     print(f"{cfg.scenario}: {metrics.steps} steps, "
           f"rms position error {metrics.rms_position_error:.4f} m, "
-          f"path end at {metrics.time_to_path_end} s, "
-          f"{metrics.failures} solver failures")
+          + ("path end not reached, " if end is None else f"path end at {end:.2f} s, ")
+          + f"{metrics.failures} solver failures")
 
     code = exit_code_for(metrics)
     if code == EXIT_SOLVER_BUDGET:

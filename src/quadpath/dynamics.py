@@ -61,9 +61,8 @@ def rotation_matrix(attitude) -> np.ndarray:
     ndarray, shape (..., 3, 3)
     """
     att = np.asarray(attitude, dtype=float)
-    cph, sph = np.cos(att[..., 0]), np.sin(att[..., 0])
-    cth, sth = np.cos(att[..., 1]), np.sin(att[..., 1])
-    cps, sps = np.cos(att[..., 2]), np.sin(att[..., 2])
+    trig = _attitude_trig(att)
+    cph, sph, cth, sth, cps, sps = trig
 
     R = np.empty(att.shape[:-1] + (3, 3), dtype=float)
     R[..., 0, 0] = cps * cth
@@ -73,7 +72,7 @@ def rotation_matrix(attitude) -> np.ndarray:
     R[..., 2, 0] = -sth
     R[..., 2, 1] = cth * sph
     # the third column is the thrust axis the dynamics use
-    R[..., :, 2] = _thrust_axis(att)
+    R[..., :, 2] = _thrust_axis(trig)
     return R
 
 
@@ -115,12 +114,20 @@ def body_angular_velocity(attitude, attitude_rate) -> np.ndarray:
     )
 
 
-def _thrust_axis(attitude) -> np.ndarray:
-    """World-frame direction of the body thrust axis (third rotation column)."""
-    att = np.asarray(attitude, dtype=float)
-    cph, sph = np.cos(att[..., 0]), np.sin(att[..., 0])
-    cth, sth = np.cos(att[..., 1]), np.sin(att[..., 1])
-    cps, sps = np.cos(att[..., 2]), np.sin(att[..., 2])
+def _attitude_trig(att):
+    """Cosines and sines of roll, pitch and yaw:
+    ``(cph, sph, cth, sth, cps, sps)``."""
+    return (
+        np.cos(att[..., 0]), np.sin(att[..., 0]),
+        np.cos(att[..., 1]), np.sin(att[..., 1]),
+        np.cos(att[..., 2]), np.sin(att[..., 2]),
+    )
+
+
+def _thrust_axis(trig) -> np.ndarray:
+    """World-frame direction of the body thrust axis (third rotation column),
+    from the attitude's :func:`_attitude_trig`."""
+    cph, sph, cth, sth, cps, sps = trig
     return np.stack(
         [
             sph * sps + cph * cps * sth,
@@ -141,8 +148,13 @@ def dynamics(state, inp, params: ModelParams) -> np.ndarray:
     """
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
+    return _derivative(x, u, _thrust_axis(_attitude_trig(x[..., ATT])), params)
+
+
+def _derivative(x, u, axis, params: ModelParams) -> np.ndarray:
+    """:func:`dynamics` given the thrust axis at ``x``."""
     thrust = u[..., 0] + params.mass * params.gravity
-    acc = (thrust[..., None] / params.mass) * _thrust_axis(x[..., ATT])
+    acc = (thrust[..., None] / params.mass) * axis
     acc = acc - np.array([0.0, 0.0, params.gravity])
 
     out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (N_STATES,), dtype=float)
@@ -161,13 +173,16 @@ def dynamics_jacobians(state, inp, params: ModelParams):
     """
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
+    return _dynamics_with_jacobians(x, u, params)[1:]
+
+
+def _dynamics_with_jacobians(x, u, params: ModelParams):
+    """``(dynamics, fx, fu)`` at one point, with the attitude trigonometry
+    evaluated once."""
     batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
-
-    att = np.broadcast_to(x[..., ATT], batch + (3,))
-    cph, sph = np.cos(att[..., 0]), np.sin(att[..., 0])
-    cth, sth = np.cos(att[..., 1]), np.sin(att[..., 1])
-    cps, sps = np.cos(att[..., 2]), np.sin(att[..., 2])
-
+    trig = _attitude_trig(x[..., ATT])
+    cph, sph, cth, sth, cps, sps = trig
+    axis = _thrust_axis(trig)
     scale = (u[..., 0] + params.mass * params.gravity) / params.mass
 
     fx = np.zeros(batch + (N_STATES, N_STATES), dtype=float)
@@ -187,12 +202,11 @@ def dynamics_jacobians(state, inp, params: ModelParams):
     fx[..., 7, 7] = -1.0 / params.tau_pitch
 
     fu = np.zeros(batch + (N_STATES, N_INPUTS), dtype=float)
-    axis = _thrust_axis(att)
     fu[..., 3:6, 0] = axis / params.mass
     fu[..., 6, 1] = 1.0 / params.tau_roll
     fu[..., 7, 2] = 1.0 / params.tau_pitch
     fu[..., 8, 3] = 1.0
-    return fx, fu
+    return _derivative(x, u, axis, params), fx, fu
 
 
 def output_map(state) -> np.ndarray:
@@ -228,24 +242,20 @@ def rk4_step_with_jacobians(state, inp, dt: float, params: ModelParams):
     batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
     eye = np.broadcast_to(np.eye(N_STATES), batch + (N_STATES, N_STATES))
 
-    k1 = dynamics(x, u, params)
-    a1, b1 = dynamics_jacobians(x, u, params)
+    k1, a1, b1 = _dynamics_with_jacobians(x, u, params)
 
     x2 = x + 0.5 * dt * k1
-    k2 = dynamics(x2, u, params)
-    a2, b2 = dynamics_jacobians(x2, u, params)
+    k2, a2, b2 = _dynamics_with_jacobians(x2, u, params)
     k2x = a2 @ (eye + 0.5 * dt * a1)
     k2u = a2 @ (0.5 * dt * b1) + b2
 
     x3 = x + 0.5 * dt * k2
-    k3 = dynamics(x3, u, params)
-    a3, b3 = dynamics_jacobians(x3, u, params)
+    k3, a3, b3 = _dynamics_with_jacobians(x3, u, params)
     k3x = a3 @ (eye + 0.5 * dt * k2x)
     k3u = a3 @ (0.5 * dt * k2u) + b3
 
     x4 = x + dt * k3
-    k4 = dynamics(x4, u, params)
-    a4, b4 = dynamics_jacobians(x4, u, params)
+    k4, a4, b4 = _dynamics_with_jacobians(x4, u, params)
     k4x = a4 @ (eye + dt * k3x)
     k4u = a4 @ (dt * k3u) + b4
 

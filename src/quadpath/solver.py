@@ -1,4 +1,4 @@
-"""Dense Gauss-Newton SQP with a logarithmic barrier for box constraints.
+"""Gauss-Newton SQP with a logarithmic barrier for box constraints.
 
 Solves problems of the form
 
@@ -7,7 +7,7 @@ Solves problems of the form
 
 by a homotopy over the barrier weight mu: at each mu the box is replaced by
 a log barrier, the cost is approximated by its Gauss-Newton model, and the
-equality-constrained Newton step comes from one dense, symmetric KKT system.
+equality-constrained Newton step comes from one symmetric KKT system.
 The barrier subproblems are stepped in primal-dual form (bound duals scale
 the Hessian diagonal) which avoids the step-length collapse of pure primal
 barrier Newton near active bounds; convergence of each stage is still
@@ -18,14 +18,27 @@ the exact-penalty merit
 
 globalizes the iteration; a fraction-to-boundary rule keeps every iterate
 strictly interior, so ``r`` and ``c`` are never evaluated outside the box.
+Each point is evaluated once: the values of the accepted line-search trial
+are those of the next iterate.
 
-The problems here are tiny (around a hundred variables), so everything is
-dense.  Degenerate box entries with lb == ub are treated as frozen
-variables: they never move, carry no barrier term, and equality rows that
-involve only frozen variables are dropped when trivially satisfied.
+The problem solves its own KKT system, so it can use its structure:
+:class:`DenseNlp` factors the dense matrix, and the horizon problem
+(``quadpath.transcription.OcpProblem``) condenses its states out.
+Degenerate box entries with lb == ub are treated as frozen variables: they
+never move, carry no barrier term, and equality rows that involve only
+frozen variables are dropped when trivially satisfied.
 
-Problem objects must expose: ``n``, ``residual(w)``, ``residual_jacobian(w)``,
-``equality(w)``, ``equality_jacobian(w)``, ``lower`` and ``upper``.
+Problem objects must expose:
+
+- ``n``, ``lower`` and ``upper``;
+- ``residual(w)`` and ``equality(w)``, the values at a point;
+- ``residual_jacobian(w)`` and ``equality_jacobian(w)``, dense matrices;
+- ``kkt_step(J, A, g, c, sigma, free, keep, reg) -> (dw, lam)``: the step
+  and the equality multipliers that solve the KKT system with Hessian
+  ``2 J^T J + diag(sigma)`` plus ``reg`` on the diagonal, gradient ``g``
+  and linearized equalities ``A dw + c = 0``, on the ``free`` entries and
+  the ``keep`` rows (``dw`` is zero off ``free`` and ``lam`` off ``keep``);
+  it raises ``numpy.linalg.LinAlgError`` when the system is singular.
 """
 
 from __future__ import annotations
@@ -101,6 +114,13 @@ class DenseNlp:
             self.equality_jacobian = lambda w: np.zeros((0, self.n))
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
+
+    def kkt_step(self, J, A, g, c, sigma, free, keep, reg):
+        """Newton step of the dense KKT system with Hessian ``2 J^T J + sigma``
+        (see :func:`_newton_direction`)."""
+        h = 2.0 * (J.T @ J)
+        h[np.diag_indices_from(h)] += sigma
+        return _newton_direction(h, g, A, c, free, keep, reg)
 
 
 def _frozen_mask(lower, upper) -> np.ndarray:
@@ -254,8 +274,11 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
     push = min(1e-2, max(1e-6, 0.1 * np.sqrt(st.barrier_initial)))
     w = project_interior(np.asarray(initial_guess, dtype=float), lo, hi, push)
 
-    c0 = problem.equality(w)
-    m = c0.shape[0]
+    # r and c always hold the values at w: the accepted line-search trial
+    # computed them at the point the step moves to
+    r = problem.residual(w)
+    c = problem.equality(w)
+    m = c.shape[0]
     lam = np.zeros(m) if multipliers is None else np.asarray(multipliers, dtype=float).copy()
     if lam.shape != (m,):
         raise ValueError("multiplier vector has the wrong length")
@@ -283,9 +306,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
         tau = max(0.995, 1.0 - mu)
         duals.recenter(w, mu)
         while True:
-            r = problem.residual(w)
             J = problem.residual_jacobian(w)
-            c = problem.equality(w)
             A = problem.equality_jacobian(w)
             bval, bgrad = _barrier_terms(w, lo, hi, free)
             g = 2.0 * (J.T @ r) + mu * bgrad
@@ -307,15 +328,13 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
             else:
                 keep = np.zeros(0, dtype=bool)
 
-            h = 2.0 * (J.T @ J)
-            h[np.diag_indices_from(h)] += duals.sigma(w)
-
+            sigma = duals.sigma(w)
             c_l1 = float(np.sum(np.abs(c)))
             reg = 0.0
             direction = None
             for _ in range(_MAX_REG_ESCALATIONS):
                 try:
-                    dw, lam_new = _newton_direction(h, g, A, c, free, keep, reg)
+                    dw, lam_new = problem.kkt_step(J, A, g, c, sigma, free, keep, reg)
                 except np.linalg.LinAlgError:
                     reg = max(st.regularization_floor, reg * 10.0) if reg else st.regularization_floor
                     continue
@@ -359,6 +378,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
             step = alpha * dw
             duals.update(w, step, mu, tau)
             w = w + step
+            r, c = rt, ct
             duals.clip(w, mu)
             lam = lam_new.copy()
             iters += 1

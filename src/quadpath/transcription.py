@@ -14,7 +14,9 @@ order: the two initial-condition pins, then the state shooting gaps
 
 The quadratic running cost (rectangle-rule quadrature of the stage cost plus
 a terminal cost) is encoded as a weighted least-squares residual, which is
-what the Gauss-Newton solver consumes.
+what the Gauss-Newton solver consumes.  The solver's Newton step comes from
+``OcpProblem.kkt_step``, which condenses the shooting states out of the KKT
+system and solves for the inputs alone.
 """
 
 from __future__ import annotations
@@ -149,7 +151,8 @@ class OcpConfig:
 
 
 class OcpProblem:
-    """Dense NLP view of one horizon: residuals, equalities and box bounds.
+    """NLP view of one horizon: residuals, equalities, box bounds and the
+    structured Newton step.
 
     Instances are built per control step (the initial conditions are baked
     in) and treated as immutable.  The bound vectors free the pinned stage-0
@@ -198,6 +201,8 @@ class OcpProblem:
         self._ad, self._bd = timing_matrices(self.n_z // 2, config.delta)
 
         self.lower, self.upper, self.clamp_events = self._assemble_bounds()
+        self._init_stage_indices()
+        self._init_residual_jacobian()
 
     # ----- layout helpers ---------------------------------------------------
 
@@ -212,6 +217,30 @@ class OcpProblem:
 
     def nu_slice(self, k: int) -> slice:
         return slice(self._ov + k * self.n_nu, self._ov + (k + 1) * self.n_nu)
+
+    def _init_stage_indices(self):
+        """Index arrays of the stage blocks: state s_k = (x_k, z_k) for
+        k = 0..N, input q_k = (u_k, v_k) for k < N, the equality rows of row
+        block k (the pins for k = 0, else the gap into s_k) and the residual
+        rows of the path stages, the inputs and the terminal cost."""
+        N = self.config.horizon
+        nx, nz = self.n_x, self.n_z
+        nodes = np.arange(N + 1)[:, None]
+        stages = np.arange(N)[:, None]
+        self._state_idx = np.hstack([self._ox + nodes * nx + np.arange(nx),
+                                     self._oz + nodes * nz + np.arange(nz)])
+        self._input_idx = np.hstack([self._ou + stages * self.n_u + np.arange(self.n_u),
+                                     self._ov + stages * self.n_nu + np.arange(self.n_nu)])
+        gap_x = nx + nz                 # row of the gap into x_1
+        gap_z = gap_x + N * nx          # row of the gap into z_1
+        rows = np.hstack([gap_x + (nodes - 1) * nx + np.arange(nx),
+                          gap_z + (nodes - 1) * nz + np.arange(nz)])
+        rows[0] = np.arange(nx + nz)    # the pins
+        self._row_idx = rows
+        nq, nr = self.n_res_q, self.n_res_r
+        self._path_rows = np.arange(N * nq).reshape(N, nq)
+        self._input_rows = N * nq + np.arange(N * nr).reshape(N, nr)
+        self._term_rows = np.arange(N * (nq + nr), self.m_res)
 
     def unpack(self, w):
         w = np.asarray(w, dtype=float)
@@ -325,39 +354,39 @@ class OcpProblem:
             term.append(np.sqrt(self.config.terminal_weight_s2) * Z[N, 1])
         return np.concatenate([res_q.ravel(), res_r.ravel(), np.array(term)])
 
-    def residual_jacobian(self, w) -> np.ndarray:
-        X, U, Z, V = self.unpack(w)
+    def _init_residual_jacobian(self):
+        """The residual Jacobian's constant entries; only the path-error rows
+        of the progress columns depend on the iterate."""
         N = self.config.horizon
-        nq, nr = self.n_res_q, self.n_res_r
-        J = np.zeros((self.m_res, self.n))
-        dp = self.path.derivative(np.clip(Z[:N, 0], -1.0, 0.0))
-
-        dx = np.zeros((nq, self.n_x))
+        dx = np.zeros((self.n_res_q, self.n_x))
         dx[0:3, 0:3] = np.eye(3)
         dx[3, 8] = 1.0
         dx[4:7, 3:6] = np.eye(3)
-        lq_dx = self._lq @ dx
-        for k in range(N):
-            dz = np.zeros((nq, self.n_z))
-            dz[0:4, 0] = -dp[k]
-            if self.config.corridor:
-                dz[0:4, 1] = -self.path.direction
-                dz[7, 0] = 1.0
-                dz[8, 1] = 1.0
-            else:
-                dz[7, 0] = 1.0
-            rows = slice(k * nq, (k + 1) * nq)
-            J[rows, self.x_slice(k)] = lq_dx
-            J[rows, self.z_slice(k)] = self._lq @ dz
-        base = N * nq
-        for k in range(N):
-            rows = slice(base + k * nr, base + (k + 1) * nr)
-            J[rows, self.u_slice(k)] = self._lr[:, : self.n_u]
-            J[rows, self.nu_slice(k)] = self._lr[:, self.n_u:]
-        trow = N * (nq + nr)
-        J[trow, self.z_slice(N).start] = np.sqrt(self.config.terminal_weight)
+        J = np.zeros((self.m_res, self.n))
+        rows = self._path_rows[:, :, None]
+        J[rows, self._state_idx[:N, None, :self.n_x]] = self._lq @ dx
+        J[self._input_rows[:, :, None], self._input_idx[:, None, :]] = self._lr
+        zN = self.z_slice(N).start
+        J[self._term_rows[0], zN] = np.sqrt(self.config.terminal_weight)
         if self.config.corridor:
-            J[trow + 1, self.z_slice(N).start + 1] = np.sqrt(self.config.terminal_weight_s2)
+            J[self._term_rows[1], zN + 1] = np.sqrt(self.config.terminal_weight_s2)
+        self._jac = J
+        # d(stage residual)/dz before the weighting, less the -dp column
+        dz = np.zeros((N, self.n_res_q, self.n_z))
+        dz[:, 7, 0] = 1.0
+        if self.config.corridor:
+            dz[:, 0:4, 1] = -self.path.direction
+            dz[:, 8, 1] = 1.0
+        self._dz = dz
+        self._dz_at = (rows, self._state_idx[:N, None, self.n_x:])
+
+    def residual_jacobian(self, w) -> np.ndarray:
+        _, _, Z, _ = self.unpack(w)
+        N = self.config.horizon
+        dz = self._dz.copy()
+        dz[:, 0:4, 0] = -self.path.derivative(np.clip(Z[:N, 0], -1.0, 0.0))
+        J = self._jac.copy()
+        J[self._dz_at] = self._lq @ dz
         return J
 
     # ----- equality constraints ----------------------------------------------
@@ -394,6 +423,101 @@ class OcpProblem:
             A[rows, self.z_slice(k)] = -self._ad
             A[rows, self.nu_slice(k)] = -self._bd
         return A
+
+
+    # ----- Newton step by condensing ------------------------------------------
+
+    def kkt_step(self, J, A, g, c, sigma, free, keep, reg):
+        """Gauss-Newton step ``(dw, lam)`` with the states condensed out.
+
+        Solves the same system as the dense route of the solver, whose
+        Hessian is ``2 J^T J + diag(sigma)`` plus ``reg`` on the free
+        diagonal: stationarity on the free entries and the ``keep`` rows of
+        ``A dw + c = 0``, with frozen entries of ``dw`` and the multipliers of
+        dropped rows at zero.  No residual couples two stages, or a state
+        with an input, so the Hessian is block diagonal.  The gap rows give
+        every state step as ``ds = S dq + s0`` in the input steps, which
+        leaves a system in the N*(n_u + n_nu) inputs.  A frozen state is held
+        at zero; its kept gap row becomes an equality row of that system.
+        The other multipliers follow backward from stationarity in the
+        states.  Raises ``LinAlgError`` when the condensed system is singular.
+        """
+        N = self.config.horizon
+        si, qi, ri = self._state_idx, self._input_idx, self._row_idx
+        ns, nqi = si.shape[1], qi.shape[1]
+        nq = N * nqi
+
+        # stage Hessians of the states and of the inputs
+        jp = J[self._path_rows[:, :, None], si[:N, None, :]]
+        jt = J[self._term_rows[:, None], si[N]]
+        hs = np.empty((N + 1, ns, ns))
+        hs[:N] = 2.0 * (jp.transpose(0, 2, 1) @ jp)
+        hs[N] = 2.0 * (jt.T @ jt)
+        diag = np.arange(ns)
+        hs[:, diag, diag] += sigma[si] + reg
+        ju = J[self._input_rows[:, :, None], qi[:, None, :]]
+        hq = 2.0 * (ju.transpose(0, 2, 1) @ ju)
+        diag = np.arange(nqi)
+        hq[:, diag, diag] += sigma[qi] + reg
+
+        # row block k + 1 reads ds_{k+1} - F_k ds_k - G_k dq_k + c = 0
+        F = -A[ri[1:, :, None], si[:N, None, :]]
+        G = -A[ri[1:, :, None], qi[:, None, :]]
+        cs = c[ri]
+        held = ~free[si]
+        fixed = held & keep[ri]
+        S = np.zeros((N + 1, ns, nq))
+        s0 = np.empty((N + 1, ns))
+        s0[0] = -cs[0]
+        e_rows, e_vals = [], []
+        for k in range(N + 1):
+            if k:  # s_k moves with the inputs before stage k only
+                done = (k - 1) * nqi
+                S[k, :, :done] = F[k - 1] @ S[k - 1, :, :done]
+                S[k, :, done:done + nqi] = G[k - 1]
+                s0[k] = F[k - 1] @ s0[k - 1] - cs[k]
+            if held[k].any():
+                e_rows.append(-S[k, fixed[k]])
+                e_vals.append(-s0[k, fixed[k]])
+                S[k, held[k]] = 0.0
+                s0[k, held[k]] = 0.0
+
+        # condensed system in the free inputs, with the frozen states' rows
+        flat = S.reshape(-1, nq)
+        hc = flat.T @ (hs @ S).reshape(-1, nq)
+        stage = np.arange(N)
+        hc.reshape(N, nqi, N, nqi)[stage, :, stage, :] += hq
+        gc = flat.T @ ((hs @ s0[..., None])[..., 0] + g[si]).ravel() + g[qi].ravel()
+        fq = free[qi].ravel()
+        nf = int(np.sum(fq))
+        eq = np.vstack(e_rows)[:, fq] if e_rows else np.zeros((0, nf))
+        me = eq.shape[0]
+        kkt = np.zeros((nf + me, nf + me))
+        kkt[:nf, :nf] = hc[fq][:, fq]
+        kkt[:nf, nf:] = eq.T
+        kkt[nf:, :nf] = eq
+        rhs = -np.concatenate([gc[fq]] + e_vals)
+        sol = np.linalg.solve(kkt, rhs)
+        if not np.all(np.isfinite(sol)):
+            raise np.linalg.LinAlgError("non-finite KKT solution")
+
+        dq = np.zeros(nq)
+        dq[fq] = sol[:nf]
+        ds = S @ dq + s0
+        # stationarity in s_k: lam_k = F_k^T lam_{k+1} - (H_s ds + g_s)_k
+        v = (hs @ ds[..., None])[..., 0] + g[si]
+        lam_s = np.zeros((N + 1, ns))
+        lam_s[fixed] = sol[nf:]
+        lam_s[N] = np.where(held[N], lam_s[N], -v[N])
+        for k in range(N - 1, -1, -1):
+            lam_s[k] = np.where(held[k], lam_s[k], F[k].T @ lam_s[k + 1] - v[k])
+
+        dw = np.zeros(self.n)
+        dw[si] = ds
+        dw[qi] = dq.reshape(N, nqi)
+        lam = np.zeros(self.m_eq)
+        lam[ri] = lam_s
+        return dw, lam
 
 
 def build_ocp(x0, z0, path: Union[Path, CorridorPath], config: OcpConfig, params: ModelParams) -> OcpProblem:

@@ -10,7 +10,9 @@ computes another way:
   integrates in closed form;
 - ``nominal_yaw_rate`` is the yaw rate the tangential sinusoid reference
   demands at a given progress rate;
-- ``kkt_residual`` is a standalone stationarity measure for a solve result.
+- ``kkt_residual`` is a standalone stationarity measure for a solve result;
+- ``residual_jacobian_loop`` builds ``OcpProblem.residual_jacobian`` stage by
+  stage, with the same arithmetic, so the two agree bitwise.
 """
 
 import numpy as np
@@ -104,3 +106,37 @@ def kkt_residual(problem, point, multipliers, mu: float) -> float:
     stat = np.max(np.abs(g[active])) if np.any(active) else 0.0
     eq = np.max(np.abs(c)) if c.size else 0.0
     return float(max(stat, eq))
+
+
+def residual_jacobian_loop(problem, w) -> np.ndarray:
+    """``problem.residual_jacobian(w)``, one stage block at a time."""
+    X, U, Z, V = problem.unpack(w)
+    cfg = problem.config
+    N = cfg.horizon
+    nq, nr = problem.n_res_q, problem.n_res_r
+    lq, lr = problem._lq, problem._lr
+    J = np.zeros((problem.m_res, problem.n))
+    dp = problem.path.derivative(np.clip(Z[:N, 0], -1.0, 0.0))
+    dx = np.zeros((nq, problem.n_x))
+    dx[0:3, 0:3] = np.eye(3)
+    dx[3, 8] = 1.0
+    dx[4:7, 3:6] = np.eye(3)
+    for k in range(N):
+        dz = np.zeros((nq, problem.n_z))
+        dz[0:4, 0] = -dp[k]
+        dz[7, 0] = 1.0
+        if cfg.corridor:
+            dz[0:4, 1] = -problem.path.direction
+            dz[8, 1] = 1.0
+        rows = slice(k * nq, (k + 1) * nq)
+        J[rows, problem.x_slice(k)] = lq @ dx
+        J[rows, problem.z_slice(k)] = lq @ dz
+    for k in range(N):
+        rows = slice(N * nq + k * nr, N * nq + (k + 1) * nr)
+        J[rows, problem.u_slice(k)] = lr[:, :problem.n_u]
+        J[rows, problem.nu_slice(k)] = lr[:, problem.n_u:]
+    trow = N * (nq + nr)
+    J[trow, problem.z_slice(N).start] = np.sqrt(cfg.terminal_weight)
+    if cfg.corridor:
+        J[trow + 1, problem.z_slice(N).start + 1] = np.sqrt(cfg.terminal_weight_s2)
+    return J

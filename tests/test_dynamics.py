@@ -194,6 +194,14 @@ class TestRk4:
         with pytest.raises(ValueError):
             rk4_step(np.zeros(9), np.zeros(4), 0.0, PARAMS)
 
+    def test_step_with_jacobians_equals_step_bitwise(self):
+        rng = np.random.default_rng(7)
+        for batch in [(), (1,), (5,), (20,), (3, 4)]:
+            x = rng.uniform(-0.5, 0.5, batch + (9,))
+            u = rng.uniform(-0.3, 0.3, batch + (4,))
+            x_next = rk4_step_with_jacobians(x, u, 0.05, PARAMS)[0]
+            assert np.array_equal(x_next, rk4_step(x, u, 0.05, PARAMS))
+
     def test_step_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(-0.3, 0.3, 9)

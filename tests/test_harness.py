@@ -258,6 +258,20 @@ class TestCli:
         assert (out_dir / "summary.json").exists()
         assert (out_dir / "solver.log").exists()
 
+    @pytest.mark.parametrize("end, text", [(25.700000000000003, "path end at 25.70 s,"),
+                                           (None, "path end not reached,")])
+    def test_run_prints_path_end(self, hover_run, tmp_path, monkeypatch, capsys, end, text):
+        import dataclasses
+        cfg, log, metrics = hover_run
+        ended = dataclasses.replace(metrics, time_to_path_end=end)
+        monkeypatch.setattr("quadpath.cli.run_scenario", lambda *a, **k: (log, ended))
+        assert cli_main(["run", "--scenario", "hover", "--out", str(tmp_path)]) == 0
+        line = capsys.readouterr().out.strip()
+        assert text in line
+        assert line.startswith(f"hover: {metrics.steps} steps, ")
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["time_to_path_end_s"] == end  # stored unrounded
+
     def test_validate_passes(self, capsys):
         assert cli_main(["validate"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

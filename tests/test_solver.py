@@ -182,6 +182,41 @@ class TestGlobalization:
         assert res1.status == res2.status
 
 
+class TestEvaluations:
+    def test_one_evaluation_per_point(self):
+        # one residual and one equality evaluation at the start, then one
+        # each per line-search trial; the barrier stages that converge
+        # without a step evaluate nothing
+        points = {"residual": [], "equality": []}
+
+        def residual(w):
+            points["residual"].append(w.copy())
+            return np.arctan(w - np.array([0.0, 1.0]))
+
+        def equality(w):
+            points["equality"].append(w.copy())
+            return np.array([w[0] + 0.1 * w[1] ** 2 - 0.1])
+
+        prob = DenseNlp(
+            2,
+            residual=residual,
+            residual_jacobian=lambda w: np.diag(1.0 / (1.0 + (w - np.array([0.0, 1.0])) ** 2)),
+            lower=np.full(2, -INF),
+            upper=np.full(2, INF),
+            equality=equality,
+            equality_jacobian=lambda w: np.array([[1.0, 0.2 * w[1]]]),
+        )
+        trace = io.StringIO()
+        res = solve(prob, np.array([4.0, -3.0]), log=trace)
+        assert res.status == CONVERGED
+        # no box, so every trial is evaluated and alpha = backtrack**(trials - 1)
+        alphas = [float(a) for a in re.findall(r"alpha=(\S+)", trace.getvalue())]
+        trials = sum(1 + round(np.log(a) / np.log(0.5)) for a in alphas)
+        assert trials > res.iterations  # some step backtracked
+        assert len(points["residual"]) == len(points["equality"]) == 1 + trials
+        np.testing.assert_array_equal(points["residual"], points["equality"])
+
+
 class TestFrozenCoordinates:
     def test_zero_width_box_pins_variable(self):
         prob = DenseNlp(

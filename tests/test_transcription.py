@@ -3,9 +3,10 @@ import pytest
 
 from quadpath.dynamics import ModelParams
 from quadpath.paths import make_path
-from quadpath.transcription import OcpConfig, build_ocp
+from quadpath.solver import _barrier_terms, _frozen_mask, _newton_direction, project_interior
+from quadpath.transcription import DEFAULT_INPUT_BOUND, OcpConfig, build_ocp
 
-from oracles import quadrature_cost, stage_cost, terminal_cost
+from oracles import quadrature_cost, residual_jacobian_loop, stage_cost, terminal_cost
 
 PARAMS = ModelParams()
 
@@ -129,6 +130,88 @@ class TestEqualityConstraints:
                 col = (prob.equality(wp) - prob.equality(wm)) / (2 * h)
                 denom = np.maximum(np.abs(col), 1.0)
                 assert np.max(np.abs(A[:, i] - col) / denom) < 1e-5
+
+
+class TestResidualJacobian:
+    @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
+    @pytest.mark.parametrize("horizon", [1, 5, 20])
+    def test_equals_stage_loop_bitwise(self, kind, horizon):
+        prob = horizon_problem(kind, horizon)
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            w = random_interior_iterate(prob, rng)
+            assert np.array_equal(prob.residual_jacobian(w), residual_jacobian_loop(prob, w))
+
+
+def horizon_problem(kind, horizon, freeze_input=False):
+    """Classic, corridor or zero-width-corridor problem at the path start;
+    ``freeze_input`` closes the yaw-rate command's box to zero."""
+    kw = {"horizon": horizon}
+    if freeze_input:
+        kw["input_lower"] = -DEFAULT_INPUT_BOUND.copy()
+        kw["input_upper"] = DEFAULT_INPUT_BOUND.copy()
+        kw["input_lower"][3] = kw["input_upper"][3] = 0.0
+    if kind == "classic":
+        path = make_path("spiral")
+        p0, z0 = path.point(-1.0), np.array([-1.0, 1e-5])
+    else:
+        width = (0.0, 0.0) if kind == "zero-width" else (-0.5 * np.pi, 0.5 * np.pi)
+        kw.update(corridor=True, s2_bounds=width)
+        path = make_path("sinusoid-corridor", s2_bounds=width)
+        p0, z0 = path.point(-1.0, 0.0), np.array([-1.0, 0.0, 1e-5, 0.0])
+    x0 = np.zeros(9)
+    x0[:3] = p0[:3]
+    x0[8] = p0[3]
+    return build_ocp(x0, z0, path, OcpConfig(**kw), PARAMS)
+
+
+def random_interior_iterate(prob, rng):
+    """A perturbed rollout, strictly inside the box (off the gap manifold)."""
+    N = prob.config.horizon
+    w = prob.rollout(rng.uniform(-0.1, 0.1, (N, prob.n_u)),
+                     rng.uniform(-0.01, 0.01, (N, prob.n_nu)))
+    return project_interior(w + rng.normal(0.0, 0.05, prob.n), prob.lower, prob.upper, 1e-3)
+
+
+def kkt_relative_residual(h, g, A, c, free, keep, dw, lam):
+    """Normwise backward error of ``(dw, lam)`` in the dense KKT system."""
+    hf = h[np.ix_(free, free)]
+    af = A[np.ix_(keep, free)]
+    kkt = np.block([[hf, af.T], [af, np.zeros((af.shape[0], af.shape[0]))]])
+    x = np.concatenate([dw[free], lam[keep]])
+    b = -np.concatenate([g[free], c[keep]])
+    return np.max(np.abs(kkt @ x - b)) / (np.linalg.norm(kkt, np.inf) * np.max(np.abs(x))
+                                         + np.max(np.abs(b)))
+
+
+class TestCondensedStep:
+    """``OcpProblem.kkt_step`` against the dense KKT solve."""
+
+    @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
+    @pytest.mark.parametrize("horizon", [1, 5, 20])
+    def test_matches_dense_newton_direction(self, kind, horizon):
+        rng = np.random.default_rng(18)
+        for freeze_input in (False, True):
+            prob = horizon_problem(kind, horizon, freeze_input)
+            free = ~_frozen_mask(prob.lower, prob.upper)
+            assert np.sum(~free) == horizon * (freeze_input + (kind == "zero-width"))
+            for _ in range(2):
+                w = random_interior_iterate(prob, rng)
+                J, A = prob.residual_jacobian(w), prob.equality_jacobian(w)
+                c = prob.equality(w)
+                _, bgrad = _barrier_terms(w, prob.lower, prob.upper, free)
+                g = 2.0 * J.T @ prob.residual(w) + 1e-2 * bgrad
+                sigma = np.where(free, rng.uniform(0.0, 10.0, prob.n), 0.0)
+                keep = np.max(np.abs(A[:, free]), axis=1) > 1e-14
+                h = 2.0 * J.T @ J + np.diag(sigma)
+                for reg in (0.0, 1e-4):
+                    dw_ref, lam_ref = _newton_direction(h, g, A, c, free, keep, reg)
+                    dw, lam = prob.kkt_step(J, A, g, c, sigma, free, keep, reg)
+                    assert np.max(np.abs(dw - dw_ref)) <= 1e-9 * np.max(np.abs(dw_ref))
+                    assert not np.any(dw[~free]) and not np.any(lam[~keep])
+                    hr = h + reg * np.diag(free.astype(float))
+                    for d, l in ((dw, lam), (dw_ref, lam_ref)):
+                        assert kkt_relative_residual(hr, g, A, c, free, keep, d, l) <= 1e-12
 
 
 class TestCost:
