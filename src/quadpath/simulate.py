@@ -77,6 +77,10 @@ class ScenarioConfig:
             raise ValueError("sensor must be 'exact' or 'fd'")
         if self.plant_substeps < 1:
             raise ValueError("plant_substeps must be at least 1")
+        if not self.position_noise >= 0.0:
+            raise ValueError("position_noise must be nonnegative")
+        if not self.mass_error > -1.0:
+            raise ValueError("mass_error must be greater than -1 (the plant mass must stay positive)")
 
     @property
     def corridor(self) -> bool:

@@ -17,9 +17,10 @@ the exact-penalty merit
     ||r(w)||^2 + mu * B(w) + rho * ||c(w)||_1
 
 globalizes the iteration; a fraction-to-boundary rule keeps every iterate
-strictly interior, so ``r`` and ``c`` are never evaluated outside the box.
-Each point is evaluated once: the values of the accepted line-search trial
-are those of the next iterate.
+strictly interior, so the problem is never evaluated outside the box.
+Each point is linearized once, at the start and at every line-search trial
+inside the box: the values and Jacobians of the accepted trial are those of
+the next iterate.
 
 The problem solves its own KKT system, so it can use its structure:
 :class:`DenseNlp` factors the dense matrix, and the horizon problem
@@ -31,8 +32,8 @@ frozen variables are dropped when trivially satisfied.
 Problem objects must expose:
 
 - ``n``, ``lower`` and ``upper``;
-- ``residual(w)`` and ``equality(w)``, the values at a point;
-- ``residual_jacobian(w)`` and ``equality_jacobian(w)``, dense matrices;
+- ``linearize(w) -> (r, J, c, A)``: the residual, the equality values and
+  their Jacobians (dense matrices) at a point;
 - ``kkt_step(J, A, g, c, sigma, free, keep, reg) -> (dw, lam)``: the step
   and the equality multipliers that solve the KKT system with Hessian
   ``2 J^T J + diag(sigma)`` plus ``reg`` on the diagonal, gradient ``g``
@@ -115,6 +116,10 @@ class DenseNlp:
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
 
+    def linearize(self, w):
+        """``(r, J, c, A)`` at ``w`` from the four callables."""
+        return self.residual(w), self.residual_jacobian(w), self.equality(w), self.equality_jacobian(w)
+
     def kkt_step(self, J, A, g, c, sigma, free, keep, reg):
         """Newton step of the dense KKT system with Hessian ``2 J^T J + sigma``
         (see :func:`_newton_direction`)."""
@@ -169,13 +174,10 @@ def _barrier_schedule(settings: SolverSettings) -> list[float]:
 
 
 def _step_to_boundary(w, dw, lower, upper, active, tau: float) -> float:
-    alpha = 1.0
     neg = active & (dw < 0.0) & np.isfinite(lower)
-    if np.any(neg):
-        alpha = min(alpha, tau * np.min((w[neg] - lower[neg]) / -dw[neg]))
     pos = active & (dw > 0.0) & np.isfinite(upper)
-    if np.any(pos):
-        alpha = min(alpha, tau * np.min((upper[pos] - w[pos]) / dw[pos]))
+    alpha = min(1.0, tau * np.min((w[neg] - lower[neg]) / -dw[neg], initial=np.inf),
+                tau * np.min((upper[pos] - w[pos]) / dw[pos], initial=np.inf))
     return max(alpha, 0.0)
 
 
@@ -223,11 +225,8 @@ class _BoundDuals:
                 continue
             d = np.where(has, gap_sign * (w_old - (self.lower if gap_sign > 0 else self.upper)), 1.0)
             dz = np.where(has, (mu - z * d - gap_sign * z * step) / d, 0.0)
-            alpha = 1.0
             shrink = has & (dz < 0.0)
-            if np.any(shrink):
-                alpha = min(alpha, tau * np.min(z[shrink] / -dz[shrink]))
-            z += alpha * dz
+            z += min(1.0, tau * np.min(z[shrink] / -dz[shrink], initial=np.inf)) * dz
 
     def clip(self, w, mu):
         d_lo = np.where(self.has_lo, w - self.lower, 1.0)
@@ -274,10 +273,9 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
     push = min(1e-2, max(1e-6, 0.1 * np.sqrt(st.barrier_initial)))
     w = project_interior(np.asarray(initial_guess, dtype=float), lo, hi, push)
 
-    # r and c always hold the values at w: the accepted line-search trial
-    # computed them at the point the step moves to
-    r = problem.residual(w)
-    c = problem.equality(w)
+    # r, J, c and A always hold the linearization at w: the accepted
+    # line-search trial computed it at the point the step moves to
+    r, J, c, A = problem.linearize(w)
     m = c.shape[0]
     lam = np.zeros(m) if multipliers is None else np.asarray(multipliers, dtype=float).copy()
     if lam.shape != (m,):
@@ -306,13 +304,10 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
         tau = max(0.995, 1.0 - mu)
         duals.recenter(w, mu)
         while True:
-            J = problem.residual_jacobian(w)
-            A = problem.equality_jacobian(w)
             bval, bgrad = _barrier_terms(w, lo, hi, free)
             g = 2.0 * (J.T @ r) + mu * bgrad
-            g_lam = g + (A.T @ lam if m else 0.0)
-            stat = float(np.max(np.abs(g_lam[free]))) if np.any(free) else 0.0
-            eq_val = float(np.max(np.abs(c))) if m else 0.0
+            stat = float(np.max(np.abs((g + A.T @ lam)[free]), initial=0.0))
+            eq_val = float(np.max(np.abs(c), initial=0.0))
             kkt_val = max(stat, eq_val)
             if kkt_val <= stage_tol:
                 break
@@ -320,13 +315,9 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
                 return _finish(MAX_ITERATIONS)
 
             # rows acting only on frozen coordinates must hold already
-            if m:
-                keep = np.max(np.abs(A[:, free]), axis=1) > 1e-14 if np.any(free) else np.zeros(m, bool)
-                bad = ~keep & (np.abs(c) > 1e-9)
-                if np.any(bad):
-                    return _finish(LINESEARCH_FAILURE)
-            else:
-                keep = np.zeros(0, dtype=bool)
+            keep = np.max(np.abs(A[:, free]), axis=1, initial=0.0) > 1e-14
+            if np.any(~keep & (np.abs(c) > 1e-9)):
+                return _finish(LINESEARCH_FAILURE)
 
             sigma = duals.sigma(w)
             c_l1 = float(np.sum(np.abs(c)))
@@ -348,7 +339,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
             dw, lam_new, descent = direction
             # the l1 penalty is exact only above the multiplier scale; grow it
             # when the fresh multiplier estimate exceeds the current weight
-            if lam_new.size and 2.0 * float(np.max(np.abs(lam_new))) > rho:
+            if 2.0 * float(np.max(np.abs(lam_new), initial=0.0)) > rho:
                 rho = 2.0 * float(np.max(np.abs(lam_new)))
                 descent = float(g @ dw) - rho * c_l1
                 if descent >= 0.0 and np.any(dw):
@@ -365,8 +356,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
                 trial = w + alpha * dw
                 bt, _ = _barrier_terms(trial, lo, hi, free)
                 if np.isfinite(bt):
-                    rt = problem.residual(trial)
-                    ct = problem.equality(trial)
+                    rt, Jt, ct, At = problem.linearize(trial)
                     merit = float(rt @ rt) + mu * bt + rho * float(np.sum(np.abs(ct)))  # same rho as merit0
                     if merit <= merit0 + _ARMIJO * alpha * descent or abs(alpha * descent) <= noise:
                         accepted = True
@@ -378,7 +368,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
             step = alpha * dw
             duals.update(w, step, mu, tau)
             w = w + step
-            r, c = rt, ct
+            r, J, c, A = rt, Jt, ct, At
             duals.clip(w, mu)
             lam = lam_new.copy()
             iters += 1

@@ -391,39 +391,41 @@ class OcpProblem:
 
     # ----- equality constraints ----------------------------------------------
 
-    def equality(self, w) -> np.ndarray:
+    def _gaps(self, w):
+        """Equality values ``c`` and their Jacobian ``A`` at ``w``: one RK4
+        integration gives the state gaps and their sensitivities."""
         X, U, Z, V = self.unpack(w)
         N = self.config.horizon
-        fx = rk4_step(X[:N], U, self.config.delta, self.params)
+        fx, ax, bu = rk4_step_with_jacobians(X[:N], U, self.config.delta, self.params)
         gz = Z[:N] @ self._ad.T + V @ self._bd.T
-        return np.concatenate([
+        c = np.concatenate([
             X[0] - self.x0,
             Z[0] - self.z0,
             (X[1:] - fx).ravel(),
             (Z[1:] - gz).ravel(),
         ])
+        # row block k holds the pins (k = 0) or the gap into s_k = (x_k, z_k)
+        nx, nu = self.n_x, self.n_u
+        rows = self._row_idx[:, :, None]
+        si, qi = self._state_idx[:, None, :], self._input_idx[:, None, :]
+        A = np.zeros((self.m_eq, self.n))
+        A[rows, si] = np.eye(nx + self.n_z)
+        A[rows[1:, :nx], si[:N, :, :nx]] = -ax
+        A[rows[1:, nx:], si[:N, :, nx:]] = -self._ad
+        A[rows[1:, :nx], qi[:, :, :nu]] = -bu
+        A[rows[1:, nx:], qi[:, :, nu:]] = -self._bd
+        return c, A
+
+    def equality(self, w) -> np.ndarray:
+        return self._gaps(w)[0]
 
     def equality_jacobian(self, w) -> np.ndarray:
-        X, U, Z, V = self.unpack(w)
-        N = self.config.horizon
-        A = np.zeros((self.m_eq, self.n))
-        A[0:self.n_x, self.x_slice(0)] = np.eye(self.n_x)
-        A[self.n_x:self.n_x + self.n_z, self.z_slice(0)] = np.eye(self.n_z)
-        _, ax, bu = rk4_step_with_jacobians(X[:N], U, self.config.delta, self.params)
-        r0 = self.n_x + self.n_z
-        for k in range(N):
-            rows = slice(r0 + k * self.n_x, r0 + (k + 1) * self.n_x)
-            A[rows, self.x_slice(k + 1)] = np.eye(self.n_x)
-            A[rows, self.x_slice(k)] = -ax[k]
-            A[rows, self.u_slice(k)] = -bu[k]
-        z0row = r0 + N * self.n_x
-        for k in range(N):
-            rows = slice(z0row + k * self.n_z, z0row + (k + 1) * self.n_z)
-            A[rows, self.z_slice(k + 1)] = np.eye(self.n_z)
-            A[rows, self.z_slice(k)] = -self._ad
-            A[rows, self.nu_slice(k)] = -self._bd
-        return A
+        return self._gaps(w)[1]
 
+    def linearize(self, w):
+        """``(r, J, c, A)`` at ``w``, with one RK4 integration."""
+        c, A = self._gaps(w)
+        return self.residual(w), self.residual_jacobian(w), c, A
 
     # ----- Newton step by condensing ------------------------------------------
 

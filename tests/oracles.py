@@ -11,13 +11,14 @@ computes another way:
 - ``nominal_yaw_rate`` is the yaw rate the tangential sinusoid reference
   demands at a given progress rate;
 - ``kkt_residual`` is a standalone stationarity measure for a solve result;
-- ``residual_jacobian_loop`` builds ``OcpProblem.residual_jacobian`` stage by
-  stage, with the same arithmetic, so the two agree bitwise.
+- ``residual_jacobian_loop`` and ``equality_jacobian_loop`` build
+  ``OcpProblem.residual_jacobian`` and ``OcpProblem.equality_jacobian``
+  stage by stage, with the same arithmetic, so each pair agrees bitwise.
 """
 
 import numpy as np
 
-from quadpath.dynamics import output_map
+from quadpath.dynamics import output_map, rk4_step_with_jacobians
 from quadpath.paths import path_error
 from quadpath.solver import _barrier_terms, _frozen_mask
 from quadpath.transcription import OcpConfig
@@ -95,10 +96,7 @@ def kkt_residual(problem, point, multipliers, mu: float) -> float:
     if np.any(np.abs(w[frozen] - lo[frozen]) > 1e-9):
         raise ValueError("frozen coordinate off its pinned value")
     _, bgrad = _barrier_terms(w, lo, hi, active)
-    r = problem.residual(w)
-    J = problem.residual_jacobian(w)
-    c = problem.equality(w)
-    A = problem.equality_jacobian(w)
+    r, J, c, A = problem.linearize(w)
     lam = np.asarray(multipliers, dtype=float)
     g = 2.0 * (J.T @ r) + mu * bgrad
     if A.shape[0]:
@@ -140,3 +138,27 @@ def residual_jacobian_loop(problem, w) -> np.ndarray:
     if cfg.corridor:
         J[trow + 1, problem.z_slice(N).start + 1] = np.sqrt(cfg.terminal_weight_s2)
     return J
+
+
+def equality_jacobian_loop(problem, w) -> np.ndarray:
+    """``problem.equality_jacobian(w)``, one stage block at a time."""
+    X, U, Z, V = problem.unpack(w)
+    N = problem.config.horizon
+    nx, nz = problem.n_x, problem.n_z
+    A = np.zeros((problem.m_eq, problem.n))
+    A[0:nx, problem.x_slice(0)] = np.eye(nx)
+    A[nx:nx + nz, problem.z_slice(0)] = np.eye(nz)
+    _, ax, bu = rk4_step_with_jacobians(X[:N], U, problem.config.delta, problem.params)
+    r0 = nx + nz
+    for k in range(N):
+        rows = slice(r0 + k * nx, r0 + (k + 1) * nx)
+        A[rows, problem.x_slice(k + 1)] = np.eye(nx)
+        A[rows, problem.x_slice(k)] = -ax[k]
+        A[rows, problem.u_slice(k)] = -bu[k]
+    z0row = r0 + N * nx
+    for k in range(N):
+        rows = slice(z0row + k * nz, z0row + (k + 1) * nz)
+        A[rows, problem.z_slice(k + 1)] = np.eye(nz)
+        A[rows, problem.z_slice(k)] = -problem._ad
+        A[rows, problem.nu_slice(k)] = -problem._bd
+    return A

@@ -178,6 +178,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="spiral", thrust_scale=0.4)
 
+    def test_negative_position_noise_rejected(self):
+        with pytest.raises(ValueError, match="position_noise"):
+            ScenarioConfig(scenario="hover", position_noise=-0.5)
+
+    @pytest.mark.parametrize("mass_error", [-1.0, -1.5])
+    def test_nonpositive_mass_rejected(self, mass_error):
+        with pytest.raises(ValueError, match="mass_error"):
+            ScenarioConfig(scenario="hover", mass_error=mass_error)
+
     def test_load_config_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(

@@ -15,6 +15,7 @@ from quadpath.solver import (
     warm_start_shift,
 )
 from quadpath.solver import _newton_direction, _barrier_terms
+from quadpath import transcription
 from quadpath.transcription import OcpConfig, build_ocp
 
 from oracles import kkt_residual
@@ -184,27 +185,26 @@ class TestGlobalization:
 
 class TestEvaluations:
     def test_one_evaluation_per_point(self):
-        # one residual and one equality evaluation at the start, then one
-        # each per line-search trial; the barrier stages that converge
-        # without a step evaluate nothing
-        points = {"residual": [], "equality": []}
+        # one residual, equality and Jacobian evaluation each at the start,
+        # then one each per line-search trial; the barrier stages that
+        # converge without a step evaluate nothing
+        points = {"residual": [], "equality": [], "residual_jacobian": [], "equality_jacobian": []}
 
-        def residual(w):
-            points["residual"].append(w.copy())
-            return np.arctan(w - np.array([0.0, 1.0]))
-
-        def equality(w):
-            points["equality"].append(w.copy())
-            return np.array([w[0] + 0.1 * w[1] ** 2 - 0.1])
+        def recorded(name, f):
+            def call(w):
+                points[name].append(w.copy())
+                return f(w)
+            return call
 
         prob = DenseNlp(
             2,
-            residual=residual,
-            residual_jacobian=lambda w: np.diag(1.0 / (1.0 + (w - np.array([0.0, 1.0])) ** 2)),
+            residual=recorded("residual", lambda w: np.arctan(w - np.array([0.0, 1.0]))),
+            residual_jacobian=recorded(
+                "residual_jacobian", lambda w: np.diag(1.0 / (1.0 + (w - np.array([0.0, 1.0])) ** 2))),
             lower=np.full(2, -INF),
             upper=np.full(2, INF),
-            equality=equality,
-            equality_jacobian=lambda w: np.array([[1.0, 0.2 * w[1]]]),
+            equality=recorded("equality", lambda w: np.array([w[0] + 0.1 * w[1] ** 2 - 0.1])),
+            equality_jacobian=recorded("equality_jacobian", lambda w: np.array([[1.0, 0.2 * w[1]]])),
         )
         trace = io.StringIO()
         res = solve(prob, np.array([4.0, -3.0]), log=trace)
@@ -213,8 +213,33 @@ class TestEvaluations:
         alphas = [float(a) for a in re.findall(r"alpha=(\S+)", trace.getvalue())]
         trials = sum(1 + round(np.log(a) / np.log(0.5)) for a in alphas)
         assert trials > res.iterations  # some step backtracked
-        assert len(points["residual"]) == len(points["equality"]) == 1 + trials
-        np.testing.assert_array_equal(points["residual"], points["equality"])
+        for name, visited in points.items():
+            assert len(visited) == 1 + trials, name
+            np.testing.assert_array_equal(visited, points["residual"])
+
+    def test_one_integration_per_point(self, monkeypatch):
+        # the horizon problem integrates each visited point once, with its
+        # sensitivities, and never through the plain RK4 step
+        prob = build_ocp(np.concatenate([make_path("spiral").point(-1.0)[:3], np.zeros(6)]),
+                         np.array([-1.0, 1e-5]), make_path("spiral"), OcpConfig(), ModelParams())
+        guess = prob.rollout()
+        calls = {"rk4_step": 0, "rk4_step_with_jacobians": 0, "residual": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, call)
+
+        counted(transcription, "rk4_step")
+        counted(transcription, "rk4_step_with_jacobians")
+        counted(prob, "residual")
+        res = solve(prob, guess)
+        assert res.status == CONVERGED
+        assert calls["rk4_step"] == 0
+        assert calls["rk4_step_with_jacobians"] == calls["residual"] > res.iterations
 
 
 class TestFrozenCoordinates:

@@ -6,7 +6,13 @@ from quadpath.paths import make_path
 from quadpath.solver import _barrier_terms, _frozen_mask, _newton_direction, project_interior
 from quadpath.transcription import DEFAULT_INPUT_BOUND, OcpConfig, build_ocp
 
-from oracles import quadrature_cost, residual_jacobian_loop, stage_cost, terminal_cost
+from oracles import (
+    equality_jacobian_loop,
+    quadrature_cost,
+    residual_jacobian_loop,
+    stage_cost,
+    terminal_cost,
+)
 
 PARAMS = ModelParams()
 
@@ -141,6 +147,7 @@ class TestResidualJacobian:
         for _ in range(5):
             w = random_interior_iterate(prob, rng)
             assert np.array_equal(prob.residual_jacobian(w), residual_jacobian_loop(prob, w))
+            assert np.array_equal(prob.equality_jacobian(w), equality_jacobian_loop(prob, w))
 
 
 def horizon_problem(kind, horizon, freeze_input=False):
