@@ -13,11 +13,20 @@ command.
 
 All functions broadcast over leading batch dimensions, e.g. a ``(N, 9)``
 stack of states with a ``(N, 4)`` stack of inputs.
+
+The attitude subsystem is linear and ignores position and velocity, so an
+RK4 step computes its four stage attitudes first.  One trigonometric pass
+over the stacked stage attitudes then gives every stage's thrust axis, and
+the step sensitivities are sums over the stages: the stage attitudes depend
+on the initial attitude and the commands through constant coefficients, so
+no 9x9 chain product through the stages is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -117,11 +126,8 @@ def body_angular_velocity(attitude, attitude_rate) -> np.ndarray:
 def _attitude_trig(att):
     """Cosines and sines of roll, pitch and yaw:
     ``(cph, sph, cth, sth, cps, sps)``."""
-    return (
-        np.cos(att[..., 0]), np.sin(att[..., 0]),
-        np.cos(att[..., 1]), np.sin(att[..., 1]),
-        np.cos(att[..., 2]), np.sin(att[..., 2]),
-    )
+    cos, sin = np.cos(att), np.sin(att)
+    return cos[..., 0], sin[..., 0], cos[..., 1], sin[..., 1], cos[..., 2], sin[..., 2]
 
 
 def _thrust_axis(trig) -> np.ndarray:
@@ -148,11 +154,7 @@ def dynamics(state, inp, params: ModelParams) -> np.ndarray:
     """
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
-    return _derivative(x, u, _thrust_axis(_attitude_trig(x[..., ATT])), params)
-
-
-def _derivative(x, u, axis, params: ModelParams) -> np.ndarray:
-    """:func:`dynamics` given the thrust axis at ``x``."""
+    axis = _thrust_axis(_attitude_trig(x[..., ATT]))
     thrust = u[..., 0] + params.mass * params.gravity
     acc = (thrust[..., None] / params.mass) * axis
     acc = acc - np.array([0.0, 0.0, params.gravity])
@@ -166,100 +168,146 @@ def _derivative(x, u, axis, params: ModelParams) -> np.ndarray:
     return out
 
 
-def dynamics_jacobians(state, inp, params: ModelParams):
-    """Analytic Jacobians of :func:`dynamics` w.r.t. state and input.
-
-    Returns ``(fx, fu)`` with shapes ``(..., 9, 9)`` and ``(..., 9, 4)``.
-    """
-    x = np.asarray(state, dtype=float)
-    u = np.asarray(inp, dtype=float)
-    return _dynamics_with_jacobians(x, u, params)[1:]
-
-
-def _dynamics_with_jacobians(x, u, params: ModelParams):
-    """``(dynamics, fx, fu)`` at one point, with the attitude trigonometry
-    evaluated once."""
-    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
-    trig = _attitude_trig(x[..., ATT])
-    cph, sph, cth, sth, cps, sps = trig
-    axis = _thrust_axis(trig)
-    scale = (u[..., 0] + params.mass * params.gravity) / params.mass
-
-    fx = np.zeros(batch + (N_STATES, N_STATES), dtype=float)
-    fx[..., 0, 3] = 1.0
-    fx[..., 1, 4] = 1.0
-    fx[..., 2, 5] = 1.0
-    # d(acc)/d(roll, pitch, yaw)
-    fx[..., 3, 6] = scale * (cph * sps - sph * cps * sth)
-    fx[..., 4, 6] = scale * (-sph * sps * sth - cps * cph)
-    fx[..., 5, 6] = scale * (-sph * cth)
-    fx[..., 3, 7] = scale * (cph * cps * cth)
-    fx[..., 4, 7] = scale * (cph * sps * cth)
-    fx[..., 5, 7] = scale * (-cph * sth)
-    fx[..., 3, 8] = scale * (sph * cps - cph * sps * sth)
-    fx[..., 4, 8] = scale * (cph * cps * sth + sps * sph)
-    fx[..., 6, 6] = -1.0 / params.tau_roll
-    fx[..., 7, 7] = -1.0 / params.tau_pitch
-
-    fu = np.zeros(batch + (N_STATES, N_INPUTS), dtype=float)
-    fu[..., 3:6, 0] = axis / params.mass
-    fu[..., 6, 1] = 1.0 / params.tau_roll
-    fu[..., 7, 2] = 1.0 / params.tau_pitch
-    fu[..., 8, 3] = 1.0
-    return _derivative(x, u, axis, params), fx, fu
-
-
 def output_map(state) -> np.ndarray:
     """Project a state onto the controlled output ``[x, y, z, yaw]``."""
     x = np.asarray(state, dtype=float)
     return np.concatenate([x[..., POS], x[..., 8:9]], axis=-1)
 
 
-def rk4_step(state, inp, dt: float, params: ModelParams, substeps: int = 1) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta step under zero-order-hold input."""
-    if dt <= 0.0:
+def _check_dt(dt) -> None:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
+
+
+def _rk4_stages(x, u, h: float, params: ModelParams):
+    """One RK4 step of length ``h``: ``(x_next, trig, axis)``, with the
+    :func:`_attitude_trig` and thrust axes of the four stage attitudes
+    stacked on a leading axis of length 4.
+
+    The attitude rows do not depend on position or velocity, so the stage
+    attitudes come first and one trig pass serves all four stages.  Every
+    component is formed with the floating-point operations of
+    :func:`dynamics` stage by stage, so ``x_next`` is bitwise that route's.
+    """
+    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+    # stage i + 1 starts at x + c_i k_i; k holds the stage derivatives
+    c = (0.5 * h, 0.5 * h, h)
+    c_stage = np.reshape(c, (3,) + (1,) * len(batch))
+    k = np.empty((4,) + batch + (N_STATES,), dtype=float)
+    att = np.empty((4,) + batch + (3,), dtype=float)
+    att[0] = x[..., ATT]
+    k[..., 8] = u[..., 3]
+    att[1:, ..., 2] = x[..., 8] + c_stage * u[..., 3]
+    # roll and pitch lag their commands: k = (cmd - angle) / tau
+    cmd, tau = u[..., 1:3], np.array([params.tau_roll, params.tau_pitch])
+    angles, rates = att[..., 0:2], k[..., 6:8]
+    for i in range(3):
+        np.divide(cmd - angles[i], tau, out=rates[i])
+        np.add(x[..., 6:8], c[i] * rates[i], out=angles[i + 1])
+    np.divide(cmd - angles[3], tau, out=rates[3])
+
+    trig = _attitude_trig(att)
+    axis = _thrust_axis(trig)
+    thrust = u[..., 0] + params.mass * params.gravity
+    k[..., VEL] = (thrust[..., None] / params.mass) * axis - np.array([0.0, 0.0, params.gravity])
+    k[0, ..., POS] = x[..., VEL]
+    k[1:, ..., POS] = x[..., VEL] + c_stage[..., None] * k[:3, ..., VEL]
+    x_next = x + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+    return x_next, trig, axis
+
+
+def rk4_step(state, inp, dt: float, params: ModelParams, substeps: int = 1) -> np.ndarray:
+    """Classical fourth-order Runge-Kutta step under zero-order-hold input,
+    split into ``substeps`` equal steps."""
+    _check_dt(dt)
+    if isinstance(substeps, bool) or not isinstance(substeps, Integral) or substeps < 1:
+        raise ValueError("substeps must be a positive integer")
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
     h = dt / substeps
     for _ in range(substeps):
-        k1 = dynamics(x, u, params)
-        k2 = dynamics(x + 0.5 * h * k1, u, params)
-        k3 = dynamics(x + 0.5 * h * k2, u, params)
-        k4 = dynamics(x + h * k3, u, params)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_stages(x, u, h, params)[0]
     return x
+
+
+@lru_cache(maxsize=16)
+def _sensitivity_constants(h: float, params: ModelParams):
+    """Constant parts of the RK4 step sensitivities for step ``h``.
+
+    Returns ``(weights, ax0, bu0)``.  ``weights[i, m, r, c]`` maps source
+    ``m`` of stage ``i`` (``d axis/d roll``, ``/d pitch``, ``/d yaw`` times
+    the thrust per mass, then the axis itself) to column ``c`` (roll, pitch,
+    yaw, dT, roll_cmd, pitch_cmd, yawrate_cmd) of the position (``r = 0``)
+    or velocity (``r = 1``) rows.  ``ax0`` and ``bu0`` hold the entries that
+    do not depend on the state: identities, ``h`` in d pos/d vel and the
+    attitude diagonals.
+    """
+    rate = np.array([-1.0 / params.tau_roll, -1.0 / params.tau_pitch, 0.0])
+    gain = np.array([1.0 / params.tau_roll, 1.0 / params.tau_pitch, 1.0])
+    # d(stage attitude)/d(attitude) and /d(command), per component
+    d_att = np.ones((4, 3))
+    d_cmd = np.zeros((4, 3))
+    for i, c in enumerate((0.5 * h, 0.5 * h, h)):
+        d_att[i + 1] = 1.0 + c * rate * d_att[i]
+        d_cmd[i + 1] = c * (rate * d_cmd[i] + gain)
+    # v+ = v + h/6 (a1 + 2 a2 + 2 a3 + a4),  p+ = p + h v + h^2/6 (a1 + a2 + a3)
+    stage = np.array([[h * h / 6.0, h * h / 6.0, h * h / 6.0, 0.0],
+                      [h / 6.0, h / 3.0, h / 3.0, h / 6.0]]).T
+    weights = np.zeros((4, 4, 2, 7))
+    for j in range(3):
+        weights[:, j, :, j] = stage * d_att[:, j, None]
+        weights[:, j, :, 4 + j] = stage * d_cmd[:, j, None]
+    weights[:, 3, :, 3] = stage / params.mass
+
+    rk_weights = np.array([1.0, 2.0, 2.0, 1.0]) * (h / 6.0)
+    ax0 = np.eye(N_STATES)
+    ax0[POS, VEL] = h * np.eye(3)
+    ax0[ATT, ATT] = np.diag(1.0 + rk_weights @ (rate * d_att))
+    bu0 = np.zeros((N_STATES, N_INPUTS))
+    bu0[ATT, 1:] = np.diag(rk_weights @ (rate * d_cmd + gain))
+    for a in (weights, ax0, bu0):
+        a.flags.writeable = False
+    return weights, ax0, bu0
 
 
 def rk4_step_with_jacobians(state, inp, dt: float, params: ModelParams):
     """RK4 step plus its sensitivities ``(x_next, d x_next/dx, d x_next/du)``.
 
-    The Jacobians follow the chain rule through the four stages, so they are
-    exact derivatives of the discrete map (not of the continuous flow).
+    The Jacobians are exact derivatives of the discrete map (not of the
+    continuous flow), and ``x_next`` is bitwise :func:`rk4_step`'s.  The
+    stage attitudes are linear in the attitude and the commands with
+    constant coefficients, and the position and velocity rows are sums over
+    the stage accelerations, so the sensitivities are one contraction of
+    the stage thrust-axis derivatives over the stage axis.
     """
+    _check_dt(dt)
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
     batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
-    eye = np.broadcast_to(np.eye(N_STATES), batch + (N_STATES, N_STATES))
+    x_next, trig, axis = _rk4_stages(x, u, dt, params)
+    weights, ax0, bu0 = _sensitivity_constants(float(dt), params)
 
-    k1, a1, b1 = _dynamics_with_jacobians(x, u, params)
+    cph, sph, cth, sth, cps, sps = trig
+    # per stage: d axis/d(roll, pitch, yaw) and the axis, shape (4, ..., 3, 4)
+    src = np.empty(axis.shape + (4,), dtype=float)
+    # the axis is linear in (cos roll, sin roll): its roll derivative is the
+    # axis with (cph, sph) replaced by (-sph, cph)
+    src[..., 0] = _thrust_axis((-sph, cph, cth, sth, cps, sps))
+    src[..., 0, 1] = cph * cps * cth
+    src[..., 1, 1] = cph * sps * cth
+    src[..., 2, 1] = -cph * sth
+    src[..., 0, 2] = -axis[..., 1]
+    src[..., 1, 2] = axis[..., 0]
+    src[..., 2, 2] = 0.0
+    src[..., 3] = axis
+    scale = (u[..., 0] + params.mass * params.gravity) / params.mass
+    src[..., :3] *= scale[..., None, None]
+    rows = np.einsum("i...km,imrc->...rkc", src, weights).reshape(batch + (6, 7))
 
-    x2 = x + 0.5 * dt * k1
-    k2, a2, b2 = _dynamics_with_jacobians(x2, u, params)
-    k2x = a2 @ (eye + 0.5 * dt * a1)
-    k2u = a2 @ (0.5 * dt * b1) + b2
-
-    x3 = x + 0.5 * dt * k2
-    k3, a3, b3 = _dynamics_with_jacobians(x3, u, params)
-    k3x = a3 @ (eye + 0.5 * dt * k2x)
-    k3u = a3 @ (0.5 * dt * k2u) + b3
-
-    x4 = x + dt * k3
-    k4, a4, b4 = _dynamics_with_jacobians(x4, u, params)
-    k4x = a4 @ (eye + dt * k3x)
-    k4u = a4 @ (dt * k3u) + b4
-
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    ax = eye + (dt / 6.0) * (a1 + 2.0 * k2x + 2.0 * k3x + k4x)
-    bu = (dt / 6.0) * (b1 + 2.0 * k2u + 2.0 * k3u + k4u)
+    ax = np.empty(batch + (N_STATES, N_STATES), dtype=float)
+    ax[...] = ax0
+    ax[..., 0:6, ATT] = rows[..., 0:3]
+    bu = np.empty(batch + (N_STATES, N_INPUTS), dtype=float)
+    bu[...] = bu0
+    bu[..., 0:6, :] = rows[..., 3:7]
     return x_next, ax, bu

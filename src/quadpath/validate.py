@@ -15,6 +15,7 @@ from .dynamics import (
     body_angular_velocity,
     dynamics,
     rk4_step,
+    rk4_step_with_jacobians,
     rotation_jacobian,
     rotation_matrix,
 )
@@ -59,6 +60,23 @@ def check_rk4_order(_rng) -> tuple[bool, str]:
     return 14.0 <= ratio <= 18.0, f"step-halving error ratio {ratio:.2f}"
 
 
+def check_rk4_sensitivities(rng) -> tuple[bool, str]:
+    params = ModelParams()
+    dt, h = 0.05, 1e-6
+    x = rng.uniform(-0.3, 0.3, 9)
+    u = rng.uniform(-0.1, 0.1, 4)
+    _, ax, bu = rk4_step_with_jacobians(x, u, dt, params)
+    jac = np.concatenate([ax, bu], axis=1)
+    worst = 0.0
+    for i in range(13):
+        step = np.zeros(13)
+        step[i] = h
+        fd = (rk4_step(x + step[:9], u + step[9:], dt, params)
+              - rk4_step(x - step[:9], u - step[9:], dt, params)) / (2.0 * h)
+        worst = max(worst, float(np.max(np.abs(fd - jac[:, i]))))
+    return worst < 1e-8, f"RK4 step sensitivities vs finite differences {worst:.2e}"
+
+
 def check_path_derivatives(_rng) -> tuple[bool, str]:
     h = 1e-6
     worst = 0.0
@@ -96,6 +114,7 @@ CHECKS = (
     ("body angular velocity", check_body_rates),
     ("hover equilibrium", check_hover),
     ("integrator order", check_rk4_order),
+    ("integrator sensitivities", check_rk4_sensitivities),
     ("path derivatives", check_path_derivatives),
     ("nlp solver", check_solver),
 )

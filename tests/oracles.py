@@ -13,12 +13,27 @@ computes another way:
 - ``kkt_residual`` is a standalone stationarity measure for a solve result;
 - ``residual_jacobian_loop`` and ``equality_jacobian_loop`` build
   ``OcpProblem.residual_jacobian`` and ``OcpProblem.equality_jacobian``
-  stage by stage, with the same arithmetic, so each pair agrees bitwise.
+  stage by stage, with the same arithmetic, so each pair agrees bitwise;
+- ``dynamics_jacobians`` differentiates ``dynamics`` by hand, and
+  ``rk4_step_chain_rule`` carries those Jacobians through the four RK4
+  stages as 9x9 chain products, against the structured
+  ``rk4_step_with_jacobians``;
+- ``rk4_step_loop`` integrates stage by stage through ``dynamics``, whose
+  results ``rk4_step`` must equal bitwise.
 """
 
 import numpy as np
 
-from quadpath.dynamics import output_map, rk4_step_with_jacobians
+from quadpath.dynamics import (
+    ATT,
+    N_INPUTS,
+    N_STATES,
+    _attitude_trig,
+    _thrust_axis,
+    dynamics,
+    output_map,
+    rk4_step_with_jacobians,
+)
 from quadpath.paths import path_error
 from quadpath.solver import _barrier_terms, _frozen_mask
 from quadpath.transcription import OcpConfig
@@ -162,3 +177,88 @@ def equality_jacobian_loop(problem, w) -> np.ndarray:
         A[rows, problem.z_slice(k)] = -problem._ad
         A[rows, problem.nu_slice(k)] = -problem._bd
     return A
+
+
+def rk4_step_loop(state, inp, dt: float, params, substeps: int = 1) -> np.ndarray:
+    """Classical RK4 with one :func:`dynamics` call per stage."""
+    x = np.asarray(state, dtype=float)
+    u = np.asarray(inp, dtype=float)
+    h = dt / substeps
+    for _ in range(substeps):
+        k1 = dynamics(x, u, params)
+        k2 = dynamics(x + 0.5 * h * k1, u, params)
+        k3 = dynamics(x + 0.5 * h * k2, u, params)
+        k4 = dynamics(x + h * k3, u, params)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def dynamics_jacobians(state, inp, params):
+    """Analytic Jacobians ``(fx, fu)`` of :func:`dynamics` w.r.t. state and
+    input, shapes ``(..., 9, 9)`` and ``(..., 9, 4)``."""
+    x = np.asarray(state, dtype=float)
+    u = np.asarray(inp, dtype=float)
+    return _dynamics_with_jacobians(x, u, params)[1:]
+
+
+def _dynamics_with_jacobians(x, u, params):
+    """``(dynamics, fx, fu)`` at one point."""
+    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+    trig = _attitude_trig(x[..., ATT])
+    cph, sph, cth, sth, cps, sps = trig
+    axis = _thrust_axis(trig)
+    scale = (u[..., 0] + params.mass * params.gravity) / params.mass
+
+    fx = np.zeros(batch + (N_STATES, N_STATES), dtype=float)
+    fx[..., 0, 3] = 1.0
+    fx[..., 1, 4] = 1.0
+    fx[..., 2, 5] = 1.0
+    # d(acc)/d(roll, pitch, yaw)
+    fx[..., 3, 6] = scale * (cph * sps - sph * cps * sth)
+    fx[..., 4, 6] = scale * (-sph * sps * sth - cps * cph)
+    fx[..., 5, 6] = scale * (-sph * cth)
+    fx[..., 3, 7] = scale * (cph * cps * cth)
+    fx[..., 4, 7] = scale * (cph * sps * cth)
+    fx[..., 5, 7] = scale * (-cph * sth)
+    fx[..., 3, 8] = scale * (sph * cps - cph * sps * sth)
+    fx[..., 4, 8] = scale * (cph * cps * sth + sps * sph)
+    fx[..., 6, 6] = -1.0 / params.tau_roll
+    fx[..., 7, 7] = -1.0 / params.tau_pitch
+
+    fu = np.zeros(batch + (N_STATES, N_INPUTS), dtype=float)
+    fu[..., 3:6, 0] = axis / params.mass
+    fu[..., 6, 1] = 1.0 / params.tau_roll
+    fu[..., 7, 2] = 1.0 / params.tau_pitch
+    fu[..., 8, 3] = 1.0
+    return dynamics(x, u, params), fx, fu
+
+
+def rk4_step_chain_rule(state, inp, dt: float, params):
+    """RK4 step plus its sensitivities ``(x_next, d x_next/dx, d x_next/du)``,
+    by the chain rule through the four stages."""
+    x = np.asarray(state, dtype=float)
+    u = np.asarray(inp, dtype=float)
+    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+    eye = np.broadcast_to(np.eye(N_STATES), batch + (N_STATES, N_STATES))
+
+    k1, a1, b1 = _dynamics_with_jacobians(x, u, params)
+
+    x2 = x + 0.5 * dt * k1
+    k2, a2, b2 = _dynamics_with_jacobians(x2, u, params)
+    k2x = a2 @ (eye + 0.5 * dt * a1)
+    k2u = a2 @ (0.5 * dt * b1) + b2
+
+    x3 = x + 0.5 * dt * k2
+    k3, a3, b3 = _dynamics_with_jacobians(x3, u, params)
+    k3x = a3 @ (eye + 0.5 * dt * k2x)
+    k3u = a3 @ (0.5 * dt * k2u) + b3
+
+    x4 = x + dt * k3
+    k4, a4, b4 = _dynamics_with_jacobians(x4, u, params)
+    k4x = a4 @ (eye + dt * k3x)
+    k4u = a4 @ (dt * k3u) + b4
+
+    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ax = eye + (dt / 6.0) * (a1 + 2.0 * k2x + 2.0 * k3x + k4x)
+    bu = (dt / 6.0) * (b1 + 2.0 * k2u + 2.0 * k3u + k4u)
+    return x_next, ax, bu

@@ -5,13 +5,14 @@ from quadpath.dynamics import (
     ModelParams,
     body_angular_velocity,
     dynamics,
-    dynamics_jacobians,
     output_map,
     rk4_step,
     rk4_step_with_jacobians,
     rotation_jacobian,
     rotation_matrix,
 )
+
+from oracles import dynamics_jacobians, rk4_step_chain_rule, rk4_step_loop
 
 PARAMS = ModelParams()
 
@@ -194,6 +195,22 @@ class TestRk4:
         with pytest.raises(ValueError):
             rk4_step(np.zeros(9), np.zeros(4), 0.0, PARAMS)
 
+    @pytest.mark.parametrize("substeps", [0, -2, 2.5, True])
+    def test_rejects_substeps_not_positive_integer(self, substeps):
+        with pytest.raises(ValueError):
+            rk4_step(np.zeros(9), np.zeros(4), 0.05, PARAMS, substeps=substeps)
+
+    def test_accepts_numpy_integer_substeps(self):
+        x = np.full(9, 0.1)
+        u = np.full(4, 0.05)
+        assert np.array_equal(rk4_step(x, u, 0.05, PARAMS, substeps=np.int64(5)),
+                              rk4_step(x, u, 0.05, PARAMS, substeps=5))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.05])
+    def test_step_with_jacobians_rejects_nonpositive_dt(self, dt):
+        with pytest.raises(ValueError):
+            rk4_step_with_jacobians(np.zeros(9), np.zeros(4), dt, PARAMS)
+
     def test_step_with_jacobians_equals_step_bitwise(self):
         rng = np.random.default_rng(7)
         for batch in [(), (1,), (5,), (20,), (3, 4)]:
@@ -221,6 +238,58 @@ class TestRk4:
             um[i] -= h
             col = (rk4_step(x, up, 0.05, PARAMS) - rk4_step(x, um, 0.05, PARAMS)) / (2 * h)
             np.testing.assert_allclose(bu[:, i], col, atol=1e-8)
+
+
+class TestRk4Oracles:
+    """The structured RK4 kernel against the stage-by-stage routes."""
+
+    BATCHES = [(), (1,), (5,), (20,), (3, 4)]
+    OFFSET = ModelParams(mass=0.041, tau_roll=0.13, tau_pitch=0.27)
+
+    @staticmethod
+    def sample(rng, batch):
+        # attitudes up to +-pi, thrust of both signs
+        x = rng.uniform(-1.0, 1.0, batch + (9,))
+        x[..., 6:9] = rng.uniform(-np.pi, np.pi, batch + (3,))
+        u = rng.uniform(-0.4, 0.4, batch + (4,))
+        return x, u
+
+    @pytest.mark.parametrize("params", [PARAMS, OFFSET], ids=["default", "offset"])
+    def test_jacobians_match_chain_rule(self, params):
+        rng = np.random.default_rng(8)
+        for batch in self.BATCHES:
+            for _ in range(10):
+                x, u = self.sample(rng, batch)
+                x_next, ax, bu = rk4_step_with_jacobians(x, u, 0.05, params)
+                _, ax_ref, bu_ref = rk4_step_chain_rule(x, u, 0.05, params)
+                for got, ref in ((ax, ax_ref), (bu, bu_ref)):
+                    assert got.shape == ref.shape
+                    err = np.linalg.norm((got - ref).ravel())
+                    assert err <= 1e-13 * np.linalg.norm(ref.ravel())
+                assert np.array_equal(x_next, rk4_step(x, u, 0.05, params))
+
+    @pytest.mark.parametrize("params", [PARAMS, OFFSET], ids=["default", "offset"])
+    @pytest.mark.parametrize("substeps", [1, 5])
+    def test_step_equals_dynamics_loop_bitwise(self, params, substeps):
+        rng = np.random.default_rng(9)
+        for batch in self.BATCHES:
+            for _ in range(10):
+                x, u = self.sample(rng, batch)
+                got = rk4_step(x, u, 0.05, params, substeps=substeps)
+                ref = rk4_step_loop(x, u, 0.05, params, substeps=substeps)
+                assert got.tobytes() == ref.tobytes()
+
+    def test_params_change_jacobians_at_same_dt(self):
+        rng = np.random.default_rng(10)
+        x, u = self.sample(rng, (5,))
+        _, ax1, bu1 = rk4_step_with_jacobians(x, u, 0.05, PARAMS)
+        _, ax2, bu2 = rk4_step_with_jacobians(x, u, 0.05, self.OFFSET)
+        _, ax1_again, bu1_again = rk4_step_with_jacobians(x, u, 0.05, PARAMS)
+        assert not np.allclose(ax1, ax2) and not np.allclose(bu1, bu2)
+        assert np.array_equal(ax1, ax1_again) and np.array_equal(bu1, bu1_again)
+        _, ax_ref, bu_ref = rk4_step_chain_rule(x, u, 0.05, self.OFFSET)
+        assert np.allclose(ax2, ax_ref, rtol=0.0, atol=1e-13)
+        assert np.allclose(bu2, bu_ref, rtol=0.0, atol=1e-13)
 
 
 def test_model_params_validation():

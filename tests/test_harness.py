@@ -285,6 +285,18 @@ class TestCli:
         assert cli_main(["validate"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines)
+        assert any("integrator sensitivities" in line for line in lines)
+
+    def test_sensitivity_check_catches_wrong_jacobian(self, monkeypatch):
+        from quadpath import validate
+        from quadpath.dynamics import rk4_step_with_jacobians
+
+        def off_by_1e6(*args):
+            x_next, ax, bu = rk4_step_with_jacobians(*args)
+            return x_next, ax, bu + 1e-6
+        monkeypatch.setattr(validate, "rk4_step_with_jacobians", off_by_1e6)
+        ok, _ = validate.check_rk4_sensitivities(np.random.default_rng(7))
+        assert not ok
 
 
 def test_metrics_require_records():
