@@ -69,6 +69,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        for name in ("horizon", "plant_substeps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.horizon * self.delta > self.total_time:
             raise ValueError("horizon must fit inside the total simulation time")
         if not (0.5 < self.thrust_scale < 1.5):

@@ -22,6 +22,22 @@ Each point is linearized once, at the start and at every line-search trial
 inside the box: the values and Jacobians of the accepted trial are those of
 the next iterate.
 
+Along a full Gauss-Newton step the equality gaps grow quadratically (the
+Maratos effect), so the l1 merit can reject steps that are good.  When the
+first in-box trial of an iteration fails the Armijo test, one second-order
+correction is tried (Waechter & Biegler 2006, Math. Program. 106(1), sec.
+2.4): the same KKT system is solved with the gaps ``alpha * c + c(trial)``,
+and the corrected point, cut by the fraction-to-boundary rule, is accepted
+with its multipliers if it meets the original step's Armijo bound;
+otherwise the original direction is backtracked.
+
+Cold starts are pushed away from the box faces in proportion to the first
+barrier weight.  A guess passed with ``multipliers`` is taken to be a
+shifted previous optimum (:func:`warm_start_shift`, which already projects
+it strictly inside the box) and is used as it is, so the bounds that were
+active stay active; the bound duals are recentered at every barrier stage,
+which at a converged point gives back the previous duals.
+
 The problem solves its own KKT system, so it can use its structure:
 :class:`DenseNlp` factors the dense matrix, and the horizon problem
 (``quadpath.transcription.OcpProblem``) condenses its states out.
@@ -256,7 +272,9 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
           multipliers: Optional[np.ndarray] = None, log=None) -> SolveResult:
     """Run the barrier homotopy to the stated KKT tolerance.
 
-    The guess is pushed strictly inside the box before iterating.  On line
+    A cold guess (no ``multipliers``) is pushed strictly inside the box
+    before iterating; a warm guess is only projected at the margin of
+    :func:`warm_start_shift`, which leaves a shifted guess unchanged.  On line
     search failure or iteration exhaustion the best (current) iterate is
     returned with the corresponding status; the caller decides what to do
     with a non-converged first input.
@@ -267,10 +285,15 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
     hi = np.asarray(problem.upper, dtype=float)
     frozen = _frozen_mask(lo, hi)
     free = ~frozen
-    # push the start away from the box faces proportionally to the first
-    # barrier weight: Newton leaves a near-active bound only geometrically,
-    # so starting deep in the barrier well wastes iterations
-    push = min(1e-2, max(1e-6, 0.1 * np.sqrt(st.barrier_initial)))
+    if multipliers is None:
+        # push the start away from the box faces proportionally to the first
+        # barrier weight: Newton leaves a near-active bound only geometrically,
+        # so starting deep in the barrier well wastes iterations
+        push = min(1e-2, max(1e-6, 0.1 * np.sqrt(st.barrier_initial)))
+    else:
+        # a warm guess is a shifted optimum already projected by
+        # warm_start_shift: keep its active bounds where they are
+        push = 1e-6
     w = project_interior(np.asarray(initial_guess, dtype=float), lo, hi, push)
 
     # r, J, c and A always hold the linearization at w: the accepted
@@ -294,6 +317,15 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
             equality_residual_inf=float(eq_val), iterations=iters,
             solve_time=time.perf_counter() - t_start, multipliers=lam,
         )
+
+    def merit_at(point):
+        """Merit (at the current mu and rho) and linearization of an in-box
+        point; ``(inf, None)`` outside the box, where nothing is evaluated."""
+        b, _ = _barrier_terms(point, lo, hi, free)
+        if not np.isfinite(b):
+            return np.inf, None
+        lin = problem.linearize(point)
+        return float(lin[0] @ lin[0]) + mu * b + rho * float(np.sum(np.abs(lin[2]))), lin
 
     if log is not None:
         log.write(f"# solve n={problem.n} m={m}\n")
@@ -350,25 +382,42 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
 
             noise = 16.0 * np.finfo(float).eps * (1.0 + abs(merit0))
             alpha = _step_to_boundary(w, dw, lo, hi, free, tau)
-            accepted = False
-            merit = merit0
+            step = None
+            soc = False
+            trials = 0
             for _ in range(_MAX_BACKTRACKS):
-                trial = w + alpha * dw
-                bt, _ = _barrier_terms(trial, lo, hi, free)
-                if np.isfinite(bt):
-                    rt, Jt, ct, At = problem.linearize(trial)
-                    merit = float(rt @ rt) + mu * bt + rho * float(np.sum(np.abs(ct)))  # same rho as merit0
-                    if merit <= merit0 + _ARMIJO * alpha * descent or abs(alpha * descent) <= noise:
-                        accepted = True
-                        break
+                merit, lin = merit_at(w + alpha * dw)  # same rho as merit0
+                if lin is None:
+                    alpha *= st.linesearch_backtrack
+                    continue
+                trials += 1
+                bound = merit0 + _ARMIJO * alpha * descent
+                if merit <= bound or abs(alpha * descent) <= noise:
+                    step = alpha * dw
+                    break
+                if trials == 1:
+                    # second-order correction: the full step's constraint
+                    # curvature (RK4 gaps grow quadratically along it) makes
+                    # the l1 merit reject it; re-solve with the trial's gaps
+                    # and accept the corrected point on the same Armijo bound
+                    try:
+                        dw_soc, lam_soc = problem.kkt_step(J, A, g, alpha * c + lin[2], sigma, free, keep, reg)
+                    except np.linalg.LinAlgError:
+                        pass
+                    else:
+                        soc_step = _step_to_boundary(w, dw_soc, lo, hi, free, tau) * dw_soc
+                        merit_soc, lin_soc = merit_at(w + soc_step)
+                        trials += lin_soc is not None
+                        if merit_soc <= bound:
+                            step, merit, lin, lam_new, soc = soc_step, merit_soc, lin_soc, lam_soc, True
+                            break
                 alpha *= st.linesearch_backtrack
-            if not accepted:
+            if step is None:
                 return _finish(LINESEARCH_FAILURE)
 
-            step = alpha * dw
             duals.update(w, step, mu, tau)
             w = w + step
-            r, J, c, A = rt, Jt, ct, At
+            r, J, c, A = lin
             duals.clip(w, mu)
             lam = lam_new.copy()
             iters += 1
@@ -376,7 +425,8 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
                 log.write(
                     f"mu={mu:9.3e} it={iters:3d} merit={merit:.17g} "
                     f"merit_before={merit0:.17g} "
-                    f"alpha={alpha:8.3e} kkt={kkt_val:9.3e} eq={eq_val:9.3e}\n"
+                    f"alpha={alpha:8.3e} kkt={kkt_val:9.3e} eq={eq_val:9.3e} "
+                    f"trials={trials} soc={int(soc)}\n"
                 )
 
     status = CONVERGED if (kkt_val <= st.kkt_tolerance and eq_val <= st.kkt_tolerance) else MAX_ITERATIONS

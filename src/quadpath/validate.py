@@ -106,7 +106,18 @@ def check_solver(_rng) -> tuple[bool, str]:
                         equality_jacobian=lambda w: np.array([[1.0, 1.0]])),
                np.array([3.0, -1.0]))
     ok3 = r3.status == "converged" and np.max(np.abs(r3.decision - 0.5)) < 1e-8
-    return ok1 and ok2 and ok3, "three analytic optimization problems"
+
+    # a curved equality: full steps leave the circle quadratically and pass
+    # the merit test only through the second-order correction
+    target = np.array([0.9, 0.0])
+    r4 = solve(DenseNlp(2, lambda w: 3.0 * (w - target), lambda w: 3.0 * np.eye(2),
+                        np.full(2, -inf), np.full(2, inf),
+                        equality=lambda w: np.array([w[0] ** 2 + w[1] ** 2 - 1.0]),
+                        equality_jacobian=lambda w: np.array([[2.0 * w[0], 2.0 * w[1]]])),
+               np.array([np.cos(0.2), np.sin(0.2)]))
+    ok4 = (r4.status == "converged" and r4.iterations <= 10
+           and np.max(np.abs(r4.decision - [1.0, 0.0])) < 1e-6)
+    return ok1 and ok2 and ok3 and ok4, "four analytic optimization problems"
 
 
 CHECKS = (

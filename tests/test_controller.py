@@ -3,10 +3,12 @@ import copy
 import numpy as np
 import pytest
 
+from quadpath import controller as controller_module
 from quadpath.controller import PathController
 from quadpath.dynamics import ModelParams, rk4_step
 from quadpath.paths import make_path
-from quadpath.solver import SolverSettings, warm_start_shift
+from quadpath.simulate import run_scenario, scenario_config
+from quadpath.solver import CONVERGED, SolverSettings, warm_start_shift
 from quadpath.transcription import OcpConfig, build_ocp
 
 PARAMS = ModelParams()
@@ -142,6 +144,29 @@ class TestClosedLoopProperties:
         problem = build_ocp(x, controller.path_state, controller.path, cfg, PARAMS)
         guess = warm_start_shift(controller.last_solution, problem)
         assert np.max(np.abs(problem.equality(guess))) < 1e-8
+
+
+class TestWarmStartFlight:
+    @pytest.mark.parametrize("scenario, warm_mean_max", [("spiral", 4.2), ("hover", 4.9)])
+    def test_every_step_converges_on_its_first_attempt(self, monkeypatch, scenario, warm_mean_max):
+        # the warm guess keeps its active bounds, and the second-order
+        # correction lets the full step through: no fallback solve, and
+        # at least a quarter fewer warm iterations than with the push
+        # (5.62 on spiral and 6.58 on hover)
+        attempts = []
+        original = controller_module.solve
+
+        def recorded(problem, guess, settings=None, multipliers=None, log=None):
+            result = original(problem, guess, settings, multipliers=multipliers, log=log)
+            attempts.append((multipliers is not None, result))
+            return result
+        monkeypatch.setattr(controller_module, "solve", recorded)
+        _, metrics = run_scenario(scenario_config(scenario))
+        assert len(attempts) == metrics.steps
+        assert all(result.status == CONVERGED for _, result in attempts)
+        warm = [result.iterations for is_warm, result in attempts if is_warm]
+        assert len(warm) == metrics.steps - 1
+        assert np.mean(warm) <= warm_mean_max
 
 
 class TestCorridorMode:

@@ -187,6 +187,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="mass_error"):
             ScenarioConfig(scenario="hover", mass_error=mass_error)
 
+    @pytest.mark.parametrize("key, value", [
+        ("plant_substeps", 2.5), ("plant_substeps", True),
+        ("horizon", 2.5), ("horizon", False),
+        ("seed", 1.5), ("seed", True),
+    ])
+    def test_integer_fields_rejected_unless_integer(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            scenario_config("hover", **{key: value})
+
     def test_load_config_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(

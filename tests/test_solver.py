@@ -209,9 +209,11 @@ class TestEvaluations:
         trace = io.StringIO()
         res = solve(prob, np.array([4.0, -3.0]), log=trace)
         assert res.status == CONVERGED
-        # no box, so every trial is evaluated and alpha = backtrack**(trials - 1)
-        alphas = [float(a) for a in re.findall(r"alpha=(\S+)", trace.getvalue())]
-        trials = sum(1 + round(np.log(a) / np.log(0.5)) for a in alphas)
+        # trials= counts the points each iteration linearized, the
+        # second-order correction included
+        counts = [int(k) for k in re.findall(r"trials=(\d+)", trace.getvalue())]
+        assert len(counts) == res.iterations
+        trials = sum(counts)
         assert trials > res.iterations  # some step backtracked
         for name, visited in points.items():
             assert len(visited) == 1 + trials, name
@@ -240,6 +242,33 @@ class TestEvaluations:
         assert res.status == CONVERGED
         assert calls["rk4_step"] == 0
         assert calls["rk4_step_with_jacobians"] == calls["residual"] > res.iterations
+
+
+class TestSecondOrderCorrection:
+    def circle_problem(self):
+        # least squares on the unit circle: the optimum is (1, 0), and a
+        # full step along the tangent leaves the circle quadratically
+        target = np.array([0.9, 0.0])
+        return DenseNlp(
+            2,
+            residual=lambda w: 3.0 * (w - target),
+            residual_jacobian=lambda w: 3.0 * np.eye(2),
+            lower=np.full(2, -INF),
+            upper=np.full(2, INF),
+            equality=lambda w: np.array([w[0] ** 2 + w[1] ** 2 - 1.0]),
+            equality_jacobian=lambda w: np.array([[2.0 * w[0], 2.0 * w[1]]]),
+        )
+
+    def test_full_step_accepted_through_correction(self):
+        # without the correction the l1 merit cuts every step to
+        # alpha = 2**-5 or 2**-6 and the solve stops at the iteration cap
+        trace = io.StringIO()
+        res = solve(self.circle_problem(), np.array([np.cos(0.2), np.sin(0.2)]), log=trace)
+        assert res.status == CONVERGED
+        assert res.iterations <= 10
+        np.testing.assert_allclose(res.decision, [1.0, 0.0], atol=1e-6)
+        first = trace.getvalue().splitlines()[1]
+        assert "alpha=1.000e+00" in first and first.endswith("trials=2 soc=1")
 
 
 class TestFrozenCoordinates:
