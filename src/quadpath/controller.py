@@ -1,7 +1,8 @@
 """Receding-horizon path-following controller.
 
-Each control step rebuilds the horizon NLP pinned at the measured state and
-the controller's own timing state, solves it (warm-started from the shifted
+Each control step builds the horizon NLP pinned at the measured state and
+the controller's own timing state, on the constant structure the controller
+built once, solves it (warm-started from the shifted
 previous solution when available), applies the first input interval, and
 advances the timing state in closed form with the first virtual input.
 Advancing the controller copy of the timing state by the applied virtual
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import ModelParams
-from .paths import CorridorPath, step_timing
+from .paths import step_timing
 from .solver import (
     CONVERGED,
     SolveResult,
@@ -25,7 +26,7 @@ from .solver import (
     solve,
     warm_start_shift,
 )
-from .transcription import OcpConfig, build_ocp
+from .transcription import OcpConfig, OcpStructure, build_ocp
 
 
 @dataclass
@@ -48,9 +49,8 @@ class PathController:
 
     def __init__(self, path, config: OcpConfig, params: ModelParams,
                  settings: Optional[SolverSettings] = None, solver_log=None):
-        corridor = isinstance(path, CorridorPath)
-        if corridor != config.corridor:
-            raise ValueError("path type does not match config.corridor")
+        # the layout, constant blocks and box every control step shares
+        self.structure = OcpStructure(path, config)
         self.path = path
         self.config = config
         self.params = params
@@ -62,7 +62,7 @@ class PathController:
             barrier_initial=min(self.settings.barrier_initial, 10.0 * self.settings.barrier_floor),
         )
         self.solver_log = solver_log
-        if corridor:
+        if config.corridor:
             self.path_state = np.array([-1.0, 0.0, config.s_dot_floor, 0.0])
         else:
             self.path_state = np.array([-1.0, config.s_dot_floor])
@@ -81,7 +81,7 @@ class PathController:
             raise ValueError("measured state must be finite")
 
         z_pin = self._feasible_pin()
-        problem = build_ocp(measured, z_pin, self.path, self.config, self.params)
+        problem = build_ocp(measured, z_pin, self.path, self.config, self.params, self.structure)
         events = list(problem.clamp_events)
         self.clamp_log.extend(events)
 

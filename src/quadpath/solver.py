@@ -38,9 +38,11 @@ it strictly inside the box) and is used as it is, so the bounds that were
 active stay active; the bound duals are recentered at every barrier stage,
 which at a converged point gives back the previous duals.
 
-The problem solves its own KKT system, so it can use its structure:
-:class:`DenseNlp` factors the dense matrix, and the horizon problem
-(``quadpath.transcription.OcpProblem``) condenses its states out.
+The problem keeps its own Jacobians and solves its own KKT system, so it
+can use its structure: :class:`DenseNlp` holds dense matrices and factors
+the dense KKT matrix, and the horizon problem
+(``quadpath.transcription.OcpProblem``) holds stage blocks and condenses
+its states out.
 Degenerate box entries with lb == ub are treated as frozen variables: they
 never move, carry no barrier term, and equality rows that involve only
 frozen variables are dropped when trivially satisfied.
@@ -48,9 +50,14 @@ frozen variables are dropped when trivially satisfied.
 Problem objects must expose:
 
 - ``n``, ``lower`` and ``upper``;
-- ``linearize(w) -> (r, J, c, A)``: the residual, the equality values and
-  their Jacobians (dense matrices) at a point;
-- ``kkt_step(J, A, g, c, sigma, free, keep, reg) -> (dw, lam)``: the step
+- ``linearize(w) -> (r, c, blocks)``: the residual and the equality
+  values at a point, and the problem's own representation ``blocks`` of
+  their Jacobians ``J`` and ``A`` there, which the solver only passes back;
+- ``jt_dot(blocks, v)`` and ``at_dot(blocks, v)``: the products ``J^T v``
+  and ``A^T v``;
+- ``keep_rows(blocks, free)``: the mask of equality rows that involve a
+  variable of the ``free`` mask;
+- ``kkt_step(blocks, g, c, sigma, free, keep, reg) -> (dw, lam)``: the step
   and the equality multipliers that solve the KKT system with Hessian
   ``2 J^T J + diag(sigma)`` plus ``reg`` on the diagonal, gradient ``g``
   and linearized equalities ``A dw + c = 0``, on the ``free`` entries and
@@ -133,12 +140,23 @@ class DenseNlp:
         self.upper = np.asarray(self.upper, dtype=float)
 
     def linearize(self, w):
-        """``(r, J, c, A)`` at ``w`` from the four callables."""
-        return self.residual(w), self.residual_jacobian(w), self.equality(w), self.equality_jacobian(w)
+        """``(r, c, (J, A))`` at ``w`` from the four callables."""
+        return self.residual(w), self.equality(w), (self.residual_jacobian(w), self.equality_jacobian(w))
 
-    def kkt_step(self, J, A, g, c, sigma, free, keep, reg):
+    def jt_dot(self, blocks, v):
+        return blocks[0].T @ v
+
+    def at_dot(self, blocks, v):
+        return blocks[1].T @ v
+
+    def keep_rows(self, blocks, free):
+        """Rows with an entry above 1e-14 on a free variable at this point."""
+        return np.max(np.abs(blocks[1][:, free]), axis=1, initial=0.0) > 1e-14
+
+    def kkt_step(self, blocks, g, c, sigma, free, keep, reg):
         """Newton step of the dense KKT system with Hessian ``2 J^T J + sigma``
         (see :func:`_newton_direction`)."""
+        J, A = blocks
         h = 2.0 * (J.T @ J)
         h[np.diag_indices_from(h)] += sigma
         return _newton_direction(h, g, A, c, free, keep, reg)
@@ -296,9 +314,9 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
         push = 1e-6
     w = project_interior(np.asarray(initial_guess, dtype=float), lo, hi, push)
 
-    # r, J, c and A always hold the linearization at w: the accepted
+    # r, c and blocks always hold the linearization at w: the accepted
     # line-search trial computed it at the point the step moves to
-    r, J, c, A = problem.linearize(w)
+    r, c, blocks = problem.linearize(w)
     m = c.shape[0]
     lam = np.zeros(m) if multipliers is None else np.asarray(multipliers, dtype=float).copy()
     if lam.shape != (m,):
@@ -325,7 +343,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
         if not np.isfinite(b):
             return np.inf, None
         lin = problem.linearize(point)
-        return float(lin[0] @ lin[0]) + mu * b + rho * float(np.sum(np.abs(lin[2]))), lin
+        return float(lin[0] @ lin[0]) + mu * b + rho * float(np.sum(np.abs(lin[1]))), lin
 
     if log is not None:
         log.write(f"# solve n={problem.n} m={m}\n")
@@ -337,8 +355,8 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
         duals.recenter(w, mu)
         while True:
             bval, bgrad = _barrier_terms(w, lo, hi, free)
-            g = 2.0 * (J.T @ r) + mu * bgrad
-            stat = float(np.max(np.abs((g + A.T @ lam)[free]), initial=0.0))
+            g = 2.0 * problem.jt_dot(blocks, r) + mu * bgrad
+            stat = float(np.max(np.abs((g + problem.at_dot(blocks, lam))[free]), initial=0.0))
             eq_val = float(np.max(np.abs(c), initial=0.0))
             kkt_val = max(stat, eq_val)
             if kkt_val <= stage_tol:
@@ -347,7 +365,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
                 return _finish(MAX_ITERATIONS)
 
             # rows acting only on frozen coordinates must hold already
-            keep = np.max(np.abs(A[:, free]), axis=1, initial=0.0) > 1e-14
+            keep = problem.keep_rows(blocks, free)
             if np.any(~keep & (np.abs(c) > 1e-9)):
                 return _finish(LINESEARCH_FAILURE)
 
@@ -357,7 +375,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
             direction = None
             for _ in range(_MAX_REG_ESCALATIONS):
                 try:
-                    dw, lam_new = problem.kkt_step(J, A, g, c, sigma, free, keep, reg)
+                    dw, lam_new = problem.kkt_step(blocks, g, c, sigma, free, keep, reg)
                 except np.linalg.LinAlgError:
                     reg = max(st.regularization_floor, reg * 10.0) if reg else st.regularization_floor
                     continue
@@ -401,7 +419,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
                     # the l1 merit reject it; re-solve with the trial's gaps
                     # and accept the corrected point on the same Armijo bound
                     try:
-                        dw_soc, lam_soc = problem.kkt_step(J, A, g, alpha * c + lin[2], sigma, free, keep, reg)
+                        dw_soc, lam_soc = problem.kkt_step(blocks, g, alpha * c + lin[1], sigma, free, keep, reg)
                     except np.linalg.LinAlgError:
                         pass
                     else:
@@ -417,7 +435,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
 
             duals.update(w, step, mu, tau)
             w = w + step
-            r, J, c, A = lin
+            r, c, blocks = lin
             duals.clip(w, mu)
             lam = lam_new.copy()
             iters += 1

@@ -14,15 +14,27 @@ order: the two initial-condition pins, then the state shooting gaps
 
 The quadratic running cost (rectangle-rule quadrature of the stage cost plus
 a terminal cost) is encoded as a weighted least-squares residual, which is
-what the Gauss-Newton solver consumes.  The solver's Newton step comes from
-``OcpProblem.kkt_step``, which condenses the shooting states out of the KKT
-system and solves for the inputs alone.
+what the Gauss-Newton solver consumes.
+
+No m x n matrix is formed on the solver's path.  With the stage state
+``s_k = (x_k, z_k)`` and stage input ``q_k = (u_k, v_k)``, no residual
+couples two stages or a state with an input, and the gap into ``s_{k+1}``
+involves only ``s_k`` and ``q_k``.  ``OcpProblem.linearize`` therefore
+returns the residual, the gaps and :class:`StageBlocks`: the path residual
+rows over each ``s_k`` and the transitions built from the RK4 sensitivities
+and the constant timing blocks.  The products the solver needs (``J^T v``,
+``A^T v`` and the kept equality rows) and the Newton step, which condenses
+the shooting states out of the KKT system and solves for the inputs alone,
+work on those blocks.  Everything that does not depend on the pins (layout,
+index arrays, constant blocks, the box) lives in a read-only
+:class:`OcpStructure` that a controller builds once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from numbers import Integral
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -33,6 +45,7 @@ from .dynamics import (
     output_map,
     rk4_step,
     rk4_step_with_jacobians,
+    sensitivity_pattern,
 )
 from .paths import CorridorPath, Path, path_error, step_timing, timing_matrices
 
@@ -94,10 +107,12 @@ class OcpConfig:
     nu2_bound: float = 0.5
 
     def __post_init__(self) -> None:
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, Integral):
+            raise ValueError("horizon must be an integer")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        if not (np.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError("delta must be positive and finite")
         if self.terminal_weight < 0.0 or self.terminal_weight_s2 < 0.0:
             raise ValueError("terminal weights must be nonnegative")
         if not (0.0 < self.s_dot_floor < self.s_dot_max):
@@ -123,6 +138,13 @@ class OcpConfig:
         ):
             if np.any(lo > hi):
                 raise ValueError(f"{what} bounds are inverted")
+        # a negative half-width is an inverted box, which the solver would
+        # otherwise take for a frozen variable
+        for name in ("nu_bound", "nu2_bound", "s2_dot_bound"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative")
+        if not self.s2_bounds[0] <= self.s2_bounds[1]:
+            raise ValueError("s2_bounds are inverted")
 
     @property
     def n_z(self) -> int:
@@ -150,20 +172,163 @@ class OcpConfig:
         return np.array([-self.nu_bound]), np.array([self.nu_bound])
 
 
+class StageBlocks(NamedTuple):
+    """The point-dependent stage blocks of a horizon problem's Jacobians.
+
+    With ``s_k = (x_k, z_k)`` and ``q_k = (u_k, v_k)``: ``js[k]`` holds the
+    path residual rows of stage k over ``s_k`` (only the progress column
+    depends on the point); ``f[k] = d s_{k+1}/d s_k`` is
+    ``blockdiag(ax_k, Ad)`` and ``g[k] = d s_{k+1}/d q_k`` is
+    ``blockdiag(bu_k, Bd)``, with ``ax_k`` and ``bu_k`` from
+    ``rk4_step_with_jacobians`` and the constant timing blocks ``Ad``,
+    ``Bd``.  The input residual rows and the terminal rows are constant
+    (:class:`OcpStructure` ``lr`` and ``jt``).
+    """
+
+    js: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+
+
+class OcpStructure:
+    """Everything of a horizon problem that does not depend on its pins.
+
+    The layout and index arrays, the constant Jacobian blocks and the box
+    are fixed by the configuration and the path.  A controller builds one
+    structure and shares it between the problems of its control steps; all
+    of its arrays are read-only.
+    """
+
+    def __init__(self, path, config: OcpConfig):
+        if isinstance(path, CorridorPath) != config.corridor:
+            raise ValueError("path type does not match config.corridor")
+        self.path = path
+        self.config = config
+        N = config.horizon
+        nx, nu, nz, nv = N_STATES, N_INPUTS, config.n_z, config.n_nu
+        nq, nr = config.q_weight.shape[0], config.r_weight.shape[0]
+        n_term = 2 if config.corridor else 1
+        ns = nx + nz
+        self.n_x, self.n_u, self.n_z, self.n_nu = nx, nu, nz, nv
+        self.n_res_q, self.n_res_r = nq, nr
+        self.n = (N + 1) * ns + N * (nu + nv)
+        self.m_eq = (N + 1) * ns
+        self.m_res = N * (nq + nr) + n_term
+
+        # decision-vector block offsets
+        self.ou = (N + 1) * nx
+        self.oz = self.ou + N * nu
+        self.ov = self.oz + (N + 1) * nz
+
+        # index arrays of the stage blocks: state s_k for k = 0..N, input
+        # q_k for k < N, and the equality rows of row block k (the pins for
+        # k = 0, else the gap into s_k)
+        nodes = np.arange(N + 1)[:, None]
+        stages = np.arange(N)[:, None]
+        self.state_idx = np.hstack([nodes * nx + np.arange(nx),
+                                    self.oz + nodes * nz + np.arange(nz)])
+        self.input_idx = np.hstack([self.ou + stages * nu + np.arange(nu),
+                                    self.ov + stages * nv + np.arange(nv)])
+        gap_x = ns                      # row of the gap into x_1
+        gap_z = gap_x + N * nx          # row of the gap into z_1
+        rows = np.hstack([gap_x + (nodes - 1) * nx + np.arange(nx),
+                          gap_z + (nodes - 1) * nz + np.arange(nz)])
+        rows[0] = np.arange(ns)         # the pins
+        self.row_idx = rows
+
+        # residual rows: path stages, inputs, terminal cost
+        sd = np.sqrt(config.delta)
+        self.lq = sd * np.linalg.cholesky(config.q_weight).T
+        self.lr = sd * np.linalg.cholesky(config.r_weight).T
+        dx = np.zeros((nq, nx))
+        dx[0:3, 0:3] = np.eye(3)
+        dx[3, 8] = 1.0
+        dx[4:7, 3:6] = np.eye(3)
+        js = np.zeros((N, nq, ns))
+        js[:, :, :nx] = self.lq @ dx
+        if config.corridor:
+            ds2 = np.zeros(nq)
+            ds2[0:4] = -path.direction
+            ds2[8] = 1.0
+            js[:, :, nx + 1] = self.lq @ ds2
+        self.js = js  # the progress column is filled per point
+        self.jt = np.zeros((n_term, ns))
+        self.jt[0, nx] = np.sqrt(config.terminal_weight)
+        if config.corridor:
+            self.jt[1, nx + 1] = np.sqrt(config.terminal_weight_s2)
+        self.hs_terminal = 2.0 * (self.jt.T @ self.jt)
+        self.hq = 2.0 * (self.lr.T @ self.lr)
+
+        # transitions: the constant timing blocks, and the entries that can
+        # be nonzero
+        self.ad, self.bd = timing_matrices(nz // 2, config.delta)
+        self.f = np.zeros((N, ns, ns))
+        self.f[:, nx:, nx:] = self.ad
+        self.g = np.zeros((N, ns, nu + nv))
+        self.g[:, nx:, nu:] = self.bd
+        ax, bu = sensitivity_pattern()
+        self.f_pattern = self.f[0] != 0.0
+        self.f_pattern[:nx, :nx] = ax
+        self.g_pattern = self.g[0] != 0.0
+        self.g_pattern[:nx, :nu] = bu
+
+        # the box; the equality pin owns stage 0, so its box is freed and
+        # the barrier never conflicts with the measurement
+        zlo, zhi = config.z_bounds()
+        vlo, vhi = config.nu_bounds()
+        self.lower = np.concatenate([np.tile(config.state_lower, N + 1), np.tile(config.input_lower, N),
+                                     np.tile(zlo, N + 1), np.tile(vlo, N)])
+        self.upper = np.concatenate([np.tile(config.state_upper, N + 1), np.tile(config.input_upper, N),
+                                     np.tile(zhi, N + 1), np.tile(vhi, N)])
+        self.lower[self.state_idx[0]] = -INF
+        self.upper[self.state_idx[0]] = INF
+
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self._keep = None
+
+    def keep_rows(self, free) -> np.ndarray:
+        """Equality rows that involve a free variable, by the block
+        structure: a pin or gap row whose own state is free, or a gap row
+        whose transition can reach a free state or input.  Computed once per
+        ``free`` mask."""
+        if self._keep is None or not np.array_equal(self._keep[0], free):
+            fs, fq = free[self.state_idx], free[self.input_idx]
+            ks = fs.copy()
+            ks[1:] |= np.any(self.f_pattern & fs[:-1, None, :], axis=2)
+            ks[1:] |= np.any(self.g_pattern & fq[:, None, :], axis=2)
+            keep = np.empty(self.m_eq, dtype=bool)
+            keep[self.row_idx] = ks
+            keep.flags.writeable = False
+            self._keep = (np.array(free), keep)
+        return self._keep[1]
+
+
 class OcpProblem:
     """NLP view of one horizon: residuals, equalities, box bounds and the
     structured Newton step.
 
     Instances are built per control step (the initial conditions are baked
-    in) and treated as immutable.  The bound vectors free the pinned stage-0
-    coordinates (the equality pin wins over the box; a clamping event is
-    recorded when the measurement violates the original box).
+    in) and treated as immutable; everything else comes from the shared
+    :class:`OcpStructure`.  The box frees the pinned stage-0 coordinates
+    (the equality pin wins over the box; a clamping event is recorded when
+    the measurement violates the original box).
     """
 
-    def __init__(self, x0, z0, path, config: OcpConfig, params: ModelParams):
+    def __init__(self, x0, z0, path, config: OcpConfig, params: ModelParams,
+                 structure: Optional[OcpStructure] = None):
+        if structure is None:
+            structure = OcpStructure(path, config)
+        elif structure.path is not path or structure.config is not config:
+            raise ValueError("structure was built for another path or configuration")
+        self.structure = structure
         self.config = config
         self.params = params
         self.path = path
+        for name in ("n_x", "n_u", "n_z", "n_nu", "n", "m_eq", "n_res_q", "n_res_r", "m_res"):
+            setattr(self, name, getattr(structure, name))
+        self.lower, self.upper = structure.lower, structure.upper
         self.x0 = np.asarray(x0, dtype=float).copy()
         self.z0 = np.asarray(z0, dtype=float).copy()
         if self.x0.shape != (N_STATES,):
@@ -172,85 +337,35 @@ class OcpProblem:
             raise ValueError(f"z0 must have length {config.n_z}")
         if not np.all(np.isfinite(self.x0)) or not np.all(np.isfinite(self.z0)):
             raise ValueError("initial conditions must be finite")
-        corridor_path = isinstance(path, CorridorPath)
-        if corridor_path != config.corridor:
-            raise ValueError("path type does not match config.corridor")
-
-        N = config.horizon
-        self.n_x = N_STATES
-        self.n_u = N_INPUTS
-        self.n_z = config.n_z
-        self.n_nu = config.n_nu
-        self.n = (N + 1) * (self.n_x + self.n_z) + N * (self.n_u + self.n_nu)
-        self.m_eq = (N + 1) * (self.n_x + self.n_z)
-
-        # decision-vector block offsets
-        self._ox = 0
-        self._ou = (N + 1) * self.n_x
-        self._oz = self._ou + N * self.n_u
-        self._ov = self._oz + (N + 1) * self.n_z
-
-        sd = np.sqrt(config.delta)
-        self._lq = sd * np.linalg.cholesky(config.q_weight).T
-        self._lr = sd * np.linalg.cholesky(config.r_weight).T
-        self.n_res_q = config.q_weight.shape[0]
-        self.n_res_r = config.r_weight.shape[0]
-        self._n_term = 2 if config.corridor else 1
-        self.m_res = N * (self.n_res_q + self.n_res_r) + self._n_term
-
-        self._ad, self._bd = timing_matrices(self.n_z // 2, config.delta)
-
-        self.lower, self.upper, self.clamp_events = self._assemble_bounds()
-        self._init_stage_indices()
-        self._init_residual_jacobian()
+        self.clamp_events = self._clamp_events()
 
     # ----- layout helpers ---------------------------------------------------
 
     def x_slice(self, k: int) -> slice:
-        return slice(self._ox + k * self.n_x, self._ox + (k + 1) * self.n_x)
+        return slice(k * self.n_x, (k + 1) * self.n_x)
 
     def u_slice(self, k: int) -> slice:
-        return slice(self._ou + k * self.n_u, self._ou + (k + 1) * self.n_u)
+        o = self.structure.ou
+        return slice(o + k * self.n_u, o + (k + 1) * self.n_u)
 
     def z_slice(self, k: int) -> slice:
-        return slice(self._oz + k * self.n_z, self._oz + (k + 1) * self.n_z)
+        o = self.structure.oz
+        return slice(o + k * self.n_z, o + (k + 1) * self.n_z)
 
     def nu_slice(self, k: int) -> slice:
-        return slice(self._ov + k * self.n_nu, self._ov + (k + 1) * self.n_nu)
-
-    def _init_stage_indices(self):
-        """Index arrays of the stage blocks: state s_k = (x_k, z_k) for
-        k = 0..N, input q_k = (u_k, v_k) for k < N, the equality rows of row
-        block k (the pins for k = 0, else the gap into s_k) and the residual
-        rows of the path stages, the inputs and the terminal cost."""
-        N = self.config.horizon
-        nx, nz = self.n_x, self.n_z
-        nodes = np.arange(N + 1)[:, None]
-        stages = np.arange(N)[:, None]
-        self._state_idx = np.hstack([self._ox + nodes * nx + np.arange(nx),
-                                     self._oz + nodes * nz + np.arange(nz)])
-        self._input_idx = np.hstack([self._ou + stages * self.n_u + np.arange(self.n_u),
-                                     self._ov + stages * self.n_nu + np.arange(self.n_nu)])
-        gap_x = nx + nz                 # row of the gap into x_1
-        gap_z = gap_x + N * nx          # row of the gap into z_1
-        rows = np.hstack([gap_x + (nodes - 1) * nx + np.arange(nx),
-                          gap_z + (nodes - 1) * nz + np.arange(nz)])
-        rows[0] = np.arange(nx + nz)    # the pins
-        self._row_idx = rows
-        nq, nr = self.n_res_q, self.n_res_r
-        self._path_rows = np.arange(N * nq).reshape(N, nq)
-        self._input_rows = N * nq + np.arange(N * nr).reshape(N, nr)
-        self._term_rows = np.arange(N * (nq + nr), self.m_res)
+        o = self.structure.ov
+        return slice(o + k * self.n_nu, o + (k + 1) * self.n_nu)
 
     def unpack(self, w):
         w = np.asarray(w, dtype=float)
         if w.shape != (self.n,):
             raise ValueError(f"decision vector must have length {self.n}")
         N = self.config.horizon
-        X = w[self._ox:self._ou].reshape(N + 1, self.n_x)
-        U = w[self._ou:self._oz].reshape(N, self.n_u)
-        Z = w[self._oz:self._ov].reshape(N + 1, self.n_z)
-        V = w[self._ov:].reshape(N, self.n_nu)
+        st = self.structure
+        X = w[:st.ou].reshape(N + 1, self.n_x)
+        U = w[st.ou:st.oz].reshape(N, self.n_u)
+        Z = w[st.oz:st.ov].reshape(N + 1, self.n_z)
+        V = w[st.ov:].reshape(N, self.n_nu)
         return X, U, Z, V
 
     def pack(self, X, U, Z, V) -> np.ndarray:
@@ -284,22 +399,9 @@ class OcpProblem:
 
     # ----- bounds -----------------------------------------------------------
 
-    def _assemble_bounds(self):
-        N = self.config.horizon
+    def _clamp_events(self) -> list[str]:
+        """One message per pinned coordinate outside the configured box."""
         zlo, zhi = self.config.z_bounds()
-        vlo, vhi = self.config.nu_bounds()
-        lower = np.concatenate([
-            np.tile(self.config.state_lower, N + 1),
-            np.tile(self.config.input_lower, N),
-            np.tile(zlo, N + 1),
-            np.tile(vlo, N),
-        ])
-        upper = np.concatenate([
-            np.tile(self.config.state_upper, N + 1),
-            np.tile(self.config.input_upper, N),
-            np.tile(zhi, N + 1),
-            np.tile(vhi, N),
-        ])
         events = []
         for name, value, lo, hi in (
             ("state", self.x0, self.config.state_lower, self.config.state_upper),
@@ -311,13 +413,7 @@ class OcpProblem:
                     f"pinned {name}[{idx}]={value[idx]:.6g} outside box "
                     f"[{lo[idx]:.6g}, {hi[idx]:.6g}]"
                 )
-        # the equality pin owns stage 0; free its box so the barrier never
-        # conflicts with the measurement
-        lower[self.x_slice(0)] = -INF
-        upper[self.x_slice(0)] = INF
-        lower[self.z_slice(0)] = -INF
-        upper[self.z_slice(0)] = INF
-        return lower, upper, events
+        return events
 
     # ----- cost --------------------------------------------------------------
 
@@ -339,6 +435,7 @@ class OcpProblem:
     def residual(self, w) -> np.ndarray:
         X, U, Z, V = self.unpack(w)
         N = self.config.horizon
+        st = self.structure
         p = self._reference(Z[:N])
         e = path_error(output_map(X[:N]), p)
         if self.config.corridor:
@@ -347,89 +444,117 @@ class OcpProblem:
             zpart = Z[:N, 0:1]
         q_vec = np.concatenate([e, X[:N, 3:6], zpart], axis=1)
         r_vec = np.concatenate([U, V], axis=1)
-        res_q = q_vec @ self._lq.T
-        res_r = r_vec @ self._lr.T
+        res_q = q_vec @ st.lq.T
+        res_r = r_vec @ st.lr.T
         term = [np.sqrt(self.config.terminal_weight) * Z[N, 0]]
         if self.config.corridor:
             term.append(np.sqrt(self.config.terminal_weight_s2) * Z[N, 1])
         return np.concatenate([res_q.ravel(), res_r.ravel(), np.array(term)])
 
-    def _init_residual_jacobian(self):
-        """The residual Jacobian's constant entries; only the path-error rows
-        of the progress columns depend on the iterate."""
-        N = self.config.horizon
-        dx = np.zeros((self.n_res_q, self.n_x))
-        dx[0:3, 0:3] = np.eye(3)
-        dx[3, 8] = 1.0
-        dx[4:7, 3:6] = np.eye(3)
-        J = np.zeros((self.m_res, self.n))
-        rows = self._path_rows[:, :, None]
-        J[rows, self._state_idx[:N, None, :self.n_x]] = self._lq @ dx
-        J[self._input_rows[:, :, None], self._input_idx[:, None, :]] = self._lr
-        zN = self.z_slice(N).start
-        J[self._term_rows[0], zN] = np.sqrt(self.config.terminal_weight)
-        if self.config.corridor:
-            J[self._term_rows[1], zN + 1] = np.sqrt(self.config.terminal_weight_s2)
-        self._jac = J
-        # d(stage residual)/dz before the weighting, less the -dp column
-        dz = np.zeros((N, self.n_res_q, self.n_z))
-        dz[:, 7, 0] = 1.0
-        if self.config.corridor:
-            dz[:, 0:4, 1] = -self.path.direction
-            dz[:, 8, 1] = 1.0
-        self._dz = dz
-        self._dz_at = (rows, self._state_idx[:N, None, self.n_x:])
-
     def residual_jacobian(self, w) -> np.ndarray:
+        """The path residual rows over ``s_k``, shape ``(N, n_res_q, n_x +
+        n_z)``: the blocks of the residual Jacobian that depend on ``w``, in
+        their progress column only."""
         _, _, Z, _ = self.unpack(w)
         N = self.config.horizon
-        dz = self._dz.copy()
-        dz[:, 0:4, 0] = -self.path.derivative(np.clip(Z[:N, 0], -1.0, 0.0))
-        J = self._jac.copy()
-        J[self._dz_at] = self._lq @ dz
-        return J
+        st = self.structure
+        dz = np.zeros((N, self.n_res_q))
+        dz[:, 0:4] = -self.path.derivative(np.clip(Z[:N, 0], -1.0, 0.0))
+        dz[:, 7] = 1.0
+        js = st.js.copy()
+        js[:, :, self.n_x] = dz @ st.lq.T
+        return js
 
     # ----- equality constraints ----------------------------------------------
 
     def _gaps(self, w):
-        """Equality values ``c`` and their Jacobian ``A`` at ``w``: one RK4
-        integration gives the state gaps and their sensitivities."""
+        """Equality values ``c`` and the RK4 sensitivities ``ax``, ``bu`` at
+        ``w``: one integration gives the state gaps and their Jacobian."""
         X, U, Z, V = self.unpack(w)
         N = self.config.horizon
+        st = self.structure
         fx, ax, bu = rk4_step_with_jacobians(X[:N], U, self.config.delta, self.params)
-        gz = Z[:N] @ self._ad.T + V @ self._bd.T
+        gz = Z[:N] @ st.ad.T + V @ st.bd.T
         c = np.concatenate([
             X[0] - self.x0,
             Z[0] - self.z0,
             (X[1:] - fx).ravel(),
             (Z[1:] - gz).ravel(),
         ])
-        # row block k holds the pins (k = 0) or the gap into s_k = (x_k, z_k)
-        nx, nu = self.n_x, self.n_u
-        rows = self._row_idx[:, :, None]
-        si, qi = self._state_idx[:, None, :], self._input_idx[:, None, :]
-        A = np.zeros((self.m_eq, self.n))
-        A[rows, si] = np.eye(nx + self.n_z)
-        A[rows[1:, :nx], si[:N, :, :nx]] = -ax
-        A[rows[1:, nx:], si[:N, :, nx:]] = -self._ad
-        A[rows[1:, :nx], qi[:, :, :nu]] = -bu
-        A[rows[1:, nx:], qi[:, :, nu:]] = -self._bd
-        return c, A
+        return c, ax, bu
 
     def equality(self, w) -> np.ndarray:
         return self._gaps(w)[0]
 
     def equality_jacobian(self, w) -> np.ndarray:
-        return self._gaps(w)[1]
+        """Dense equality Jacobian at ``w`` (for checks; the solver never
+        asks for it)."""
+        return self.dense_jacobians(self.linearize(w)[2])[1]
 
     def linearize(self, w):
-        """``(r, J, c, A)`` at ``w``, with one RK4 integration."""
-        c, A = self._gaps(w)
-        return self.residual(w), self.residual_jacobian(w), c, A
+        """``(r, c, blocks)`` at ``w``: the residual, the equality values and
+        the :class:`StageBlocks`, with one RK4 integration."""
+        c, ax, bu = self._gaps(w)
+        st = self.structure
+        f = st.f.copy()
+        f[:, :self.n_x, :self.n_x] = ax
+        g = st.g.copy()
+        g[:, :self.n_x, :self.n_u] = bu
+        return self.residual(w), c, StageBlocks(self.residual_jacobian(w), f, g)
+
+    def dense_jacobians(self, blocks: StageBlocks):
+        """The residual and equality Jacobians ``(J, A)`` as dense matrices
+        assembled from the blocks (for checks; no solve forms them)."""
+        N = self.config.horizon
+        st = self.structure
+        si, qi = st.state_idx, st.input_idx
+        nq, nr = self.n_res_q, self.n_res_r
+        J = np.zeros((self.m_res, self.n))
+        J[np.arange(N * nq).reshape(N, nq, 1), si[:N, None, :]] = blocks.js
+        J[N * nq + np.arange(N * nr).reshape(N, nr, 1), qi[:, None, :]] = st.lr
+        J[N * (nq + nr):, si[N]] = st.jt
+        # row block k holds the pins (k = 0) or the gap into s_k
+        rows = st.row_idx[:, :, None]
+        A = np.zeros((self.m_eq, self.n))
+        A[rows, si[:, None, :]] = np.eye(si.shape[1])
+        A[rows[1:], si[:N, None, :]] = -blocks.f
+        A[rows[1:], qi[:, None, :]] = -blocks.g
+        return J, A
+
+    # ----- products of the Jacobians ------------------------------------------
+
+    def jt_dot(self, blocks: StageBlocks, v) -> np.ndarray:
+        """``J^T v`` for a residual-space vector ``v``."""
+        N = self.config.horizon
+        st = self.structure
+        nq, nr = self.n_res_q, self.n_res_r
+        gs = np.empty(st.state_idx.shape)
+        gs[:N] = (v[:N * nq].reshape(N, 1, nq) @ blocks.js)[:, 0]
+        gs[N] = v[N * (nq + nr):] @ st.jt
+        out = np.empty(self.n)
+        out[st.state_idx] = gs
+        out[st.input_idx] = v[N * nq:N * (nq + nr)].reshape(N, nr) @ st.lr
+        return out
+
+    def at_dot(self, blocks: StageBlocks, v) -> np.ndarray:
+        """``A^T v`` for an equality-space vector ``v``: row block k + 1
+        reads ``s_{k+1} - f_k s_k - g_k q_k``."""
+        st = self.structure
+        vs = v[st.row_idx]
+        out = np.empty(self.n)
+        out[st.input_idx] = -(vs[1:, None, :] @ blocks.g)[:, 0]
+        vs[:-1] -= (vs[1:, None, :] @ blocks.f)[:, 0]
+        out[st.state_idx] = vs
+        return out
+
+    def keep_rows(self, blocks: StageBlocks, free) -> np.ndarray:
+        """Equality rows that involve a free variable; they follow from the
+        block structure alone (:meth:`OcpStructure.keep_rows`)."""
+        return self.structure.keep_rows(free)
 
     # ----- Newton step by condensing ------------------------------------------
 
-    def kkt_step(self, J, A, g, c, sigma, free, keep, reg):
+    def kkt_step(self, blocks: StageBlocks, g, c, sigma, free, keep, reg):
         """Gauss-Newton step ``(dw, lam)`` with the states condensed out.
 
         Solves the same system as the dense route of the solver, whose
@@ -445,26 +570,25 @@ class OcpProblem:
         states.  Raises ``LinAlgError`` when the condensed system is singular.
         """
         N = self.config.horizon
-        si, qi, ri = self._state_idx, self._input_idx, self._row_idx
+        st = self.structure
+        si, qi, ri = st.state_idx, st.input_idx, st.row_idx
         ns, nqi = si.shape[1], qi.shape[1]
         nq = N * nqi
 
         # stage Hessians of the states and of the inputs
-        jp = J[self._path_rows[:, :, None], si[:N, None, :]]
-        jt = J[self._term_rows[:, None], si[N]]
+        jp = blocks.js
         hs = np.empty((N + 1, ns, ns))
         hs[:N] = 2.0 * (jp.transpose(0, 2, 1) @ jp)
-        hs[N] = 2.0 * (jt.T @ jt)
+        hs[N] = st.hs_terminal
         diag = np.arange(ns)
         hs[:, diag, diag] += sigma[si] + reg
-        ju = J[self._input_rows[:, :, None], qi[:, None, :]]
-        hq = 2.0 * (ju.transpose(0, 2, 1) @ ju)
+        hq = np.empty((N, nqi, nqi))
+        hq[:] = st.hq
         diag = np.arange(nqi)
         hq[:, diag, diag] += sigma[qi] + reg
 
         # row block k + 1 reads ds_{k+1} - F_k ds_k - G_k dq_k + c = 0
-        F = -A[ri[1:, :, None], si[:N, None, :]]
-        G = -A[ri[1:, :, None], qi[:, None, :]]
+        F, G = blocks.f, blocks.g
         cs = c[ri]
         held = ~free[si]
         fixed = held & keep[ri]
@@ -522,6 +646,9 @@ class OcpProblem:
         return dw, lam
 
 
-def build_ocp(x0, z0, path: Union[Path, CorridorPath], config: OcpConfig, params: ModelParams) -> OcpProblem:
-    """Assemble the horizon NLP pinned at the measured state and progress."""
-    return OcpProblem(x0, z0, path, config, params)
+def build_ocp(x0, z0, path: Union[Path, CorridorPath], config: OcpConfig, params: ModelParams,
+              structure: Optional[OcpStructure] = None) -> OcpProblem:
+    """Assemble the horizon NLP pinned at the measured state and progress,
+    on ``structure`` when given (built for the same path and configuration),
+    else on a fresh one."""
+    return OcpProblem(x0, z0, path, config, params, structure)

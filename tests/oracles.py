@@ -11,9 +11,11 @@ computes another way:
 - ``nominal_yaw_rate`` is the yaw rate the tangential sinusoid reference
   demands at a given progress rate;
 - ``kkt_residual`` is a standalone stationarity measure for a solve result;
-- ``residual_jacobian_loop`` and ``equality_jacobian_loop`` build
-  ``OcpProblem.residual_jacobian`` and ``OcpProblem.equality_jacobian``
-  stage by stage, with the same arithmetic, so each pair agrees bitwise;
+- ``residual_jacobian_loop`` and ``equality_jacobian_loop`` build the
+  dense residual and equality Jacobians stage by stage, with the same
+  arithmetic as the stage blocks of ``OcpProblem.linearize``, so the dense
+  matrices ``OcpProblem.dense_jacobians`` assembles from those blocks agree
+  with them bitwise;
 - ``dynamics_jacobians`` differentiates ``dynamics`` by hand, and
   ``rk4_step_chain_rule`` carries those Jacobians through the four RK4
   stages as 9x9 chain products, against the structured
@@ -111,23 +113,24 @@ def kkt_residual(problem, point, multipliers, mu: float) -> float:
     if np.any(np.abs(w[frozen] - lo[frozen]) > 1e-9):
         raise ValueError("frozen coordinate off its pinned value")
     _, bgrad = _barrier_terms(w, lo, hi, active)
-    r, J, c, A = problem.linearize(w)
+    r, c, blocks = problem.linearize(w)
     lam = np.asarray(multipliers, dtype=float)
-    g = 2.0 * (J.T @ r) + mu * bgrad
-    if A.shape[0]:
-        g = g + A.T @ lam
+    g = 2.0 * problem.jt_dot(blocks, r) + mu * bgrad
+    if c.size:
+        g = g + problem.at_dot(blocks, lam)
     stat = np.max(np.abs(g[active])) if np.any(active) else 0.0
     eq = np.max(np.abs(c)) if c.size else 0.0
     return float(max(stat, eq))
 
 
 def residual_jacobian_loop(problem, w) -> np.ndarray:
-    """``problem.residual_jacobian(w)``, one stage block at a time."""
+    """The dense residual Jacobian of an ``OcpProblem``, one stage block at
+    a time."""
     X, U, Z, V = problem.unpack(w)
     cfg = problem.config
     N = cfg.horizon
     nq, nr = problem.n_res_q, problem.n_res_r
-    lq, lr = problem._lq, problem._lr
+    lq, lr = problem.structure.lq, problem.structure.lr
     J = np.zeros((problem.m_res, problem.n))
     dp = problem.path.derivative(np.clip(Z[:N, 0], -1.0, 0.0))
     dx = np.zeros((nq, problem.n_x))
@@ -156,7 +159,8 @@ def residual_jacobian_loop(problem, w) -> np.ndarray:
 
 
 def equality_jacobian_loop(problem, w) -> np.ndarray:
-    """``problem.equality_jacobian(w)``, one stage block at a time."""
+    """The dense equality Jacobian of an ``OcpProblem``, one stage block at
+    a time."""
     X, U, Z, V = problem.unpack(w)
     N = problem.config.horizon
     nx, nz = problem.n_x, problem.n_z
@@ -174,8 +178,8 @@ def equality_jacobian_loop(problem, w) -> np.ndarray:
     for k in range(N):
         rows = slice(z0row + k * nz, z0row + (k + 1) * nz)
         A[rows, problem.z_slice(k + 1)] = np.eye(nz)
-        A[rows, problem.z_slice(k)] = -problem._ad
-        A[rows, problem.nu_slice(k)] = -problem._bd
+        A[rows, problem.z_slice(k)] = -problem.structure.ad
+        A[rows, problem.nu_slice(k)] = -problem.structure.bd
     return A
 
 

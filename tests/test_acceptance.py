@@ -137,8 +137,9 @@ def test_criterion_2_solver_correctness():
             zs = prob.z_slice(k)
             w[zs.start] = rng.uniform(-0.9, -0.1)
             w[zs.start + 1] = rng.uniform(1e-4, 0.9 * cfg.s_dot_max)
-        g = 2.0 * prob.residual_jacobian(w).T @ prob.residual(w)
-        A = prob.equality_jacobian(w)
+        r, _, blocks = prob.linearize(w)
+        g = 2.0 * prob.jt_dot(blocks, r)
+        A = prob.dense_jacobians(blocks)[1]
         for i in rng.choice(prob.n, size=12, replace=False):
             wp, wm = w.copy(), w.copy()
             wp[i] += h

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quadpath import controller as controller_module
+from quadpath import solver, transcription
 from quadpath.controller import PathController
 from quadpath.dynamics import ModelParams, rk4_step
 from quadpath.paths import make_path
@@ -167,6 +168,71 @@ class TestWarmStartFlight:
         warm = [result.iterations for is_warm, result in attempts if is_warm]
         assert len(warm) == metrics.steps - 1
         assert np.mean(warm) <= warm_mean_max
+
+
+class TestStageBlockedPath:
+    """The horizon problem reaches the solver as stage blocks."""
+
+    @staticmethod
+    def fly(controller, cfg, steps):
+        x = state_on_path(controller.path, -1.0)
+        results = []
+        for _ in range(steps):
+            inp, nu, diag = controller.control_step(x)
+            results.append(diag.solve)
+            x = rk4_step(x, inp, cfg.delta, PARAMS)
+            controller.advance_path_state(nu, cfg.delta)
+        return results
+
+    def test_no_full_width_matrix_on_the_ocp_path(self, monkeypatch):
+        # a cold step, then warm ones, at N=20; the dense routes raise, and
+        # numpy in the controller, solver and transcription refuses to
+        # return an array of two or more dimensions with one of length n
+        controller, cfg = spiral_controller(horizon=20)
+        n = controller.structure.n
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense Jacobian or KKT matrix on the OCP path")
+        monkeypatch.setattr(transcription.OcpProblem, "equality_jacobian", refuse)
+        monkeypatch.setattr(transcription.OcpProblem, "dense_jacobians", refuse)
+        monkeypatch.setattr(solver, "_newton_direction", refuse)
+
+        class NoFullWidth:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if not callable(attr) or isinstance(attr, type):
+                    return attr
+
+                def checked(*args, **kwargs):
+                    out = attr(*args, **kwargs)
+                    if isinstance(out, np.ndarray) and out.ndim >= 2 and n in out.shape:
+                        raise AssertionError(f"np.{name} returned an array of shape {out.shape}")
+                    return out
+                return checked
+        for module in (controller_module, solver, transcription):
+            monkeypatch.setattr(module, "np", NoFullWidth())
+        results = self.fly(controller, cfg, 3)
+        assert all(r.iterations > 0 for r in results)
+
+    def test_control_steps_share_read_only_constant_blocks(self, monkeypatch):
+        built = []
+        original = controller_module.build_ocp
+
+        def recorded(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(controller_module, "build_ocp", recorded)
+        controller, cfg = spiral_controller()
+        self.fly(controller, cfg, 2)
+        first, second = built
+        assert first is not second
+        assert first.structure is second.structure is controller.structure
+        assert first.lower is second.lower and first.upper is second.upper
+        arrays = [v for v in vars(first.structure).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) > 15
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = a[(0,) * a.ndim]
 
 
 class TestCorridorMode:

@@ -3,8 +3,16 @@ import pytest
 
 from quadpath.dynamics import ModelParams
 from quadpath.paths import make_path
+from quadpath.simulate import run_scenario, scenario_config
 from quadpath.solver import _barrier_terms, _frozen_mask, _newton_direction, project_interior
-from quadpath.transcription import DEFAULT_INPUT_BOUND, OcpConfig, build_ocp
+from quadpath.transcription import (
+    DEFAULT_INPUT_BOUND,
+    DEFAULT_STATE_LOWER,
+    DEFAULT_STATE_UPPER,
+    OcpConfig,
+    OcpStructure,
+    build_ocp,
+)
 
 from oracles import (
     equality_jacobian_loop,
@@ -139,6 +147,8 @@ class TestEqualityConstraints:
 
 
 class TestResidualJacobian:
+    """The stage blocks of ``linearize`` against the dense stage loops."""
+
     @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
     @pytest.mark.parametrize("horizon", [1, 5, 20])
     def test_equals_stage_loop_bitwise(self, kind, horizon):
@@ -146,19 +156,47 @@ class TestResidualJacobian:
         rng = np.random.default_rng(17)
         for _ in range(5):
             w = random_interior_iterate(prob, rng)
-            assert np.array_equal(prob.residual_jacobian(w), residual_jacobian_loop(prob, w))
-            assert np.array_equal(prob.equality_jacobian(w), equality_jacobian_loop(prob, w))
+            J, A = prob.dense_jacobians(prob.linearize(w)[2])
+            assert np.array_equal(J, residual_jacobian_loop(prob, w))
+            assert np.array_equal(A, equality_jacobian_loop(prob, w))
+            assert np.array_equal(prob.equality_jacobian(w), A)
+
+    @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width", "planar"])
+    @pytest.mark.parametrize("horizon", [1, 5, 20])
+    def test_products_match_dense(self, kind, horizon):
+        # "planar" freezes the roll angle and its command: the roll gap rows
+        # past the first interval then involve frozen variables only
+        prob = horizon_problem(kind, horizon)
+        free = ~_frozen_mask(prob.lower, prob.upper)
+        rng = np.random.default_rng(19)
+        for _ in range(3):
+            w = random_interior_iterate(prob, rng)
+            r, c, blocks = prob.linearize(w)
+            J, A = prob.dense_jacobians(blocks)
+            lam = rng.normal(0.0, 1.0, prob.m_eq)
+            for got, ref in ((prob.jt_dot(blocks, r), J.T @ r), (prob.at_dot(blocks, lam), A.T @ lam)):
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            keep = np.max(np.abs(A[:, free]), axis=1) > 1e-14
+            assert np.array_equal(prob.keep_rows(blocks, free), keep)
+            assert np.sum(~keep) == (horizon - 1 if kind == "planar" else 0)
 
 
 def horizon_problem(kind, horizon, freeze_input=False):
-    """Classic, corridor or zero-width-corridor problem at the path start;
-    ``freeze_input`` closes the yaw-rate command's box to zero."""
+    """Classic, corridor, zero-width-corridor or planar (roll and roll
+    command frozen at zero) problem at the path start; ``freeze_input``
+    closes the yaw-rate command's box to zero."""
     kw = {"horizon": horizon}
-    if freeze_input:
+    if freeze_input or kind == "planar":
         kw["input_lower"] = -DEFAULT_INPUT_BOUND.copy()
         kw["input_upper"] = DEFAULT_INPUT_BOUND.copy()
+    if freeze_input:
         kw["input_lower"][3] = kw["input_upper"][3] = 0.0
-    if kind == "classic":
+    if kind == "planar":
+        kw["input_lower"][1] = kw["input_upper"][1] = 0.0
+        kw["state_lower"] = DEFAULT_STATE_LOWER.copy()
+        kw["state_upper"] = DEFAULT_STATE_UPPER.copy()
+        kw["state_lower"][6] = kw["state_upper"][6] = 0.0
+    if kind in ("classic", "planar"):
         path = make_path("spiral")
         p0, z0 = path.point(-1.0), np.array([-1.0, 1e-5])
     else:
@@ -204,16 +242,16 @@ class TestCondensedStep:
             assert np.sum(~free) == horizon * (freeze_input + (kind == "zero-width"))
             for _ in range(2):
                 w = random_interior_iterate(prob, rng)
-                J, A = prob.residual_jacobian(w), prob.equality_jacobian(w)
-                c = prob.equality(w)
+                r, c, blocks = prob.linearize(w)
+                J, A = prob.dense_jacobians(blocks)
                 _, bgrad = _barrier_terms(w, prob.lower, prob.upper, free)
-                g = 2.0 * J.T @ prob.residual(w) + 1e-2 * bgrad
+                g = 2.0 * J.T @ r + 1e-2 * bgrad
                 sigma = np.where(free, rng.uniform(0.0, 10.0, prob.n), 0.0)
                 keep = np.max(np.abs(A[:, free]), axis=1) > 1e-14
                 h = 2.0 * J.T @ J + np.diag(sigma)
                 for reg in (0.0, 1e-4):
                     dw_ref, lam_ref = _newton_direction(h, g, A, c, free, keep, reg)
-                    dw, lam = prob.kkt_step(J, A, g, c, sigma, free, keep, reg)
+                    dw, lam = prob.kkt_step(blocks, g, c, sigma, free, keep, reg)
                     assert np.max(np.abs(dw - dw_ref)) <= 1e-9 * np.max(np.abs(dw_ref))
                     assert not np.any(dw[~free]) and not np.any(lam[~keep])
                     hr = h + reg * np.diag(free.astype(float))
@@ -238,7 +276,8 @@ class TestCost:
         h = 1e-6
         for _ in range(3):
             w = random_feasible_vector(prob, cfg, rng)
-            g = 2.0 * prob.residual_jacobian(w).T @ prob.residual(w)
+            r, _, blocks = prob.linearize(w)
+            g = 2.0 * prob.jt_dot(blocks, r)
             for i in rng.choice(prob.n, size=25, replace=False):
                 wp, wm = w.copy(), w.copy()
                 wp[i] += h
@@ -314,3 +353,39 @@ class TestConfigValidation:
         cfg = OcpConfig(corridor=True)
         with pytest.raises(ValueError):
             build_ocp(np.zeros(9), np.zeros(4), make_path("spiral"), cfg, PARAMS)
+
+    @pytest.mark.parametrize("name", ["nu_bound", "nu2_bound", "s2_dot_bound"])
+    def test_negative_half_width_rejected(self, name):
+        # an inverted box would otherwise be taken for a frozen variable
+        with pytest.raises(ValueError, match=name):
+            OcpConfig(corridor=True, **{name: -0.01})
+        OcpConfig(corridor=True, **{name: 0.0})  # a closed box is allowed
+
+    def test_scenario_with_inverted_box_fails_before_flying(self):
+        # it used to fly with the virtual input frozen and fail every step
+        with pytest.raises(ValueError, match="nu_bound"):
+            run_scenario(scenario_config("spiral", total_time=3.0, nu_bound=-0.01))
+
+    def test_inverted_s2_bounds_rejected(self):
+        with pytest.raises(ValueError, match="s2_bounds"):
+            OcpConfig(corridor=True, s2_bounds=(0.2, -0.2))
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            OcpConfig(delta=delta)
+
+    @pytest.mark.parametrize("horizon", [2.5, 5.0, True])
+    def test_horizon_must_be_integer(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            OcpConfig(horizon=horizon)
+        assert OcpConfig(horizon=np.int64(3)).horizon == 3
+
+    def test_structure_must_match_problem(self):
+        cfg = OcpConfig()
+        path = make_path("spiral")
+        structure = OcpStructure(path, cfg)
+        with pytest.raises(ValueError, match="structure"):
+            build_ocp(np.zeros(9), np.array([-1.0, 1e-5]), path, OcpConfig(), PARAMS, structure)
+        with pytest.raises(ValueError, match="structure"):
+            build_ocp(np.zeros(9), np.array([-1.0, 1e-5]), make_path("spiral"), cfg, PARAMS, structure)
