@@ -155,8 +155,10 @@ class PathController:
     def advance_path_state(self, nu_applied, dt: float) -> np.ndarray:
         """Integrate the timing chains exactly over ``dt`` and clamp to the
         admissible progress box (clamping is logged, not an error)."""
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not np.all(np.isfinite(nu_applied)):
+            raise ValueError("virtual input must be finite")
         z = step_timing(self.path_state, nu_applied, dt)
         lo, hi = self.config.z_bounds()
         clipped = np.clip(z, lo, hi)

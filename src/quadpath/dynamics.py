@@ -81,7 +81,7 @@ def rotation_matrix(attitude) -> np.ndarray:
     R[..., 2, 0] = -sth
     R[..., 2, 1] = cth * sph
     # the third column is the thrust axis the dynamics use
-    R[..., :, 2] = _thrust_axis(trig)
+    _thrust_axis(trig, R[..., :, 2])
     return R
 
 
@@ -130,18 +130,15 @@ def _attitude_trig(att):
     return cos[..., 0], sin[..., 0], cos[..., 1], sin[..., 1], cos[..., 2], sin[..., 2]
 
 
-def _thrust_axis(trig) -> np.ndarray:
+def _thrust_axis(trig, out) -> np.ndarray:
     """World-frame direction of the body thrust axis (third rotation column),
-    from the attitude's :func:`_attitude_trig`."""
+    from the attitude's :func:`_attitude_trig`, written into ``out`` (shape
+    ``(..., 3)``) and returned."""
     cph, sph, cth, sth, cps, sps = trig
-    return np.stack(
-        [
-            sph * sps + cph * cps * sth,
-            cph * sps * sth - cps * sph,
-            cph * cth,
-        ],
-        axis=-1,
-    )
+    out[..., 0] = sph * sps + cph * cps * sth
+    out[..., 1] = cph * sps * sth - cps * sph
+    out[..., 2] = cph * cth
+    return out
 
 
 def dynamics(state, inp, params: ModelParams) -> np.ndarray:
@@ -154,7 +151,7 @@ def dynamics(state, inp, params: ModelParams) -> np.ndarray:
     """
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
-    axis = _thrust_axis(_attitude_trig(x[..., ATT]))
+    axis = _thrust_axis(_attitude_trig(x[..., ATT]), np.empty(x[..., ATT].shape))
     thrust = u[..., 0] + params.mass * params.gravity
     acc = (thrust[..., None] / params.mass) * axis
     acc = acc - np.array([0.0, 0.0, params.gravity])
@@ -175,8 +172,8 @@ def output_map(state) -> np.ndarray:
 
 
 def _check_dt(dt) -> None:
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
 
 
 def _rk4_stages(x, u, h: float, params: ModelParams):
@@ -189,7 +186,9 @@ def _rk4_stages(x, u, h: float, params: ModelParams):
     component is formed with the floating-point operations of
     :func:`dynamics` stage by stage, so ``x_next`` is bitwise that route's.
     """
-    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+    batch = x.shape[:-1]
+    if u.shape[:-1] != batch:
+        batch = np.broadcast_shapes(batch, u.shape[:-1])
     # stage i + 1 starts at x + c_i k_i; k holds the stage derivatives
     c = (0.5 * h, 0.5 * h, h)
     c_stage = np.reshape(c, (3,) + (1,) * len(batch))
@@ -207,7 +206,7 @@ def _rk4_stages(x, u, h: float, params: ModelParams):
     np.divide(cmd - angles[3], tau, out=rates[3])
 
     trig = _attitude_trig(att)
-    axis = _thrust_axis(trig)
+    axis = _thrust_axis(trig, np.empty(att.shape))
     thrust = u[..., 0] + params.mass * params.gravity
     k[..., VEL] = (thrust[..., None] / params.mass) * axis - np.array([0.0, 0.0, params.gravity])
     k[0, ..., POS] = x[..., VEL]
@@ -302,8 +301,8 @@ def rk4_step_with_jacobians(state, inp, dt: float, params: ModelParams):
     _check_dt(dt)
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
-    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
     x_next, trig, axis = _rk4_stages(x, u, dt, params)
+    batch = x_next.shape[:-1]
     weights, ax0, bu0 = _sensitivity_constants(float(dt), params)
 
     cph, sph, cth, sth, cps, sps = trig
@@ -311,7 +310,7 @@ def rk4_step_with_jacobians(state, inp, dt: float, params: ModelParams):
     src = np.empty(axis.shape + (4,), dtype=float)
     # the axis is linear in (cos roll, sin roll): its roll derivative is the
     # axis with (cph, sph) replaced by (-sph, cph)
-    src[..., 0] = _thrust_axis((-sph, cph, cth, sth, cps, sps))
+    _thrust_axis((-sph, cph, cth, sth, cps, sps), src[..., 0])
     src[..., 0, 1] = cph * cps * cth
     src[..., 1, 1] = cph * sps * cth
     src[..., 2, 1] = -cph * sth

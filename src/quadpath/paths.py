@@ -38,112 +38,89 @@ def _check_domain(s) -> np.ndarray:
     return s
 
 
-def eval_spiral(s) -> np.ndarray:
-    """Rising circular spiral, radius 0.25 m, climbing 0.25 m to 0.65 m."""
+def _spiral(s):
+    """``(point, derivative)`` of :func:`eval_spiral`'s curve."""
     s = _check_domain(s)
     a = TWO_PI * s
-    return np.stack(
-        [0.25 * np.cos(a), 0.25 * np.sin(a), 0.65 + 0.4 * s, np.zeros_like(s)],
-        axis=-1,
-    )
+    sin_a, cos_a = np.sin(a), np.cos(a)
+    zero = np.zeros_like(s)
+    point = np.stack([0.25 * cos_a, 0.25 * sin_a, 0.65 + 0.4 * s, zero], axis=-1)
+    deriv = np.stack([-0.5 * np.pi * sin_a, 0.5 * np.pi * cos_a, np.full_like(s, 0.4), zero], axis=-1)
+    return point, deriv
 
 
-def _spiral_derivative(s) -> np.ndarray:
-    s = _check_domain(s)
-    a = TWO_PI * s
-    return np.stack(
-        [
-            -0.5 * np.pi * np.sin(a),
-            0.5 * np.pi * np.cos(a),
-            np.full_like(s, 0.4),
-            np.zeros_like(s),
-        ],
-        axis=-1,
-    )
-
-
-def eval_lemniscate(s) -> np.ndarray:
-    """Closed figure-eight at constant height 0.5 m."""
+def _lemniscate(s):
+    """``(point, derivative)`` of :func:`eval_lemniscate`'s curve."""
     s = _check_domain(s)
     a = TWO_PI * s
     sin_a, cos_a = np.sin(a), np.cos(a)
     den = sin_a**2 + 1.0
-    return np.stack(
-        [
-            0.5 * cos_a / den,
-            0.5 * sin_a * cos_a / den,
-            np.full_like(s, 0.5),
-            np.zeros_like(s),
-        ],
-        axis=-1,
-    )
+    zero = np.zeros_like(s)
+    point = np.stack([0.5 * cos_a / den, 0.5 * sin_a * cos_a / den, np.full_like(s, 0.5), zero], axis=-1)
+    den = den**2
+    dx = -0.5 * sin_a * (cos_a**2 + 2.0) / den
+    dy = 0.5 * (cos_a**4 - sin_a**4 - sin_a**2) / den
+    return point, np.stack([TWO_PI * dx, TWO_PI * dy, zero, zero], axis=-1)
 
 
-def _lemniscate_derivative(s) -> np.ndarray:
+def _sinusoid(s):
+    """``(point, derivative)`` of :func:`eval_sinusoid`'s curve."""
     s = _check_domain(s)
     a = TWO_PI * s
     sin_a, cos_a = np.sin(a), np.cos(a)
-    den = (sin_a**2 + 1.0) ** 2
-    dx = -0.5 * sin_a * (cos_a**2 + 2.0) / den
-    dy = 0.5 * (cos_a**4 - sin_a**4 - sin_a**2) / den
-    return np.stack(
-        [TWO_PI * dx, TWO_PI * dy, np.zeros_like(s), np.zeros_like(s)],
+    point = np.stack(
+        [0.25 * sin_a, 0.25 + 0.5 * s, np.full_like(s, 0.5), np.arctan2(0.5, 0.5 * np.pi * cos_a)],
         axis=-1,
     )
+    dyaw = 2.0 * np.pi**2 * sin_a / (np.pi**2 * cos_a**2 + 1.0)
+    deriv = np.stack([0.5 * np.pi * cos_a, np.full_like(s, 0.5), np.zeros_like(s), dyaw], axis=-1)
+    return point, deriv
+
+
+def eval_spiral(s) -> np.ndarray:
+    """Rising circular spiral, radius 0.25 m, climbing 0.25 m to 0.65 m."""
+    return _spiral(s)[0]
+
+
+def eval_lemniscate(s) -> np.ndarray:
+    """Closed figure-eight at constant height 0.5 m."""
+    return _lemniscate(s)[0]
 
 
 def eval_sinusoid(s) -> np.ndarray:
     """Planar sine sweep with the yaw reference tangential to the curve."""
-    s = _check_domain(s)
-    a = TWO_PI * s
-    return np.stack(
-        [
-            0.25 * np.sin(a),
-            0.25 + 0.5 * s,
-            np.full_like(s, 0.5),
-            np.arctan2(0.5, 0.5 * np.pi * np.cos(a)),
-        ],
-        axis=-1,
-    )
-
-
-def _sinusoid_derivative(s) -> np.ndarray:
-    s = _check_domain(s)
-    a = TWO_PI * s
-    dyaw = 2.0 * np.pi**2 * np.sin(a) / (np.pi**2 * np.cos(a) ** 2 + 1.0)
-    return np.stack(
-        [0.5 * np.pi * np.cos(a), np.full_like(s, 0.5), np.zeros_like(s), dyaw],
-        axis=-1,
-    )
+    return _sinusoid(s)[0]
 
 
 @dataclass(frozen=True)
 class Path:
-    """Evaluable curve in the output space, defined on s in [-1, 0]."""
+    """Evaluable curve in the output space, defined on s in [-1, 0].
+
+    ``point_and_derivative`` gives both values from one domain check and
+    one trigonometric pass; ``point`` and ``derivative`` are its parts.
+    """
 
     name: str
-    _point: Callable[[np.ndarray], np.ndarray]
-    _derivative: Callable[[np.ndarray], np.ndarray]
+    _evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def point(self, s) -> np.ndarray:
-        return self._point(s)
+        return self._evaluate(s)[0]
 
     def derivative(self, s) -> np.ndarray:
-        return self._derivative(s)
+        return self._evaluate(s)[1]
+
+    def point_and_derivative(self, s) -> tuple[np.ndarray, np.ndarray]:
+        return self._evaluate(s)
 
 
 def _constant_path(point) -> Path:
     point = np.asarray(point, dtype=float)
 
-    def value(s):
-        s = _check_domain(s)
-        return np.broadcast_to(point, np.shape(s) + (4,)).copy()
+    def evaluate(s):
+        shape = np.shape(_check_domain(s)) + (4,)
+        return np.broadcast_to(point, shape).copy(), np.zeros(shape)
 
-    def deriv(s):
-        s = _check_domain(s)
-        return np.zeros(np.shape(s) + (4,))
-
-    return Path("hover", value, deriv)
+    return Path("hover", evaluate)
 
 
 HOVER_POINT = np.array([0.0, 0.0, 0.5, 0.0])
@@ -172,12 +149,17 @@ class CorridorPath:
         return self.base.name + "-corridor"
 
     def point(self, s1, s2) -> np.ndarray:
+        return self.point_and_derivative(s1, s2)[0]
+
+    def point_and_derivative(self, s1, s2) -> tuple[np.ndarray, np.ndarray]:
+        """The offset point and the derivative w.r.t. the progress
+        parameter, from one evaluation of the base path."""
         s2 = np.asarray(s2, dtype=float)
         lo, hi = self.s2_bounds
         if np.any(s2 < lo - _DOMAIN_TOL) or np.any(s2 > hi + _DOMAIN_TOL):
             raise ValueError("corridor offset outside bounds")
-        base = np.array(self.base.point(s1), dtype=float)
-        return base + s2[..., None] * self.direction
+        base, deriv = self.base.point_and_derivative(s1)
+        return base + s2[..., None] * self.direction, deriv
 
     def derivative(self, s1) -> np.ndarray:
         """Derivative w.r.t. the progress parameter; the offset direction is
@@ -185,11 +167,7 @@ class CorridorPath:
         return self.base.derivative(s1)
 
 
-_BASE_PATHS = {
-    "spiral": (eval_spiral, _spiral_derivative),
-    "lemniscate": (eval_lemniscate, _lemniscate_derivative),
-    "sinusoid": (eval_sinusoid, _sinusoid_derivative),
-}
+_BASE_PATHS = {"spiral": _spiral, "lemniscate": _lemniscate, "sinusoid": _sinusoid}
 
 # every name make_path accepts; the scenario names are these
 PATH_NAMES = (*_BASE_PATHS, "sinusoid-corridor", "hover")
@@ -202,7 +180,7 @@ def make_path(name: str, s2_bounds: tuple[float, float] = CORRIDOR_S2_BOUNDS):
     paths ignore it.
     """
     if name in _BASE_PATHS:
-        return Path(name, *_BASE_PATHS[name])
+        return Path(name, _BASE_PATHS[name])
     if name == "sinusoid-corridor":
         return CorridorPath(make_path("sinusoid"), s2_bounds=s2_bounds)
     if name == "hover":

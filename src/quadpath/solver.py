@@ -20,7 +20,9 @@ globalizes the iteration; a fraction-to-boundary rule keeps every iterate
 strictly interior, so the problem is never evaluated outside the box.
 Each point is linearized once, at the start and at every line-search trial
 inside the box: the values and Jacobians of the accepted trial are those of
-the next iterate.
+the next iterate.  The barrier is evaluated once per visited point as well,
+on index sets of the finite bounds built once per solve, and its value and
+gradient travel with the linearization.
 
 Along a full Gauss-Newton step the equality gaps grow quadratically (the
 Maratos effect), so the l1 merit can reject steps that are good.  When the
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -101,8 +104,10 @@ class SolverSettings:
             self.barrier_decrease, self.barrier_floor, self.linesearch_backtrack,
             self.merit_penalty, self.regularization_floor,
         )
-        if any(v <= 0 for v in positives):
-            raise ValueError("solver settings must be positive")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
+            raise ValueError("max_iterations must be an integer")
+        if not all(0 < v < np.inf for v in positives):
+            raise ValueError("solver settings must be positive and finite")
         if not (0.0 < self.barrier_decrease < 1.0):
             raise ValueError("barrier_decrease must be in (0, 1)")
         if not (0.0 < self.linesearch_backtrack < 1.0):
@@ -187,32 +192,11 @@ def project_interior(w, lower, upper, margin_scale: float = 1e-6) -> np.ndarray:
     return w
 
 
-def _barrier_terms(w, lower, upper, active):
-    """Barrier value and gradient over the active mask (inf when infeasible)."""
-    lo_gap = np.where(active & np.isfinite(lower), w - lower, np.inf)
-    hi_gap = np.where(active & np.isfinite(upper), upper - w, np.inf)
-    if np.any(lo_gap <= 0.0) or np.any(hi_gap <= 0.0):
-        return np.inf, None
-    value = -(np.sum(np.log(lo_gap[np.isfinite(lo_gap)])) + np.sum(np.log(hi_gap[np.isfinite(hi_gap)])))
-    inv_lo = np.where(np.isfinite(lo_gap), 1.0 / lo_gap, 0.0)
-    inv_hi = np.where(np.isfinite(hi_gap), 1.0 / hi_gap, 0.0)
-    grad = -inv_lo + inv_hi
-    return value, grad
-
-
 def _barrier_schedule(settings: SolverSettings) -> list[float]:
     mus = [settings.barrier_initial]
     while mus[-1] > 10.0 * settings.barrier_floor:
         mus.append(max(mus[-1] * settings.barrier_decrease, settings.barrier_floor))
     return mus
-
-
-def _step_to_boundary(w, dw, lower, upper, active, tau: float) -> float:
-    neg = active & (dw < 0.0) & np.isfinite(lower)
-    pos = active & (dw > 0.0) & np.isfinite(upper)
-    alpha = min(1.0, tau * np.min((w[neg] - lower[neg]) / -dw[neg], initial=np.inf),
-                tau * np.min((upper[pos] - w[pos]) / dw[pos], initial=np.inf))
-    return max(alpha, 0.0)
 
 
 def _newton_direction(h, g, a, c, free, keep_rows, reg):
@@ -235,55 +219,72 @@ def _newton_direction(h, g, a, c, free, keep_rows, reg):
     return dw, lam_new
 
 
+class _Box:
+    """The finite bounds on free entries, stacked as faces: the lower faces
+    first, then the upper ones.  Built once per solve, it gives the gaps,
+    the barrier and the step to the boundary without full-length masks."""
+
+    def __init__(self, lower, upper, free):
+        lo_idx = np.flatnonzero(free & np.isfinite(lower))
+        hi_idx = np.flatnonzero(free & np.isfinite(upper))
+        self.n = lower.size
+        self.n_lo = lo_idx.size
+        self.idx = np.concatenate([lo_idx, hi_idx])
+        self.bound = np.concatenate([lower[lo_idx], upper[hi_idx]])
+        # the gap to a face is sign * (w - bound), which for an upper face
+        # is upper - w bit for bit while it is nonzero; a step approaches a
+        # face at -sign * dw
+        self.sign = np.concatenate([np.ones(lo_idx.size), -np.ones(hi_idx.size)])
+        self.neg_sign = -self.sign
+
+    def barrier(self, w):
+        """``(value, gradient, gaps)`` of the log barrier at ``w``;
+        ``(inf, None, None)`` unless every gap is positive."""
+        gap = self.sign * (w[self.idx] - self.bound)
+        if np.any(gap <= 0.0):
+            return np.inf, None, None
+        logs = np.log(gap)
+        # one sum per side: a single sum over both would round differently
+        value = -(np.sum(logs[:self.n_lo]) + np.sum(logs[self.n_lo:]))
+        return value, np.bincount(self.idx, self.neg_sign / gap, self.n), gap
+
+    def step_to_boundary(self, gap, dw, tau: float) -> float:
+        """Largest step along ``dw`` (at most 1) that keeps a fraction
+        ``1 - tau`` of every gap."""
+        approach = self.neg_sign * dw[self.idx]
+        hit = approach > 0.0
+        return max(min(1.0, tau * np.min(gap[hit] / approach[hit], initial=np.inf)), 0.0)
+
+
 class _BoundDuals:
-    """Multiplier estimates for the box bounds (the primal-dual device)."""
+    """Multiplier estimates ``z`` for the faces of a :class:`_Box` (the
+    primal-dual device); every method takes the gaps at the current point.
+    The first barrier stage sets them by :meth:`recenter`."""
 
-    def __init__(self, w, lower, upper, active, mu):
-        self.has_lo = active & np.isfinite(lower)
-        self.has_hi = active & np.isfinite(upper)
-        self.lower = lower
-        self.upper = upper
-        self.z_lo = np.where(self.has_lo, mu / np.where(self.has_lo, w - lower, 1.0), 0.0)
-        self.z_hi = np.where(self.has_hi, mu / np.where(self.has_hi, upper - w, 1.0), 0.0)
-        self.clip(w, mu)
+    def __init__(self, box: _Box):
+        self.box = box
+        self.z = None
 
-    def sigma(self, w) -> np.ndarray:
-        d_lo = np.where(self.has_lo, w - self.lower, 1.0)
-        d_hi = np.where(self.has_hi, self.upper - w, 1.0)
-        return np.where(self.has_lo, self.z_lo / d_lo, 0.0) + np.where(self.has_hi, self.z_hi / d_hi, 0.0)
+    def sigma(self, gap) -> np.ndarray:
+        return np.bincount(self.box.idx, self.z / gap, self.box.n)
 
-    def update(self, w_old, step, mu, tau):
-        """Linearized-complementarity dual step for the accepted primal step."""
-        for z, has, gap_sign in ((self.z_lo, self.has_lo, 1.0), (self.z_hi, self.has_hi, -1.0)):
-            if not np.any(has):
-                continue
-            d = np.where(has, gap_sign * (w_old - (self.lower if gap_sign > 0 else self.upper)), 1.0)
-            dz = np.where(has, (mu - z * d - gap_sign * z * step) / d, 0.0)
-            shrink = has & (dz < 0.0)
-            z += min(1.0, tau * np.min(z[shrink] / -dz[shrink], initial=np.inf)) * dz
+    def update(self, gap, step, mu, tau):
+        """Linearized-complementarity dual step for the accepted primal step,
+        cut per side by the fraction-to-boundary rule."""
+        z, k = self.z, self.box.n_lo
+        dz = (mu - z * gap - self.box.sign * z * step[self.box.idx]) / gap
+        ratio = np.divide(z, -dz, out=np.full(z.shape, np.inf), where=dz < 0.0)
+        z[:k] += min(1.0, tau * np.min(ratio[:k], initial=np.inf)) * dz[:k]
+        z[k:] += min(1.0, tau * np.min(ratio[k:], initial=np.inf)) * dz[k:]
 
-    def clip(self, w, mu):
-        d_lo = np.where(self.has_lo, w - self.lower, 1.0)
-        d_hi = np.where(self.has_hi, self.upper - w, 1.0)
-        self.z_lo = np.where(
-            self.has_lo,
-            np.clip(self.z_lo, mu / (_DUAL_SAFEGUARD * d_lo), _DUAL_SAFEGUARD * mu / d_lo),
-            0.0,
-        )
-        self.z_hi = np.where(
-            self.has_hi,
-            np.clip(self.z_hi, mu / (_DUAL_SAFEGUARD * d_hi), _DUAL_SAFEGUARD * mu / d_hi),
-            0.0,
-        )
+    def clip(self, gap, mu):
+        self.z = np.clip(self.z, mu / (_DUAL_SAFEGUARD * gap), _DUAL_SAFEGUARD * mu / gap)
 
-    def recenter(self, w, mu):
+    def recenter(self, gap, mu):
         """Reset the duals to exact complementarity at the current point
         (used at barrier-stage entry, where the point sits on or near the
         central path of the previous stage)."""
-        d_lo = np.where(self.has_lo, w - self.lower, 1.0)
-        d_hi = np.where(self.has_hi, self.upper - w, 1.0)
-        self.z_lo = np.where(self.has_lo, mu / d_lo, 0.0)
-        self.z_hi = np.where(self.has_hi, mu / d_hi, 0.0)
+        self.z = mu / gap
 
 
 def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
@@ -314,9 +315,12 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
         push = 1e-6
     w = project_interior(np.asarray(initial_guess, dtype=float), lo, hi, push)
 
-    # r, c and blocks always hold the linearization at w: the accepted
-    # line-search trial computed it at the point the step moves to
+    # r, c and blocks always hold the linearization at w, and bval, bgrad
+    # and gap its barrier: the accepted line-search trial computed both at
+    # the point the step moves to
+    box = _Box(lo, hi, free)
     r, c, blocks = problem.linearize(w)
+    bval, bgrad, gap = box.barrier(w)
     m = c.shape[0]
     lam = np.zeros(m) if multipliers is None else np.asarray(multipliers, dtype=float).copy()
     if lam.shape != (m,):
@@ -324,7 +328,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
 
     rho = st.merit_penalty
     schedule = _barrier_schedule(st)
-    duals = _BoundDuals(w, lo, hi, free, schedule[0])
+    duals = _BoundDuals(box)
     iters = 0
     kkt_val = np.inf
     eq_val = np.inf
@@ -337,13 +341,14 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
         )
 
     def merit_at(point):
-        """Merit (at the current mu and rho) and linearization of an in-box
-        point; ``(inf, None)`` outside the box, where nothing is evaluated."""
-        b, _ = _barrier_terms(point, lo, hi, free)
-        if not np.isfinite(b):
-            return np.inf, None
+        """Merit (at the current mu and rho), linearization and barrier of an
+        in-box point; ``(inf, None, None)`` outside the box, where nothing is
+        linearized."""
+        bar = box.barrier(point)
+        if bar[2] is None:
+            return np.inf, None, None
         lin = problem.linearize(point)
-        return float(lin[0] @ lin[0]) + mu * b + rho * float(np.sum(np.abs(lin[1]))), lin
+        return float(lin[0] @ lin[0]) + mu * bar[0] + rho * float(np.sum(np.abs(lin[1]))), lin, bar
 
     if log is not None:
         log.write(f"# solve n={problem.n} m={m}\n")
@@ -352,9 +357,8 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
         last_stage = stage == len(schedule) - 1
         stage_tol = st.kkt_tolerance if last_stage else max(st.kkt_tolerance, mu)
         tau = max(0.995, 1.0 - mu)
-        duals.recenter(w, mu)
+        duals.recenter(gap, mu)
         while True:
-            bval, bgrad = _barrier_terms(w, lo, hi, free)
             g = 2.0 * problem.jt_dot(blocks, r) + mu * bgrad
             stat = float(np.max(np.abs((g + problem.at_dot(blocks, lam))[free]), initial=0.0))
             eq_val = float(np.max(np.abs(c), initial=0.0))
@@ -369,7 +373,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
             if np.any(~keep & (np.abs(c) > 1e-9)):
                 return _finish(LINESEARCH_FAILURE)
 
-            sigma = duals.sigma(w)
+            sigma = duals.sigma(gap)
             c_l1 = float(np.sum(np.abs(c)))
             reg = 0.0
             direction = None
@@ -399,12 +403,12 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
                 break  # step at the rounding floor: stage converged numerically
 
             noise = 16.0 * np.finfo(float).eps * (1.0 + abs(merit0))
-            alpha = _step_to_boundary(w, dw, lo, hi, free, tau)
+            alpha = box.step_to_boundary(gap, dw, tau)
             step = None
             soc = False
             trials = 0
             for _ in range(_MAX_BACKTRACKS):
-                merit, lin = merit_at(w + alpha * dw)  # same rho as merit0
+                merit, lin, bar = merit_at(w + alpha * dw)  # same rho as merit0
                 if lin is None:
                     alpha *= st.linesearch_backtrack
                     continue
@@ -423,20 +427,22 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
                     except np.linalg.LinAlgError:
                         pass
                     else:
-                        soc_step = _step_to_boundary(w, dw_soc, lo, hi, free, tau) * dw_soc
-                        merit_soc, lin_soc = merit_at(w + soc_step)
+                        soc_step = box.step_to_boundary(gap, dw_soc, tau) * dw_soc
+                        merit_soc, lin_soc, bar_soc = merit_at(w + soc_step)
                         trials += lin_soc is not None
                         if merit_soc <= bound:
-                            step, merit, lin, lam_new, soc = soc_step, merit_soc, lin_soc, lam_soc, True
+                            step, merit, lin, bar, lam_new, soc = (soc_step, merit_soc, lin_soc, bar_soc,
+                                                                   lam_soc, True)
                             break
                 alpha *= st.linesearch_backtrack
             if step is None:
                 return _finish(LINESEARCH_FAILURE)
 
-            duals.update(w, step, mu, tau)
+            duals.update(gap, step, mu, tau)
             w = w + step
             r, c, blocks = lin
-            duals.clip(w, mu)
+            bval, bgrad, gap = bar
+            duals.clip(gap, mu)
             lam = lam_new.copy()
             iters += 1
             if log is not None:

@@ -415,10 +415,10 @@ class OcpProblem:
                 )
         return events
 
-    # ----- cost --------------------------------------------------------------
+    # ----- cost and equality constraints, in one pass -------------------------
 
-    def _reference(self, Z):
-        """Path points at the stage progress values.
+    def _path_values(self, Z):
+        """Path points and derivatives at the stage progress values.
 
         The progress is clipped to the path domain before evaluation: the
         bounded stages stay strictly inside [-1, 0] anyway, and the pinned
@@ -427,16 +427,19 @@ class OcpProblem:
         s1 = np.clip(Z[..., 0], -1.0, 0.0)
         if self.config.corridor:
             lo, hi = self.path.s2_bounds
-            p = self.path.point(s1, np.clip(Z[..., 1], lo, hi))
-        else:
-            p = self.path.point(s1)
-        return p
+            return self.path.point_and_derivative(s1, np.clip(Z[..., 1], lo, hi))
+        return self.path.point_and_derivative(s1)
 
-    def residual(self, w) -> np.ndarray:
+    def linearize(self, w):
+        """``(r, c, blocks)`` at ``w``: the residual, the equality values and
+        the :class:`StageBlocks`, with one path evaluation and one RK4
+        integration."""
         X, U, Z, V = self.unpack(w)
         N = self.config.horizon
         st = self.structure
-        p = self._reference(Z[:N])
+        p, dp = self._path_values(Z[:N])
+
+        # residual: path stages, inputs, terminal cost
         e = path_error(output_map(X[:N]), p)
         if self.config.corridor:
             zpart = Z[:N, 0:2]
@@ -449,30 +452,16 @@ class OcpProblem:
         term = [np.sqrt(self.config.terminal_weight) * Z[N, 0]]
         if self.config.corridor:
             term.append(np.sqrt(self.config.terminal_weight_s2) * Z[N, 1])
-        return np.concatenate([res_q.ravel(), res_r.ravel(), np.array(term)])
+        r = np.concatenate([res_q.ravel(), res_r.ravel(), np.array(term)])
 
-    def residual_jacobian(self, w) -> np.ndarray:
-        """The path residual rows over ``s_k``, shape ``(N, n_res_q, n_x +
-        n_z)``: the blocks of the residual Jacobian that depend on ``w``, in
-        their progress column only."""
-        _, _, Z, _ = self.unpack(w)
-        N = self.config.horizon
-        st = self.structure
+        # the path residual rows over s_k depend on w in the progress column
         dz = np.zeros((N, self.n_res_q))
-        dz[:, 0:4] = -self.path.derivative(np.clip(Z[:N, 0], -1.0, 0.0))
+        dz[:, 0:4] = -dp
         dz[:, 7] = 1.0
         js = st.js.copy()
         js[:, :, self.n_x] = dz @ st.lq.T
-        return js
 
-    # ----- equality constraints ----------------------------------------------
-
-    def _gaps(self, w):
-        """Equality values ``c`` and the RK4 sensitivities ``ax``, ``bu`` at
-        ``w``: one integration gives the state gaps and their Jacobian."""
-        X, U, Z, V = self.unpack(w)
-        N = self.config.horizon
-        st = self.structure
+        # gaps: one integration gives the state gaps and their sensitivities
         fx, ax, bu = rk4_step_with_jacobians(X[:N], U, self.config.delta, self.params)
         gz = Z[:N] @ st.ad.T + V @ st.bd.T
         c = np.concatenate([
@@ -481,26 +470,29 @@ class OcpProblem:
             (X[1:] - fx).ravel(),
             (Z[1:] - gz).ravel(),
         ])
-        return c, ax, bu
-
-    def equality(self, w) -> np.ndarray:
-        return self._gaps(w)[0]
-
-    def equality_jacobian(self, w) -> np.ndarray:
-        """Dense equality Jacobian at ``w`` (for checks; the solver never
-        asks for it)."""
-        return self.dense_jacobians(self.linearize(w)[2])[1]
-
-    def linearize(self, w):
-        """``(r, c, blocks)`` at ``w``: the residual, the equality values and
-        the :class:`StageBlocks`, with one RK4 integration."""
-        c, ax, bu = self._gaps(w)
-        st = self.structure
         f = st.f.copy()
         f[:, :self.n_x, :self.n_x] = ax
         g = st.g.copy()
         g[:, :self.n_x, :self.n_u] = bu
-        return self.residual(w), c, StageBlocks(self.residual_jacobian(w), f, g)
+        return r, c, StageBlocks(js, f, g)
+
+    # views of the one pass, for checks; no solve calls them
+
+    def residual(self, w) -> np.ndarray:
+        return self.linearize(w)[0]
+
+    def residual_jacobian(self, w) -> np.ndarray:
+        """The path residual rows over ``s_k``, shape ``(N, n_res_q, n_x +
+        n_z)``: the blocks of the residual Jacobian that depend on ``w``, in
+        their progress column only."""
+        return self.linearize(w)[2].js
+
+    def equality(self, w) -> np.ndarray:
+        return self.linearize(w)[1]
+
+    def equality_jacobian(self, w) -> np.ndarray:
+        """Dense equality Jacobian at ``w``."""
+        return self.dense_jacobians(self.linearize(w)[2])[1]
 
     def dense_jacobians(self, blocks: StageBlocks):
         """The residual and equality Jacobians ``(J, A)`` as dense matrices

@@ -5,12 +5,14 @@ computes another way:
 
 - ``stage_cost``, ``terminal_cost`` and ``quadrature_cost`` evaluate the
   horizon cost by direct quadrature, against the weighted residual route of
-  ``OcpProblem.residual``;
+  ``OcpProblem.linearize``;
 - ``timing_law`` is the continuous timing law that ``step_timing``
   integrates in closed form;
 - ``nominal_yaw_rate`` is the yaw rate the tangential sinusoid reference
   demands at a given progress rate;
 - ``kkt_residual`` is a standalone stationarity measure for a solve result;
+- ``_barrier_terms`` is the log barrier over full-length masks, against
+  the solver's barrier on the box index sets;
 - ``residual_jacobian_loop`` and ``equality_jacobian_loop`` build the
   dense residual and equality Jacobians stage by stage, with the same
   arithmetic as the stage blocks of ``OcpProblem.linearize``, so the dense
@@ -37,7 +39,7 @@ from quadpath.dynamics import (
     rk4_step_with_jacobians,
 )
 from quadpath.paths import path_error
-from quadpath.solver import _barrier_terms, _frozen_mask
+from quadpath.solver import _frozen_mask
 from quadpath.transcription import OcpConfig
 
 
@@ -67,7 +69,7 @@ def quadrature_cost(problem, w) -> float:
     config = problem.config
     total = 0.0
     for k in range(config.horizon):
-        e = path_error(output_map(X[k]), problem._reference(Z[k]))
+        e = path_error(output_map(X[k]), problem._path_values(Z[k])[0])
         zpart = Z[k, 0:2] if config.corridor else Z[k, 0:1]
         total += config.delta * stage_cost(e, X[k, 3:6], zpart, U[k], V[k], config)
     return total + terminal_cost(Z[config.horizon], config)
@@ -95,6 +97,19 @@ def nominal_yaw_rate(s, s_dot):
     if rate.ndim == 0:
         return float(rate)
     return rate
+
+
+def _barrier_terms(w, lower, upper, active):
+    """Barrier value and gradient over the active mask (inf when infeasible)."""
+    lo_gap = np.where(active & np.isfinite(lower), w - lower, np.inf)
+    hi_gap = np.where(active & np.isfinite(upper), upper - w, np.inf)
+    if np.any(lo_gap <= 0.0) or np.any(hi_gap <= 0.0):
+        return np.inf, None
+    value = -(np.sum(np.log(lo_gap[np.isfinite(lo_gap)])) + np.sum(np.log(hi_gap[np.isfinite(hi_gap)])))
+    inv_lo = np.where(np.isfinite(lo_gap), 1.0 / lo_gap, 0.0)
+    inv_hi = np.where(np.isfinite(hi_gap), 1.0 / hi_gap, 0.0)
+    grad = -inv_lo + inv_hi
+    return value, grad
 
 
 def kkt_residual(problem, point, multipliers, mu: float) -> float:
@@ -210,7 +225,7 @@ def _dynamics_with_jacobians(x, u, params):
     batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
     trig = _attitude_trig(x[..., ATT])
     cph, sph, cth, sth, cps, sps = trig
-    axis = _thrust_axis(trig)
+    axis = _thrust_axis(trig, np.empty(x[..., ATT].shape))
     scale = (u[..., 0] + params.mass * params.gravity) / params.mass
 
     fx = np.zeros(batch + (N_STATES, N_STATES), dtype=float)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadpath import controller as controller_module
-from quadpath import solver, transcription
+from quadpath import paths, solver, transcription
 from quadpath.controller import PathController
 from quadpath.dynamics import ModelParams, rk4_step
 from quadpath.paths import make_path
@@ -103,6 +103,20 @@ class TestAdvancePathState:
         controller, _ = spiral_controller()
         with pytest.raises(ValueError):
             controller.advance_path_state(np.array([0.0]), 0.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        controller, _ = spiral_controller()
+        with pytest.raises(ValueError, match="finite"):
+            controller.advance_path_state(np.array([0.0]), dt)
+
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_virtual_input(self, nu):
+        controller, _ = spiral_controller()
+        before = controller.path_state.copy()
+        with pytest.raises(ValueError, match="finite"):
+            controller.advance_path_state(np.array([nu]), 0.05)
+        np.testing.assert_array_equal(controller.path_state, before)
 
 
 class TestClosedLoopProperties:
@@ -233,6 +247,56 @@ class TestStageBlockedPath:
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+
+class TestOnePassPerPoint:
+    """Each point a solve visits is evaluated once: one linearization, with
+    one path evaluation and one barrier evaluation."""
+
+    @pytest.mark.parametrize("scenario", ["spiral", "sinusoid-corridor"])
+    def test_one_path_and_barrier_evaluation_per_linearization(self, monkeypatch, scenario):
+        cfg = OcpConfig(corridor=scenario.endswith("corridor"))
+        path = make_path(scenario)
+        controller = PathController(path, cfg, PARAMS)
+        x = state_on_path(path, -1.0, cfg.corridor)
+        linearized, path_calls, in_box = [], [], []
+
+        def recorded(owner, name, record):
+            original = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                out = original(*args, **kwargs)
+                record(args, out)
+                return out
+            monkeypatch.setattr(owner, name, call)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second evaluation of a visited point")
+        recorded(transcription.OcpProblem, "linearize", lambda args, _: linearized.append(args[1].copy()))
+        recorded(type(path), "point_and_derivative", lambda args, _: path_calls.append(1))
+        recorded(solver._Box, "barrier",
+                 lambda args, out: out[2] is not None and in_box.append(args[1].copy()))
+        for owner, name in ((transcription.OcpProblem, "residual"),
+                            (transcription.OcpProblem, "residual_jacobian"),
+                            (transcription.OcpProblem, "equality"),
+                            (paths.Path, "point"), (paths.Path, "derivative"),
+                            (paths.CorridorPath, "point"), (paths.CorridorPath, "derivative")):
+            monkeypatch.setattr(owner, name, refuse)
+
+        results = []
+        for _ in range(3):  # a cold step, then two warm ones
+            inp, nu, diag = controller.control_step(x)
+            results.append(diag.solve)
+            x = rk4_step(x, inp, cfg.delta, PARAMS)
+            controller.advance_path_state(nu, cfg.delta)
+        assert len(results) == 3 and all(r.status == CONVERGED for r in results)
+        assert len(linearized) > sum(r.iterations for r in results)
+        assert len(path_calls) == len(linearized)
+        # the in-box barrier evaluations are those of the linearized points,
+        # in the same order; out-of-box trials are not linearized
+        assert len(in_box) == len(linearized)
+        for a, b in zip(in_box, linearized):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestCorridorMode:

@@ -212,6 +212,12 @@ class TestRk4:
         with pytest.raises(ValueError):
             rk4_step_with_jacobians(np.zeros(9), np.zeros(4), dt, PARAMS)
 
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_rejects_non_finite_dt(self, dt):
+        for step in (rk4_step, rk4_step_with_jacobians):
+            with pytest.raises(ValueError, match="finite"):
+                step(np.zeros(9), np.zeros(4), dt, PARAMS)
+
     def test_step_with_jacobians_equals_step_bitwise(self):
         rng = np.random.default_rng(7)
         for batch in [(), (1,), (5,), (20,), (3, 4)]:

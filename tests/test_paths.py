@@ -78,6 +78,36 @@ class TestDerivatives:
         assert np.all(path.point(s)[:, 3] == 0.0)
 
 
+class TestPointAndDerivative:
+    """One evaluation gives both values, bitwise those of the two parts."""
+
+    @staticmethod
+    def offset(path, s):
+        # the corridor path also takes its offset parameter
+        return (np.full(np.shape(s), 0.3),) if isinstance(path, CorridorPath) else ()
+
+    @pytest.mark.parametrize("name", PATH_NAMES)
+    @pytest.mark.parametrize("s", [-0.37, np.linspace(-1.0, 0.0, 41)], ids=["scalar", "array"])
+    def test_equals_point_and_derivative_bitwise(self, name, s):
+        path = make_path(name)
+        offset = self.offset(path, s)
+        p, d = path.point_and_derivative(s, *offset)
+        for got, want in ((p, path.point(s, *offset)), (d, path.derivative(s))):
+            assert got.shape == want.shape == np.shape(s) + (4,)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", PATH_NAMES)
+    @pytest.mark.parametrize("s", [-1.2, 0.1, np.array([-0.5, 0.01])])
+    def test_rejects_out_of_domain(self, name, s):
+        path = make_path(name)
+        offset = self.offset(path, s)
+        for call in (lambda: path.point_and_derivative(s, *offset),
+                     lambda: path.point(s, *offset),
+                     lambda: path.derivative(s)):
+            with pytest.raises(ValueError, match=r"outside \[-1, 0\]"):
+                call()
+
+
 class TestNominalYawRate:
     def test_linear_in_rate(self):
         assert nominal_yaw_rate(-0.3, 0.0) == 0.0

@@ -14,11 +14,11 @@ from quadpath.solver import (
     solve,
     warm_start_shift,
 )
-from quadpath.solver import _newton_direction, _barrier_terms
+from quadpath.solver import _Box, _frozen_mask, _newton_direction
 from quadpath import transcription
 from quadpath.transcription import OcpConfig, build_ocp
 
-from oracles import kkt_residual
+from oracles import _barrier_terms, kkt_residual
 
 INF = np.inf
 
@@ -221,11 +221,12 @@ class TestEvaluations:
 
     def test_one_integration_per_point(self, monkeypatch):
         # the horizon problem integrates each visited point once, with its
-        # sensitivities, and never through the plain RK4 step
+        # sensitivities, in its one linearization pass, and never through
+        # the plain RK4 step
         prob = build_ocp(np.concatenate([make_path("spiral").point(-1.0)[:3], np.zeros(6)]),
                          np.array([-1.0, 1e-5]), make_path("spiral"), OcpConfig(), ModelParams())
         guess = prob.rollout()
-        calls = {"rk4_step": 0, "rk4_step_with_jacobians": 0, "residual": 0}
+        calls = {"rk4_step": 0, "rk4_step_with_jacobians": 0, "linearize": 0, "residual": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -237,11 +238,12 @@ class TestEvaluations:
 
         counted(transcription, "rk4_step")
         counted(transcription, "rk4_step_with_jacobians")
+        counted(prob, "linearize")
         counted(prob, "residual")
         res = solve(prob, guess)
         assert res.status == CONVERGED
-        assert calls["rk4_step"] == 0
-        assert calls["rk4_step_with_jacobians"] == calls["residual"] > res.iterations
+        assert calls["rk4_step"] == calls["residual"] == 0
+        assert calls["rk4_step_with_jacobians"] == calls["linearize"] > res.iterations
 
 
 class TestSecondOrderCorrection:
@@ -299,6 +301,73 @@ class TestFrozenCoordinates:
         res = solve(prob, np.array([0.0, 0.5]))
         assert res.status == CONVERGED
         assert abs(res.decision[0] - 2.0) < 1e-8
+
+
+class TestBoxIndexSets:
+    """The barrier on the box index sets, built once per solve, against the
+    full-length mask oracle, bit for bit."""
+
+    @staticmethod
+    def box(kind):
+        if kind == "ocp":
+            cfg = OcpConfig(horizon=20)
+            prob = build_ocp(np.zeros(9), np.array([-1.0, 1e-5]), make_path("spiral"), cfg, ModelParams())
+            return prob.lower, prob.upper
+        # both sides, upper only, lower only, neither, frozen; over 128
+        # faces a side, where the pairwise sum works in blocks
+        rng = np.random.default_rng(7)
+        lo = rng.uniform(-2.0, 0.0, 400)
+        hi = lo + rng.uniform(0.1, 3.0, 400)
+        sort = rng.integers(0, 5, 400)
+        lo[sort == 1] = -INF
+        hi[sort == 2] = INF
+        lo[sort == 3], hi[sort == 3] = -INF, INF
+        hi[sort == 4] = lo[sort == 4]
+        return lo, hi
+
+    @staticmethod
+    def interior_points(lo, hi, count):
+        rng = np.random.default_rng(3)
+        for _ in range(count):
+            u = rng.uniform(1e-9, 1.0, lo.size)
+            w = 5.0 * u - 2.5
+            w[np.isfinite(lo)] = lo[np.isfinite(lo)] + 10.0 * u[np.isfinite(lo)]
+            w[np.isfinite(hi)] = hi[np.isfinite(hi)] - 10.0 * u[np.isfinite(hi)]
+            both = np.isfinite(lo) & np.isfinite(hi)
+            w[both] = lo[both] + u[both] * (hi[both] - lo[both])
+            yield w
+
+    @pytest.mark.parametrize("kind", ["mixed", "ocp"])
+    def test_barrier_equals_mask_oracle_bitwise(self, kind):
+        lo, hi = self.box(kind)
+        free = ~_frozen_mask(lo, hi)
+        box = _Box(lo, hi, free)
+        for w in self.interior_points(lo, hi, 20):
+            value, grad, gap = box.barrier(w)
+            want_value, want_grad = _barrier_terms(w, lo, hi, free)
+            assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+            assert np.all(gap > 0.0)
+        for bound in (lo, hi):
+            on_face = w.copy()
+            face = np.flatnonzero(free & np.isfinite(bound))[0]
+            on_face[face] = bound[face]
+            assert box.barrier(on_face) == (INF, None, None)
+            assert _barrier_terms(on_face, lo, hi, free) == (INF, None)
+
+    def test_step_to_boundary_keeps_a_fraction_of_every_gap(self):
+        lo, hi = self.box("mixed")
+        free = ~_frozen_mask(lo, hi)
+        box = _Box(lo, hi, free)
+        w = next(self.interior_points(lo, hi, 1))
+        dw = np.random.default_rng(5).standard_normal(lo.size) * 100.0
+        _, _, gap = box.barrier(w)
+        alpha = box.step_to_boundary(gap, dw, 0.995)
+        assert 0.0 < alpha < 1.0
+        _, _, gap_new = box.barrier(w + alpha * dw)
+        # the nearest face keeps exactly the fraction, up to the cancellation
+        # in its new gap
+        assert np.min(gap_new / gap) == pytest.approx(1.0 - 0.995, rel=1e-9)
 
 
 class TestProjectInterior:
@@ -393,6 +462,20 @@ class TestWarmStartShift:
             z = np.clip(step_timing(z, V[0], cfg.delta),
                         [-1.0, cfg.s_dot_floor], [0.0, cfg.s_dot_max])
         assert np.median(warm_iters) <= np.median(cold_iters)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kkt_tolerance", float("nan")),
+    ("barrier_initial", INF),
+    ("merit_penalty", -INF),
+    ("regularization_floor", float("nan")),
+    ("max_iterations", 2.5),
+    ("max_iterations", True),
+    ("max_iterations", INF),
+])
+def test_settings_reject_non_finite_and_non_integer(field, value):
+    with pytest.raises(ValueError):
+        SolverSettings(**{field: value})
 
 
 def test_settings_validation():

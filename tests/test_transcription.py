@@ -4,7 +4,7 @@ import pytest
 from quadpath.dynamics import ModelParams
 from quadpath.paths import make_path
 from quadpath.simulate import run_scenario, scenario_config
-from quadpath.solver import _barrier_terms, _frozen_mask, _newton_direction, project_interior
+from quadpath.solver import _frozen_mask, _newton_direction, project_interior
 from quadpath.transcription import (
     DEFAULT_INPUT_BOUND,
     DEFAULT_STATE_LOWER,
@@ -15,6 +15,7 @@ from quadpath.transcription import (
 )
 
 from oracles import (
+    _barrier_terms,
     equality_jacobian_loop,
     quadrature_cost,
     residual_jacobian_loop,
