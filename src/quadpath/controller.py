@@ -169,9 +169,3 @@ class PathController:
             )
         self.path_state = clipped
         return self.path_state.copy()
-
-    def reference_point(self) -> np.ndarray:
-        """Path point at the controller's current progress."""
-        if self.config.corridor:
-            return self.path.point(self.path_state[0], self.path_state[1])
-        return self.path.point(self.path_state[0])

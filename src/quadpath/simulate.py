@@ -194,7 +194,6 @@ class StepRecord:
     solve_iterations: int
     solve_time_ms: float
     status: str
-    clamped: bool
 
 
 @dataclass
@@ -300,7 +299,6 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
             solve_iterations=diag.solve.iterations,
             solve_time_ms=1e3 * diag.solve.solve_time,
             status=diag.solve.status,
-            clamped=bool(diag.clamp_events),
         ))
         position_history.append(measured[0:3].copy())
         del position_history[:-8]
@@ -438,28 +436,32 @@ def export_csv(log: SimLog, path: str) -> None:
         raise OSError(f"failed to write log to {path!r}: {exc}") from exc
 
 
+# RunMetrics field -> summary.json key, in the order of the file
+_SUMMARY_KEYS = (
+    ("scenario", "scenario"),
+    ("path_name", "path"),
+    ("s_dot_max", "s_dot_max"),
+    ("config_hash", "config_hash"),
+    ("rms_position_error", "rms_position_error_m"),
+    ("max_abs_yaw_rate", "max_abs_yaw_rate_rad_s"),
+    ("time_to_path_end", "time_to_path_end_s"),
+    ("constraint_violation_max", "constraint_violation_max"),
+    ("mean_solver_iters", "mean_solver_iters"),
+    ("max_solver_iters", "max_solver_iters"),
+    ("mean_solve_time_ms", "mean_solve_time_ms"),
+    ("max_solve_time_ms", "max_solve_time_ms"),
+    ("failures", "failures"),
+    ("steps", "steps"),
+    ("max_abs_s2", "max_abs_s2"),
+    ("terminal_abs_s2", "terminal_abs_s2"),
+)
+
+
 def summarize_json(metrics: RunMetrics, path: str) -> None:
     """Flat JSON summary of a completed run."""
     if metrics.steps == 0:
         raise ValueError("refusing to summarize an empty run")
-    doc = {
-        "scenario": metrics.scenario,
-        "path": metrics.path_name,
-        "s_dot_max": metrics.s_dot_max,
-        "config_hash": metrics.config_hash,
-        "rms_position_error_m": metrics.rms_position_error,
-        "max_abs_yaw_rate_rad_s": metrics.max_abs_yaw_rate,
-        "time_to_path_end_s": metrics.time_to_path_end,
-        "constraint_violation_max": metrics.constraint_violation_max,
-        "mean_solver_iters": metrics.mean_solver_iters,
-        "max_solver_iters": metrics.max_solver_iters,
-        "mean_solve_time_ms": metrics.mean_solve_time_ms,
-        "max_solve_time_ms": metrics.max_solve_time_ms,
-        "failures": metrics.failures,
-        "steps": metrics.steps,
-        "max_abs_s2": metrics.max_abs_s2,
-        "terminal_abs_s2": metrics.terminal_abs_s2,
-    }
+    doc = {key: getattr(metrics, name) for name, key in _SUMMARY_KEYS}
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
@@ -472,21 +474,4 @@ def metrics_from_summary(path: str) -> RunMetrics:
     """Rebuild RunMetrics from an exported summary (for the compare CLI)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return RunMetrics(
-        scenario=doc["scenario"],
-        path_name=doc["path"],
-        s_dot_max=doc["s_dot_max"],
-        config_hash=doc["config_hash"],
-        rms_position_error=doc["rms_position_error_m"],
-        max_abs_yaw_rate=doc["max_abs_yaw_rate_rad_s"],
-        time_to_path_end=doc["time_to_path_end_s"],
-        constraint_violation_max=doc["constraint_violation_max"],
-        mean_solver_iters=doc["mean_solver_iters"],
-        max_solver_iters=doc["max_solver_iters"],
-        mean_solve_time_ms=doc["mean_solve_time_ms"],
-        max_solve_time_ms=doc["max_solve_time_ms"],
-        failures=doc["failures"],
-        steps=doc["steps"],
-        max_abs_s2=doc["max_abs_s2"],
-        terminal_abs_s2=doc["terminal_abs_s2"],
-    )
+    return RunMetrics(**{name: doc[key] for name, key in _SUMMARY_KEYS})

@@ -21,8 +21,8 @@ strictly interior, so the problem is never evaluated outside the box.
 Each point is linearized once, at the start and at every line-search trial
 inside the box: the values and Jacobians of the accepted trial are those of
 the next iterate.  The barrier is evaluated once per visited point as well,
-on index sets of the finite bounds built once per solve, and its value and
-gradient travel with the linearization.
+on the faces of the problem's :class:`Box`, and its value and gradient
+travel with the linearization.
 
 Along a full Gauss-Newton step the equality gaps grow quadratically (the
 Maratos effect), so the l1 merit can reject steps that are good.  When the
@@ -47,23 +47,27 @@ the dense KKT matrix, and the horizon problem
 its states out.
 Degenerate box entries with lb == ub are treated as frozen variables: they
 never move, carry no barrier term, and equality rows that involve only
-frozen variables are dropped when trivially satisfied.
+frozen variables are dropped when trivially satisfied.  The box is a
+:class:`Box`, which the problem builds once: its frozen mask, faces and
+projection margins are fixed for every solve of that problem (for the
+horizon problem, of every problem of one controller).
 
 Problem objects must expose:
 
-- ``n``, ``lower`` and ``upper``;
+- ``n`` and ``box``, a :class:`Box`;
 - ``linearize(w) -> (r, c, blocks)``: the residual and the equality
   values at a point, and the problem's own representation ``blocks`` of
   their Jacobians ``J`` and ``A`` there, which the solver only passes back;
 - ``jt_dot(blocks, v)`` and ``at_dot(blocks, v)``: the products ``J^T v``
   and ``A^T v``;
-- ``keep_rows(blocks, free)``: the mask of equality rows that involve a
-  variable of the ``free`` mask;
-- ``kkt_step(blocks, g, c, sigma, free, keep, reg) -> (dw, lam)``: the step
+- ``keep_rows(blocks)``: the mask of equality rows that involve a
+  variable of the ``box.free`` mask;
+- ``kkt_step(blocks, g, c, sigma, keep, reg) -> (dw, lam)``: the step
   and the equality multipliers that solve the KKT system with Hessian
   ``2 J^T J + diag(sigma)`` plus ``reg`` on the diagonal, gradient ``g``
-  and linearized equalities ``A dw + c = 0``, on the ``free`` entries and
-  the ``keep`` rows (``dw`` is zero off ``free`` and ``lam`` off ``keep``);
+  and linearized equalities ``A dw + c = 0``, on the ``box.free`` entries
+  and the ``keep`` rows (``dw`` is zero off ``box.free`` and ``lam`` off
+  ``keep``);
   it raises ``numpy.linalg.LinAlgError`` when the system is singular.
 """
 
@@ -81,6 +85,8 @@ MAX_ITERATIONS = "max-iterations"
 LINESEARCH_FAILURE = "linesearch-failure"
 
 _FROZEN_TOL = 1e-12
+# the margin inside the box of a warm start (warm_start_shift's projection)
+_WARM_MARGIN = 1e-6
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 _MAX_REG_ESCALATIONS = 24
@@ -125,6 +131,82 @@ class SolveResult:
     multipliers: np.ndarray
 
 
+class Box:
+    """The box ``lower <= w <= upper`` of a problem, decided once.
+
+    An entry with finite bounds at most 1e-12 apart is frozen: it sits at
+    the middle of its bounds and carries no barrier term.  The finite bounds
+    of the ``free`` entries are the faces, stacked lower faces first, then
+    upper ones, with their indices ``idx``, bounds ``bound`` and signs
+    ``sign``; the projection, the barrier and the step to the boundary work
+    on them without full-length masks.  Every array is read-only.
+    """
+
+    def __init__(self, lower, upper):
+        lower = np.array(lower, dtype=float)
+        upper = np.array(upper, dtype=float)
+        if lower.ndim != 1 or lower.shape != upper.shape:
+            raise ValueError("lower and upper must be vectors of one length")
+        both = np.isfinite(lower) & np.isfinite(upper)
+        frozen = both & (upper - lower <= _FROZEN_TOL)
+        free = ~frozen
+        lo_idx = np.flatnonzero(free & np.isfinite(lower))
+        hi_idx = np.flatnonzero(free & np.isfinite(upper))
+        self.lower, self.upper, self.free = lower, upper, free
+        self.n = lower.size
+        self.n_lo = lo_idx.size
+        self.idx = np.concatenate([lo_idx, hi_idx])
+        self.bound = np.concatenate([lower[lo_idx], upper[hi_idx]])
+        # the gap to a face is sign * (w - bound), which for an upper face
+        # is upper - w bit for bit while it is nonzero; a step approaches a
+        # face at -sign * dw
+        self.sign = np.concatenate([np.ones(lo_idx.size), -np.ones(hi_idx.size)])
+        self.neg_sign = -self.sign
+        self.two_sided = both[self.idx]
+        self.width = (upper - lower)[self.idx]
+        self.frozen_idx = np.flatnonzero(frozen)
+        self.pin = 0.5 * (lower[self.frozen_idx] + upper[self.frozen_idx])
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def project(self, w, margin_scale: float) -> np.ndarray:
+        """A copy of ``w`` strictly inside the box, frozen entries at their
+        pins.
+
+        Each face moves in by ``margin_scale`` times its entry's bound range,
+        capped at a quarter of the range, or by ``margin_scale`` itself when
+        the entry is bounded on one side only.
+        """
+        w = np.array(w, dtype=float)
+        width = self.width
+        margin = np.where(self.two_sided, np.minimum(margin_scale * width, 0.25 * width), margin_scale)
+        k = self.n_lo
+        lo_idx, hi_idx = self.idx[:k], self.idx[k:]
+        w[lo_idx] = np.maximum(w[lo_idx], self.bound[:k] + margin[:k])
+        w[hi_idx] = np.minimum(w[hi_idx], self.bound[k:] - margin[k:])
+        w[self.frozen_idx] = self.pin
+        return w
+
+    def barrier(self, w):
+        """``(value, gradient, gaps)`` of the log barrier at ``w``;
+        ``(inf, None, None)`` unless every gap is positive."""
+        gap = self.sign * (w[self.idx] - self.bound)
+        if np.any(gap <= 0.0):
+            return np.inf, None, None
+        logs = np.log(gap)
+        # one sum per side: a single sum over both would round differently
+        value = -(np.sum(logs[:self.n_lo]) + np.sum(logs[self.n_lo:]))
+        return value, np.bincount(self.idx, self.neg_sign / gap, self.n), gap
+
+    def step_to_boundary(self, gap, dw, tau: float) -> float:
+        """Largest step along ``dw`` (at most 1) that keeps a fraction
+        ``1 - tau`` of every gap."""
+        approach = self.neg_sign * dw[self.idx]
+        hit = approach > 0.0
+        return max(min(1.0, tau * np.min(gap[hit] / approach[hit], initial=np.inf)), 0.0)
+
+
 @dataclass
 class DenseNlp:
     """Minimal problem container for standalone (non-OCP) optimizations."""
@@ -141,8 +223,7 @@ class DenseNlp:
         if self.equality is None:
             self.equality = lambda w: np.zeros(0)
             self.equality_jacobian = lambda w: np.zeros((0, self.n))
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
+        self.box = Box(self.lower, self.upper)
 
     def linearize(self, w):
         """``(r, c, (J, A))`` at ``w`` from the four callables."""
@@ -154,42 +235,17 @@ class DenseNlp:
     def at_dot(self, blocks, v):
         return blocks[1].T @ v
 
-    def keep_rows(self, blocks, free):
+    def keep_rows(self, blocks):
         """Rows with an entry above 1e-14 on a free variable at this point."""
-        return np.max(np.abs(blocks[1][:, free]), axis=1, initial=0.0) > 1e-14
+        return np.max(np.abs(blocks[1][:, self.box.free]), axis=1, initial=0.0) > 1e-14
 
-    def kkt_step(self, blocks, g, c, sigma, free, keep, reg):
+    def kkt_step(self, blocks, g, c, sigma, keep, reg):
         """Newton step of the dense KKT system with Hessian ``2 J^T J + sigma``
         (see :func:`_newton_direction`)."""
         J, A = blocks
         h = 2.0 * (J.T @ J)
         h[np.diag_indices_from(h)] += sigma
-        return _newton_direction(h, g, A, c, free, keep, reg)
-
-
-def _frozen_mask(lower, upper) -> np.ndarray:
-    return np.isfinite(lower) & np.isfinite(upper) & (upper - lower <= _FROZEN_TOL)
-
-
-def project_interior(w, lower, upper, margin_scale: float = 1e-6) -> np.ndarray:
-    """Project a point strictly inside the box (frozen entries go to the pin).
-
-    The margin is ``margin_scale`` times the bound range (capped at a quarter
-    of the range for narrow boxes, and an absolute ``margin_scale`` for
-    one-sided bounds).
-    """
-    w = np.array(w, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    frozen = _frozen_mask(lo, hi)
-    rng = hi - lo
-    both = np.isfinite(lo) & np.isfinite(hi) & ~frozen
-    margin = np.where(both, np.minimum(margin_scale * rng, 0.25 * rng), margin_scale)
-    lo_eff = np.where(np.isfinite(lo), lo + margin, -np.inf)
-    hi_eff = np.where(np.isfinite(hi), hi - margin, np.inf)
-    w = np.clip(w, lo_eff, hi_eff)
-    w[frozen] = 0.5 * (lo[frozen] + hi[frozen])
-    return w
+        return _newton_direction(h, g, A, c, self.box.free, keep, reg)
 
 
 def _barrier_schedule(settings: SolverSettings) -> list[float]:
@@ -219,49 +275,12 @@ def _newton_direction(h, g, a, c, free, keep_rows, reg):
     return dw, lam_new
 
 
-class _Box:
-    """The finite bounds on free entries, stacked as faces: the lower faces
-    first, then the upper ones.  Built once per solve, it gives the gaps,
-    the barrier and the step to the boundary without full-length masks."""
-
-    def __init__(self, lower, upper, free):
-        lo_idx = np.flatnonzero(free & np.isfinite(lower))
-        hi_idx = np.flatnonzero(free & np.isfinite(upper))
-        self.n = lower.size
-        self.n_lo = lo_idx.size
-        self.idx = np.concatenate([lo_idx, hi_idx])
-        self.bound = np.concatenate([lower[lo_idx], upper[hi_idx]])
-        # the gap to a face is sign * (w - bound), which for an upper face
-        # is upper - w bit for bit while it is nonzero; a step approaches a
-        # face at -sign * dw
-        self.sign = np.concatenate([np.ones(lo_idx.size), -np.ones(hi_idx.size)])
-        self.neg_sign = -self.sign
-
-    def barrier(self, w):
-        """``(value, gradient, gaps)`` of the log barrier at ``w``;
-        ``(inf, None, None)`` unless every gap is positive."""
-        gap = self.sign * (w[self.idx] - self.bound)
-        if np.any(gap <= 0.0):
-            return np.inf, None, None
-        logs = np.log(gap)
-        # one sum per side: a single sum over both would round differently
-        value = -(np.sum(logs[:self.n_lo]) + np.sum(logs[self.n_lo:]))
-        return value, np.bincount(self.idx, self.neg_sign / gap, self.n), gap
-
-    def step_to_boundary(self, gap, dw, tau: float) -> float:
-        """Largest step along ``dw`` (at most 1) that keeps a fraction
-        ``1 - tau`` of every gap."""
-        approach = self.neg_sign * dw[self.idx]
-        hit = approach > 0.0
-        return max(min(1.0, tau * np.min(gap[hit] / approach[hit], initial=np.inf)), 0.0)
-
-
 class _BoundDuals:
-    """Multiplier estimates ``z`` for the faces of a :class:`_Box` (the
+    """Multiplier estimates ``z`` for the faces of a :class:`Box` (the
     primal-dual device); every method takes the gaps at the current point.
     The first barrier stage sets them by :meth:`recenter`."""
 
-    def __init__(self, box: _Box):
+    def __init__(self, box: Box):
         self.box = box
         self.z = None
 
@@ -300,10 +319,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
     """
     t_start = time.perf_counter()
     st = settings if settings is not None else SolverSettings()
-    lo = np.asarray(problem.lower, dtype=float)
-    hi = np.asarray(problem.upper, dtype=float)
-    frozen = _frozen_mask(lo, hi)
-    free = ~frozen
+    box = problem.box
     if multipliers is None:
         # push the start away from the box faces proportionally to the first
         # barrier weight: Newton leaves a near-active bound only geometrically,
@@ -312,13 +328,12 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
     else:
         # a warm guess is a shifted optimum already projected by
         # warm_start_shift: keep its active bounds where they are
-        push = 1e-6
-    w = project_interior(np.asarray(initial_guess, dtype=float), lo, hi, push)
+        push = _WARM_MARGIN
+    w = box.project(initial_guess, push)
 
     # r, c and blocks always hold the linearization at w, and bval, bgrad
     # and gap its barrier: the accepted line-search trial computed both at
     # the point the step moves to
-    box = _Box(lo, hi, free)
     r, c, blocks = problem.linearize(w)
     bval, bgrad, gap = box.barrier(w)
     m = c.shape[0]
@@ -360,7 +375,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
         duals.recenter(gap, mu)
         while True:
             g = 2.0 * problem.jt_dot(blocks, r) + mu * bgrad
-            stat = float(np.max(np.abs((g + problem.at_dot(blocks, lam))[free]), initial=0.0))
+            stat = float(np.max(np.abs((g + problem.at_dot(blocks, lam))[box.free]), initial=0.0))
             eq_val = float(np.max(np.abs(c), initial=0.0))
             kkt_val = max(stat, eq_val)
             if kkt_val <= stage_tol:
@@ -369,7 +384,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
                 return _finish(MAX_ITERATIONS)
 
             # rows acting only on frozen coordinates must hold already
-            keep = problem.keep_rows(blocks, free)
+            keep = problem.keep_rows(blocks)
             if np.any(~keep & (np.abs(c) > 1e-9)):
                 return _finish(LINESEARCH_FAILURE)
 
@@ -379,7 +394,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
             direction = None
             for _ in range(_MAX_REG_ESCALATIONS):
                 try:
-                    dw, lam_new = problem.kkt_step(blocks, g, c, sigma, free, keep, reg)
+                    dw, lam_new = problem.kkt_step(blocks, g, c, sigma, keep, reg)
                 except np.linalg.LinAlgError:
                     reg = max(st.regularization_floor, reg * 10.0) if reg else st.regularization_floor
                     continue
@@ -423,7 +438,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
                     # the l1 merit reject it; re-solve with the trial's gaps
                     # and accept the corrected point on the same Armijo bound
                     try:
-                        dw_soc, lam_soc = problem.kkt_step(blocks, g, alpha * c + lin[1], sigma, free, keep, reg)
+                        dw_soc, lam_soc = problem.kkt_step(blocks, g, alpha * c + lin[1], sigma, keep, reg)
                     except np.linalg.LinAlgError:
                         pass
                     else:
@@ -471,4 +486,4 @@ def warm_start_shift(previous: SolveResult, problem_new) -> np.ndarray:
     Z_new = np.vstack([Z[1:], problem_new.step_timing(Z[-1], V[-1])])
     V_new = np.vstack([V[1:], V[-1]])
     w = problem_new.pack(X_new, U_new, Z_new, V_new)
-    return project_interior(w, problem_new.lower, problem_new.upper)
+    return problem_new.box.project(w, _WARM_MARGIN)

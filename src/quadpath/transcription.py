@@ -26,8 +26,8 @@ and the constant timing blocks.  The products the solver needs (``J^T v``,
 ``A^T v`` and the kept equality rows) and the Newton step, which condenses
 the shooting states out of the KKT system and solves for the inputs alone,
 work on those blocks.  Everything that does not depend on the pins (layout,
-index arrays, constant blocks, the box) lives in a read-only
-:class:`OcpStructure` that a controller builds once.
+index arrays, constant blocks, the box and the equality rows it keeps)
+lives in a read-only :class:`OcpStructure` that a controller builds once.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .dynamics import (
     sensitivity_pattern,
 )
 from .paths import CorridorPath, Path, path_error, step_timing, timing_matrices
+from .solver import Box
 
 INF = np.inf
 
@@ -193,10 +194,10 @@ class StageBlocks(NamedTuple):
 class OcpStructure:
     """Everything of a horizon problem that does not depend on its pins.
 
-    The layout and index arrays, the constant Jacobian blocks and the box
-    are fixed by the configuration and the path.  A controller builds one
-    structure and shares it between the problems of its control steps; all
-    of its arrays are read-only.
+    The layout and index arrays, the constant Jacobian blocks, the box and
+    the kept equality rows ``keep`` are fixed by the configuration and the
+    path.  A controller builds one structure and shares it between the
+    problems of its control steps; all of its arrays are read-only.
     """
 
     def __init__(self, path, config: OcpConfig):
@@ -276,33 +277,27 @@ class OcpStructure:
         # the barrier never conflicts with the measurement
         zlo, zhi = config.z_bounds()
         vlo, vhi = config.nu_bounds()
-        self.lower = np.concatenate([np.tile(config.state_lower, N + 1), np.tile(config.input_lower, N),
-                                     np.tile(zlo, N + 1), np.tile(vlo, N)])
-        self.upper = np.concatenate([np.tile(config.state_upper, N + 1), np.tile(config.input_upper, N),
-                                     np.tile(zhi, N + 1), np.tile(vhi, N)])
-        self.lower[self.state_idx[0]] = -INF
-        self.upper[self.state_idx[0]] = INF
+        lower = np.concatenate([np.tile(config.state_lower, N + 1), np.tile(config.input_lower, N),
+                                np.tile(zlo, N + 1), np.tile(vlo, N)])
+        upper = np.concatenate([np.tile(config.state_upper, N + 1), np.tile(config.input_upper, N),
+                                np.tile(zhi, N + 1), np.tile(vhi, N)])
+        lower[self.state_idx[0]] = -INF
+        upper[self.state_idx[0]] = INF
+        self.box = Box(lower, upper)
+
+        # the equality rows that involve a free variable, by the block
+        # structure: a pin or gap row whose own state is free, or a gap row
+        # whose transition can reach a free state or input
+        fs, fq = self.box.free[self.state_idx], self.box.free[self.input_idx]
+        ks = fs.copy()
+        ks[1:] |= np.any(self.f_pattern & fs[:-1, None, :], axis=2)
+        ks[1:] |= np.any(self.g_pattern & fq[:, None, :], axis=2)
+        self.keep = np.empty(self.m_eq, dtype=bool)
+        self.keep[self.row_idx] = ks
 
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-        self._keep = None
-
-    def keep_rows(self, free) -> np.ndarray:
-        """Equality rows that involve a free variable, by the block
-        structure: a pin or gap row whose own state is free, or a gap row
-        whose transition can reach a free state or input.  Computed once per
-        ``free`` mask."""
-        if self._keep is None or not np.array_equal(self._keep[0], free):
-            fs, fq = free[self.state_idx], free[self.input_idx]
-            ks = fs.copy()
-            ks[1:] |= np.any(self.f_pattern & fs[:-1, None, :], axis=2)
-            ks[1:] |= np.any(self.g_pattern & fq[:, None, :], axis=2)
-            keep = np.empty(self.m_eq, dtype=bool)
-            keep[self.row_idx] = ks
-            keep.flags.writeable = False
-            self._keep = (np.array(free), keep)
-        return self._keep[1]
 
 
 class OcpProblem:
@@ -328,7 +323,7 @@ class OcpProblem:
         self.path = path
         for name in ("n_x", "n_u", "n_z", "n_nu", "n", "m_eq", "n_res_q", "n_res_r", "m_res"):
             setattr(self, name, getattr(structure, name))
-        self.lower, self.upper = structure.lower, structure.upper
+        self.box = structure.box
         self.x0 = np.asarray(x0, dtype=float).copy()
         self.z0 = np.asarray(z0, dtype=float).copy()
         if self.x0.shape != (N_STATES,):
@@ -539,14 +534,14 @@ class OcpProblem:
         out[st.state_idx] = vs
         return out
 
-    def keep_rows(self, blocks: StageBlocks, free) -> np.ndarray:
+    def keep_rows(self, blocks: StageBlocks) -> np.ndarray:
         """Equality rows that involve a free variable; they follow from the
-        block structure alone (:meth:`OcpStructure.keep_rows`)."""
-        return self.structure.keep_rows(free)
+        block structure alone (:attr:`OcpStructure.keep`)."""
+        return self.structure.keep
 
     # ----- Newton step by condensing ------------------------------------------
 
-    def kkt_step(self, blocks: StageBlocks, g, c, sigma, free, keep, reg):
+    def kkt_step(self, blocks: StageBlocks, g, c, sigma, keep, reg):
         """Gauss-Newton step ``(dw, lam)`` with the states condensed out.
 
         Solves the same system as the dense route of the solver, whose
@@ -564,6 +559,7 @@ class OcpProblem:
         N = self.config.horizon
         st = self.structure
         si, qi, ri = st.state_idx, st.input_idx, st.row_idx
+        free = self.box.free
         ns, nqi = si.shape[1], qi.shape[1]
         nq = N * nqi
 

@@ -12,7 +12,10 @@ computes another way:
   demands at a given progress rate;
 - ``kkt_residual`` is a standalone stationarity measure for a solve result;
 - ``_barrier_terms`` is the log barrier over full-length masks, against
-  the solver's barrier on the box index sets;
+  the barrier on the faces of ``solver.Box``;
+- ``frozen_mask`` and ``project_interior`` are the frozen entries and the
+  interior projection over full-length masks, against ``Box.free`` and the
+  face-wise ``Box.project``;
 - ``residual_jacobian_loop`` and ``equality_jacobian_loop`` build the
   dense residual and equality Jacobians stage by stage, with the same
   arithmetic as the stage blocks of ``OcpProblem.linearize``, so the dense
@@ -39,7 +42,6 @@ from quadpath.dynamics import (
     rk4_step_with_jacobians,
 )
 from quadpath.paths import path_error
-from quadpath.solver import _frozen_mask
 from quadpath.transcription import OcpConfig
 
 
@@ -99,6 +101,32 @@ def nominal_yaw_rate(s, s_dot):
     return rate
 
 
+def frozen_mask(lower, upper) -> np.ndarray:
+    """Entries with finite bounds at most 1e-12 apart."""
+    return np.isfinite(lower) & np.isfinite(upper) & (upper - lower <= 1e-12)
+
+
+def project_interior(w, lower, upper, margin_scale: float = 1e-6) -> np.ndarray:
+    """Project a point strictly inside the box (frozen entries go to the pin).
+
+    The margin is ``margin_scale`` times the bound range (capped at a quarter
+    of the range for narrow boxes, and an absolute ``margin_scale`` for
+    one-sided bounds).
+    """
+    w = np.array(w, dtype=float)
+    lo = np.asarray(lower, dtype=float)
+    hi = np.asarray(upper, dtype=float)
+    frozen = frozen_mask(lo, hi)
+    rng = hi - lo
+    both = np.isfinite(lo) & np.isfinite(hi) & ~frozen
+    margin = np.where(both, np.minimum(margin_scale * rng, 0.25 * rng), margin_scale)
+    lo_eff = np.where(np.isfinite(lo), lo + margin, -np.inf)
+    hi_eff = np.where(np.isfinite(hi), hi - margin, np.inf)
+    w = np.clip(w, lo_eff, hi_eff)
+    w[frozen] = 0.5 * (lo[frozen] + hi[frozen])
+    return w
+
+
 def _barrier_terms(w, lower, upper, active):
     """Barrier value and gradient over the active mask (inf when infeasible)."""
     lo_gap = np.where(active & np.isfinite(lower), w - lower, np.inf)
@@ -119,9 +147,8 @@ def kkt_residual(problem, point, multipliers, mu: float) -> float:
     (frozen coordinates must sit on their pin).
     """
     w = np.asarray(point, dtype=float)
-    lo = np.asarray(problem.lower, dtype=float)
-    hi = np.asarray(problem.upper, dtype=float)
-    frozen = _frozen_mask(lo, hi)
+    lo, hi = problem.box.lower, problem.box.upper
+    frozen = frozen_mask(lo, hi)
     active = ~frozen
     if np.any(active & np.isfinite(lo) & (w <= lo)) or np.any(active & np.isfinite(hi) & (w >= hi)):
         raise ValueError("point is not strictly interior to the box bounds")

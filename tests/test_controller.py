@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from quadpath.controller import PathController
 from quadpath.dynamics import ModelParams, rk4_step
 from quadpath.paths import make_path
 from quadpath.simulate import run_scenario, scenario_config
-from quadpath.solver import CONVERGED, SolverSettings, warm_start_shift
+from quadpath.solver import CONVERGED, MAX_ITERATIONS, SolveResult, SolverSettings, warm_start_shift
 from quadpath.transcription import OcpConfig, build_ocp
 
 PARAMS = ModelParams()
@@ -241,12 +242,103 @@ class TestStageBlockedPath:
         first, second = built
         assert first is not second
         assert first.structure is second.structure is controller.structure
-        assert first.lower is second.lower and first.upper is second.upper
-        arrays = [v for v in vars(first.structure).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) > 15
+        assert first.box is second.box is controller.structure.box
+        arrays = [v for owner in (first.structure, first.box) for v in vars(owner).values()
+                  if isinstance(v, np.ndarray) and v.size]
+        assert len(arrays) > 20
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+    def test_one_box_per_controller(self, monkeypatch):
+        # a cold step and two warm ones on each of two controllers
+        built = []
+        original = solver.Box.__init__
+
+        def counted(box, *args, **kwargs):
+            built.append(box)
+            original(box, *args, **kwargs)
+        monkeypatch.setattr(solver.Box, "__init__", counted)
+        for count in (1, 2):
+            controller, cfg = spiral_controller()
+            results = self.fly(controller, cfg, 3)
+            assert all(r.status == CONVERGED for r in results)
+            assert len(built) == count
+            assert built[-1] is controller.structure.box
+
+
+class TestFallbackChain:
+    """The attempts of ``control_step`` after an unconverged warm solve: the
+    cold rollout, then the rollout at the floor barrier weight."""
+
+    @staticmethod
+    def second_step(monkeypatch, failing):
+        """A cold control step, then a second one in which the attempts
+        named in ``failing`` (``"warm"``, ``"cold"``, ``"floor"``) report
+        ``max-iterations``; returns the controller, the second step's
+        attempts ``(kind, problem, guess, result)`` and its diagnostics."""
+        controller, cfg = spiral_controller()
+        x = state_on_path(controller.path, -1.0)
+        inp, nu, _ = controller.control_step(x)
+        x = rk4_step(x, inp, cfg.delta, PARAMS)
+        controller.advance_path_state(nu, cfg.delta)
+
+        attempts = []
+        original = controller_module.solve
+
+        def patched(problem, guess, settings=None, multipliers=None, log=None):
+            if multipliers is not None:
+                kind = "warm"
+            elif settings is controller.settings:
+                kind = "cold"
+            else:
+                assert settings is controller._warm_settings
+                kind = "floor"
+            result = original(problem, guess, settings, multipliers=multipliers, log=log)
+            if kind in failing:
+                result = replace(result, status=MAX_ITERATIONS)
+            attempts.append((kind, problem, guess.copy(), result))
+            return result
+        monkeypatch.setattr(controller_module, "solve", patched)
+        _, _, diag = controller.control_step(x)
+        return controller, attempts, diag
+
+    def test_cold_and_floor_rollouts_share_the_problem_and_box(self, monkeypatch):
+        controller, attempts, diag = self.second_step(monkeypatch, {"warm", "cold"})
+        assert [a[0] for a in attempts] == ["warm", "cold", "floor"]
+        problem = attempts[0][1]
+        assert all(a[1] is problem for a in attempts)
+        assert problem.box is controller.structure.box
+        cold_guess, floor_guess = attempts[1][2], attempts[2][2]
+        assert cold_guess.tobytes() == floor_guess.tobytes() == problem.rollout().tobytes()
+        assert controller._warm_settings.barrier_initial == 10.0 * controller.settings.barrier_floor
+        # the floor attempt converged, so it is kept and the step succeeds
+        assert attempts[2][3].status == CONVERGED
+        assert diag.solve is attempts[2][3] and not diag.failure
+
+    def test_best_keeps_a_converged_attempt(self, monkeypatch):
+        _, attempts, diag = self.second_step(monkeypatch, {"warm"})
+        assert [a[0] for a in attempts] == ["warm", "cold"]
+        assert attempts[1][3].status == CONVERGED
+        assert diag.solve is attempts[1][3] and not diag.failure
+
+    def test_best_prefers_convergence_then_the_smaller_kkt_residual(self):
+        def result(status, kkt):
+            return SolveResult(np.zeros(1), status, kkt, 0.0, 1, 0.0, np.zeros(0))
+        best = controller_module.PathController._best
+        converged = result(CONVERGED, 1e-7)
+        loose, tight = result(MAX_ITERATIONS, 1e-3), result(MAX_ITERATIONS, 1e-9)
+        assert best(tight, converged) is converged and best(converged, tight) is converged
+        assert best(loose, tight) is tight and best(tight, loose) is tight
+        other = result(CONVERGED, 1e-8)
+        assert best(converged, other) is other and best(other, converged) is other
+
+    def test_failure_only_when_every_attempt_fails(self, monkeypatch):
+        _, attempts, diag = self.second_step(monkeypatch, {"warm", "cold", "floor"})
+        assert [a[0] for a in attempts] == ["warm", "cold", "floor"]
+        assert diag.failure
+        results = [a[3] for a in attempts]
+        assert diag.solve is min(results, key=lambda r: r.kkt_residual)
 
 
 class TestOnePassPerPoint:
@@ -274,7 +366,7 @@ class TestOnePassPerPoint:
             raise AssertionError("a second evaluation of a visited point")
         recorded(transcription.OcpProblem, "linearize", lambda args, _: linearized.append(args[1].copy()))
         recorded(type(path), "point_and_derivative", lambda args, _: path_calls.append(1))
-        recorded(solver._Box, "barrier",
+        recorded(solver.Box, "barrier",
                  lambda args, out: out[2] is not None and in_box.append(args[1].copy()))
         for owner, name in ((transcription.OcpProblem, "residual"),
                             (transcription.OcpProblem, "residual_jacobian"),

@@ -8,17 +8,17 @@ from quadpath.dynamics import ModelParams, rk4_step
 from quadpath.paths import make_path, step_timing
 from quadpath.solver import (
     CONVERGED,
+    Box,
     DenseNlp,
     SolverSettings,
-    project_interior,
     solve,
     warm_start_shift,
 )
-from quadpath.solver import _Box, _frozen_mask, _newton_direction
+from quadpath.solver import _newton_direction
 from quadpath import transcription
 from quadpath.transcription import OcpConfig, build_ocp
 
-from oracles import _barrier_terms, kkt_residual
+from oracles import _barrier_terms, frozen_mask, kkt_residual, project_interior
 
 INF = np.inf
 
@@ -143,7 +143,7 @@ class TestGlobalization:
         c = prob.equality(w)
         A = prob.equality_jacobian(w)
         mu = 1e-2
-        _, bgrad = _barrier_terms(w, prob.lower, prob.upper, np.ones(2, bool))
+        _, bgrad = _barrier_terms(w, prob.box.lower, prob.box.upper, np.ones(2, bool))
         g = 2.0 * J.T @ r + mu * bgrad
         h = 2.0 * J.T @ J + np.eye(2) * 1e-8
         free = np.ones(2, dtype=bool)
@@ -304,15 +304,15 @@ class TestFrozenCoordinates:
 
 
 class TestBoxIndexSets:
-    """The barrier on the box index sets, built once per solve, against the
-    full-length mask oracle, bit for bit."""
+    """The barrier on the faces of a :class:`Box`, built once per problem,
+    against the full-length mask oracle, bit for bit."""
 
     @staticmethod
     def box(kind):
         if kind == "ocp":
             cfg = OcpConfig(horizon=20)
             prob = build_ocp(np.zeros(9), np.array([-1.0, 1e-5]), make_path("spiral"), cfg, ModelParams())
-            return prob.lower, prob.upper
+            return prob.box.lower, prob.box.upper
         # both sides, upper only, lower only, neither, frozen; over 128
         # faces a side, where the pairwise sum works in blocks
         rng = np.random.default_rng(7)
@@ -340,8 +340,9 @@ class TestBoxIndexSets:
     @pytest.mark.parametrize("kind", ["mixed", "ocp"])
     def test_barrier_equals_mask_oracle_bitwise(self, kind):
         lo, hi = self.box(kind)
-        free = ~_frozen_mask(lo, hi)
-        box = _Box(lo, hi, free)
+        free = ~frozen_mask(lo, hi)
+        box = Box(lo, hi)
+        assert np.array_equal(box.free, free)
         for w in self.interior_points(lo, hi, 20):
             value, grad, gap = box.barrier(w)
             want_value, want_grad = _barrier_terms(w, lo, hi, free)
@@ -357,8 +358,7 @@ class TestBoxIndexSets:
 
     def test_step_to_boundary_keeps_a_fraction_of_every_gap(self):
         lo, hi = self.box("mixed")
-        free = ~_frozen_mask(lo, hi)
-        box = _Box(lo, hi, free)
+        box = Box(lo, hi)
         w = next(self.interior_points(lo, hi, 1))
         dw = np.random.default_rng(5).standard_normal(lo.size) * 100.0
         _, _, gap = box.barrier(w)
@@ -371,15 +371,54 @@ class TestBoxIndexSets:
 
 
 class TestProjectInterior:
+    """``Box.project`` on the faces, against the full-length mask oracle."""
+
     def test_pushes_strictly_inside(self):
         lo = np.array([0.0, -1.0])
         hi = np.array([1.0, 1.0])
-        w = project_interior(np.array([0.0, 2.0]), lo, hi)
+        w = Box(lo, hi).project(np.array([0.0, 2.0]), 1e-6)
         assert np.all(w > lo) and np.all(w < hi)
 
     def test_frozen_goes_to_pin(self):
-        w = project_interior(np.array([3.0]), np.array([0.5]), np.array([0.5]))
+        w = Box(np.array([0.5]), np.array([0.5])).project(np.array([3.0]), 1e-6)
         assert w[0] == 0.5
+
+    @pytest.mark.parametrize("margin_scale", [1e-6, 1e-2, 0.5])
+    def test_matches_mask_oracle_bitwise(self, margin_scale):
+        # both sides, upper only, lower only, neither, frozen (equal bounds
+        # and a range under the 1e-12 tolerance), and narrow boxes whose
+        # range is under four margins; at 0.5 the quarter-range cap binds
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            lo = rng.uniform(-2.0, 2.0, 300)
+            hi = lo + rng.uniform(0.1, 3.0, 300)
+            sort = rng.integers(0, 7, 300)
+            lo[sort == 1] = -INF
+            hi[sort == 2] = INF
+            lo[sort == 3], hi[sort == 3] = -INF, INF
+            hi[sort == 4] = lo[sort == 4]
+            hi[sort == 5] = lo[sort == 5] + rng.uniform(0.0, 1e-12, np.sum(sort == 5))
+            hi[sort == 6] = lo[sort == 6] + rng.uniform(2e-12, 4.0 * margin_scale, np.sum(sort == 6))
+            box = Box(lo, hi)
+            # points inside, outside and on the faces
+            w = rng.uniform(-4.0, 4.0, 300)
+            w[::7] = np.where(np.isfinite(lo[::7]), lo[::7], w[::7])
+            w[3::7] = np.where(np.isfinite(hi[3::7]), hi[3::7], w[3::7])
+            got = box.project(w, margin_scale)
+            want = project_interior(w, lo, hi, margin_scale)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(box.free, ~frozen_mask(lo, hi))
+
+    def test_projection_leaves_the_input_and_the_box_unchanged(self):
+        lo, hi = np.array([0.0, 0.5]), np.array([1.0, 0.5])
+        box = Box(lo, hi)
+        w = np.array([-1.0, 3.0])
+        box.project(w, 1e-2)
+        assert np.array_equal(w, [-1.0, 3.0])
+        lo[0] = -5.0  # the box holds its own copies
+        assert box.lower[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            box.free[0] = False
 
 
 class TestWarmStartShift:
@@ -416,9 +455,9 @@ class TestWarmStartShift:
         )
         res = solve(prob, prob.rollout())
         shifted = warm_start_shift(res, prob)
-        free = np.isfinite(prob.lower)
-        assert np.all(shifted[free] >= prob.lower[free])
-        assert np.all(shifted[~np.isinf(prob.upper)] <= prob.upper[~np.isinf(prob.upper)])
+        lo, hi = prob.box.lower, prob.box.upper
+        assert np.all(shifted[np.isfinite(lo)] >= lo[np.isfinite(lo)])
+        assert np.all(shifted[np.isfinite(hi)] <= hi[np.isfinite(hi)])
 
     def test_layout_mismatch_rejected(self):
         prob_classic, _ = self.make_problem(

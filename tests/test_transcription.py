@@ -4,7 +4,7 @@ import pytest
 from quadpath.dynamics import ModelParams
 from quadpath.paths import make_path
 from quadpath.simulate import run_scenario, scenario_config
-from quadpath.solver import _frozen_mask, _newton_direction, project_interior
+from quadpath.solver import _newton_direction
 from quadpath.transcription import (
     DEFAULT_INPUT_BOUND,
     DEFAULT_STATE_LOWER,
@@ -17,6 +17,8 @@ from quadpath.transcription import (
 from oracles import (
     _barrier_terms,
     equality_jacobian_loop,
+    frozen_mask,
+    project_interior,
     quadrature_cost,
     residual_jacobian_loop,
     stage_cost,
@@ -74,7 +76,7 @@ class TestBookkeeping:
     def test_no_inequality_rows(self):
         prob, _ = classic_problem()
         assert not hasattr(prob, "inequality")
-        assert prob.lower.shape == prob.upper.shape == (prob.n,)
+        assert prob.box.lower.shape == prob.box.upper.shape == (prob.n,)
 
 
 class TestStageCost:
@@ -168,7 +170,8 @@ class TestResidualJacobian:
         # "planar" freezes the roll angle and its command: the roll gap rows
         # past the first interval then involve frozen variables only
         prob = horizon_problem(kind, horizon)
-        free = ~_frozen_mask(prob.lower, prob.upper)
+        free = ~frozen_mask(prob.box.lower, prob.box.upper)
+        assert np.array_equal(prob.box.free, free)
         rng = np.random.default_rng(19)
         for _ in range(3):
             w = random_interior_iterate(prob, rng)
@@ -178,7 +181,7 @@ class TestResidualJacobian:
             for got, ref in ((prob.jt_dot(blocks, r), J.T @ r), (prob.at_dot(blocks, lam), A.T @ lam)):
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
             keep = np.max(np.abs(A[:, free]), axis=1) > 1e-14
-            assert np.array_equal(prob.keep_rows(blocks, free), keep)
+            assert np.array_equal(prob.keep_rows(blocks), keep)
             assert np.sum(~keep) == (horizon - 1 if kind == "planar" else 0)
 
 
@@ -216,7 +219,7 @@ def random_interior_iterate(prob, rng):
     N = prob.config.horizon
     w = prob.rollout(rng.uniform(-0.1, 0.1, (N, prob.n_u)),
                      rng.uniform(-0.01, 0.01, (N, prob.n_nu)))
-    return project_interior(w + rng.normal(0.0, 0.05, prob.n), prob.lower, prob.upper, 1e-3)
+    return project_interior(w + rng.normal(0.0, 0.05, prob.n), prob.box.lower, prob.box.upper, 1e-3)
 
 
 def kkt_relative_residual(h, g, A, c, free, keep, dw, lam):
@@ -239,20 +242,20 @@ class TestCondensedStep:
         rng = np.random.default_rng(18)
         for freeze_input in (False, True):
             prob = horizon_problem(kind, horizon, freeze_input)
-            free = ~_frozen_mask(prob.lower, prob.upper)
+            free = prob.box.free
             assert np.sum(~free) == horizon * (freeze_input + (kind == "zero-width"))
             for _ in range(2):
                 w = random_interior_iterate(prob, rng)
                 r, c, blocks = prob.linearize(w)
                 J, A = prob.dense_jacobians(blocks)
-                _, bgrad = _barrier_terms(w, prob.lower, prob.upper, free)
+                _, bgrad = _barrier_terms(w, prob.box.lower, prob.box.upper, free)
                 g = 2.0 * J.T @ r + 1e-2 * bgrad
                 sigma = np.where(free, rng.uniform(0.0, 10.0, prob.n), 0.0)
                 keep = np.max(np.abs(A[:, free]), axis=1) > 1e-14
                 h = 2.0 * J.T @ J + np.diag(sigma)
                 for reg in (0.0, 1e-4):
                     dw_ref, lam_ref = _newton_direction(h, g, A, c, free, keep, reg)
-                    dw, lam = prob.kkt_step(blocks, g, c, sigma, free, keep, reg)
+                    dw, lam = prob.kkt_step(blocks, g, c, sigma, keep, reg)
                     assert np.max(np.abs(dw - dw_ref)) <= 1e-9 * np.max(np.abs(dw_ref))
                     assert not np.any(dw[~free]) and not np.any(lam[~keep])
                     hr = h + reg * np.diag(free.astype(float))
@@ -302,18 +305,18 @@ class TestCost:
 class TestBounds:
     def test_ordering_and_progress_box(self):
         prob, cfg = classic_problem()
-        assert np.all(prob.lower <= prob.upper)
+        assert np.all(prob.box.lower <= prob.box.upper)
         for k in range(1, cfg.horizon + 1):
             zs = prob.z_slice(k)
-            assert prob.lower[zs.start] == -1.0
-            assert prob.upper[zs.start] == 0.0
-            assert prob.lower[zs.start + 1] == cfg.s_dot_floor
-            assert prob.upper[zs.start + 1] == cfg.s_dot_max
+            assert prob.box.lower[zs.start] == -1.0
+            assert prob.box.upper[zs.start] == 0.0
+            assert prob.box.lower[zs.start + 1] == cfg.s_dot_floor
+            assert prob.box.upper[zs.start + 1] == cfg.s_dot_max
 
     def test_stage_zero_pin_is_freed(self):
         prob, _ = classic_problem()
-        assert np.all(np.isinf(prob.lower[prob.x_slice(0)]))
-        assert np.all(np.isinf(prob.upper[prob.z_slice(0)]))
+        assert np.all(np.isinf(prob.box.lower[prob.x_slice(0)]))
+        assert np.all(np.isinf(prob.box.upper[prob.z_slice(0)]))
 
     def test_out_of_box_pin_reports_clamping_event(self):
         cfg = OcpConfig()
