@@ -162,6 +162,8 @@ class Box:
         # face at -sign * dw
         self.sign = np.concatenate([np.ones(lo_idx.size), -np.ones(hi_idx.size)])
         self.neg_sign = -self.sign
+        # the first float strictly inside each face
+        self.inside = np.nextafter(self.bound, self.sign * np.inf)
         self.two_sided = both[self.idx]
         self.width = (upper - lower)[self.idx]
         self.frozen_idx = np.flatnonzero(frozen)
@@ -176,15 +178,17 @@ class Box:
 
         Each face moves in by ``margin_scale`` times its entry's bound range,
         capped at a quarter of the range, or by ``margin_scale`` itself when
-        the entry is bounded on one side only.
+        the entry is bounded on one side only.  A margin under half an ulp of
+        its bound would leave the face where it is; that face moves in to
+        the first float inside it instead.
         """
         w = np.array(w, dtype=float)
         width = self.width
         margin = np.where(self.two_sided, np.minimum(margin_scale * width, 0.25 * width), margin_scale)
         k = self.n_lo
         lo_idx, hi_idx = self.idx[:k], self.idx[k:]
-        w[lo_idx] = np.maximum(w[lo_idx], self.bound[:k] + margin[:k])
-        w[hi_idx] = np.minimum(w[hi_idx], self.bound[k:] - margin[k:])
+        w[lo_idx] = np.maximum(w[lo_idx], np.maximum(self.bound[:k] + margin[:k], self.inside[:k]))
+        w[hi_idx] = np.minimum(w[hi_idx], np.minimum(self.bound[k:] - margin[k:], self.inside[k:]))
         w[self.frozen_idx] = self.pin
         return w
 

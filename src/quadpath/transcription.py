@@ -25,7 +25,11 @@ rows over each ``s_k`` and the transitions built from the RK4 sensitivities
 and the constant timing blocks.  The products the solver needs (``J^T v``,
 ``A^T v`` and the kept equality rows) and the Newton step, which condenses
 the shooting states out of the KKT system and solves for the inputs alone,
-work on those blocks.  Everything that does not depend on the pins (layout,
+work on those blocks.  The condensing runs backward, in O(N^2): a forward
+sweep carries each state step's dependence on the inputs, a backward sweep
+gathers the cost gradient the later stages pass back to each state, and the
+condensed Hessian and gradient and the equality multipliers are read off
+that sweep.  Everything that does not depend on the pins (layout,
 index arrays, constant blocks, the box and the equality rows it keeps)
 lives in a read-only :class:`OcpStructure` that a controller builds once.
 """
@@ -258,7 +262,6 @@ class OcpStructure:
         if config.corridor:
             self.jt[1, nx + 1] = np.sqrt(config.terminal_weight_s2)
         self.hs_terminal = 2.0 * (self.jt.T @ self.jt)
-        self.hq = 2.0 * (self.lr.T @ self.lr)
 
         # transitions: the constant timing blocks, and the entries that can
         # be nonzero
@@ -294,6 +297,26 @@ class OcpStructure:
         ks[1:] |= np.any(self.g_pattern & fq[:, None, :], axis=2)
         self.keep = np.empty(self.m_eq, dtype=bool)
         self.keep[self.row_idx] = ks
+
+        # the masks of the condensed step: the held (frozen) states and the
+        # stages that hold one; the free columns of a stage input (the same
+        # at every stage, because the box tiles the input bounds), the
+        # indices of the free inputs and their block of the input Hessian
+        self.held = ~fs
+        self.held_stages = frozenset(np.flatnonzero(self.held.any(axis=1)).tolist())
+        self.last_held = max(self.held_stages, default=-1)
+        self.q_free = np.flatnonzero(fq[0])
+        self.q_free_idx = self.input_idx[:, self.q_free].ravel()
+        self.hq_free = 2.0 * (self.lr.T @ self.lr)[np.ix_(self.q_free, self.q_free)]
+        # flat positions of the stage-diagonal blocks: G_k in X_{k+1} (shape
+        # (ns, 1 + N nfi)) and H_q in row block k of the condensed rows
+        # (shape (nfi, 1 + N nfi)), at the free-input columns of stage k
+        nfi = self.q_free.size
+        width = 1 + N * nfi
+        blk = stages[:, :, None]
+        cols = 1 + blk * nfi + np.arange(nfi)
+        self.g_pos = ((blk + 1) * ns + np.arange(ns)[:, None]) * width + cols
+        self.hq_pos = (blk * nfi + np.arange(nfi)[:, None]) * width + cols
 
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -550,85 +573,101 @@ class OcpProblem:
         ``A dw + c = 0``, with frozen entries of ``dw`` and the multipliers of
         dropped rows at zero.  No residual couples two stages, or a state
         with an input, so the Hessian is block diagonal.  The gap rows give
-        every state step as ``ds = S dq + s0`` in the input steps, which
+        every state step as ``ds_k = S_k dq + s0_k`` in the input steps, which
         leaves a system in the N*(n_u + n_nu) inputs.  A frozen state is held
         at zero; its kept gap row becomes an equality row of that system.
-        The other multipliers follow backward from stationarity in the
-        states.  Raises ``LinAlgError`` when the condensed system is singular.
+
+        The condensing runs backward (Andersson, Frasch, Vukov & Diehl 2013,
+        "A condensing algorithm for nonlinear MPC with a quadratic runtime
+        in horizon length"), in O(N^2) instead of O(N^3):
+
+        - forward, ``X_k = [s0_k | S_k] = F_{k-1} X_{k-1} + [-c_k | G_{k-1}]``,
+          with the held rows zeroed after their kept rows are recorded;
+        - backward, ``L_N = Y_N`` and ``L_k = Y_k + F_k^T L_{k+1}``, with
+          ``Y_k = H_s X_k`` plus ``g_s`` in column 0 and the held rows of
+          ``L_{k+1}`` dropped; ``L_k [1; dq]`` is the cost gradient that the
+          states from stage k on pass back to ``ds_k``;
+        - row block i of the condensed Hessian and gradient is
+          ``G_i^T L_{i+1}``, plus ``H_q`` and ``g_q``.
+
+        After the LU solve, stationarity in the states,
+        ``lam_k = F_k^T lam_{k+1} - (H_s ds + g_s)_k`` on the free rows, is
+        read off the backward sweep as ``lam_k = -L_k [1; dq]`` from the last
+        stage that holds a frozen state on, where no later multiplier sits
+        on a held row; there the held rows take the solved multipliers of
+        the kept ones (zero for the others), and below it the recursion runs
+        stage by stage.  Raises ``LinAlgError`` when the condensed system is
+        singular.
         """
         N = self.config.horizon
         st = self.structure
-        si, qi, ri = st.state_idx, st.input_idx, st.row_idx
-        free = self.box.free
-        ns, nqi = si.shape[1], qi.shape[1]
-        nq = N * nqi
+        si, qf, ri = st.state_idx, st.q_free_idx, st.row_idx
+        held, last = st.held, st.last_held
+        ns, nf = si.shape[1], qf.size
 
-        # stage Hessians of the states and of the inputs
+        # stage Hessians of the states
         jp = blocks.js
         hs = np.empty((N + 1, ns, ns))
         hs[:N] = 2.0 * (jp.transpose(0, 2, 1) @ jp)
         hs[N] = st.hs_terminal
-        diag = np.arange(ns)
-        hs[:, diag, diag] += sigma[si] + reg
-        hq = np.empty((N, nqi, nqi))
-        hq[:] = st.hq
-        diag = np.arange(nqi)
-        hq[:, diag, diag] += sigma[qi] + reg
+        hs.reshape(N + 1, ns * ns)[:, ::ns + 1] += sigma[si] + reg
 
-        # row block k + 1 reads ds_{k+1} - F_k ds_k - G_k dq_k + c = 0
-        F, G = blocks.f, blocks.g
-        cs = c[ri]
-        held = ~free[si]
-        fixed = held & keep[ri]
-        S = np.zeros((N + 1, ns, nq))
-        s0 = np.empty((N + 1, ns))
-        s0[0] = -cs[0]
-        e_rows, e_vals = [], []
-        for k in range(N + 1):
-            if k:  # s_k moves with the inputs before stage k only
-                done = (k - 1) * nqi
-                S[k, :, :done] = F[k - 1] @ S[k - 1, :, :done]
-                S[k, :, done:done + nqi] = G[k - 1]
-                s0[k] = F[k - 1] @ s0[k - 1] - cs[k]
-            if held[k].any():
-                e_rows.append(-S[k, fixed[k]])
-                e_vals.append(-s0[k, fixed[k]])
-                S[k, held[k]] = 0.0
-                s0[k, held[k]] = 0.0
+        # forward sweep over X_k = [s0_k | S_k] in the free inputs; row block
+        # k + 1 reads ds_{k+1} - F_k ds_k - G_k dq_k + c = 0
+        F, G = blocks.f, blocks.g.take(st.q_free, axis=2)
+        X = np.zeros((N + 1, ns, 1 + nf))
+        X[:, :, 0] = -c[ri]
+        X.reshape(-1)[st.g_pos] = G
+        e_rows = [np.zeros((0, 1 + nf))]
+        if last >= 0:
+            fixed = held & keep[ri]
+        for k, f, prev, cur in zip(range(1, N + 1), F, X[:-1], X[1:]):
+            cur += f @ prev
+            if k in st.held_stages:
+                e_rows.append(cur[fixed[k]])
+                cur[held[k]] = 0.0
+
+        # backward sweep, in place on Y
+        L = hs @ X
+        L[:, :, 0] += g[si]
+        for k, f, prev, cur in zip(range(N, 0, -1), F[::-1], L[-2::-1], L[:0:-1]):
+            if k in st.held_stages:
+                cur[held[k]] = 0.0
+            prev += f.T @ cur
 
         # condensed system in the free inputs, with the frozen states' rows
-        flat = S.reshape(-1, nq)
-        hc = flat.T @ (hs @ S).reshape(-1, nq)
-        stage = np.arange(N)
-        hc.reshape(N, nqi, N, nqi)[stage, :, stage, :] += hq
-        gc = flat.T @ ((hs @ s0[..., None])[..., 0] + g[si]).ravel() + g[qi].ravel()
-        fq = free[qi].ravel()
-        nf = int(np.sum(fq))
-        eq = np.vstack(e_rows)[:, fq] if e_rows else np.zeros((0, nf))
-        me = eq.shape[0]
-        kkt = np.zeros((nf + me, nf + me))
-        kkt[:nf, :nf] = hc[fq][:, fq]
-        kkt[:nf, nf:] = eq.T
-        kkt[nf:, :nf] = eq
-        rhs = -np.concatenate([gc[fq]] + e_vals)
+        hg = G.transpose(0, 2, 1) @ L[1:]
+        hg.reshape(-1)[st.hq_pos] += st.hq_free
+        rows = np.concatenate(e_rows)
+        n = nf + rows.shape[0]
+        kkt = np.zeros((n, n))
+        kkt[:nf, :nf] = hg[:, :, 1:].reshape(nf, nf)
+        kkt.reshape(-1)[:nf * (n + 1):n + 1] += sigma[qf] + reg
+        kkt[:nf, nf:] = -rows[:, 1:].T
+        kkt[nf:, :nf] = -rows[:, 1:]
+        rhs = np.concatenate([-(hg[:, :, 0].ravel() + g[qf]), rows[:, 0]])
         sol = np.linalg.solve(kkt, rhs)
-        if not np.all(np.isfinite(sol)):
+        if not np.isfinite(sol).all():
             raise np.linalg.LinAlgError("non-finite KKT solution")
 
-        dq = np.zeros(nq)
-        dq[fq] = sol[:nf]
-        ds = S @ dq + s0
-        # stationarity in s_k: lam_k = F_k^T lam_{k+1} - (H_s ds + g_s)_k
-        v = (hs @ ds[..., None])[..., 0] + g[si]
+        dq1 = np.empty(1 + nf)
+        dq1[0] = 1.0
+        dq1[1:] = sol[:nf]
+        ds = X @ dq1
+        # from the last held stage on, the held rows of L are zero (stage 0,
+        # whose box the pins free, holds nothing)
         lam_s = np.zeros((N + 1, ns))
-        lam_s[fixed] = sol[nf:]
-        lam_s[N] = np.where(held[N], lam_s[N], -v[N])
-        for k in range(N - 1, -1, -1):
-            lam_s[k] = np.where(held[k], lam_s[k], F[k].T @ lam_s[k + 1] - v[k])
+        lam_s[max(last, 0):] = -(L[max(last, 0):] @ dq1)
+        if last >= 0:
+            # stationarity in s_k: lam_k = F_k^T lam_{k+1} - (H_s ds + g_s)_k
+            lam_s[fixed] = sol[nf:]
+            v = (hs[:last] @ ds[:last, :, None])[..., 0] + g[si[:last]]
+            for k in range(last - 1, -1, -1):
+                lam_s[k] = np.where(held[k], lam_s[k], F[k].T @ lam_s[k + 1] - v[k])
 
         dw = np.zeros(self.n)
         dw[si] = ds
-        dw[qi] = dq.reshape(N, nqi)
+        dw[qf] = sol[:nf]
         lam = np.zeros(self.m_eq)
         lam[ri] = lam_s
         return dw, lam

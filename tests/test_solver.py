@@ -10,6 +10,7 @@ from quadpath.solver import (
     CONVERGED,
     Box,
     DenseNlp,
+    SolveResult,
     SolverSettings,
     solve,
     warm_start_shift,
@@ -408,6 +409,24 @@ class TestProjectInterior:
             want = project_interior(w, lo, hi, margin_scale)
             assert got.tobytes() == want.tobytes()
             assert np.array_equal(box.free, ~frozen_mask(lo, hi))
+
+    def test_sub_ulp_margin_leaves_the_faces(self):
+        # margins under half an ulp of their bounds: a two-sided box 2e-12
+        # wide and one-sided bounds at 1e12
+        lo = np.array([1.0, 1e12, -INF])
+        hi = np.array([1.0 + 2e-12, INF, -1e12])
+        box = Box(lo, hi)
+        for w in (np.array([0.0, 0.0, 0.0]), np.array([5.0, 1e12, -1e12])):
+            got = box.project(w, 1e-6)
+            assert np.all(got > lo) and np.all(got < hi)
+            assert np.array_equal(got[1:], [np.nextafter(1e12, INF), np.nextafter(-1e12, -INF)])
+
+    def test_warm_solve_on_a_sub_ulp_margin_returns_a_result(self):
+        prob = DenseNlp(n=1, residual=lambda w: w, residual_jacobian=lambda w: np.eye(1),
+                        lower=[1.0], upper=[1.0 + 2e-12])
+        res = solve(prob, np.array([0.0]), multipliers=np.zeros(0))
+        assert isinstance(res, SolveResult)
+        assert 1.0 < res.decision[0] < 1.0 + 2e-12
 
     def test_projection_leaves_the_input_and_the_box_unchanged(self):
         lo, hi = np.array([0.0, 0.5]), np.array([1.0, 0.5])
