@@ -269,23 +269,19 @@ def _sensitivity_constants(h: float, params: ModelParams):
     return weights, ax0, bu0
 
 
-def sensitivity_pattern() -> tuple[np.ndarray, np.ndarray]:
-    """Entries of :func:`rk4_step_with_jacobians`'s ``ax`` and ``bu`` that
-    can be nonzero, as boolean masks.
+def input_sensitivity_pattern() -> np.ndarray:
+    """Entries of :func:`rk4_step_with_jacobians`'s ``bu`` that can be
+    nonzero, as a boolean mask.
 
-    Position and velocity rows see the attitude and every input through the
-    stage thrust axes, except that the vertical axis component does not
-    depend on yaw; each attitude row sees only its own angle and command.
+    Position and velocity rows see every input through the stage thrust
+    axes, except that the vertical axis component does not depend on the
+    yaw-rate command; each attitude row sees only its own command.
     """
-    eye = np.eye(3, dtype=bool)
-    ax = np.zeros((N_STATES, N_STATES), dtype=bool)
-    ax[POS, POS] = ax[POS, VEL] = ax[VEL, VEL] = ax[ATT, ATT] = eye
-    ax[0:6, ATT] = True
     bu = np.zeros((N_STATES, N_INPUTS), dtype=bool)
     bu[0:6] = True
-    bu[ATT, 1:] = eye
-    ax[[2, 5], 8] = bu[[2, 5], 3] = False
-    return ax, bu
+    bu[ATT, 1:] = np.eye(3, dtype=bool)
+    bu[[2, 5], 3] = False
+    return bu
 
 
 def rk4_step_with_jacobians(state, inp, dt: float, params: ModelParams):

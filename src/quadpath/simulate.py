@@ -73,6 +73,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not np.isfinite(self.total_time):
+            raise ValueError("total_time must be finite")
         if self.horizon * self.delta > self.total_time:
             raise ValueError("horizon must fit inside the total simulation time")
         if not (0.5 < self.thrust_scale < 1.5):
@@ -136,7 +140,10 @@ def load_config(path: str, **overrides) -> ScenarioConfig:
             key, val = key.strip(), val.strip()
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_value(key, val)
+            try:
+                values[key] = _parse_value(key, val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     name = values.pop("scenario", "spiral")
     values.update(overrides)
     return scenario_config(name, **values)

@@ -45,12 +45,14 @@ can use its structure: :class:`DenseNlp` holds dense matrices and factors
 the dense KKT matrix, and the horizon problem
 (``quadpath.transcription.OcpProblem``) holds stage blocks and condenses
 its states out.
-Degenerate box entries with lb == ub are treated as frozen variables: they
-never move, carry no barrier term, and equality rows that involve only
-frozen variables are dropped when trivially satisfied.  The box is a
-:class:`Box`, which the problem builds once: its frozen mask, faces and
-projection margins are fixed for every solve of that problem (for the
-horizon problem, of every problem of one controller).
+Degenerate box entries (lb == ub, up to 1e-12 or to adjacent floats) are
+treated as frozen variables: they never move and carry no barrier term.
+The box is a :class:`Box`, which the problem builds once: its frozen mask,
+faces and projection margins are fixed for every solve of that problem
+(for the horizon problem, of every problem of one controller).  Equality
+rows that act on frozen variables alone are the problem's business: the
+horizon problem rejects boxes that would make them, and :class:`DenseNlp`
+drops them in its own step when they hold.
 
 Problem objects must expose:
 
@@ -60,14 +62,11 @@ Problem objects must expose:
   their Jacobians ``J`` and ``A`` there, which the solver only passes back;
 - ``jt_dot(blocks, v)`` and ``at_dot(blocks, v)``: the products ``J^T v``
   and ``A^T v``;
-- ``keep_rows(blocks)``: the mask of equality rows that involve a
-  variable of the ``box.free`` mask;
-- ``kkt_step(blocks, g, c, sigma, keep, reg) -> (dw, lam)``: the step
-  and the equality multipliers that solve the KKT system with Hessian
+- ``kkt_step(blocks, g, c, sigma, reg) -> (dw, lam)``: the step and the
+  equality multipliers that solve the KKT system with Hessian
   ``2 J^T J + diag(sigma)`` plus ``reg`` on the diagonal, gradient ``g``
   and linearized equalities ``A dw + c = 0``, on the ``box.free`` entries
-  and the ``keep`` rows (``dw`` is zero off ``box.free`` and ``lam`` off
-  ``keep``);
+  (``dw`` is zero off ``box.free``);
   it raises ``numpy.linalg.LinAlgError`` when the system is singular.
 """
 
@@ -134,12 +133,13 @@ class SolveResult:
 class Box:
     """The box ``lower <= w <= upper`` of a problem, decided once.
 
-    An entry with finite bounds at most 1e-12 apart is frozen: it sits at
-    the middle of its bounds and carries no barrier term.  The finite bounds
-    of the ``free`` entries are the faces, stacked lower faces first, then
-    upper ones, with their indices ``idx``, bounds ``bound`` and signs
-    ``sign``; the projection, the barrier and the step to the boundary work
-    on them without full-length masks.  Every array is read-only.
+    An entry with finite bounds at most 1e-12 apart, or with no float
+    strictly between them, is frozen: it sits at the middle of its bounds
+    and carries no barrier term.  The finite bounds of the ``free`` entries
+    are the faces, stacked lower faces first, then upper ones, with their
+    indices ``idx``, bounds ``bound`` and signs ``sign``; the projection,
+    the barrier and the step to the boundary work on them without
+    full-length masks.  Every array is read-only.
     """
 
     def __init__(self, lower, upper):
@@ -148,7 +148,7 @@ class Box:
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper must be vectors of one length")
         both = np.isfinite(lower) & np.isfinite(upper)
-        frozen = both & (upper - lower <= _FROZEN_TOL)
+        frozen = both & ((upper - lower <= _FROZEN_TOL) | (np.nextafter(lower, np.inf) >= upper))
         free = ~frozen
         lo_idx = np.flatnonzero(free & np.isfinite(lower))
         hi_idx = np.flatnonzero(free & np.isfinite(upper))
@@ -239,14 +239,15 @@ class DenseNlp:
     def at_dot(self, blocks, v):
         return blocks[1].T @ v
 
-    def keep_rows(self, blocks):
-        """Rows with an entry above 1e-14 on a free variable at this point."""
-        return np.max(np.abs(blocks[1][:, self.box.free]), axis=1, initial=0.0) > 1e-14
-
-    def kkt_step(self, blocks, g, c, sigma, keep, reg):
+    def kkt_step(self, blocks, g, c, sigma, reg):
         """Newton step of the dense KKT system with Hessian ``2 J^T J + sigma``
-        (see :func:`_newton_direction`)."""
+        (see :func:`_newton_direction`) on the rows with an entry above 1e-14
+        on a free variable at this point; the others carry no multiplier and
+        must hold already (to 1e-9), else ``LinAlgError``."""
         J, A = blocks
+        keep = np.max(np.abs(A[:, self.box.free]), axis=1, initial=0.0) > 1e-14
+        if np.any(np.abs(c[~keep]) > 1e-9):
+            raise np.linalg.LinAlgError("an equality row on frozen variables alone does not hold")
         h = 2.0 * (J.T @ J)
         h[np.diag_indices_from(h)] += sigma
         return _newton_direction(h, g, A, c, self.box.free, keep, reg)
@@ -259,23 +260,23 @@ def _barrier_schedule(settings: SolverSettings) -> list[float]:
     return mus
 
 
-def _newton_direction(h, g, a, c, free, keep_rows, reg):
+def _newton_direction(h, g, a, c, free, keep, reg):
     nf = int(np.sum(free))
     hf = h[np.ix_(free, free)] + reg * np.eye(nf)
-    af = a[np.ix_(keep_rows, free)]
+    af = a[np.ix_(keep, free)]
     mk = af.shape[0]
     kkt = np.zeros((nf + mk, nf + mk))
     kkt[:nf, :nf] = hf
     kkt[:nf, nf:] = af.T
     kkt[nf:, :nf] = af
-    rhs = np.concatenate([-g[free], -c[keep_rows]])
+    rhs = np.concatenate([-g[free], -c[keep]])
     sol = np.linalg.solve(kkt, rhs)
     if not np.all(np.isfinite(sol)):
         raise np.linalg.LinAlgError("non-finite KKT solution")
     dw = np.zeros(g.shape)
     dw[free] = sol[:nf]
     lam_new = np.zeros(c.shape)
-    lam_new[keep_rows] = sol[nf:]
+    lam_new[keep] = sol[nf:]
     return dw, lam_new
 
 
@@ -387,18 +388,13 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
             if iters >= st.max_iterations:
                 return _finish(MAX_ITERATIONS)
 
-            # rows acting only on frozen coordinates must hold already
-            keep = problem.keep_rows(blocks)
-            if np.any(~keep & (np.abs(c) > 1e-9)):
-                return _finish(LINESEARCH_FAILURE)
-
             sigma = duals.sigma(gap)
             c_l1 = float(np.sum(np.abs(c)))
             reg = 0.0
             direction = None
             for _ in range(_MAX_REG_ESCALATIONS):
                 try:
-                    dw, lam_new = problem.kkt_step(blocks, g, c, sigma, keep, reg)
+                    dw, lam_new = problem.kkt_step(blocks, g, c, sigma, reg)
                 except np.linalg.LinAlgError:
                     reg = max(st.regularization_floor, reg * 10.0) if reg else st.regularization_floor
                     continue
@@ -442,7 +438,7 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
                     # the l1 merit reject it; re-solve with the trial's gaps
                     # and accept the corrected point on the same Armijo bound
                     try:
-                        dw_soc, lam_soc = problem.kkt_step(blocks, g, alpha * c + lin[1], sigma, keep, reg)
+                        dw_soc, lam_soc = problem.kkt_step(blocks, g, alpha * c + lin[1], sigma, reg)
                     except np.linalg.LinAlgError:
                         pass
                     else:

@@ -22,16 +22,18 @@ couples two stages or a state with an input, and the gap into ``s_{k+1}``
 involves only ``s_k`` and ``q_k``.  ``OcpProblem.linearize`` therefore
 returns the residual, the gaps and :class:`StageBlocks`: the path residual
 rows over each ``s_k`` and the transitions built from the RK4 sensitivities
-and the constant timing blocks.  The products the solver needs (``J^T v``,
-``A^T v`` and the kept equality rows) and the Newton step, which condenses
-the shooting states out of the KKT system and solves for the inputs alone,
-work on those blocks.  The condensing runs backward, in O(N^2): a forward
-sweep carries each state step's dependence on the inputs, a backward sweep
-gathers the cost gradient the later stages pass back to each state, and the
-condensed Hessian and gradient and the equality multipliers are read off
-that sweep.  Everything that does not depend on the pins (layout,
-index arrays, constant blocks, the box and the equality rows it keeps)
-lives in a read-only :class:`OcpStructure` that a controller builds once.
+and the constant timing blocks.  The products the solver needs (``J^T v``
+and ``A^T v``) and the Newton step, which condenses the shooting states out
+of the KKT system and solves for the inputs alone, work on those blocks.
+The condensing runs backward, in O(N^2): a forward sweep carries each state
+step's dependence on the inputs, a backward sweep gathers the cost gradient
+the later stages pass back to each state, and the condensed Hessian and
+gradient and the equality multipliers are read off that sweep.  Everything
+that does not depend on the pins (layout, index arrays, constant blocks,
+the box and the states it holds) lives in a read-only :class:`OcpStructure`
+that a controller builds once.  It rejects a box that freezes a state
+together with every input that drives it: that state's gap rows would
+repeat the pins, and every Newton step would be singular.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ from .dynamics import (
     ModelParams,
     N_INPUTS,
     N_STATES,
+    input_sensitivity_pattern,
     output_map,
     rk4_step,
     rk4_step_with_jacobians,
-    sensitivity_pattern,
 )
 from .paths import CorridorPath, Path, path_error, step_timing, timing_matrices
 from .solver import Box
@@ -64,6 +66,8 @@ DEFAULT_Q_DIAG = np.array([80.0, 80.0, 100.0, 20.0, 1.0, 1.0, 1.0, 5.0])
 DEFAULT_R_DIAG = np.array([20.0, 10.0, 10.0, 5.0, 2.0])
 DEFAULT_Q_S2 = 5.0
 DEFAULT_R_NU2 = 2.0
+
+_STATE_NAMES = ("x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw")
 
 
 def _as_weight_matrix(w, size: int, name: str) -> np.ndarray:
@@ -199,9 +203,12 @@ class OcpStructure:
     """Everything of a horizon problem that does not depend on its pins.
 
     The layout and index arrays, the constant Jacobian blocks, the box and
-    the kept equality rows ``keep`` are fixed by the configuration and the
-    path.  A controller builds one structure and shares it between the
-    problems of its control steps; all of its arrays are read-only.
+    the held (frozen) states are fixed by the configuration and the path.
+    A controller builds one structure and shares it between the problems of
+    its control steps; all of its arrays are read-only.
+
+    Raises ``ValueError`` when the box freezes a state together with every
+    input that drives it.
     """
 
     def __init__(self, path, config: OcpConfig):
@@ -263,18 +270,12 @@ class OcpStructure:
             self.jt[1, nx + 1] = np.sqrt(config.terminal_weight_s2)
         self.hs_terminal = 2.0 * (self.jt.T @ self.jt)
 
-        # transitions: the constant timing blocks, and the entries that can
-        # be nonzero
+        # transitions: the constant timing blocks
         self.ad, self.bd = timing_matrices(nz // 2, config.delta)
         self.f = np.zeros((N, ns, ns))
         self.f[:, nx:, nx:] = self.ad
         self.g = np.zeros((N, ns, nu + nv))
         self.g[:, nx:, nu:] = self.bd
-        ax, bu = sensitivity_pattern()
-        self.f_pattern = self.f[0] != 0.0
-        self.f_pattern[:nx, :nx] = ax
-        self.g_pattern = self.g[0] != 0.0
-        self.g_pattern[:nx, :nu] = bu
 
         # the box; the equality pin owns stage 0, so its box is freed and
         # the barrier never conflicts with the measurement
@@ -288,24 +289,25 @@ class OcpStructure:
         upper[self.state_idx[0]] = INF
         self.box = Box(lower, upper)
 
-        # the equality rows that involve a free variable, by the block
-        # structure: a pin or gap row whose own state is free, or a gap row
-        # whose transition can reach a free state or input
-        fs, fq = self.box.free[self.state_idx], self.box.free[self.input_idx]
-        ks = fs.copy()
-        ks[1:] |= np.any(self.f_pattern & fs[:-1, None, :], axis=2)
-        ks[1:] |= np.any(self.g_pattern & fq[:, None, :], axis=2)
-        self.keep = np.empty(self.m_eq, dtype=bool)
-        self.keep[self.row_idx] = ks
+        # the held (frozen) states and the free inputs, the same at every
+        # stage past the first (the box tiles the bounds, the pins free stage
+        # 0); no free input reaching a held state's gap row into s_1 leaves
+        # that row to repeat the pins
+        fq = self.box.free[self.input_idx[0]]
+        self.held = ~self.box.free[self.state_idx[1]]
+        self.any_held = bool(self.held.any())
+        g_pattern = self.g[0] != 0.0
+        g_pattern[:nx, :nu] = input_sensitivity_pattern()
+        stuck = self.held & ~np.any(g_pattern[:, fq], axis=1)
+        if stuck.any():
+            timing = ("s1", "s2", "s1dot", "s2dot") if config.corridor else ("s1", "s1dot")
+            names = np.array(_STATE_NAMES + timing)[stuck]
+            raise ValueError(f"the box freezes the state {', '.join(names)} and every input that "
+                             "drives it: its gap rows repeat the pins and every Newton step is singular")
 
-        # the masks of the condensed step: the held (frozen) states and the
-        # stages that hold one; the free columns of a stage input (the same
-        # at every stage, because the box tiles the input bounds), the
-        # indices of the free inputs and their block of the input Hessian
-        self.held = ~fs
-        self.held_stages = frozenset(np.flatnonzero(self.held.any(axis=1)).tolist())
-        self.last_held = max(self.held_stages, default=-1)
-        self.q_free = np.flatnonzero(fq[0])
+        # the free columns of a stage input, the indices of the free inputs
+        # and their block of the input Hessian
+        self.q_free = np.flatnonzero(fq)
         self.q_free_idx = self.input_idx[:, self.q_free].ravel()
         self.hq_free = 2.0 * (self.lr.T @ self.lr)[np.ix_(self.q_free, self.q_free)]
         # flat positions of the stage-diagonal blocks: G_k in X_{k+1} (shape
@@ -557,32 +559,27 @@ class OcpProblem:
         out[st.state_idx] = vs
         return out
 
-    def keep_rows(self, blocks: StageBlocks) -> np.ndarray:
-        """Equality rows that involve a free variable; they follow from the
-        block structure alone (:attr:`OcpStructure.keep`)."""
-        return self.structure.keep
-
     # ----- Newton step by condensing ------------------------------------------
 
-    def kkt_step(self, blocks: StageBlocks, g, c, sigma, keep, reg):
+    def kkt_step(self, blocks: StageBlocks, g, c, sigma, reg):
         """Gauss-Newton step ``(dw, lam)`` with the states condensed out.
 
         Solves the same system as the dense route of the solver, whose
         Hessian is ``2 J^T J + diag(sigma)`` plus ``reg`` on the free
-        diagonal: stationarity on the free entries and the ``keep`` rows of
-        ``A dw + c = 0``, with frozen entries of ``dw`` and the multipliers of
-        dropped rows at zero.  No residual couples two stages, or a state
-        with an input, so the Hessian is block diagonal.  The gap rows give
-        every state step as ``ds_k = S_k dq + s0_k`` in the input steps, which
-        leaves a system in the N*(n_u + n_nu) inputs.  A frozen state is held
-        at zero; its kept gap row becomes an equality row of that system.
+        diagonal: stationarity on the free entries and every row of
+        ``A dw + c = 0``, with frozen entries of ``dw`` at zero.  No residual
+        couples two stages, or a state with an input, so the Hessian is
+        block diagonal.  The gap rows give every state step as
+        ``ds_k = S_k dq + s0_k`` in the input steps, which leaves a system in
+        the N*(n_u + n_nu) inputs.  A held state is held at zero; its gap
+        rows become equality rows of that system.
 
         The condensing runs backward (Andersson, Frasch, Vukov & Diehl 2013,
         "A condensing algorithm for nonlinear MPC with a quadratic runtime
         in horizon length"), in O(N^2) instead of O(N^3):
 
         - forward, ``X_k = [s0_k | S_k] = F_{k-1} X_{k-1} + [-c_k | G_{k-1}]``,
-          with the held rows zeroed after their kept rows are recorded;
+          with the held rows zeroed after they are recorded;
         - backward, ``L_N = Y_N`` and ``L_k = Y_k + F_k^T L_{k+1}``, with
           ``Y_k = H_s X_k`` plus ``g_s`` in column 0 and the held rows of
           ``L_{k+1}`` dropped; ``L_k [1; dq]`` is the cost gradient that the
@@ -592,17 +589,15 @@ class OcpProblem:
 
         After the LU solve, stationarity in the states,
         ``lam_k = F_k^T lam_{k+1} - (H_s ds + g_s)_k`` on the free rows, is
-        read off the backward sweep as ``lam_k = -L_k [1; dq]`` from the last
-        stage that holds a frozen state on, where no later multiplier sits
-        on a held row; there the held rows take the solved multipliers of
-        the kept ones (zero for the others), and below it the recursion runs
-        stage by stage.  Raises ``LinAlgError`` when the condensed system is
-        singular.
+        read off the backward sweep as ``lam_k = -L_k [1; dq]`` when no state
+        is held; otherwise only at stage N, the held rows take the solved
+        multipliers of their gap rows, and the recursion runs below N.
+        Raises ``LinAlgError`` when the condensed system is singular.
         """
         N = self.config.horizon
         st = self.structure
         si, qf, ri = st.state_idx, st.q_free_idx, st.row_idx
-        held, last = st.held, st.last_held
+        held = st.held
         ns, nf = si.shape[1], qf.size
 
         # stage Hessians of the states
@@ -619,23 +614,21 @@ class OcpProblem:
         X[:, :, 0] = -c[ri]
         X.reshape(-1)[st.g_pos] = G
         e_rows = [np.zeros((0, 1 + nf))]
-        if last >= 0:
-            fixed = held & keep[ri]
-        for k, f, prev, cur in zip(range(1, N + 1), F, X[:-1], X[1:]):
+        for f, prev, cur in zip(F, X[:-1], X[1:]):
             cur += f @ prev
-            if k in st.held_stages:
-                e_rows.append(cur[fixed[k]])
-                cur[held[k]] = 0.0
+            if st.any_held:
+                e_rows.append(cur[held])
+                cur[held] = 0.0
 
         # backward sweep, in place on Y
         L = hs @ X
         L[:, :, 0] += g[si]
-        for k, f, prev, cur in zip(range(N, 0, -1), F[::-1], L[-2::-1], L[:0:-1]):
-            if k in st.held_stages:
-                cur[held[k]] = 0.0
+        for f, prev, cur in zip(F[::-1], L[-2::-1], L[:0:-1]):
+            if st.any_held:
+                cur[held] = 0.0
             prev += f.T @ cur
 
-        # condensed system in the free inputs, with the frozen states' rows
+        # condensed system in the free inputs, with the held states' rows
         hg = G.transpose(0, 2, 1) @ L[1:]
         hg.reshape(-1)[st.hq_pos] += st.hq_free
         rows = np.concatenate(e_rows)
@@ -654,16 +647,18 @@ class OcpProblem:
         dq1[0] = 1.0
         dq1[1:] = sol[:nf]
         ds = X @ dq1
-        # from the last held stage on, the held rows of L are zero (stage 0,
-        # whose box the pins free, holds nothing)
-        lam_s = np.zeros((N + 1, ns))
-        lam_s[max(last, 0):] = -(L[max(last, 0):] @ dq1)
-        if last >= 0:
-            # stationarity in s_k: lam_k = F_k^T lam_{k+1} - (H_s ds + g_s)_k
-            lam_s[fixed] = sol[nf:]
-            v = (hs[:last] @ ds[:last, :, None])[..., 0] + g[si[:last]]
-            for k in range(last - 1, -1, -1):
-                lam_s[k] = np.where(held[k], lam_s[k], F[k].T @ lam_s[k + 1] - v[k])
+        if not st.any_held:
+            lam_s = -(L @ dq1)
+        else:
+            # at stage N the held rows of L are zero; below it, stationarity
+            # in s_k: lam_k = F_k^T lam_{k+1} - (H_s ds + g_s)_k on the free
+            # rows (stage 0, whose box the pins free, holds nothing)
+            lam_s = np.zeros((N + 1, ns))
+            lam_s[N:] = -(L[N:] @ dq1)
+            lam_s[1:, held] = sol[nf:].reshape(N, -1)
+            v = (hs[:N] @ ds[:N, :, None])[..., 0] + g[si[:N]]
+            for k in range(N - 1, -1, -1):
+                lam_s[k] = np.where(held & (k > 0), lam_s[k], F[k].T @ lam_s[k + 1] - v[k])
 
         dw = np.zeros(self.n)
         dw[si] = ds

@@ -102,8 +102,11 @@ def nominal_yaw_rate(s, s_dot):
 
 
 def frozen_mask(lower, upper) -> np.ndarray:
-    """Entries with finite bounds at most 1e-12 apart."""
-    return np.isfinite(lower) & np.isfinite(upper) & (upper - lower <= 1e-12)
+    """Entries with finite bounds at most 1e-12 apart, or whose upper bound
+    has no float between it and the lower one."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    both = np.isfinite(lower) & np.isfinite(upper)
+    return both & ((upper - lower <= 1e-12) | (np.nextafter(upper, -np.inf) <= lower))
 
 
 def project_interior(w, lower, upper, margin_scale: float = 1e-6) -> np.ndarray:

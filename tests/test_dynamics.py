@@ -5,12 +5,12 @@ from quadpath.dynamics import (
     ModelParams,
     body_angular_velocity,
     dynamics,
+    input_sensitivity_pattern,
     output_map,
     rk4_step,
     rk4_step_with_jacobians,
     rotation_jacobian,
     rotation_matrix,
-    sensitivity_pattern,
 )
 
 from oracles import dynamics_jacobians, rk4_step_chain_rule, rk4_step_loop
@@ -262,16 +262,15 @@ class TestRk4Oracles:
         return x, u
 
     def test_sensitivity_pattern_is_the_structural_nonzeros(self):
-        ax_pattern, bu_pattern = sensitivity_pattern()
+        bu_pattern = input_sensitivity_pattern()
         rng = np.random.default_rng(9)
         for params in (PARAMS, self.OFFSET):
             x, u = self.sample(rng, (20,))
-            _, ax, bu = rk4_step_with_jacobians(x, u, 0.05, params)
-            assert np.array_equal(np.any(ax != 0.0, axis=0), ax_pattern)
+            _, _, bu = rk4_step_with_jacobians(x, u, 0.05, params)
             assert np.array_equal(np.any(bu != 0.0, axis=0), bu_pattern)
         # at hover most attitude entries vanish, inside the pattern
-        _, ax, bu = rk4_step_with_jacobians(np.zeros(9), np.zeros(4), 0.05, PARAMS)
-        assert not np.any((ax != 0.0) & ~ax_pattern) and not np.any((bu != 0.0) & ~bu_pattern)
+        _, _, bu = rk4_step_with_jacobians(np.zeros(9), np.zeros(4), 0.05, PARAMS)
+        assert not np.any((bu != 0.0) & ~bu_pattern)
 
     @pytest.mark.parametrize("params", [PARAMS, OFFSET], ids=["default", "offset"])
     def test_jacobians_match_chain_rule(self, params):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,23 @@ class TestScenarioConfig:
         cfg_file.write_text("warp_speed = 9\n")
         with pytest.raises(ValueError, match="unknown key"):
             load_config(str(cfg_file))
+
+    @pytest.mark.parametrize("line", ["horizon = 5.0", "thrust_bound = abc", "q_diag = 1,x"])
+    def test_load_config_names_the_line_of_a_bad_value(self, tmp_path, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"# comment\n{line}\n")
+        key = line.split(" =")[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cfg_file))}:2: bad value for '{key}'"):
+            load_config(str(cfg_file))
+
+    @pytest.mark.parametrize("total_time", [np.nan, np.inf])
+    def test_non_finite_total_time_rejected(self, total_time):
+        with pytest.raises(ValueError, match="total_time"):
+            scenario_config("hover", total_time=total_time)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            scenario_config("hover", seed=-3)
 
 
 class TestCompareCorridor:

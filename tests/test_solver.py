@@ -1,3 +1,4 @@
+import inspect
 import io
 import re
 
@@ -8,6 +9,7 @@ from quadpath.dynamics import ModelParams, rk4_step
 from quadpath.paths import make_path, step_timing
 from quadpath.solver import (
     CONVERGED,
+    LINESEARCH_FAILURE,
     Box,
     DenseNlp,
     SolveResult,
@@ -16,6 +18,7 @@ from quadpath.solver import (
     warm_start_shift,
 )
 from quadpath.solver import _newton_direction
+from quadpath import solver as solver_module
 from quadpath import transcription
 from quadpath.transcription import OcpConfig, build_ocp
 
@@ -303,6 +306,83 @@ class TestFrozenCoordinates:
         assert res.status == CONVERGED
         assert abs(res.decision[0] - 2.0) < 1e-8
 
+    def test_violated_pin_row_fails_the_line_search(self):
+        # equality touching only the frozen coordinate, which it cannot meet:
+        # the dense step refuses the row, and the solve stops at once
+        prob = DenseNlp(
+            2,
+            residual=lambda w: w - np.array([2.0, 2.0]),
+            residual_jacobian=lambda w: np.eye(2),
+            lower=np.array([-INF, 0.5]),
+            upper=np.array([INF, 0.5]),
+            equality=lambda w: np.array([w[1] - 0.7]),
+            equality_jacobian=lambda w: np.array([[0.0, 1.0]]),
+        )
+        res = solve(prob, np.array([0.0, 0.5]))
+        assert res.status == LINESEARCH_FAILURE
+        assert res.iterations == 0
+
+
+class TestProtocol:
+    """``solve`` touches a problem only through the protocol the solver
+    module documents."""
+
+    PROTOCOL = ("n", "box", "linearize", "jt_dot", "at_dot", "kkt_step")
+
+    class Proxy:
+        def __init__(self, problem, allowed):
+            self._problem, self._allowed = problem, allowed
+
+        def __getattr__(self, name):
+            if name not in self._allowed:
+                raise AssertionError(f"solve used {name!r}, outside the problem protocol")
+            return getattr(self._problem, name)
+
+    def test_documented_protocol(self):
+        doc = solver_module.__doc__.split("Problem objects must expose:")[1]
+        names = re.findall(r"^- ``(\w+)[^`]*``(?: and ``(\w+)[^`]*``)?", doc, re.MULTILINE)
+        assert tuple(n for pair in names for n in pair if n) == self.PROTOCOL
+        assert "``kkt_step(blocks, g, c, sigma, reg) -> (dw, lam)``" in doc
+        for cls in (DenseNlp, transcription.OcpProblem):
+            params = list(inspect.signature(cls.kkt_step).parameters)
+            assert params == ["self", "blocks", "g", "c", "sigma", "reg"]
+
+    @staticmethod
+    def problems():
+        dense = DenseNlp(
+            2,
+            residual=lambda w: w,
+            residual_jacobian=lambda w: np.eye(2),
+            lower=np.array([-INF, 0.2]),
+            upper=np.array([INF, INF]),
+            equality=lambda w: np.array([w[0] + w[1] - 1.0]),
+            equality_jacobian=lambda w: np.array([[1.0, 1.0]]),
+        )
+        yield dense, np.array([3.0, 1.0])
+        for width in (None, (0.0, 0.0)):
+            if width is None:
+                path, cfg = make_path("spiral"), OcpConfig()
+                p0, z0 = path.point(-1.0), np.array([-1.0, 1e-5])
+            else:
+                path = make_path("sinusoid-corridor", s2_bounds=width)
+                cfg = OcpConfig(corridor=True, s2_bounds=width)
+                p0, z0 = path.point(-1.0, 0.0), np.array([-1.0, 0.0, 1e-5, 0.0])
+            x0 = np.zeros(9)
+            x0[:3] = p0[:3]
+            prob = build_ocp(x0, z0, path, cfg, ModelParams())
+            yield prob, prob.rollout()
+
+    def test_solve_uses_only_the_protocol(self):
+        for prob, guess in self.problems():
+            want = solve(prob, guess)
+            got = solve(self.Proxy(prob, self.PROTOCOL), guess)
+            assert want.status == CONVERGED
+            assert got.status == want.status and got.iterations == want.iterations
+            assert got.decision.tobytes() == want.decision.tobytes()
+            # and warm, with multipliers
+            warm = solve(self.Proxy(prob, self.PROTOCOL), want.decision, multipliers=want.multipliers)
+            assert warm.status == CONVERGED
+
 
 class TestBoxIndexSets:
     """The barrier on the faces of a :class:`Box`, built once per problem,
@@ -420,6 +500,18 @@ class TestProjectInterior:
             got = box.project(w, 1e-6)
             assert np.all(got > lo) and np.all(got < hi)
             assert np.array_equal(got[1:], [np.nextafter(1e12, INF), np.nextafter(-1e12, -INF)])
+
+    @pytest.mark.parametrize("multipliers", [None, np.zeros(0)], ids=["cold", "warm"])
+    def test_bounds_with_no_float_between_freeze_the_entry(self, multipliers):
+        # 1.8e-12 apart, above the frozen tolerance, but adjacent floats:
+        # no point lies strictly inside, so the entry is frozen
+        upper = np.nextafter(1e4, INF)
+        prob = DenseNlp(n=1, residual=lambda w: w, residual_jacobian=lambda w: np.eye(1),
+                        lower=[1e4], upper=[upper])
+        assert not prob.box.free[0]
+        res = solve(prob, np.array([0.0]), multipliers=multipliers)
+        assert res.status == CONVERGED and res.iterations == 0
+        assert 1e4 <= res.decision[0] <= upper
 
     def test_warm_solve_on_a_sub_ulp_margin_returns_a_result(self):
         prob = DenseNlp(n=1, residual=lambda w: w, residual_jacobian=lambda w: np.eye(1),

@@ -166,11 +166,9 @@ class TestResidualJacobian:
             assert np.array_equal(A, equality_jacobian_loop(prob, w))
             assert np.array_equal(prob.equality_jacobian(w), A)
 
-    @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width", "planar"])
+    @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
     @pytest.mark.parametrize("horizon", [1, 5, 20])
     def test_products_match_dense(self, kind, horizon):
-        # "planar" freezes the roll angle and its command: the roll gap rows
-        # past the first interval then involve frozen variables only
         prob = horizon_problem(kind, horizon)
         free = ~frozen_mask(prob.box.lower, prob.box.upper)
         assert np.array_equal(prob.box.free, free)
@@ -182,15 +180,15 @@ class TestResidualJacobian:
             lam = rng.normal(0.0, 1.0, prob.m_eq)
             for got, ref in ((prob.jt_dot(blocks, r), J.T @ r), (prob.at_dot(blocks, lam), A.T @ lam)):
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-            keep = np.max(np.abs(A[:, free]), axis=1) > 1e-14
-            assert np.array_equal(prob.keep_rows(blocks), keep)
-            assert np.sum(~keep) == (horizon - 1 if kind == "planar" else 0)
+            # every equality row involves a free variable
+            assert np.all(np.max(np.abs(A[:, free]), axis=1) > 1e-14)
 
 
-def horizon_problem(kind, horizon, freeze_input=False):
+def horizon_problem(kind, horizon, freeze_input=False, **overrides):
     """Classic, corridor, zero-width-corridor or planar (roll and roll
     command frozen at zero) problem at the path start; ``freeze_input``
-    closes the yaw-rate command's box to zero."""
+    closes the yaw-rate command's box to zero, and ``overrides`` are
+    further :class:`OcpConfig` fields."""
     kw = {"horizon": horizon}
     if freeze_input or kind == "planar":
         kw["input_lower"] = -DEFAULT_INPUT_BOUND.copy()
@@ -213,7 +211,7 @@ def horizon_problem(kind, horizon, freeze_input=False):
     x0 = np.zeros(9)
     x0[:3] = p0[:3]
     x0[8] = p0[3]
-    return build_ocp(x0, z0, path, OcpConfig(**kw), PARAMS)
+    return build_ocp(x0, z0, path, OcpConfig(**kw, **overrides), PARAMS)
 
 
 def random_interior_iterate(prob, rng):
@@ -247,14 +245,15 @@ def check_condensed_step(prob, rng, sigma_max, regs, check_lam):
     g = 2.0 * J.T @ r + 1e-2 * bgrad
     sigma = np.where(free, rng.uniform(0.0, sigma_max, prob.n), 0.0)
     keep = np.max(np.abs(A[:, free]), axis=1) > 1e-14
+    assert keep.all()
     h = 2.0 * J.T @ J + np.diag(sigma)
     for reg in regs:
         dw_ref, lam_ref = _newton_direction(h, g, A, c, free, keep, reg)
-        dw, lam = prob.kkt_step(blocks, g, c, sigma, keep, reg)
+        dw, lam = prob.kkt_step(blocks, g, c, sigma, reg)
         assert np.max(np.abs(dw - dw_ref)) <= 1e-9 * np.max(np.abs(dw_ref))
-        assert not np.any(dw[~free]) and not np.any(lam[~keep])
+        assert not np.any(dw[~free])
         if check_lam:
-            assert np.max(np.abs(lam - lam_ref)[keep]) <= 1e-10 * np.max(np.abs(lam_ref[keep]))
+            assert np.max(np.abs(lam - lam_ref)) <= 1e-10 * np.max(np.abs(lam_ref))
         hr = h + reg * np.diag(free.astype(float))
         for d, l in ((dw, lam), (dw_ref, lam_ref)):
             assert kkt_relative_residual(hr, g, A, c, free, keep, d, l) <= 1e-12
@@ -284,6 +283,47 @@ class TestCondensedStep:
                                                              sigma_max, reg):
         prob = horizon_problem(kind, horizon, freeze_input)
         check_condensed_step(prob, np.random.default_rng(seed), sigma_max, (reg,), False)
+
+
+class TestFrozenBoxes:
+    """A box that freezes a state together with every input that drives it
+    is rejected when the structure is built; the first gap row of that state
+    would only repeat the pins, so every Newton step would be singular."""
+
+    @pytest.mark.parametrize("kind, horizon, overrides, names", [
+        ("planar", 1, {}, "roll"),
+        ("planar", 5, {}, "roll"),
+        ("planar", 20, {}, "roll"),
+        ("corridor", 5, {"s2_dot_bound": 0.0, "nu2_bound": 0.0}, "s2dot"),
+        ("zero-width", 5, {"nu2_bound": 0.0}, "s2"),
+    ], ids=["planar-1", "planar-5", "planar-20", "s2dot-and-nu2", "s2-and-nu2"])
+    def test_state_frozen_with_its_inputs_rejected(self, kind, horizon, overrides, names):
+        with pytest.raises(ValueError, match=f"freezes the state {names} and every input"):
+            horizon_problem(kind, horizon, **overrides)
+
+    @pytest.mark.parametrize("kind, freeze_input, held", [
+        ("zero-width", False, ["s2"]),
+        ("classic", True, []),
+        ("corridor", True, []),
+        ("classic", False, ["z"]),
+    ], ids=["zero-width", "classic-freeze-input", "corridor-freeze-input", "held-z"])
+    def test_boxes_a_free_input_reaches_still_build(self, kind, freeze_input, held):
+        overrides = {}
+        if held == ["z"]:
+            lower, upper = DEFAULT_STATE_LOWER.copy(), DEFAULT_STATE_UPPER.copy()
+            lower[2] = upper[2] = 0.5
+            overrides = {"state_lower": lower, "state_upper": upper}
+        names = ["x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw", "s1", "s2", "s1dot", "s2dot"]
+        rng = np.random.default_rng(23)
+        for horizon in (1, 5, 20):
+            prob = horizon_problem(kind, horizon, freeze_input, **overrides)
+            st = prob.structure
+            assert [names[j] for j in np.flatnonzero(st.held)] == held
+            assert st.any_held == bool(held)
+            # the pins free stage 0; every later stage holds the same states
+            assert np.array_equal(~prob.box.free[st.state_idx], np.vstack([np.zeros_like(st.held)]
+                                                                           + [st.held] * horizon))
+            check_condensed_step(prob, rng, 10.0, (0.0, 1e-4), not held)
 
 
 class TestCost:
@@ -392,6 +432,12 @@ class TestConfigValidation:
         # it used to fly with the virtual input frozen and fail every step
         with pytest.raises(ValueError, match="nu_bound"):
             run_scenario(scenario_config("spiral", total_time=3.0, nu_bound=-0.01))
+
+    def test_scenario_freezing_tilt_and_tilt_command_fails_before_flying(self):
+        # it used to fly with roll, pitch and their commands frozen and fail
+        # every step
+        with pytest.raises(ValueError, match="freezes the state roll, pitch and every input"):
+            run_scenario(scenario_config("spiral", total_time=3.0, tilt_bound=0.0, tilt_cmd_bound=0.0))
 
     def test_inverted_s2_bounds_rejected(self):
         with pytest.raises(ValueError, match="s2_bounds"):
