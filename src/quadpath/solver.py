@@ -224,6 +224,8 @@ class DenseNlp:
     equality_jacobian: Callable[[np.ndarray], np.ndarray] = field(default=None)
 
     def __post_init__(self):
+        if (self.equality is None) != (self.equality_jacobian is None):
+            raise ValueError("give both equality and equality_jacobian, or neither")
         if self.equality is None:
             self.equality = lambda w: np.zeros(0)
             self.equality_jacobian = lambda w: np.zeros((0, self.n))

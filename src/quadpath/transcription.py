@@ -28,12 +28,19 @@ of the KKT system and solves for the inputs alone, work on those blocks.
 The condensing runs backward, in O(N^2): a forward sweep carries each state
 step's dependence on the inputs, a backward sweep gathers the cost gradient
 the later stages pass back to each state, and the condensed Hessian and
-gradient and the equality multipliers are read off that sweep.  Everything
-that does not depend on the pins (layout, index arrays, constant blocks,
-the box and the states it holds) lives in a read-only :class:`OcpStructure`
-that a controller builds once.  It rejects a box that freezes a state
-together with every input that drives it: that state's gap rows would
-repeat the pins, and every Newton step would be singular.
+gradient and the equality multipliers are read off that sweep.  A state the
+box holds (freezes) goes through both sweeps like any other, with its hold
+``ds_k = 0`` as one more equality: the hold rows border the condensed
+Hessian, and their multipliers are extra columns of the backward sweep, so
+held and free states take one path.  Everything that does not depend on the
+pins (layout, index arrays, constant blocks, the box, the states it holds
+and the columns of their holds) lives in a read-only :class:`OcpStructure`
+that a controller builds once.  It rejects a box whose held states the free
+inputs of a stage cannot move independently (the held rows of the input
+sensitivity pattern have structural rank below their count): their gap
+rows would repeat the pins, and every Newton step would be singular.  It
+also rejects a corridor path whose offset bounds differ from the
+configuration's.
 """
 
 from __future__ import annotations
@@ -84,6 +91,23 @@ def _as_weight_matrix(w, size: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be symmetric")
     np.linalg.cholesky(w)  # raises if not positive definite
     return w
+
+
+def _structural_rank(pattern) -> int:
+    """Structural rank of a boolean pattern: the size of a maximum matching
+    of its rows to distinct columns (augmenting paths, Kuhn 1955)."""
+    owner = [-1] * pattern.shape[1]
+
+    def augment(i, seen):
+        for j in np.flatnonzero(pattern[i]):
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, [False] * pattern.shape[1]) for i in range(pattern.shape[0]))
 
 
 @dataclass
@@ -207,13 +231,17 @@ class OcpStructure:
     A controller builds one structure and shares it between the problems of
     its control steps; all of its arrays are read-only.
 
-    Raises ``ValueError`` when the box freezes a state together with every
-    input that drives it.
+    Raises ``ValueError`` when the free inputs of a stage cannot move the
+    held states independently, and when a corridor path's ``s2_bounds``
+    differ from ``config.s2_bounds``.
     """
 
     def __init__(self, path, config: OcpConfig):
         if isinstance(path, CorridorPath) != config.corridor:
             raise ValueError("path type does not match config.corridor")
+        if config.corridor and tuple(config.s2_bounds) != tuple(path.s2_bounds):
+            raise ValueError(f"config.s2_bounds {tuple(config.s2_bounds)} differ from the path's "
+                             f"s2_bounds {tuple(path.s2_bounds)}")
         self.path = path
         self.config = config
         N = config.horizon
@@ -291,30 +319,41 @@ class OcpStructure:
 
         # the held (frozen) states and the free inputs, the same at every
         # stage past the first (the box tiles the bounds, the pins free stage
-        # 0); no free input reaching a held state's gap row into s_1 leaves
-        # that row to repeat the pins
+        # 0); the held rows of s_1 see the free inputs of stage 0 alone, so
+        # their pattern needs full structural row rank, or those gap rows
+        # repeat the pins and every Newton step is singular
         fq = self.box.free[self.input_idx[0]]
         self.held = ~self.box.free[self.state_idx[1]]
-        self.any_held = bool(self.held.any())
         g_pattern = self.g[0] != 0.0
         g_pattern[:nx, :nu] = input_sensitivity_pattern()
-        stuck = self.held & ~np.any(g_pattern[:, fq], axis=1)
-        if stuck.any():
+        pattern = g_pattern[self.held][:, fq]
+        rank = _structural_rank(pattern)
+        if rank < pattern.shape[0]:
             timing = ("s1", "s2", "s1dot", "s2dot") if config.corridor else ("s1", "s1dot")
-            names = np.array(_STATE_NAMES + timing)[stuck]
-            raise ValueError(f"the box freezes the state {', '.join(names)} and every input that "
-                             "drives it: its gap rows repeat the pins and every Newton step is singular")
+            names = np.array(_STATE_NAMES + timing)[self.held]
+            stuck = ~pattern.any(axis=1)
+            if stuck.any():
+                raise ValueError(f"the box freezes the state {', '.join(names[stuck])} and every input "
+                                 "that drives it: its gap rows repeat the pins and every Newton step is "
+                                 "singular")
+            raise ValueError(f"the box freezes the states {', '.join(names)}, which the free inputs reach "
+                             f"with structural rank {rank} only: every Newton step is singular")
 
         # the free columns of a stage input, the indices of the free inputs
         # and their block of the input Hessian
         self.q_free = np.flatnonzero(fq)
         self.q_free_idx = self.input_idx[:, self.q_free].ravel()
         self.hq_free = 2.0 * (self.lr.T @ self.lr)[np.ix_(self.q_free, self.q_free)]
+        # the holds E_k ds_k = 0 of the held states, k = 1..N, as columns:
+        # held row j of stage k has its 1 in column (k - 1) n_held + j
+        nh = int(self.held.sum())
+        self.e_cols = np.zeros((N + 1, ns, N * nh))
+        self.e_cols[1:, self.held] = np.eye(N * nh).reshape(N, nh, N * nh)
         # flat positions of the stage-diagonal blocks: G_k in X_{k+1} (shape
-        # (ns, 1 + N nfi)) and H_q in row block k of the condensed rows
-        # (shape (nfi, 1 + N nfi)), at the free-input columns of stage k
+        # (ns, width)) and H_q in row block k of the condensed rows (shape
+        # (nfi, width)), at the free-input columns of stage k
         nfi = self.q_free.size
-        width = 1 + N * nfi
+        width = 1 + N * (nfi + nh)
         blk = stages[:, :, None]
         cols = 1 + blk * nfi + np.arange(nfi)
         self.g_pos = ((blk + 1) * ns + np.arange(ns)[:, None]) * width + cols
@@ -571,34 +610,37 @@ class OcpProblem:
         couples two stages, or a state with an input, so the Hessian is
         block diagonal.  The gap rows give every state step as
         ``ds_k = S_k dq + s0_k`` in the input steps, which leaves a system in
-        the N*(n_u + n_nu) inputs.  A held state is held at zero; its gap
-        rows become equality rows of that system.
+        the N*(n_u + n_nu) inputs.  A held state is a state like any other
+        here, with its hold ``E_k ds_k = 0`` (k = 1..N) added as an equality
+        with its own multiplier ``mu_k``.  That problem has the same ``dw``
+        and ``lam``; the held rows of its stationarity in the states only
+        fix ``mu``.
 
         The condensing runs backward (Andersson, Frasch, Vukov & Diehl 2013,
         "A condensing algorithm for nonlinear MPC with a quadratic runtime
         in horizon length"), in O(N^2) instead of O(N^3):
 
-        - forward, ``X_k = [s0_k | S_k] = F_{k-1} X_{k-1} + [-c_k | G_{k-1}]``,
-          with the held rows zeroed after they are recorded;
+        - forward, ``X_k = [s0_k | S_k | 0] = F_{k-1} X_{k-1} +
+          [-c_k | G_{k-1} | 0]``, zero in the columns of ``mu``; the held
+          rows of ``X_k`` are the hold rows;
         - backward, ``L_N = Y_N`` and ``L_k = Y_k + F_k^T L_{k+1}``, with
-          ``Y_k = H_s X_k`` plus ``g_s`` in column 0 and the held rows of
-          ``L_{k+1}`` dropped; ``L_k [1; dq]`` is the cost gradient that the
-          states from stage k on pass back to ``ds_k``;
+          ``Y_k = [H_s X_k + g_s | E_k^T]`` (``g_s`` in column 0, the hold
+          columns ``OcpStructure.e_cols``); ``L_k [1; dq; mu]`` is the
+          gradient that the states from stage k on pass back to ``ds_k``;
         - row block i of the condensed Hessian and gradient is
-          ``G_i^T L_{i+1}``, plus ``H_q`` and ``g_q``.
+          ``G_i^T L_{i+1}``, plus ``H_q`` and ``g_q``; its hold columns
+          are the hold rows transposed, which border the condensed Hessian.
 
-        After the LU solve, stationarity in the states,
-        ``lam_k = F_k^T lam_{k+1} - (H_s ds + g_s)_k`` on the free rows, is
-        read off the backward sweep as ``lam_k = -L_k [1; dq]`` when no state
-        is held; otherwise only at stage N, the held rows take the solved
-        multipliers of their gap rows, and the recursion runs below N.
+        After the LU solve for ``(dq, mu)``, stationarity in the states,
+        ``lam_k = F_k^T lam_{k+1} - (H_s ds + g_s + E^T mu)_k``, is read off
+        the backward sweep as ``lam_k = -L_k [1; dq; mu]``.
         Raises ``LinAlgError`` when the condensed system is singular.
         """
         N = self.config.horizon
         st = self.structure
-        si, qf, ri = st.state_idx, st.q_free_idx, st.row_idx
-        held = st.held
+        si, qf, ri, held = st.state_idx, st.q_free_idx, st.row_idx, st.held
         ns, nf = si.shape[1], qf.size
+        n = nf + st.e_cols.shape[2]
 
         # stage Hessians of the states
         jp = blocks.js
@@ -607,64 +649,44 @@ class OcpProblem:
         hs[N] = st.hs_terminal
         hs.reshape(N + 1, ns * ns)[:, ::ns + 1] += sigma[si] + reg
 
-        # forward sweep over X_k = [s0_k | S_k] in the free inputs; row block
-        # k + 1 reads ds_{k+1} - F_k ds_k - G_k dq_k + c = 0
+        # forward sweep over X_k = [s0_k | S_k | 0] in the free inputs (the
+        # hold multipliers do not move the states); row block k + 1 reads
+        # ds_{k+1} - F_k ds_k - G_k dq_k + c = 0
         F, G = blocks.f, blocks.g.take(st.q_free, axis=2)
-        X = np.zeros((N + 1, ns, 1 + nf))
+        X = np.zeros((N + 1, ns, 1 + n))
         X[:, :, 0] = -c[ri]
         X.reshape(-1)[st.g_pos] = G
-        e_rows = [np.zeros((0, 1 + nf))]
         for f, prev, cur in zip(F, X[:-1], X[1:]):
             cur += f @ prev
-            if st.any_held:
-                e_rows.append(cur[held])
-                cur[held] = 0.0
 
         # backward sweep, in place on Y
         L = hs @ X
         L[:, :, 0] += g[si]
+        L[:, :, 1 + nf:] = st.e_cols
         for f, prev, cur in zip(F[::-1], L[-2::-1], L[:0:-1]):
-            if st.any_held:
-                cur[held] = 0.0
             prev += f.T @ cur
 
-        # condensed system in the free inputs, with the held states' rows
+        # condensed system in the free inputs, bordered by the holds
         hg = G.transpose(0, 2, 1) @ L[1:]
         hg.reshape(-1)[st.hq_pos] += st.hq_free
-        rows = np.concatenate(e_rows)
-        n = nf + rows.shape[0]
-        kkt = np.zeros((n, n))
-        kkt[:nf, :nf] = hg[:, :, 1:].reshape(nf, nf)
+        holds = X[1:, held].reshape(-1, 1 + n)
+        kkt = np.concatenate([hg[:, :, 1:].reshape(nf, n), holds[:, 1:]])
         kkt.reshape(-1)[:nf * (n + 1):n + 1] += sigma[qf] + reg
-        kkt[:nf, nf:] = -rows[:, 1:].T
-        kkt[nf:, :nf] = -rows[:, 1:]
-        rhs = np.concatenate([-(hg[:, :, 0].ravel() + g[qf]), rows[:, 0]])
+        rhs = -np.concatenate([hg[:, :, 0].ravel() + g[qf], holds[:, 0]])
         sol = np.linalg.solve(kkt, rhs)
         if not np.isfinite(sol).all():
             raise np.linalg.LinAlgError("non-finite KKT solution")
 
-        dq1 = np.empty(1 + nf)
-        dq1[0] = 1.0
-        dq1[1:] = sol[:nf]
-        ds = X @ dq1
-        if not st.any_held:
-            lam_s = -(L @ dq1)
-        else:
-            # at stage N the held rows of L are zero; below it, stationarity
-            # in s_k: lam_k = F_k^T lam_{k+1} - (H_s ds + g_s)_k on the free
-            # rows (stage 0, whose box the pins free, holds nothing)
-            lam_s = np.zeros((N + 1, ns))
-            lam_s[N:] = -(L[N:] @ dq1)
-            lam_s[1:, held] = sol[nf:].reshape(N, -1)
-            v = (hs[:N] @ ds[:N, :, None])[..., 0] + g[si[:N]]
-            for k in range(N - 1, -1, -1):
-                lam_s[k] = np.where(held & (k > 0), lam_s[k], F[k].T @ lam_s[k + 1] - v[k])
-
+        v = np.empty(1 + n)
+        v[0] = 1.0
+        v[1:] = sol
+        ds = X @ v
+        ds[1:, held] = 0.0
         dw = np.zeros(self.n)
         dw[si] = ds
         dw[qf] = sol[:nf]
         lam = np.zeros(self.m_eq)
-        lam[ri] = lam_s
+        lam[ri] = -(L @ v)
         return dw, lam
 
 

@@ -433,3 +433,11 @@ class TestCorridorMode:
     def test_path_type_must_match_config(self):
         with pytest.raises(ValueError):
             PathController(make_path("spiral"), OcpConfig(corridor=True), PARAMS)
+
+    def test_corridor_bounds_must_match_config(self):
+        # the path clipped s2 to its own bounds while the box used the
+        # config's, so the residual Jacobian's s2 column was off the residual
+        from quadpath.paths import CorridorPath
+        with pytest.raises(ValueError, match="s2_bounds"):
+            PathController(CorridorPath(make_path("sinusoid"), s2_bounds=(0.0, 0.0)),
+                           OcpConfig(corridor=True, s_dot_max=0.02), PARAMS)

@@ -74,6 +74,17 @@ class TestAnalyticProblems:
         assert res.status == CONVERGED
         assert np.max(np.abs(res.decision - 0.5)) < 1e-8
 
+    @pytest.mark.parametrize("half", [
+        {"equality": lambda w: np.array([w[0] + w[1] - 1.0])},
+        {"equality_jacobian": lambda w: np.array([[1.0, 1.0]])},
+    ], ids=["equality-alone", "jacobian-alone"])
+    def test_half_an_equality_rejected(self, half):
+        # the values alone failed in solve with a TypeError; the Jacobian
+        # alone was dropped, and the unconstrained problem converged
+        with pytest.raises(ValueError, match="equality and equality_jacobian"):
+            DenseNlp(2, residual=lambda w: w, residual_jacobian=lambda w: np.eye(2),
+                     lower=np.full(2, -INF), upper=np.full(2, INF), **half)
+
 
 class TestKktResidual:
     def make_problem(self):

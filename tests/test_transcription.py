@@ -184,12 +184,24 @@ class TestResidualJacobian:
             assert np.all(np.max(np.abs(A[:, free]), axis=1) > 1e-14)
 
 
-def horizon_problem(kind, horizon, freeze_input=False, **overrides):
+# the values at which ``horizon_problem`` holds a quadrotor state
+HOLD_VALUES = {"x": 0.0, "y": 0.0, "z": 0.5, "vx": 0.0, "vy": 0.0, "vz": 0.0, "pitch": 0.0}
+STATE_NAMES = ["x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw", "s1", "s2", "s1dot", "s2dot"]
+
+
+def horizon_problem(kind, horizon, freeze_input=False, hold=(), **overrides):
     """Classic, corridor, zero-width-corridor or planar (roll and roll
     command frozen at zero) problem at the path start; ``freeze_input``
-    closes the yaw-rate command's box to zero, and ``overrides`` are
+    closes the yaw-rate command's box to zero, ``hold`` names quadrotor
+    states whose box closes at ``HOLD_VALUES``, and ``overrides`` are
     further :class:`OcpConfig` fields."""
     kw = {"horizon": horizon}
+    if hold:
+        kw["state_lower"] = DEFAULT_STATE_LOWER.copy()
+        kw["state_upper"] = DEFAULT_STATE_UPPER.copy()
+        for name in hold:
+            j = STATE_NAMES.index(name)
+            kw["state_lower"][j] = kw["state_upper"][j] = HOLD_VALUES[name]
     if freeze_input or kind == "planar":
         kw["input_lower"] = -DEFAULT_INPUT_BOUND.copy()
         kw["input_upper"] = DEFAULT_INPUT_BOUND.copy()
@@ -197,8 +209,8 @@ def horizon_problem(kind, horizon, freeze_input=False, **overrides):
         kw["input_lower"][3] = kw["input_upper"][3] = 0.0
     if kind == "planar":
         kw["input_lower"][1] = kw["input_upper"][1] = 0.0
-        kw["state_lower"] = DEFAULT_STATE_LOWER.copy()
-        kw["state_upper"] = DEFAULT_STATE_UPPER.copy()
+        kw.setdefault("state_lower", DEFAULT_STATE_LOWER.copy())
+        kw.setdefault("state_upper", DEFAULT_STATE_UPPER.copy())
         kw["state_lower"][6] = kw["state_upper"][6] = 0.0
     if kind in ("classic", "planar"):
         path = make_path("spiral")
@@ -277,28 +289,34 @@ class TestCondensedStep:
 
     @settings(max_examples=100, deadline=None)
     @given(horizon=st.integers(1, 12), kind=st.sampled_from(["classic", "corridor", "zero-width"]),
-           freeze_input=st.booleans(), seed=st.integers(0, 2**32 - 1),
-           sigma_max=st.floats(0.0, 10.0), reg=st.sampled_from([0.0, 1e-4]))
-    def test_matches_dense_newton_direction_on_drawn_problems(self, horizon, kind, freeze_input, seed,
-                                                             sigma_max, reg):
-        prob = horizon_problem(kind, horizon, freeze_input)
+           freeze_input=st.booleans(), hold=st.sets(st.sampled_from(["z", "pitch"])),
+           seed=st.integers(0, 2**32 - 1), sigma_max=st.floats(0.0, 10.0),
+           reg=st.sampled_from([0.0, 1e-4]))
+    def test_matches_dense_newton_direction_on_drawn_problems(self, horizon, kind, freeze_input, hold,
+                                                             seed, sigma_max, reg):
+        # 0 to 3 held states: z, pitch and the zero-width corridor's s2
+        prob = horizon_problem(kind, horizon, freeze_input, hold)
         check_condensed_step(prob, np.random.default_rng(seed), sigma_max, (reg,), False)
 
 
 class TestFrozenBoxes:
-    """A box that freezes a state together with every input that drives it
-    is rejected when the structure is built; the first gap row of that state
-    would only repeat the pins, so every Newton step would be singular."""
+    """A box is rejected when the structure is built if the free inputs of a
+    stage cannot move its held states independently (structural rank of the
+    held rows below their count): the first gap rows of those states would
+    repeat the pins, so every Newton step would be singular."""
 
-    @pytest.mark.parametrize("kind, horizon, overrides, names", [
-        ("planar", 1, {}, "roll"),
-        ("planar", 5, {}, "roll"),
-        ("planar", 20, {}, "roll"),
-        ("corridor", 5, {"s2_dot_bound": 0.0, "nu2_bound": 0.0}, "s2dot"),
-        ("zero-width", 5, {"nu2_bound": 0.0}, "s2"),
-    ], ids=["planar-1", "planar-5", "planar-20", "s2dot-and-nu2", "s2-and-nu2"])
-    def test_state_frozen_with_its_inputs_rejected(self, kind, horizon, overrides, names):
-        with pytest.raises(ValueError, match=f"freezes the state {names} and every input"):
+    @pytest.mark.parametrize("kind, horizon, overrides, message", [
+        ("planar", 1, {}, "freezes the state roll and every input"),
+        ("planar", 5, {}, "freezes the state roll and every input"),
+        ("planar", 20, {}, "freezes the state roll and every input"),
+        ("corridor", 5, {"s2_dot_bound": 0.0, "nu2_bound": 0.0}, "freezes the state s2dot and every input"),
+        ("zero-width", 5, {"nu2_bound": 0.0}, "freezes the state s2 and every input"),
+        # six held rows, each reached by some input, on four inputs
+        ("classic", 5, {"hold": ["x", "y", "z", "vx", "vy", "vz"]},
+         "freezes the states x, y, z, vx, vy, vz, which the free inputs reach with structural rank 4"),
+    ], ids=["planar-1", "planar-5", "planar-20", "s2dot-and-nu2", "s2-and-nu2", "position-and-velocity"])
+    def test_state_frozen_with_its_inputs_rejected(self, kind, horizon, overrides, message):
+        with pytest.raises(ValueError, match=message):
             horizon_problem(kind, horizon, **overrides)
 
     @pytest.mark.parametrize("kind, freeze_input, held", [
@@ -306,20 +324,16 @@ class TestFrozenBoxes:
         ("classic", True, []),
         ("corridor", True, []),
         ("classic", False, ["z"]),
-    ], ids=["zero-width", "classic-freeze-input", "corridor-freeze-input", "held-z"])
+        ("zero-width", False, ["z", "pitch", "s2"]),
+    ], ids=["zero-width", "classic-freeze-input", "corridor-freeze-input", "held-z", "held-z-pitch-s2"])
     def test_boxes_a_free_input_reaches_still_build(self, kind, freeze_input, held):
-        overrides = {}
-        if held == ["z"]:
-            lower, upper = DEFAULT_STATE_LOWER.copy(), DEFAULT_STATE_UPPER.copy()
-            lower[2] = upper[2] = 0.5
-            overrides = {"state_lower": lower, "state_upper": upper}
-        names = ["x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw", "s1", "s2", "s1dot", "s2dot"]
+        hold = [name for name in held if name in HOLD_VALUES]
         rng = np.random.default_rng(23)
         for horizon in (1, 5, 20):
-            prob = horizon_problem(kind, horizon, freeze_input, **overrides)
+            prob = horizon_problem(kind, horizon, freeze_input, hold)
             st = prob.structure
-            assert [names[j] for j in np.flatnonzero(st.held)] == held
-            assert st.any_held == bool(held)
+            assert [STATE_NAMES[j] for j in np.flatnonzero(st.held)] == held
+            assert st.e_cols.shape == (horizon + 1, st.held.size, horizon * len(held))
             # the pins free stage 0; every later stage holds the same states
             assert np.array_equal(~prob.box.free[st.state_idx], np.vstack([np.zeros_like(st.held)]
                                                                            + [st.held] * horizon))
