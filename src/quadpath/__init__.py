@@ -35,7 +35,6 @@ from .simulate import (
 from .solver import (
     DenseNlp,
     SolveResult,
-    SolverSettings,
     solve,
     warm_start_shift,
 )

@@ -45,7 +45,7 @@ def _cmd_run(args) -> int:
     if args.config:
         cfg = load_config(args.config, **overrides)
     else:
-        cfg = scenario_config(args.scenario, **overrides)
+        cfg = scenario_config(args.scenario or "spiral", **overrides)
 
     os.makedirs(args.out, exist_ok=True)
     solver_log = None
@@ -92,8 +92,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one closed-loop scenario")
-    run_p.add_argument("--scenario", choices=SCENARIOS, default="spiral")
-    run_p.add_argument("--config", help="flat key=value scenario file")
+    source = run_p.add_mutually_exclusive_group()
+    source.add_argument("--scenario", choices=SCENARIOS, help="scenario defaults by name (spiral)")
+    source.add_argument("--config", help="flat key=value scenario file")
     run_p.add_argument("--out", default="out", help="output directory")
     run_p.add_argument("--thrust-scale", type=float, dest="thrust_scale")
     run_p.add_argument("--sensor", choices=("exact", "fd"))

@@ -2,8 +2,9 @@
 
 Each control step builds the horizon NLP pinned at the measured state and
 the controller's own timing state, on the constant structure the controller
-built once, solves it (warm-started from the shifted
-previous solution when available), applies the first input interval, and
+built once, solves it (warm-started from the shifted previous solution
+when available, from the input rollout first and when the warm solve does
+not converge), applies the first input interval, and
 advances the timing state in closed form with the first virtual input.
 Advancing the controller copy of the timing state by the applied virtual
 input, instead of reading back the solver prediction, keeps the plant-side
@@ -12,7 +13,7 @@ and controller-side progress consistent even when a solve fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,7 +23,6 @@ from .paths import step_timing
 from .solver import (
     CONVERGED,
     SolveResult,
-    SolverSettings,
     solve,
     warm_start_shift,
 )
@@ -47,20 +47,12 @@ class PathController:
     across concurrent runs.
     """
 
-    def __init__(self, path, config: OcpConfig, params: ModelParams,
-                 settings: Optional[SolverSettings] = None, solver_log=None):
+    def __init__(self, path, config: OcpConfig, params: ModelParams, solver_log=None):
         # the layout, constant blocks and box every control step shares
         self.structure = OcpStructure(path, config)
         self.path = path
         self.config = config
         self.params = params
-        self.settings = settings if settings is not None else SolverSettings()
-        # warm-started solves resume near the central path, so the barrier
-        # homotopy restarts at its floor scale instead of barrier_initial
-        self._warm_settings = replace(
-            self.settings,
-            barrier_initial=min(self.settings.barrier_initial, 10.0 * self.settings.barrier_floor),
-        )
         self.solver_log = solver_log
         if config.corridor:
             self.path_state = np.array([-1.0, 0.0, config.s_dot_floor, 0.0])
@@ -87,18 +79,11 @@ class PathController:
 
         if self.last_solution is not None and self.last_solution.decision.shape == (problem.n,):
             guess = warm_start_shift(self.last_solution, problem)
-            result = solve(problem, guess, self._warm_settings,
-                           multipliers=self.last_solution.multipliers, log=self.solver_log)
+            result = solve(problem, guess, multipliers=self.last_solution.multipliers, log=self.solver_log)
             if result.status != CONVERGED:
-                result = self._best(result, solve(problem, problem.rollout(),
-                                                  self.settings, log=self.solver_log))
+                result = self._best(result, solve(problem, problem.rollout(), log=self.solver_log))
         else:
-            result = solve(problem, problem.rollout(), self.settings, log=self.solver_log)
-        if result.status != CONVERGED:
-            # a fresh rollout at the floor barrier weight handles pins that sit
-            # in slivers between the box and the equality manifold
-            result = self._best(result, solve(problem, problem.rollout(),
-                                              self._warm_settings, log=self.solver_log))
+            result = solve(problem, problem.rollout(), log=self.solver_log)
 
         X, U, Z, V = problem.unpack(result.decision)
         self.last_solution = result

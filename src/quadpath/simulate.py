@@ -85,10 +85,10 @@ class ScenarioConfig:
             raise ValueError("sensor must be 'exact' or 'fd'")
         if self.plant_substeps < 1:
             raise ValueError("plant_substeps must be at least 1")
-        if not self.position_noise >= 0.0:
-            raise ValueError("position_noise must be nonnegative")
-        if not self.mass_error > -1.0:
-            raise ValueError("mass_error must be greater than -1 (the plant mass must stay positive)")
+        if not 0.0 <= self.position_noise < np.inf:
+            raise ValueError("position_noise must be nonnegative and finite")
+        if not -1.0 < self.mass_error < np.inf:
+            raise ValueError("mass_error must be finite and greater than -1 (the plant mass must stay positive)")
 
     @property
     def corridor(self) -> bool:
@@ -127,7 +127,8 @@ _CONFIG_TYPES = {f.name: f.type for f in ScenarioConfig.__dataclass_fields__.val
 
 
 def load_config(path: str, **overrides) -> ScenarioConfig:
-    """Read a flat ``key = value`` scenario file ('#' starts a comment)."""
+    """Read a flat ``key = value`` scenario file ('#' starts a comment);
+    keyword overrides, ``scenario`` included, win over the file."""
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -144,8 +145,8 @@ def load_config(path: str, **overrides) -> ScenarioConfig:
                 values[key] = _parse_value(key, val)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    name = values.pop("scenario", "spiral")
     values.update(overrides)
+    name = values.pop("scenario", "spiral")
     return scenario_config(name, **values)
 
 

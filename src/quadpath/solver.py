@@ -5,14 +5,14 @@ Solves problems of the form
     minimize    ||r(w)||^2
     subject to  c(w) = 0,   lb <= w <= ub
 
-by a homotopy over the barrier weight mu: at each mu the box is replaced by
-a log barrier, the cost is approximated by its Gauss-Newton model, and the
+at one barrier weight mu = 1e-7: the box is replaced by a log barrier, the
+cost is approximated by its Gauss-Newton model, and the
 equality-constrained Newton step comes from one symmetric KKT system.
-The barrier subproblems are stepped in primal-dual form (bound duals scale
-the Hessian diagonal) which avoids the step-length collapse of pure primal
-barrier Newton near active bounds; convergence of each stage is still
-measured by the primal barrier stationarity.  A backtracking line search on
-the exact-penalty merit
+The barrier problem is stepped in primal-dual form (bound duals scale the
+Hessian diagonal) which avoids the step-length collapse of pure primal
+barrier Newton near active bounds; convergence is still measured by the
+primal barrier stationarity.  A backtracking line search on the
+exact-penalty merit
 
     ||r(w)||^2 + mu * B(w) + rho * ||c(w)||_1
 
@@ -33,12 +33,12 @@ and the corrected point, cut by the fraction-to-boundary rule, is accepted
 with its multipliers if it meets the original step's Armijo bound;
 otherwise the original direction is backtracked.
 
-Cold starts are pushed away from the box faces in proportion to the first
-barrier weight.  A guess passed with ``multipliers`` is taken to be a
-shifted previous optimum (:func:`warm_start_shift`, which already projects
-it strictly inside the box) and is used as it is, so the bounds that were
-active stay active; the bound duals are recentered at every barrier stage,
-which at a converged point gives back the previous duals.
+Cold starts are pushed ``0.1 * sqrt(mu)`` away from the box faces.  A guess
+passed with ``multipliers`` is taken to be a shifted previous optimum
+(:func:`warm_start_shift`, which already projects it strictly inside the
+box) and is used as it is, so the bounds that were active stay active.
+Either way the bound duals start at ``mu / gap``, which at a converged
+point gives back the previous duals.
 
 The problem keeps its own Jacobians and solves its own KKT system, so it
 can use its structure: :class:`DenseNlp` holds dense matrices and factors
@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -84,39 +83,24 @@ MAX_ITERATIONS = "max-iterations"
 LINESEARCH_FAILURE = "linesearch-failure"
 
 _FROZEN_TOL = 1e-12
+# the barrier weight of every solve, and the fraction-to-boundary factor
+_MU = 1e-7
+_TAU = 1.0 - _MU
+# the margin inside the box of a cold start: Newton leaves a near-active
+# bound only geometrically, so starting deep in the barrier well wastes
+# iterations
+_COLD_MARGIN = 0.1 * np.sqrt(_MU)
 # the margin inside the box of a warm start (warm_start_shift's projection)
 _WARM_MARGIN = 1e-6
+_TOLERANCE = 1e-6
+_ITERATION_CAP = 50
+_BACKTRACK = 0.5
+_PENALTY = 1e3
+_REG_FLOOR = 1e-8
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 _MAX_REG_ESCALATIONS = 24
 _DUAL_SAFEGUARD = 1e10
-
-
-@dataclass
-class SolverSettings:
-    kkt_tolerance: float = 1e-6
-    max_iterations: int = 50
-    barrier_initial: float = 1e-2
-    barrier_decrease: float = 0.2
-    barrier_floor: float = 1e-8
-    linesearch_backtrack: float = 0.5
-    merit_penalty: float = 1e3
-    regularization_floor: float = 1e-8
-
-    def __post_init__(self) -> None:
-        positives = (
-            self.kkt_tolerance, self.max_iterations, self.barrier_initial,
-            self.barrier_decrease, self.barrier_floor, self.linesearch_backtrack,
-            self.merit_penalty, self.regularization_floor,
-        )
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
-            raise ValueError("max_iterations must be an integer")
-        if not all(0 < v < np.inf for v in positives):
-            raise ValueError("solver settings must be positive and finite")
-        if not (0.0 < self.barrier_decrease < 1.0):
-            raise ValueError("barrier_decrease must be in (0, 1)")
-        if not (0.0 < self.linesearch_backtrack < 1.0):
-            raise ValueError("linesearch_backtrack must be in (0, 1)")
 
 
 @dataclass
@@ -255,13 +239,6 @@ class DenseNlp:
         return _newton_direction(h, g, A, c, self.box.free, keep, reg)
 
 
-def _barrier_schedule(settings: SolverSettings) -> list[float]:
-    mus = [settings.barrier_initial]
-    while mus[-1] > 10.0 * settings.barrier_floor:
-        mus.append(max(mus[-1] * settings.barrier_decrease, settings.barrier_floor))
-    return mus
-
-
 def _newton_direction(h, g, a, c, free, keep, reg):
     nf = int(np.sum(free))
     hf = h[np.ix_(free, free)] + reg * np.eye(nf)
@@ -284,59 +261,44 @@ def _newton_direction(h, g, a, c, free, keep, reg):
 
 class _BoundDuals:
     """Multiplier estimates ``z`` for the faces of a :class:`Box` (the
-    primal-dual device); every method takes the gaps at the current point.
-    The first barrier stage sets them by :meth:`recenter`."""
+    primal-dual device), starting at exact complementarity ``mu / gap``;
+    every method takes the gaps at the current point."""
 
-    def __init__(self, box: Box):
+    def __init__(self, box: Box, gap):
         self.box = box
-        self.z = None
+        self.z = _MU / gap
 
     def sigma(self, gap) -> np.ndarray:
         return np.bincount(self.box.idx, self.z / gap, self.box.n)
 
-    def update(self, gap, step, mu, tau):
+    def update(self, gap, step):
         """Linearized-complementarity dual step for the accepted primal step,
         cut per side by the fraction-to-boundary rule."""
         z, k = self.z, self.box.n_lo
-        dz = (mu - z * gap - self.box.sign * z * step[self.box.idx]) / gap
+        dz = (_MU - z * gap - self.box.sign * z * step[self.box.idx]) / gap
         ratio = np.divide(z, -dz, out=np.full(z.shape, np.inf), where=dz < 0.0)
-        z[:k] += min(1.0, tau * np.min(ratio[:k], initial=np.inf)) * dz[:k]
-        z[k:] += min(1.0, tau * np.min(ratio[k:], initial=np.inf)) * dz[k:]
+        z[:k] += min(1.0, _TAU * np.min(ratio[:k], initial=np.inf)) * dz[:k]
+        z[k:] += min(1.0, _TAU * np.min(ratio[k:], initial=np.inf)) * dz[k:]
 
-    def clip(self, gap, mu):
-        self.z = np.clip(self.z, mu / (_DUAL_SAFEGUARD * gap), _DUAL_SAFEGUARD * mu / gap)
-
-    def recenter(self, gap, mu):
-        """Reset the duals to exact complementarity at the current point
-        (used at barrier-stage entry, where the point sits on or near the
-        central path of the previous stage)."""
-        self.z = mu / gap
+    def clip(self, gap):
+        self.z = np.clip(self.z, _MU / (_DUAL_SAFEGUARD * gap), _DUAL_SAFEGUARD * _MU / gap)
 
 
-def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
-          multipliers: Optional[np.ndarray] = None, log=None) -> SolveResult:
-    """Run the barrier homotopy to the stated KKT tolerance.
+def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=None) -> SolveResult:
+    """Solve the barrier problem at ``mu = 1e-7`` to the KKT tolerance 1e-6.
 
     A cold guess (no ``multipliers``) is pushed strictly inside the box
     before iterating; a warm guess is only projected at the margin of
     :func:`warm_start_shift`, which leaves a shifted guess unchanged.  On line
-    search failure or iteration exhaustion the best (current) iterate is
-    returned with the corresponding status; the caller decides what to do
-    with a non-converged first input.
+    search failure or iteration exhaustion (50 iterations) the best
+    (current) iterate is returned with the corresponding status; the caller
+    decides what to do with a non-converged first input.
     """
     t_start = time.perf_counter()
-    st = settings if settings is not None else SolverSettings()
     box = problem.box
-    if multipliers is None:
-        # push the start away from the box faces proportionally to the first
-        # barrier weight: Newton leaves a near-active bound only geometrically,
-        # so starting deep in the barrier well wastes iterations
-        push = min(1e-2, max(1e-6, 0.1 * np.sqrt(st.barrier_initial)))
-    else:
-        # a warm guess is a shifted optimum already projected by
-        # warm_start_shift: keep its active bounds where they are
-        push = _WARM_MARGIN
-    w = box.project(initial_guess, push)
+    # a warm guess is a shifted optimum already projected by
+    # warm_start_shift: keep its active bounds where they are
+    w = box.project(initial_guess, _COLD_MARGIN if multipliers is None else _WARM_MARGIN)
 
     # r, c and blocks always hold the linearization at w, and bval, bgrad
     # and gap its barrier: the accepted line-search trial computed both at
@@ -348,12 +310,9 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
     if lam.shape != (m,):
         raise ValueError("multiplier vector has the wrong length")
 
-    rho = st.merit_penalty
-    schedule = _barrier_schedule(st)
-    duals = _BoundDuals(box)
+    rho = _PENALTY
+    duals = _BoundDuals(box, gap)
     iters = 0
-    kkt_val = np.inf
-    eq_val = np.inf
 
     def _finish(stat):
         return SolveResult(
@@ -363,115 +322,108 @@ def solve(problem, initial_guess, settings: Optional[SolverSettings] = None,
         )
 
     def merit_at(point):
-        """Merit (at the current mu and rho), linearization and barrier of an
-        in-box point; ``(inf, None, None)`` outside the box, where nothing is
+        """Merit (at the current rho), linearization and barrier of an in-box
+        point; ``(inf, None, None)`` outside the box, where nothing is
         linearized."""
         bar = box.barrier(point)
         if bar[2] is None:
             return np.inf, None, None
         lin = problem.linearize(point)
-        return float(lin[0] @ lin[0]) + mu * bar[0] + rho * float(np.sum(np.abs(lin[1]))), lin, bar
+        return float(lin[0] @ lin[0]) + _MU * bar[0] + rho * float(np.sum(np.abs(lin[1]))), lin, bar
 
     if log is not None:
         log.write(f"# solve n={problem.n} m={m}\n")
 
-    for stage, mu in enumerate(schedule):
-        last_stage = stage == len(schedule) - 1
-        stage_tol = st.kkt_tolerance if last_stage else max(st.kkt_tolerance, mu)
-        tau = max(0.995, 1.0 - mu)
-        duals.recenter(gap, mu)
-        while True:
-            g = 2.0 * problem.jt_dot(blocks, r) + mu * bgrad
-            stat = float(np.max(np.abs((g + problem.at_dot(blocks, lam))[box.free]), initial=0.0))
-            eq_val = float(np.max(np.abs(c), initial=0.0))
-            kkt_val = max(stat, eq_val)
-            if kkt_val <= stage_tol:
+    while True:
+        g = 2.0 * problem.jt_dot(blocks, r) + _MU * bgrad
+        stat = float(np.max(np.abs((g + problem.at_dot(blocks, lam))[box.free]), initial=0.0))
+        eq_val = float(np.max(np.abs(c), initial=0.0))
+        kkt_val = max(stat, eq_val)
+        if kkt_val <= _TOLERANCE:
+            return _finish(CONVERGED)
+        if iters >= _ITERATION_CAP:
+            return _finish(MAX_ITERATIONS)
+
+        sigma = duals.sigma(gap)
+        c_l1 = float(np.sum(np.abs(c)))
+        reg = 0.0
+        direction = None
+        for _ in range(_MAX_REG_ESCALATIONS):
+            try:
+                dw, lam_new = problem.kkt_step(blocks, g, c, sigma, reg)
+            except np.linalg.LinAlgError:
+                reg = max(_REG_FLOOR, reg * 10.0) if reg else _REG_FLOOR
+                continue
+            descent = float(g @ dw) - rho * c_l1
+            if descent < 0.0 or not np.any(dw):
+                direction = (dw, lam_new, descent)
                 break
-            if iters >= st.max_iterations:
-                return _finish(MAX_ITERATIONS)
+            reg = max(_REG_FLOOR, reg * 10.0) if reg else _REG_FLOOR
+        if direction is None:
+            return _finish(LINESEARCH_FAILURE)
+        dw, lam_new, descent = direction
+        # the l1 penalty is exact only above the multiplier scale; grow it
+        # when the fresh multiplier estimate exceeds the current weight
+        if 2.0 * float(np.max(np.abs(lam_new), initial=0.0)) > rho:
+            rho = 2.0 * float(np.max(np.abs(lam_new)))
+            descent = float(g @ dw) - rho * c_l1
+            if descent >= 0.0 and np.any(dw):
+                return _finish(LINESEARCH_FAILURE)
+        merit0 = float(r @ r) + _MU * bval + rho * c_l1
+        if np.max(np.abs(dw)) <= 100.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(w))):
+            # step at the rounding floor above the tolerance: no progress left
+            return _finish(MAX_ITERATIONS)
 
-            sigma = duals.sigma(gap)
-            c_l1 = float(np.sum(np.abs(c)))
-            reg = 0.0
-            direction = None
-            for _ in range(_MAX_REG_ESCALATIONS):
+        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(merit0))
+        alpha = box.step_to_boundary(gap, dw, _TAU)
+        step = None
+        soc = False
+        trials = 0
+        for _ in range(_MAX_BACKTRACKS):
+            merit, lin, bar = merit_at(w + alpha * dw)  # same rho as merit0
+            if lin is None:
+                alpha *= _BACKTRACK
+                continue
+            trials += 1
+            bound = merit0 + _ARMIJO * alpha * descent
+            if merit <= bound or abs(alpha * descent) <= noise:
+                step = alpha * dw
+                break
+            if trials == 1:
+                # second-order correction: the full step's constraint
+                # curvature (RK4 gaps grow quadratically along it) makes
+                # the l1 merit reject it; re-solve with the trial's gaps
+                # and accept the corrected point on the same Armijo bound
                 try:
-                    dw, lam_new = problem.kkt_step(blocks, g, c, sigma, reg)
+                    dw_soc, lam_soc = problem.kkt_step(blocks, g, alpha * c + lin[1], sigma, reg)
                 except np.linalg.LinAlgError:
-                    reg = max(st.regularization_floor, reg * 10.0) if reg else st.regularization_floor
-                    continue
-                descent = float(g @ dw) - rho * c_l1
-                if descent < 0.0 or not np.any(dw):
-                    direction = (dw, lam_new, descent)
-                    break
-                reg = max(st.regularization_floor, reg * 10.0) if reg else st.regularization_floor
-            if direction is None:
-                return _finish(LINESEARCH_FAILURE)
-            dw, lam_new, descent = direction
-            # the l1 penalty is exact only above the multiplier scale; grow it
-            # when the fresh multiplier estimate exceeds the current weight
-            if 2.0 * float(np.max(np.abs(lam_new), initial=0.0)) > rho:
-                rho = 2.0 * float(np.max(np.abs(lam_new)))
-                descent = float(g @ dw) - rho * c_l1
-                if descent >= 0.0 and np.any(dw):
-                    return _finish(LINESEARCH_FAILURE)
-            merit0 = float(r @ r) + mu * bval + rho * c_l1
-            if np.max(np.abs(dw)) <= 100.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(w))):
-                break  # step at the rounding floor: stage converged numerically
+                    pass
+                else:
+                    soc_step = box.step_to_boundary(gap, dw_soc, _TAU) * dw_soc
+                    merit_soc, lin_soc, bar_soc = merit_at(w + soc_step)
+                    trials += lin_soc is not None
+                    if merit_soc <= bound:
+                        step, merit, lin, bar, lam_new, soc = (soc_step, merit_soc, lin_soc, bar_soc,
+                                                               lam_soc, True)
+                        break
+            alpha *= _BACKTRACK
+        if step is None:
+            return _finish(LINESEARCH_FAILURE)
 
-            noise = 16.0 * np.finfo(float).eps * (1.0 + abs(merit0))
-            alpha = box.step_to_boundary(gap, dw, tau)
-            step = None
-            soc = False
-            trials = 0
-            for _ in range(_MAX_BACKTRACKS):
-                merit, lin, bar = merit_at(w + alpha * dw)  # same rho as merit0
-                if lin is None:
-                    alpha *= st.linesearch_backtrack
-                    continue
-                trials += 1
-                bound = merit0 + _ARMIJO * alpha * descent
-                if merit <= bound or abs(alpha * descent) <= noise:
-                    step = alpha * dw
-                    break
-                if trials == 1:
-                    # second-order correction: the full step's constraint
-                    # curvature (RK4 gaps grow quadratically along it) makes
-                    # the l1 merit reject it; re-solve with the trial's gaps
-                    # and accept the corrected point on the same Armijo bound
-                    try:
-                        dw_soc, lam_soc = problem.kkt_step(blocks, g, alpha * c + lin[1], sigma, reg)
-                    except np.linalg.LinAlgError:
-                        pass
-                    else:
-                        soc_step = box.step_to_boundary(gap, dw_soc, tau) * dw_soc
-                        merit_soc, lin_soc, bar_soc = merit_at(w + soc_step)
-                        trials += lin_soc is not None
-                        if merit_soc <= bound:
-                            step, merit, lin, bar, lam_new, soc = (soc_step, merit_soc, lin_soc, bar_soc,
-                                                                   lam_soc, True)
-                            break
-                alpha *= st.linesearch_backtrack
-            if step is None:
-                return _finish(LINESEARCH_FAILURE)
-
-            duals.update(gap, step, mu, tau)
-            w = w + step
-            r, c, blocks = lin
-            bval, bgrad, gap = bar
-            duals.clip(gap, mu)
-            lam = lam_new.copy()
-            iters += 1
-            if log is not None:
-                log.write(
-                    f"mu={mu:9.3e} it={iters:3d} merit={merit:.17g} "
-                    f"merit_before={merit0:.17g} "
-                    f"alpha={alpha:8.3e} kkt={kkt_val:9.3e} eq={eq_val:9.3e} "
-                    f"trials={trials} soc={int(soc)}\n"
-                )
-
-    status = CONVERGED if (kkt_val <= st.kkt_tolerance and eq_val <= st.kkt_tolerance) else MAX_ITERATIONS
-    return _finish(status)
+        duals.update(gap, step)
+        w = w + step
+        r, c, blocks = lin
+        bval, bgrad, gap = bar
+        duals.clip(gap)
+        lam = lam_new.copy()
+        iters += 1
+        if log is not None:
+            log.write(
+                f"mu={_MU:9.3e} it={iters:3d} merit={merit:.17g} "
+                f"merit_before={merit0:.17g} "
+                f"alpha={alpha:8.3e} kkt={kkt_val:9.3e} eq={eq_val:9.3e} "
+                f"trials={trials} soc={int(soc)}\n"
+            )
 
 
 def warm_start_shift(previous: SolveResult, problem_new) -> np.ndarray:

@@ -9,8 +9,8 @@ from quadpath import paths, solver, transcription
 from quadpath.controller import PathController
 from quadpath.dynamics import ModelParams, rk4_step
 from quadpath.paths import make_path
-from quadpath.simulate import run_scenario, scenario_config
-from quadpath.solver import CONVERGED, MAX_ITERATIONS, SolveResult, SolverSettings, warm_start_shift
+from quadpath.simulate import build_components, run_scenario, scenario_config
+from quadpath.solver import CONVERGED, MAX_ITERATIONS, SolveResult, warm_start_shift
 from quadpath.transcription import OcpConfig, build_ocp
 
 PARAMS = ModelParams()
@@ -172,8 +172,8 @@ class TestWarmStartFlight:
         attempts = []
         original = controller_module.solve
 
-        def recorded(problem, guess, settings=None, multipliers=None, log=None):
-            result = original(problem, guess, settings, multipliers=multipliers, log=log)
+        def recorded(problem, guess, multipliers=None, log=None):
+            result = original(problem, guess, multipliers=multipliers, log=log)
             attempts.append((multipliers is not None, result))
             return result
         monkeypatch.setattr(controller_module, "solve", recorded)
@@ -267,60 +267,80 @@ class TestStageBlockedPath:
             assert built[-1] is controller.structure.box
 
 
+class TestFirstSolve:
+    @pytest.mark.parametrize("horizon", [5, 20])
+    def test_first_step_converges_well_inside_the_cap(self, horizon):
+        # the first step of a spiral flight is one rollout solve (see
+        # TestFallbackChain); it must leave a margin under the iteration
+        # cap, so last-digit changes cannot decide its status
+        path, ocp, params = build_components(scenario_config("spiral", horizon=horizon))
+        controller = PathController(path, ocp, params)
+        _, _, diag = controller.control_step(state_on_path(path, -1.0))
+        assert diag.solve.status == CONVERGED
+        assert diag.solve.iterations <= solver._ITERATION_CAP - 15
+
+
 class TestFallbackChain:
-    """The attempts of ``control_step`` after an unconverged warm solve: the
-    cold rollout, then the rollout at the floor barrier weight."""
+    """The attempts of ``control_step``: a warm solve, and after an
+    unconverged one a solve from the input rollout, then the better of the
+    two; the first step is the rollout solve alone."""
 
     @staticmethod
-    def second_step(monkeypatch, failing):
-        """A cold control step, then a second one in which the attempts
-        named in ``failing`` (``"warm"``, ``"cold"``, ``"floor"``) report
-        ``max-iterations``; returns the controller, the second step's
-        attempts ``(kind, problem, guess, result)`` and its diagnostics."""
-        controller, cfg = spiral_controller()
-        x = state_on_path(controller.path, -1.0)
-        inp, nu, _ = controller.control_step(x)
-        x = rk4_step(x, inp, cfg.delta, PARAMS)
-        controller.advance_path_state(nu, cfg.delta)
-
+    def record(monkeypatch, failing):
+        """Patch ``solve`` so that the attempts named in ``failing``
+        (``"warm"``, ``"rollout"``) report ``max-iterations``; returns the
+        list the attempts ``(kind, problem, guess, result)`` go to."""
         attempts = []
         original = controller_module.solve
 
-        def patched(problem, guess, settings=None, multipliers=None, log=None):
-            if multipliers is not None:
-                kind = "warm"
-            elif settings is controller.settings:
-                kind = "cold"
-            else:
-                assert settings is controller._warm_settings
-                kind = "floor"
-            result = original(problem, guess, settings, multipliers=multipliers, log=log)
+        def patched(problem, guess, multipliers=None, log=None):
+            kind = "rollout" if multipliers is None else "warm"
+            result = original(problem, guess, multipliers=multipliers, log=log)
             if kind in failing:
                 result = replace(result, status=MAX_ITERATIONS)
             attempts.append((kind, problem, guess.copy(), result))
             return result
         monkeypatch.setattr(controller_module, "solve", patched)
+        return attempts
+
+    @classmethod
+    def second_step(cls, monkeypatch, failing):
+        """A first control step, then a second one under :meth:`record`;
+        returns the controller, the second step's attempts and its
+        diagnostics."""
+        controller, cfg = spiral_controller()
+        x = state_on_path(controller.path, -1.0)
+        inp, nu, _ = controller.control_step(x)
+        x = rk4_step(x, inp, cfg.delta, PARAMS)
+        controller.advance_path_state(nu, cfg.delta)
+        attempts = cls.record(monkeypatch, failing)
         _, _, diag = controller.control_step(x)
         return controller, attempts, diag
 
     def test_cold_and_floor_rollouts_share_the_problem_and_box(self, monkeypatch):
-        controller, attempts, diag = self.second_step(monkeypatch, {"warm", "cold"})
-        assert [a[0] for a in attempts] == ["warm", "cold", "floor"]
-        problem = attempts[0][1]
-        assert all(a[1] is problem for a in attempts)
+        # the cold rollout attempt runs at the floor barrier weight: it is
+        # the one attempt after the warm one, on the same problem and box
+        controller, attempts, _ = self.second_step(monkeypatch, {"warm"})
+        assert [a[0] for a in attempts] == ["warm", "rollout"]
+        (_, problem, warm_guess, _), (_, rollout_problem, rollout_guess, _) = attempts
+        assert rollout_problem is problem
         assert problem.box is controller.structure.box
-        cold_guess, floor_guess = attempts[1][2], attempts[2][2]
-        assert cold_guess.tobytes() == floor_guess.tobytes() == problem.rollout().tobytes()
-        assert controller._warm_settings.barrier_initial == 10.0 * controller.settings.barrier_floor
-        # the floor attempt converged, so it is kept and the step succeeds
-        assert attempts[2][3].status == CONVERGED
-        assert diag.solve is attempts[2][3] and not diag.failure
+        assert rollout_guess.tobytes() == problem.rollout().tobytes()
+        assert warm_guess.tobytes() != rollout_guess.tobytes()
 
     def test_best_keeps_a_converged_attempt(self, monkeypatch):
         _, attempts, diag = self.second_step(monkeypatch, {"warm"})
-        assert [a[0] for a in attempts] == ["warm", "cold"]
+        assert [a[0] for a in attempts] == ["warm", "rollout"]
         assert attempts[1][3].status == CONVERGED
         assert diag.solve is attempts[1][3] and not diag.failure
+
+    def test_first_step_is_the_rollout_alone(self, monkeypatch):
+        controller, _ = spiral_controller()
+        attempts = self.record(monkeypatch, {"rollout"})
+        _, _, diag = controller.control_step(state_on_path(controller.path, -1.0))
+        assert [a[0] for a in attempts] == ["rollout"]
+        assert attempts[0][1].box is controller.structure.box
+        assert diag.solve is attempts[0][3] and diag.failure
 
     def test_best_prefers_convergence_then_the_smaller_kkt_residual(self):
         def result(status, kkt):
@@ -334,8 +354,11 @@ class TestFallbackChain:
         assert best(converged, other) is other and best(other, converged) is other
 
     def test_failure_only_when_every_attempt_fails(self, monkeypatch):
-        _, attempts, diag = self.second_step(monkeypatch, {"warm", "cold", "floor"})
-        assert [a[0] for a in attempts] == ["warm", "cold", "floor"]
+        _, attempts, diag = self.second_step(monkeypatch, {"rollout"})
+        assert [a[0] for a in attempts] == ["warm"] and not diag.failure
+        monkeypatch.undo()
+        _, attempts, diag = self.second_step(monkeypatch, {"warm", "rollout"})
+        assert [a[0] for a in attempts] == ["warm", "rollout"]
         assert diag.failure
         results = [a[3] for a in attempts]
         assert diag.solve is min(results, key=lambda r: r.kkt_residual)

@@ -183,10 +183,22 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="position_noise"):
             ScenarioConfig(scenario="hover", position_noise=-0.5)
 
+    @pytest.mark.parametrize("position_noise", [np.inf, np.nan])
+    def test_non_finite_position_noise_rejected(self, position_noise):
+        # an infinite noise would build the controller, then overflow in sense()
+        with pytest.raises(ValueError, match="position_noise"):
+            scenario_config("hover", position_noise=position_noise)
+
     @pytest.mark.parametrize("mass_error", [-1.0, -1.5])
     def test_nonpositive_mass_rejected(self, mass_error):
         with pytest.raises(ValueError, match="mass_error"):
             ScenarioConfig(scenario="hover", mass_error=mass_error)
+
+    @pytest.mark.parametrize("mass_error", [np.inf, np.nan])
+    def test_non_finite_mass_error_rejected(self, mass_error):
+        # an infinite mass error would fail only at the first plant step
+        with pytest.raises(ValueError, match="mass_error"):
+            scenario_config("hover", mass_error=mass_error)
 
     @pytest.mark.parametrize("key, value", [
         ("plant_substeps", 2.5), ("plant_substeps", True),
@@ -215,6 +227,13 @@ class TestScenarioConfig:
         assert cfg.sensor == "fd"
         assert cfg.mass == 0.035
         assert cfg.q_diag == (80.0, 80.0, 100.0, 20.0, 1.0, 1.0, 1.0, 5.0)
+
+    def test_load_config_scenario_override_wins(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("scenario = lemniscate\ntotal_time = 12.5\n")
+        cfg = load_config(str(cfg_file), scenario="hover")
+        assert cfg.scenario == "hover"
+        assert cfg.total_time == 12.5
 
     def test_load_config_rejects_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -293,6 +312,18 @@ class TestCli:
         assert (out_dir / "log.csv").exists()
         assert (out_dir / "summary.json").exists()
         assert (out_dir / "solver.log").exists()
+
+    @pytest.mark.parametrize("scenario", ["hover", "spiral"])
+    def test_run_rejects_scenario_with_config(self, tmp_path, capsys, scenario):
+        # a config file names its own scenario, so --scenario beside it is
+        # refused rather than ignored
+        cfg_file = tmp_path / "tiny.cfg"
+        cfg_file.write_text("scenario = hover\ntotal_time = 3.0\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "--config", str(cfg_file), "--scenario", scenario, "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "log.csv").exists()
 
     @pytest.mark.parametrize("end, text", [(25.700000000000003, "path end at 25.70 s,"),
                                            (None, "path end not reached,")])

@@ -13,7 +13,6 @@ from quadpath.solver import (
     Box,
     DenseNlp,
     SolveResult,
-    SolverSettings,
     solve,
     warm_start_shift,
 )
@@ -102,17 +101,16 @@ class TestKktResidual:
         prob = self.make_problem()
         res = solve(prob, np.array([0.0, 0.0]))
         assert res.status == CONVERGED
-        final_mu = 2.56e-8  # last stage of the default schedule
-        assert kkt_residual(prob, res.decision, res.multipliers, final_mu) <= 1e-6
+        assert kkt_residual(prob, res.decision, res.multipliers, solver_module._MU) <= 1e-6
 
     def test_larger_away_from_solution(self):
         prob = self.make_problem()
         res = solve(prob, np.array([0.0, 0.0]))
-        at_sol = kkt_residual(prob, res.decision, res.multipliers, 2.56e-8)
+        at_sol = kkt_residual(prob, res.decision, res.multipliers, solver_module._MU)
         rng = np.random.default_rng(16)
         for _ in range(20):
             w = rng.uniform([-2.9, -2.9], [1.4, 2.9])
-            assert kkt_residual(prob, w, res.multipliers, 2.56e-8) > at_sol
+            assert kkt_residual(prob, w, res.multipliers, solver_module._MU) > at_sol
 
     def test_rejects_non_interior_point(self):
         prob = self.make_problem()
@@ -201,8 +199,7 @@ class TestGlobalization:
 class TestEvaluations:
     def test_one_evaluation_per_point(self):
         # one residual, equality and Jacobian evaluation each at the start,
-        # then one each per line-search trial; the barrier stages that
-        # converge without a step evaluate nothing
+        # then one each per line-search trial
         points = {"residual": [], "equality": [], "residual_jacobian": [], "equality_jacobian": []}
 
         def recorded(name, f):
@@ -604,15 +601,13 @@ class TestWarmStartShift:
         x = np.zeros(9)
         x[:3] = p0[:3]
         z = np.array([-1.0, cfg.s_dot_floor])
-        warm_settings = SolverSettings(barrier_initial=1e-7)
         last = None
         warm_iters, cold_iters = [], []
         for _ in range(25):
             prob = build_ocp(x, z, path, cfg, params)
             cold = solve(prob, prob.rollout())
             if last is not None:
-                warm = solve(prob, warm_start_shift(last, prob), warm_settings,
-                             multipliers=last.multipliers)
+                warm = solve(prob, warm_start_shift(last, prob), multipliers=last.multipliers)
                 warm_iters.append(warm.iterations)
                 cold_iters.append(cold.iterations)
                 last = warm
@@ -623,26 +618,3 @@ class TestWarmStartShift:
             z = np.clip(step_timing(z, V[0], cfg.delta),
                         [-1.0, cfg.s_dot_floor], [0.0, cfg.s_dot_max])
         assert np.median(warm_iters) <= np.median(cold_iters)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("kkt_tolerance", float("nan")),
-    ("barrier_initial", INF),
-    ("merit_penalty", -INF),
-    ("regularization_floor", float("nan")),
-    ("max_iterations", 2.5),
-    ("max_iterations", True),
-    ("max_iterations", INF),
-])
-def test_settings_reject_non_finite_and_non_integer(field, value):
-    with pytest.raises(ValueError):
-        SolverSettings(**{field: value})
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(barrier_decrease=1.5)
-    with pytest.raises(ValueError):
-        SolverSettings(kkt_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(linesearch_backtrack=1.0)
