@@ -19,7 +19,10 @@ RK4 step computes its four stage attitudes first.  One trigonometric pass
 over the stacked stage attitudes then gives every stage's thrust axis, and
 the step sensitivities are sums over the stages: the stage attitudes depend
 on the initial attitude and the commands through constant coefficients, so
-no 9x9 chain product through the stages is needed.
+no 9x9 chain product through the stages is needed.  The stage arrays hold
+the state components on their first axis, so that every elementwise numpy
+call runs over contiguous batch rows: at these sizes a call costs its
+overhead, not its arithmetic, and the operations stay those of ``dynamics``.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ def rotation_matrix(attitude) -> np.ndarray:
     ndarray, shape (..., 3, 3)
     """
     att = np.asarray(attitude, dtype=float)
-    trig = _attitude_trig(att)
+    trig = _attitude_trig(np.moveaxis(att, -1, 0))
     cph, sph, cth, sth, cps, sps = trig
 
     R = np.empty(att.shape[:-1] + (3, 3), dtype=float)
@@ -81,7 +84,7 @@ def rotation_matrix(attitude) -> np.ndarray:
     R[..., 2, 0] = -sth
     R[..., 2, 1] = cth * sph
     # the third column is the thrust axis the dynamics use
-    _thrust_axis(trig, R[..., :, 2])
+    _thrust_axis(trig, np.moveaxis(R[..., :, 2], -1, 0))
     return R
 
 
@@ -124,20 +127,20 @@ def body_angular_velocity(attitude, attitude_rate) -> np.ndarray:
 
 
 def _attitude_trig(att):
-    """Cosines and sines of roll, pitch and yaw:
-    ``(cph, sph, cth, sth, cps, sps)``."""
+    """Cosines and sines of roll, pitch and yaw, ``(cph, sph, cth, sth, cps,
+    sps)``, of attitudes ``att`` with the components on the first axis."""
     cos, sin = np.cos(att), np.sin(att)
-    return cos[..., 0], sin[..., 0], cos[..., 1], sin[..., 1], cos[..., 2], sin[..., 2]
+    return cos[0], sin[0], cos[1], sin[1], cos[2], sin[2]
 
 
 def _thrust_axis(trig, out) -> np.ndarray:
     """World-frame direction of the body thrust axis (third rotation column),
     from the attitude's :func:`_attitude_trig`, written into ``out`` (shape
-    ``(..., 3)``) and returned."""
+    ``(3, ...)``, components first) and returned."""
     cph, sph, cth, sth, cps, sps = trig
-    out[..., 0] = sph * sps + cph * cps * sth
-    out[..., 1] = cph * sps * sth - cps * sph
-    out[..., 2] = cph * cth
+    np.add(sph * sps, cph * cps * sth, out=out[0, ...])
+    np.subtract(cph * sps * sth, cps * sph, out=out[1, ...])
+    np.multiply(cph, cth, out=out[2, ...])
     return out
 
 
@@ -151,7 +154,8 @@ def dynamics(state, inp, params: ModelParams) -> np.ndarray:
     """
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
-    axis = _thrust_axis(_attitude_trig(x[..., ATT]), np.empty(x[..., ATT].shape))
+    att = np.moveaxis(x[..., ATT], -1, 0)
+    axis = np.moveaxis(_thrust_axis(_attitude_trig(att), np.empty(att.shape)), 0, -1)
     thrust = u[..., 0] + params.mass * params.gravity
     acc = (thrust[..., None] / params.mass) * axis
     acc = acc - np.array([0.0, 0.0, params.gravity])
@@ -177,9 +181,10 @@ def _check_dt(dt) -> None:
 
 
 def _rk4_stages(x, u, h: float, params: ModelParams):
-    """One RK4 step of length ``h``: ``(x_next, trig, axis)``, with the
-    :func:`_attitude_trig` and thrust axes of the four stage attitudes
-    stacked on a leading axis of length 4.
+    """One RK4 step of length ``h``: ``(x_next, trig, axis, scale)``, with
+    the :func:`_attitude_trig` and thrust axes of the four stage attitudes,
+    each of shape ``(3, 4) + batch`` (component, stage), and the thrust per
+    mass.
 
     The attitude rows do not depend on position or velocity, so the stage
     attitudes come first and one trig pass serves all four stages.  Every
@@ -189,30 +194,41 @@ def _rk4_stages(x, u, h: float, params: ModelParams):
     batch = x.shape[:-1]
     if u.shape[:-1] != batch:
         batch = np.broadcast_shapes(batch, u.shape[:-1])
+        x, u = np.broadcast_to(x, batch + (N_STATES,)), np.broadcast_to(u, batch + (N_INPUTS,))
+    # components first: xt[j] and ut[j] have the batch shape
+    first = (x.ndim - 1, *range(x.ndim - 1))
+    xt, ut = x.transpose(first), u.transpose(first)
     # stage i + 1 starts at x + c_i k_i; k holds the stage derivatives
-    c = (0.5 * h, 0.5 * h, h)
-    c_stage = np.reshape(c, (3,) + (1,) * len(batch))
-    k = np.empty((4,) + batch + (N_STATES,), dtype=float)
-    att = np.empty((4,) + batch + (3,), dtype=float)
-    att[0] = x[..., ATT]
-    k[..., 8] = u[..., 3]
-    att[1:, ..., 2] = x[..., 8] + c_stage * u[..., 3]
-    # roll and pitch lag their commands: k = (cmd - angle) / tau
-    cmd, tau = u[..., 1:3], np.array([params.tau_roll, params.tau_pitch])
-    angles, rates = att[..., 0:2], k[..., 6:8]
+    c, tau, _, _ = _step_constants(h, params)
+    ones = (1,) * len(batch)
+    c_col = c.reshape((3,) + ones)
+    att = np.empty((3, 4) + batch, dtype=float)
+    k = np.empty((4, N_STATES) + batch, dtype=float)
+    att[2, 0], k[:, 8] = xt[8], ut[3]
+    np.add(xt[8], c_col * ut[3], out=att[2, 1:])
+    # roll and pitch lag their commands: k = (cmd - angle) / tau, stage by
+    # stage over contiguous (2,) + batch blocks
+    tau = tau.reshape((2,) + ones)
+    cmd, x_angles = ut[1:3].copy(), xt[6:8].copy()
+    angles, rates = np.empty((2, 4, 2) + batch, dtype=float)
+    angles[0] = x_angles
     for i in range(3):
         np.divide(cmd - angles[i], tau, out=rates[i])
-        np.add(x[..., 6:8], c[i] * rates[i], out=angles[i + 1])
+        np.add(x_angles, c[i] * rates[i], out=angles[i + 1])
     np.divide(cmd - angles[3], tau, out=rates[3])
+    att[0:2] = angles.swapaxes(0, 1)
+    k[:, 6:8] = rates
 
     trig = _attitude_trig(att)
     axis = _thrust_axis(trig, np.empty(att.shape))
-    thrust = u[..., 0] + params.mass * params.gravity
-    k[..., VEL] = (thrust[..., None] / params.mass) * axis - np.array([0.0, 0.0, params.gravity])
-    k[0, ..., POS] = x[..., VEL]
-    k[1:, ..., POS] = x[..., VEL] + c_stage[..., None] * k[:3, ..., VEL]
-    x_next = x + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
-    return x_next, trig, axis
+    scale = (ut[0] + params.mass * params.gravity) / params.mass
+    np.multiply(scale, axis, out=k[:, VEL].swapaxes(0, 1))
+    k[:, 5] -= params.gravity  # gravity is (0, 0, g), and x - 0.0 is x bit for bit
+    k[0, POS] = xt[VEL]
+    np.add(xt[VEL], c_col[:, None] * k[:3, VEL], out=k[1:, POS])
+    k_mid = 2.0 * k[1:3]
+    x_next = xt + (h / 6.0) * (k[0] + k_mid[0] + k_mid[1] + k[3])
+    return x_next.transpose((*range(1, x.ndim), 0)), trig, axis, scale
 
 
 def rk4_step(state, inp, dt: float, params: ModelParams, substeps: int = 1) -> np.ndarray:
@@ -230,16 +246,18 @@ def rk4_step(state, inp, dt: float, params: ModelParams, substeps: int = 1) -> n
 
 
 @lru_cache(maxsize=16)
-def _sensitivity_constants(h: float, params: ModelParams):
-    """Constant parts of the RK4 step sensitivities for step ``h``.
+def _step_constants(h: float, params: ModelParams):
+    """Constants of an RK4 step of length ``h`` and of its sensitivities.
 
-    Returns ``(weights, ax0, bu0)``.  ``weights[i, m, r, c]`` maps source
+    Returns ``(c, tau, weights, sens0)``.  ``c`` holds the stage offsets
+    ``(h/2, h/2, h)`` and ``tau`` the roll and pitch time constants.
+    ``weights[i, m, r, c]`` maps source
     ``m`` of stage ``i`` (``d axis/d roll``, ``/d pitch``, ``/d yaw`` times
     the thrust per mass, then the axis itself) to column ``c`` (roll, pitch,
     yaw, dT, roll_cmd, pitch_cmd, yawrate_cmd) of the position (``r = 0``)
-    or velocity (``r = 1``) rows.  ``ax0`` and ``bu0`` hold the entries that
-    do not depend on the state: identities, ``h`` in d pos/d vel and the
-    attitude diagonals.
+    or velocity (``r = 1``) rows.  ``sens0 = [ax0 | bu0]`` holds the entries
+    of the state and input sensitivities that do not depend on the state:
+    identities, ``h`` in d pos/d vel and the attitude diagonals.
     """
     rate = np.array([-1.0 / params.tau_roll, -1.0 / params.tau_pitch, 0.0])
     gain = np.array([1.0 / params.tau_roll, 1.0 / params.tau_pitch, 1.0])
@@ -264,9 +282,11 @@ def _sensitivity_constants(h: float, params: ModelParams):
     ax0[ATT, ATT] = np.diag(1.0 + rk_weights @ (rate * d_att))
     bu0 = np.zeros((N_STATES, N_INPUTS))
     bu0[ATT, 1:] = np.diag(rk_weights @ (rate * d_cmd + gain))
-    for a in (weights, ax0, bu0):
+    consts = (np.array([0.5 * h, 0.5 * h, h]), np.array([params.tau_roll, params.tau_pitch]),
+              weights, np.hstack([ax0, bu0]))
+    for a in consts:
         a.flags.writeable = False
-    return weights, ax0, bu0
+    return consts
 
 
 def input_sensitivity_pattern() -> np.ndarray:
@@ -297,31 +317,27 @@ def rk4_step_with_jacobians(state, inp, dt: float, params: ModelParams):
     _check_dt(dt)
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
-    x_next, trig, axis = _rk4_stages(x, u, dt, params)
+    x_next, trig, axis, scale = _rk4_stages(x, u, dt, params)
     batch = x_next.shape[:-1]
-    weights, ax0, bu0 = _sensitivity_constants(float(dt), params)
+    _, _, weights, sens0 = _step_constants(float(dt), params)
 
     cph, sph, cth, sth, cps, sps = trig
-    # per stage: d axis/d(roll, pitch, yaw) and the axis, shape (4, ..., 3, 4)
-    src = np.empty(axis.shape + (4,), dtype=float)
+    # per stage: d axis/d(roll, pitch, yaw) and the axis, components first:
+    # src[k, m] holds source m of axis component k, shape (4,) + batch
+    src = np.empty((3, 4, 4) + batch, dtype=float)
     # the axis is linear in (cos roll, sin roll): its roll derivative is the
     # axis with (cph, sph) replaced by (-sph, cph)
-    _thrust_axis((-sph, cph, cth, sth, cps, sps), src[..., 0])
-    src[..., 0, 1] = cph * cps * cth
-    src[..., 1, 1] = cph * sps * cth
-    src[..., 2, 1] = -cph * sth
-    src[..., 0, 2] = -axis[..., 1]
-    src[..., 1, 2] = axis[..., 0]
-    src[..., 2, 2] = 0.0
-    src[..., 3] = axis
-    scale = (u[..., 0] + params.mass * params.gravity) / params.mass
-    src[..., :3] *= scale[..., None, None]
-    rows = np.einsum("i...km,imrc->...rkc", src, weights).reshape(batch + (6, 7))
+    _thrust_axis((-sph, cph, cth, sth, cps, sps), src[:, 0])
+    src[0, 1], src[1, 1], src[2, 1] = cph * cps * cth, cph * sps * cth, -cph * sth
+    src[0, 2], src[1, 2], src[2, 2] = -axis[1], axis[0], 0.0
+    src[:, 3] = axis
+    src[:, :3] *= scale
+    # contracted over a stage-first copy, shape (4,) + batch + (3, 4)
+    src = src.transpose((2, *range(3, 3 + len(batch)), 0, 1)).copy()
+    rows = np.einsum("i...km,imrc->...rkc", src, weights)
 
-    ax = np.empty(batch + (N_STATES, N_STATES), dtype=float)
-    ax[...] = ax0
-    ax[..., 0:6, ATT] = rows[..., 0:3]
-    bu = np.empty(batch + (N_STATES, N_INPUTS), dtype=float)
-    bu[...] = bu0
-    bu[..., 0:6, :] = rows[..., 3:7]
-    return x_next, ax, bu
+    # ax and bu are the column blocks of one array [ax | bu]
+    sens = np.empty(batch + (N_STATES, N_STATES + N_INPUTS), dtype=float)
+    sens[...] = sens0
+    sens[..., 0:6, ATT.start:] = rows.reshape(batch + (6, 7))
+    return x_next, sens[..., :N_STATES], sens[..., N_STATES:]

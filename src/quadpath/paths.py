@@ -6,6 +6,8 @@ end.  Progress over time is produced by a double-integrator timing law whose
 acceleration is a virtual input chosen by the optimizer.  The corridor
 variant adds a second, bounded parameter that offsets selected output
 components (here: yaw) to trade tracking strictness for faster progress.
+Each curve fills the columns of one preallocated point and derivative pair,
+and a NaN progress or offset fails the domain checks.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ def wrap_angle(angle):
 
 def _check_domain(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
-    if np.any(s < S_START - _DOMAIN_TOL) or np.any(s > _DOMAIN_TOL):
+    # NaN fails the test; the initial 0.0 lies in the domain and changes nothing
+    if not (s.min(initial=0.0) >= S_START - _DOMAIN_TOL and s.max(initial=0.0) <= _DOMAIN_TOL):
         raise ValueError("path parameter outside [-1, 0]")
     return s
 
@@ -43,9 +46,9 @@ def _spiral(s):
     s = _check_domain(s)
     a = TWO_PI * s
     sin_a, cos_a = np.sin(a), np.cos(a)
-    zero = np.zeros_like(s)
-    point = np.stack([0.25 * cos_a, 0.25 * sin_a, 0.65 + 0.4 * s, zero], axis=-1)
-    deriv = np.stack([-0.5 * np.pi * sin_a, 0.5 * np.pi * cos_a, np.full_like(s, 0.4), zero], axis=-1)
+    point, deriv = np.empty((2,) + s.shape + (4,))
+    point[..., 0], point[..., 1], point[..., 2], point[..., 3] = 0.25 * cos_a, 0.25 * sin_a, 0.65 + 0.4 * s, 0.0
+    deriv[..., 0], deriv[..., 1], deriv[..., 2:] = -0.5 * np.pi * sin_a, 0.5 * np.pi * cos_a, (0.4, 0.0)
     return point, deriv
 
 
@@ -55,12 +58,13 @@ def _lemniscate(s):
     a = TWO_PI * s
     sin_a, cos_a = np.sin(a), np.cos(a)
     den = sin_a**2 + 1.0
-    zero = np.zeros_like(s)
-    point = np.stack([0.5 * cos_a / den, 0.5 * sin_a * cos_a / den, np.full_like(s, 0.5), zero], axis=-1)
+    point, deriv = np.empty((2,) + s.shape + (4,))
+    point[..., 0], point[..., 1], point[..., 2:] = 0.5 * cos_a / den, 0.5 * sin_a * cos_a / den, (0.5, 0.0)
     den = den**2
     dx = -0.5 * sin_a * (cos_a**2 + 2.0) / den
     dy = 0.5 * (cos_a**4 - sin_a**4 - sin_a**2) / den
-    return point, np.stack([TWO_PI * dx, TWO_PI * dy, zero, zero], axis=-1)
+    deriv[..., 0], deriv[..., 1], deriv[..., 2:] = TWO_PI * dx, TWO_PI * dy, 0.0
+    return point, deriv
 
 
 def _sinusoid(s):
@@ -68,12 +72,11 @@ def _sinusoid(s):
     s = _check_domain(s)
     a = TWO_PI * s
     sin_a, cos_a = np.sin(a), np.cos(a)
-    point = np.stack(
-        [0.25 * sin_a, 0.25 + 0.5 * s, np.full_like(s, 0.5), np.arctan2(0.5, 0.5 * np.pi * cos_a)],
-        axis=-1,
-    )
-    dyaw = 2.0 * np.pi**2 * sin_a / (np.pi**2 * cos_a**2 + 1.0)
-    deriv = np.stack([0.5 * np.pi * cos_a, np.full_like(s, 0.5), np.zeros_like(s), dyaw], axis=-1)
+    point, deriv = np.empty((2,) + s.shape + (4,))
+    point[..., 0], point[..., 1], point[..., 2] = 0.25 * sin_a, 0.25 + 0.5 * s, 0.5
+    point[..., 3] = np.arctan2(0.5, 0.5 * np.pi * cos_a)
+    deriv[..., 0], deriv[..., 1:3] = 0.5 * np.pi * cos_a, (0.5, 0.0)
+    deriv[..., 3] = 2.0 * np.pi**2 * sin_a / (np.pi**2 * cos_a**2 + 1.0)
     return point, deriv
 
 
@@ -156,7 +159,8 @@ class CorridorPath:
         parameter, from one evaluation of the base path."""
         s2 = np.asarray(s2, dtype=float)
         lo, hi = self.s2_bounds
-        if np.any(s2 < lo - _DOMAIN_TOL) or np.any(s2 > hi + _DOMAIN_TOL):
+        # as in _check_domain: NaN fails, and 0.0 lies inside the bounds
+        if not (s2.min(initial=0.0) >= lo - _DOMAIN_TOL and s2.max(initial=0.0) <= hi + _DOMAIN_TOL):
             raise ValueError("corridor offset outside bounds")
         base, deriv = self.base.point_and_derivative(s1)
         return base + s2[..., None] * self.direction, deriv

@@ -254,17 +254,15 @@ def sense(plant_state, position_history, cfg: ScenarioConfig, rng=None):
     return measured
 
 
-def _plant_step(state, inp, cfg: ScenarioConfig, params: ModelParams) -> np.ndarray:
+def _plant_step(state, inp, cfg: ScenarioConfig, params: ModelParams,
+                plant_params: ModelParams) -> np.ndarray:
     """Integrate the plant over one control interval.
 
     Thrust generation errors scale the commanded total thrust; the commanded
-    hover feed-forward always uses the controller's mass model, while the
-    plant accelerates its own (possibly offset) mass.
+    hover feed-forward always uses the controller's mass model (``params``),
+    while the plant accelerates its own (possibly offset) mass
+    (``plant_params``, :func:`run_scenario` builds it once per flight).
     """
-    plant_params = ModelParams(
-        params.mass * (1.0 + cfg.mass_error), params.gravity,
-        params.tau_roll, params.tau_pitch,
-    )
     thrust_total = cfg.thrust_scale * (inp[0] + params.mass * params.gravity)
     u_eff = np.array(inp, dtype=float)
     u_eff[0] = thrust_total - plant_params.mass * plant_params.gravity
@@ -275,6 +273,8 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
     """Run the closed loop until the time budget or settled path end."""
     path, ocp, params = build_components(cfg)
     controller = PathController(path, ocp, params, solver_log=solver_log)
+    plant_params = ModelParams(params.mass * (1.0 + cfg.mass_error), params.gravity,
+                               params.tau_roll, params.tau_pitch)
     rng = np.random.default_rng(cfg.seed)
 
     if cfg.corridor:
@@ -310,7 +310,7 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
         ))
         position_history.append(measured[0:3].copy())
         del position_history[:-8]
-        state = _plant_step(state, inp, cfg, params)
+        state = _plant_step(state, inp, cfg, params, plant_params)
         if not np.all(np.isfinite(state)):
             raise RuntimeError(f"plant state became non-finite at t={t:.3f}s")
         controller.advance_path_state(nu, cfg.delta)

@@ -101,6 +101,7 @@ _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 _MAX_REG_ESCALATIONS = 24
 _DUAL_SAFEGUARD = 1e10
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -180,11 +181,11 @@ class Box:
         """``(value, gradient, gaps)`` of the log barrier at ``w``;
         ``(inf, None, None)`` unless every gap is positive."""
         gap = self.sign * (w[self.idx] - self.bound)
-        if np.any(gap <= 0.0):
+        if (gap <= 0.0).any():
             return np.inf, None, None
         logs = np.log(gap)
         # one sum per side: a single sum over both would round differently
-        value = -(np.sum(logs[:self.n_lo]) + np.sum(logs[self.n_lo:]))
+        value = -(logs[:self.n_lo].sum() + logs[self.n_lo:].sum())
         return value, np.bincount(self.idx, self.neg_sign / gap, self.n), gap
 
     def step_to_boundary(self, gap, dw, tau: float) -> float:
@@ -192,7 +193,7 @@ class Box:
         ``1 - tau`` of every gap."""
         approach = self.neg_sign * dw[self.idx]
         hit = approach > 0.0
-        return max(min(1.0, tau * np.min(gap[hit] / approach[hit], initial=np.inf)), 0.0)
+        return max(min(1.0, tau * (gap[hit] / approach[hit]).min(initial=np.inf)), 0.0)
 
 
 @dataclass
@@ -277,11 +278,11 @@ class _BoundDuals:
         z, k = self.z, self.box.n_lo
         dz = (_MU - z * gap - self.box.sign * z * step[self.box.idx]) / gap
         ratio = np.divide(z, -dz, out=np.full(z.shape, np.inf), where=dz < 0.0)
-        z[:k] += min(1.0, _TAU * np.min(ratio[:k], initial=np.inf)) * dz[:k]
-        z[k:] += min(1.0, _TAU * np.min(ratio[k:], initial=np.inf)) * dz[k:]
+        z[:k] += min(1.0, _TAU * ratio[:k].min(initial=np.inf)) * dz[:k]
+        z[k:] += min(1.0, _TAU * ratio[k:].min(initial=np.inf)) * dz[k:]
 
     def clip(self, gap):
-        self.z = np.clip(self.z, _MU / (_DUAL_SAFEGUARD * gap), _DUAL_SAFEGUARD * _MU / gap)
+        self.z = self.z.clip(_MU / (_DUAL_SAFEGUARD * gap), _DUAL_SAFEGUARD * _MU / gap)
 
 
 def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=None) -> SolveResult:
@@ -329,15 +330,16 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         if bar[2] is None:
             return np.inf, None, None
         lin = problem.linearize(point)
-        return float(lin[0] @ lin[0]) + _MU * bar[0] + rho * float(np.sum(np.abs(lin[1]))), lin, bar
+        return float(lin[0] @ lin[0]) + _MU * bar[0] + rho * float(np.abs(lin[1]).sum()), lin, bar
 
     if log is not None:
         log.write(f"# solve n={problem.n} m={m}\n")
 
     while True:
         g = 2.0 * problem.jt_dot(blocks, r) + _MU * bgrad
-        stat = float(np.max(np.abs((g + problem.at_dot(blocks, lam))[box.free]), initial=0.0))
-        eq_val = float(np.max(np.abs(c), initial=0.0))
+        stat = float(np.abs((g + problem.at_dot(blocks, lam))[box.free]).max(initial=0.0))
+        abs_c = np.abs(c)
+        eq_val = float(abs_c.max(initial=0.0))
         kkt_val = max(stat, eq_val)
         if kkt_val <= _TOLERANCE:
             return _finish(CONVERGED)
@@ -345,7 +347,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
             return _finish(MAX_ITERATIONS)
 
         sigma = duals.sigma(gap)
-        c_l1 = float(np.sum(np.abs(c)))
+        c_l1 = float(abs_c.sum())
         reg = 0.0
         direction = None
         for _ in range(_MAX_REG_ESCALATIONS):
@@ -355,7 +357,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
                 reg = max(_REG_FLOOR, reg * 10.0) if reg else _REG_FLOOR
                 continue
             descent = float(g @ dw) - rho * c_l1
-            if descent < 0.0 or not np.any(dw):
+            if descent < 0.0 or not dw.any():
                 direction = (dw, lam_new, descent)
                 break
             reg = max(_REG_FLOOR, reg * 10.0) if reg else _REG_FLOOR
@@ -364,17 +366,18 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         dw, lam_new, descent = direction
         # the l1 penalty is exact only above the multiplier scale; grow it
         # when the fresh multiplier estimate exceeds the current weight
-        if 2.0 * float(np.max(np.abs(lam_new), initial=0.0)) > rho:
-            rho = 2.0 * float(np.max(np.abs(lam_new)))
+        lam_max = float(np.abs(lam_new).max(initial=0.0))
+        if 2.0 * lam_max > rho:
+            rho = 2.0 * lam_max
             descent = float(g @ dw) - rho * c_l1
-            if descent >= 0.0 and np.any(dw):
+            if descent >= 0.0 and dw.any():
                 return _finish(LINESEARCH_FAILURE)
         merit0 = float(r @ r) + _MU * bval + rho * c_l1
-        if np.max(np.abs(dw)) <= 100.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(w))):
+        if np.abs(dw).max() <= 100.0 * _EPS * (1.0 + np.abs(w).max()):
             # step at the rounding floor above the tolerance: no progress left
             return _finish(MAX_ITERATIONS)
 
-        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(merit0))
+        noise = 16.0 * _EPS * (1.0 + abs(merit0))
         alpha = box.step_to_boundary(gap, dw, _TAU)
         step = None
         soc = False
@@ -435,9 +438,10 @@ def warm_start_shift(previous: SolveResult, problem_new) -> np.ndarray:
     feasible.  The result is projected strictly inside the new bounds.
     """
     X, U, Z, V = problem_new.unpack(previous.decision)
-    X_new = np.vstack([X[1:], problem_new.step_state(X[-1], U[-1])])
-    U_new = np.vstack([U[1:], U[-1]])
-    Z_new = np.vstack([Z[1:], problem_new.step_timing(Z[-1], V[-1])])
-    V_new = np.vstack([V[1:], V[-1]])
-    w = problem_new.pack(X_new, U_new, Z_new, V_new)
+    w = np.empty(problem_new.n)
+    X_new, U_new, Z_new, V_new = problem_new.unpack(w)  # views into w
+    X_new[:-1], X_new[-1] = X[1:], problem_new.step_state(X[-1], U[-1])
+    U_new[:-1], U_new[-1] = U[1:], U[-1]
+    Z_new[:-1], Z_new[-1] = Z[1:], problem_new.step_timing(Z[-1], V[-1])
+    V_new[:-1], V_new[-1] = V[1:], V[-1]
     return problem_new.box.project(w, _WARM_MARGIN)

@@ -22,9 +22,11 @@ couples two stages or a state with an input, and the gap into ``s_{k+1}``
 involves only ``s_k`` and ``q_k``.  ``OcpProblem.linearize`` therefore
 returns the residual, the gaps and :class:`StageBlocks`: the path residual
 rows over each ``s_k`` and the transitions built from the RK4 sensitivities
-and the constant timing blocks.  The products the solver needs (``J^T v``
-and ``A^T v``) and the Newton step, which condenses the shooting states out
-of the KKT system and solves for the inputs alone, work on those blocks.
+and the constant timing blocks; it gathers the stage vectors from ``w``
+with index arrays and writes ``r`` and ``c`` into full-length vectors.  The
+products the solver needs (``J^T v`` and ``A^T v``) and the Newton step,
+which condenses the shooting states out of the KKT system and solves for
+the inputs alone, work on those blocks.
 The condensing runs backward, in O(N^2): a forward sweep carries each state
 step's dependence on the inputs, a backward sweep gathers the cost gradient
 the later stages pass back to each state, and the condensed Hessian and
@@ -56,11 +58,10 @@ from .dynamics import (
     N_INPUTS,
     N_STATES,
     input_sensitivity_pattern,
-    output_map,
     rk4_step,
     rk4_step_with_jacobians,
 )
-from .paths import CorridorPath, Path, path_error, step_timing, timing_matrices
+from .paths import CorridorPath, Path, step_timing, timing_matrices, wrap_angle
 from .solver import Box
 
 INF = np.inf
@@ -292,6 +293,11 @@ class OcpStructure:
             ds2[8] = 1.0
             js[:, :, nx + 1] = self.lq @ ds2
         self.js = js  # the progress column is filled per point
+        # the entries of w in each stage vector (output, velocity, progress,
+        # offset), and the template of the progress column before lq
+        self.q_idx = self.state_idx[:N, [0, 1, 2, 8, 3, 4, 5, nx, nx + 1][:nq]]
+        self.dz = np.zeros((N, nq))
+        self.dz[:, 7] = 1.0
         self.jt = np.zeros((n_term, ns))
         self.jt[0, nx] = np.sqrt(config.terminal_weight)
         if config.corridor:
@@ -483,56 +489,53 @@ class OcpProblem:
         bounded stages stay strictly inside [-1, 0] anyway, and the pinned
         (box-free) stage 0 may wander by linear-solver roundoff.
         """
-        s1 = np.clip(Z[..., 0], -1.0, 0.0)
+        s1 = Z[..., 0].clip(-1.0, 0.0)
         if self.config.corridor:
-            lo, hi = self.path.s2_bounds
-            return self.path.point_and_derivative(s1, np.clip(Z[..., 1], lo, hi))
+            return self.path.point_and_derivative(s1, Z[..., 1].clip(*self.path.s2_bounds))
         return self.path.point_and_derivative(s1)
 
     def linearize(self, w):
         """``(r, c, blocks)`` at ``w``: the residual, the equality values and
         the :class:`StageBlocks`, with one path evaluation and one RK4
-        integration."""
+        integration.  ``r`` and ``c`` are written block by block into
+        vectors of their full length."""
+        w = np.asarray(w, dtype=float)
         X, U, Z, V = self.unpack(w)
         N = self.config.horizon
         st = self.structure
+        nx, nq, nr = self.n_x, self.n_res_q, self.n_res_r
         p, dp = self._path_values(Z[:N])
 
-        # residual: path stages, inputs, terminal cost
-        e = path_error(output_map(X[:N]), p)
-        if self.config.corridor:
-            zpart = Z[:N, 0:2]
-        else:
-            zpart = Z[:N, 0:1]
-        q_vec = np.concatenate([e, X[:N, 3:6], zpart], axis=1)
-        r_vec = np.concatenate([U, V], axis=1)
-        res_q = q_vec @ st.lq.T
-        res_r = r_vec @ st.lr.T
-        term = [np.sqrt(self.config.terminal_weight) * Z[N, 0]]
-        if self.config.corridor:
-            term.append(np.sqrt(self.config.terminal_weight_s2) * Z[N, 1])
-        r = np.concatenate([res_q.ravel(), res_r.ravel(), np.array(term)])
+        # residual: path stages, inputs, terminal cost; the stage vector is
+        # [output - path point (yaw wrapped), velocity, progress (, offset)]
+        q = w.take(st.q_idx)
+        q[:, 0:4] -= p
+        q[:, 3] = wrap_angle(q[:, 3])
+        r = np.empty(self.m_res)
+        np.matmul(q, st.lq.T, out=r[:N * nq].reshape(N, nq))
+        np.matmul(w.take(st.input_idx), st.lr.T, out=r[N * nq:N * (nq + nr)].reshape(N, nr))
+        term = st.jt[:, nx:].diagonal()  # the square roots of the terminal weights
+        np.multiply(term, Z[N, :term.size], out=r[N * (nq + nr):])
 
         # the path residual rows over s_k depend on w in the progress column
-        dz = np.zeros((N, self.n_res_q))
-        dz[:, 0:4] = -dp
-        dz[:, 7] = 1.0
+        dz = st.dz.copy()
+        np.negative(dp, out=dz[:, 0:4])
         js = st.js.copy()
-        js[:, :, self.n_x] = dz @ st.lq.T
+        js[:, :, nx] = dz @ st.lq.T
 
         # gaps: one integration gives the state gaps and their sensitivities
         fx, ax, bu = rk4_step_with_jacobians(X[:N], U, self.config.delta, self.params)
         gz = Z[:N] @ st.ad.T + V @ st.bd.T
-        c = np.concatenate([
-            X[0] - self.x0,
-            Z[0] - self.z0,
-            (X[1:] - fx).ravel(),
-            (Z[1:] - gz).ravel(),
-        ])
+        c = np.empty(self.m_eq)
+        ns, gap_z = nx + self.n_z, nx + self.n_z + N * nx
+        np.subtract(X[0], self.x0, out=c[:nx])
+        np.subtract(Z[0], self.z0, out=c[nx:ns])
+        np.subtract(X[1:], fx, out=c[ns:gap_z].reshape(N, nx))
+        np.subtract(Z[1:], gz, out=c[gap_z:].reshape(N, self.n_z))
         f = st.f.copy()
-        f[:, :self.n_x, :self.n_x] = ax
+        f[:, :nx, :nx] = ax
         g = st.g.copy()
-        g[:, :self.n_x, :self.n_u] = bu
+        g[:, :nx, :self.n_u] = bu
         return r, c, StageBlocks(js, f, g)
 
     # views of the one pass, for checks; no solve calls them
@@ -654,7 +657,7 @@ class OcpProblem:
         # ds_{k+1} - F_k ds_k - G_k dq_k + c = 0
         F, G = blocks.f, blocks.g.take(st.q_free, axis=2)
         X = np.zeros((N + 1, ns, 1 + n))
-        X[:, :, 0] = -c[ri]
+        np.negative(c[ri], out=X[:, :, 0])
         X.reshape(-1)[st.g_pos] = G
         for f, prev, cur in zip(F, X[:-1], X[1:]):
             cur += f @ prev
@@ -666,14 +669,14 @@ class OcpProblem:
         for f, prev, cur in zip(F[::-1], L[-2::-1], L[:0:-1]):
             prev += f.T @ cur
 
-        # condensed system in the free inputs, bordered by the holds
+        # condensed system in the free inputs, bordered by the holds, as
+        # [-rhs | kkt]: the gradient rows over the hold rows
         hg = G.transpose(0, 2, 1) @ L[1:]
         hg.reshape(-1)[st.hq_pos] += st.hq_free
-        holds = X[1:, held].reshape(-1, 1 + n)
-        kkt = np.concatenate([hg[:, :, 1:].reshape(nf, n), holds[:, 1:]])
-        kkt.reshape(-1)[:nf * (n + 1):n + 1] += sigma[qf] + reg
-        rhs = -np.concatenate([hg[:, :, 0].ravel() + g[qf], holds[:, 0]])
-        sol = np.linalg.solve(kkt, rhs)
+        aug = np.concatenate([hg.reshape(nf, 1 + n), X[1:, held].reshape(-1, 1 + n)])
+        aug[:nf, 0] += g[qf]
+        aug.reshape(-1)[1:nf * (n + 2):n + 2] += sigma[qf] + reg
+        sol = np.linalg.solve(aug[:, 1:], -aug[:, 0])
         if not np.isfinite(sol).all():
             raise np.linalg.LinAlgError("non-finite KKT solution")
 

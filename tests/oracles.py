@@ -26,7 +26,16 @@ computes another way:
   stages as 9x9 chain products, against the structured
   ``rk4_step_with_jacobians``;
 - ``rk4_step_loop`` integrates stage by stage through ``dynamics``, whose
-  results ``rk4_step`` must equal bitwise.
+  results ``rk4_step`` must equal bitwise;
+- ``rk4_step_with_jacobians_stage_major`` forms the RK4 step and its
+  sensitivities on stage-first arrays with the components last, the layout
+  ``rk4_step_with_jacobians`` used before it moved the components first,
+  with the same floating-point operations, so the two agree bitwise;
+- ``curve_stack`` evaluates the three curves by stacking their columns with
+  ``np.stack``, against the preallocated columns of ``quadpath.paths``;
+- ``linearize_assembly`` assembles the residual, the gaps and the stage
+  blocks through ``path_error``, ``output_map`` and ``np.concatenate``,
+  against the preallocated vectors of ``OcpProblem.linearize``.
 """
 
 import numpy as np
@@ -35,13 +44,16 @@ from quadpath.dynamics import (
     ATT,
     N_INPUTS,
     N_STATES,
+    POS,
+    VEL,
     _attitude_trig,
+    _step_constants,
     _thrust_axis,
     dynamics,
     output_map,
     rk4_step_with_jacobians,
 )
-from quadpath.paths import path_error
+from quadpath.paths import TWO_PI, path_error
 from quadpath.transcription import OcpConfig
 
 
@@ -253,9 +265,10 @@ def dynamics_jacobians(state, inp, params):
 def _dynamics_with_jacobians(x, u, params):
     """``(dynamics, fx, fu)`` at one point."""
     batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
-    trig = _attitude_trig(x[..., ATT])
+    att = np.moveaxis(x[..., ATT], -1, 0)
+    trig = _attitude_trig(att)
     cph, sph, cth, sth, cps, sps = trig
-    axis = _thrust_axis(trig, np.empty(x[..., ATT].shape))
+    axis = np.moveaxis(_thrust_axis(trig, np.empty(att.shape)), 0, -1)
     scale = (u[..., 0] + params.mass * params.gravity) / params.mass
 
     fx = np.zeros(batch + (N_STATES, N_STATES), dtype=float)
@@ -311,3 +324,129 @@ def rk4_step_chain_rule(state, inp, dt: float, params):
     ax = eye + (dt / 6.0) * (a1 + 2.0 * k2x + 2.0 * k3x + k4x)
     bu = (dt / 6.0) * (b1 + 2.0 * k2u + 2.0 * k3u + k4u)
     return x_next, ax, bu
+
+
+def _components_last(trig, out):
+    """``_thrust_axis`` with the components on the last axis of ``out``."""
+    cph, sph, cth, sth, cps, sps = trig
+    out[..., 0] = sph * sps + cph * cps * sth
+    out[..., 1] = cph * sps * sth - cps * sph
+    out[..., 2] = cph * cth
+    return out
+
+
+def rk4_step_with_jacobians_stage_major(state, inp, dt: float, params):
+    """``(x_next, ax, bu)`` with the stage attitudes, stage derivatives and
+    thrust-axis sources on stage-first arrays, components last."""
+    x = np.asarray(state, dtype=float)
+    u = np.asarray(inp, dtype=float)
+    h = dt
+    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+    c = (0.5 * h, 0.5 * h, h)
+    c_stage = np.reshape(c, (3,) + (1,) * len(batch))
+    k = np.empty((4,) + batch + (N_STATES,))
+    att = np.empty((4,) + batch + (3,))
+    att[0] = x[..., ATT]
+    k[..., 8] = u[..., 3]
+    att[1:, ..., 2] = x[..., 8] + c_stage * u[..., 3]
+    cmd, tau = u[..., 1:3], np.array([params.tau_roll, params.tau_pitch])
+    angles, rates = att[..., 0:2], k[..., 6:8]
+    for i in range(3):
+        np.divide(cmd - angles[i], tau, out=rates[i])
+        np.add(x[..., 6:8], c[i] * rates[i], out=angles[i + 1])
+    np.divide(cmd - angles[3], tau, out=rates[3])
+    cos, sin = np.cos(att), np.sin(att)
+    trig = cos[..., 0], sin[..., 0], cos[..., 1], sin[..., 1], cos[..., 2], sin[..., 2]
+    axis = _components_last(trig, np.empty(att.shape))
+    thrust = u[..., 0] + params.mass * params.gravity
+    k[..., VEL] = (thrust[..., None] / params.mass) * axis - np.array([0.0, 0.0, params.gravity])
+    k[0, ..., POS] = x[..., VEL]
+    k[1:, ..., POS] = x[..., VEL] + c_stage[..., None] * k[:3, ..., VEL]
+    x_next = x + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+
+    _, _, weights, sens0 = _step_constants(float(dt), params)
+    cph, sph, cth, sth, cps, sps = trig
+    src = np.empty(axis.shape + (4,))
+    _components_last((-sph, cph, cth, sth, cps, sps), src[..., 0])
+    src[..., 0, 1] = cph * cps * cth
+    src[..., 1, 1] = cph * sps * cth
+    src[..., 2, 1] = -cph * sth
+    src[..., 0, 2] = -axis[..., 1]
+    src[..., 1, 2] = axis[..., 0]
+    src[..., 2, 2] = 0.0
+    src[..., 3] = axis
+    src[..., :3] *= ((u[..., 0] + params.mass * params.gravity) / params.mass)[..., None, None]
+    rows = np.einsum("i...km,imrc->...rkc", src, weights).reshape(batch + (6, 7))
+    ax = np.empty(batch + (N_STATES, N_STATES))
+    ax[...] = sens0[:, :N_STATES]
+    ax[..., 0:6, ATT] = rows[..., 0:3]
+    bu = np.empty(batch + (N_STATES, N_INPUTS))
+    bu[...] = sens0[:, N_STATES:]
+    bu[..., 0:6, :] = rows[..., 3:7]
+    return x_next, ax, bu
+
+
+def curve_stack(name: str, s):
+    """``(point, derivative)`` of the spiral, lemniscate or sinusoid curve,
+    each column computed whole and stacked with ``np.stack``."""
+    s = np.asarray(s, dtype=float)
+    a = TWO_PI * s
+    sin_a, cos_a = np.sin(a), np.cos(a)
+    zero = np.zeros_like(s)
+    if name == "spiral":
+        point = np.stack([0.25 * cos_a, 0.25 * sin_a, 0.65 + 0.4 * s, zero], axis=-1)
+        deriv = np.stack([-0.5 * np.pi * sin_a, 0.5 * np.pi * cos_a, np.full_like(s, 0.4), zero], axis=-1)
+    elif name == "lemniscate":
+        den = sin_a**2 + 1.0
+        point = np.stack([0.5 * cos_a / den, 0.5 * sin_a * cos_a / den, np.full_like(s, 0.5), zero], axis=-1)
+        den = den**2
+        dx = -0.5 * sin_a * (cos_a**2 + 2.0) / den
+        dy = 0.5 * (cos_a**4 - sin_a**4 - sin_a**2) / den
+        deriv = np.stack([TWO_PI * dx, TWO_PI * dy, zero, zero], axis=-1)
+    elif name == "sinusoid":
+        point = np.stack([0.25 * sin_a, 0.25 + 0.5 * s, np.full_like(s, 0.5),
+                          np.arctan2(0.5, 0.5 * np.pi * cos_a)], axis=-1)
+        dyaw = 2.0 * np.pi**2 * sin_a / (np.pi**2 * cos_a**2 + 1.0)
+        deriv = np.stack([0.5 * np.pi * cos_a, np.full_like(s, 0.5), zero, dyaw], axis=-1)
+    else:
+        raise ValueError(f"no stacked oracle for {name!r}")
+    return point, deriv
+
+
+def linearize_assembly(problem, w):
+    """``(r, c, js, f, g)`` of a horizon problem at ``w``, each vector
+    concatenated from its stage pieces."""
+    X, U, Z, V = problem.unpack(w)
+    N = problem.config.horizon
+    st = problem.structure
+    cfg = problem.config
+    s1 = np.clip(Z[:N, 0], -1.0, 0.0)
+    if cfg.corridor:
+        lo, hi = problem.path.s2_bounds
+        p, dp = problem.path.point_and_derivative(s1, np.clip(Z[:N, 1], lo, hi))
+    else:
+        p, dp = problem.path.point_and_derivative(s1)
+
+    e = path_error(output_map(X[:N]), p)
+    zpart = Z[:N, 0:2] if cfg.corridor else Z[:N, 0:1]
+    q_vec = np.concatenate([e, X[:N, 3:6], zpart], axis=1)
+    r_vec = np.concatenate([U, V], axis=1)
+    term = [np.sqrt(cfg.terminal_weight) * Z[N, 0]]
+    if cfg.corridor:
+        term.append(np.sqrt(cfg.terminal_weight_s2) * Z[N, 1])
+    r = np.concatenate([(q_vec @ st.lq.T).ravel(), (r_vec @ st.lr.T).ravel(), np.array(term)])
+
+    dz = np.zeros((N, problem.n_res_q))
+    dz[:, 0:4] = -dp
+    dz[:, 7] = 1.0
+    js = st.js.copy()
+    js[:, :, problem.n_x] = dz @ st.lq.T
+
+    fx, ax, bu = rk4_step_with_jacobians(X[:N], U, cfg.delta, problem.params)
+    gz = Z[:N] @ st.ad.T + V @ st.bd.T
+    c = np.concatenate([X[0] - problem.x0, Z[0] - problem.z0, (X[1:] - fx).ravel(), (Z[1:] - gz).ravel()])
+    f = st.f.copy()
+    f[:, :problem.n_x, :problem.n_x] = ax
+    g = st.g.copy()
+    g[:, :problem.n_x, :problem.n_u] = bu
+    return r, c, js, f, g

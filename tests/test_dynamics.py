@@ -13,7 +13,12 @@ from quadpath.dynamics import (
     rotation_matrix,
 )
 
-from oracles import dynamics_jacobians, rk4_step_chain_rule, rk4_step_loop
+from oracles import (
+    dynamics_jacobians,
+    rk4_step_chain_rule,
+    rk4_step_loop,
+    rk4_step_with_jacobians_stage_major,
+)
 
 PARAMS = ModelParams()
 
@@ -315,3 +320,28 @@ def test_model_params_validation():
         ModelParams(mass=0.0)
     with pytest.raises(ValueError):
         ModelParams(tau_pitch=-0.1)
+
+
+class TestStageMajorOracle:
+    """The components-first RK4 kernel against the stage-first layout with
+    the components last: the same operations, so the same bits."""
+
+    @pytest.mark.parametrize("params", [PARAMS, TestRk4Oracles.OFFSET], ids=["default", "offset"])
+    def test_step_and_jacobians_equal_bitwise(self, params):
+        rng = np.random.default_rng(11)
+        for batch in TestRk4Oracles.BATCHES:
+            for _ in range(10):
+                x, u = TestRk4Oracles.sample(rng, batch)
+                got = rk4_step_with_jacobians(x, u, 0.05, params)
+                ref = rk4_step_with_jacobians_stage_major(x, u, 0.05, params)
+                for a, b in zip(got, ref):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_broadcast_batches_equal_bitwise(self):
+        rng = np.random.default_rng(12)
+        x, u = TestRk4Oracles.sample(rng, (5,))
+        for xs, us in ((x[0], u), (x, u[0])):
+            got = rk4_step_with_jacobians(xs, us, 0.05, PARAMS)
+            ref = rk4_step_with_jacobians_stage_major(xs, us, 0.05, PARAMS)
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from quadpath import simulate
 from quadpath.cli import main as cli_main
+from quadpath.dynamics import ModelParams, rk4_step
 from quadpath.simulate import (
     CSV_HEADER,
     RunMetrics,
@@ -91,6 +93,35 @@ class TestHoverScenario:
     def test_states_respect_boxes(self, hover_run):
         cfg, log, metrics = hover_run
         assert metrics.constraint_violation_max <= 1e-6
+
+
+class TestPlant:
+    """The plant's offset-mass parameters are built once per flight, and its
+    states are those of parameters built afresh at every step."""
+
+    def test_params_built_once_per_flight(self, monkeypatch):
+        built = []
+        real = simulate.ModelParams
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ModelParams", counting)
+        _, metrics = run_scenario(scenario_config("spiral", total_time=0.5, mass_error=0.05))
+        assert metrics.steps == 10
+        assert len(built) == 2  # the controller's model and the plant
+
+    def test_states_equal_per_step_params_bitwise(self):
+        cfg = scenario_config("spiral", total_time=1.0, mass_error=0.05, thrust_scale=1.05)
+        log, _ = run_scenario(cfg)
+        m, g = cfg.mass, cfg.gravity
+        for before, after in zip(log.records, log.records[1:]):
+            plant = ModelParams(m * (1.0 + cfg.mass_error), g, cfg.tau_roll, cfg.tau_pitch)
+            u = np.array(before.inp)
+            u[0] = cfg.thrust_scale * (u[0] + m * g) - plant.mass * plant.gravity
+            step = rk4_step(before.state, u, cfg.delta, plant, substeps=cfg.plant_substeps)
+            assert step.tobytes() == after.state.tobytes()
 
 
 class TestExportCsv:

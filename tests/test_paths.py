@@ -14,7 +14,7 @@ from quadpath.paths import (
     wrap_angle,
 )
 
-from oracles import nominal_yaw_rate, timing_law
+from oracles import curve_stack, nominal_yaw_rate, timing_law
 
 
 class TestSpiral:
@@ -106,6 +106,44 @@ class TestPointAndDerivative:
                      lambda: path.derivative(s)):
             with pytest.raises(ValueError, match=r"outside \[-1, 0\]"):
                 call()
+
+
+class TestStackOracle:
+    """The preallocated columns of each curve against columns stacked with
+    ``np.stack``: the same operations, so the same bits."""
+
+    SAMPLES = [-1.0, 0.0, -0.37, np.linspace(-1.0, 0.0, 41), np.linspace(-1.0, 0.0, 24).reshape(4, 6)]
+
+    @pytest.mark.parametrize("name", ["spiral", "lemniscate", "sinusoid"])
+    @pytest.mark.parametrize("s", SAMPLES, ids=["start", "end", "0-d", "1-d", "2-d"])
+    def test_equals_stacked_columns_bitwise(self, name, s):
+        got = make_path(name).point_and_derivative(s)
+        for a, b in zip(got, curve_stack(name, s)):
+            assert a.shape == b.shape == np.shape(s) + (4,)
+            assert a.tobytes() == b.tobytes()
+
+
+class TestRejectsNan:
+    """NaN fails the domain tests instead of giving a NaN point."""
+
+    @pytest.mark.parametrize("name", PATH_NAMES)
+    @pytest.mark.parametrize("s", [np.nan, np.array([-0.5, np.nan]), np.array([[np.nan], [-1.0]])],
+                             ids=["0-d", "1-d", "2-d"])
+    def test_progress(self, name, s):
+        path = make_path(name)
+        offset = (np.zeros(np.shape(s)),) if isinstance(path, CorridorPath) else ()
+        with pytest.raises(ValueError, match=r"outside \[-1, 0\]"):
+            path.point(s, *offset)
+        with pytest.raises(ValueError, match=r"outside \[-1, 0\]"):
+            path.derivative(s)
+
+    @pytest.mark.parametrize("s2", [np.nan, np.array([0.2, np.nan])], ids=["0-d", "1-d"])
+    def test_corridor_offset(self, s2):
+        path = make_path("sinusoid-corridor")
+        with pytest.raises(ValueError, match="corridor offset outside bounds"):
+            path.point(-0.5, s2)
+        with pytest.raises(ValueError, match="corridor offset outside bounds"):
+            path.point_and_derivative(np.full(np.shape(s2), -0.5), s2)
 
 
 class TestNominalYawRate:

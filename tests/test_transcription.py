@@ -20,6 +20,7 @@ from oracles import (
     _barrier_terms,
     equality_jacobian_loop,
     frozen_mask,
+    linearize_assembly,
     project_interior,
     quadrature_cost,
     residual_jacobian_loop,
@@ -165,6 +166,21 @@ class TestResidualJacobian:
             assert np.array_equal(J, residual_jacobian_loop(prob, w))
             assert np.array_equal(A, equality_jacobian_loop(prob, w))
             assert np.array_equal(prob.equality_jacobian(w), A)
+
+    @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
+    @pytest.mark.parametrize("horizon", [1, 5, 20])
+    def test_linearize_equals_concatenated_assembly_bitwise(self, kind, horizon):
+        prob = horizon_problem(kind, horizon)
+        rng = np.random.default_rng(23)
+        yaw = np.arange(horizon + 1) * prob.n_x + 8
+        for trial in range(6):
+            w = random_interior_iterate(prob, rng)
+            if trial % 2:
+                # yaw errors across the wrap seam; yaw has no box
+                w[yaw] += rng.uniform(-3.0 * np.pi, 3.0 * np.pi, horizon + 1)
+            r, c, blocks = prob.linearize(w)
+            for got, ref in zip((r, c, *blocks), linearize_assembly(prob, w)):
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
     @pytest.mark.parametrize("horizon", [1, 5, 20])
