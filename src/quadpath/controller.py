@@ -2,10 +2,14 @@
 
 Each control step builds the horizon NLP pinned at the measured state and
 the controller's own timing state, on the constant structure the controller
-built once, solves it (warm-started from the shifted previous solution
-when available, from the input rollout first and when the warm solve does
-not converge), applies the first input interval, and
-advances the timing state in closed form with the first virtual input.
+built once, and runs one solve: from the input rollout on the first step,
+from the shifted previous solution on every later one.  A solve that does
+not converge is not retried: its returned iterate is applied and kept as
+the next warm start, and the step is flagged as a failure.  That iterate is
+the shifted plan or a point the merit line search accepted over it, and the
+fraction-to-boundary rule keeps it inside the box.  The step applies the
+first input interval and advances the timing state in closed form with the
+first virtual input.
 Advancing the controller copy of the timing state by the applied virtual
 input, instead of reading back the solver prediction, keeps the plant-side
 and controller-side progress consistent even when a solve fails.
@@ -32,10 +36,6 @@ from .transcription import OcpConfig, OcpStructure, build_ocp
 @dataclass
 class ControlDiagnostics:
     solve: SolveResult
-    predicted_states: np.ndarray
-    predicted_inputs: np.ndarray
-    predicted_path_states: np.ndarray
-    predicted_virtual_inputs: np.ndarray
     failure: bool
     clamp_events: list = field(default_factory=list)
 
@@ -61,10 +61,6 @@ class PathController:
         self.last_solution: Optional[SolveResult] = None
         self.clamp_log: list[str] = []
 
-    @property
-    def mode(self) -> str:
-        return "corridor" if self.config.corridor else "classic"
-
     def control_step(self, measured):
         """Solve the horizon problem at the measured state; return the first
         physical input, the first virtual input and diagnostics."""
@@ -77,32 +73,16 @@ class PathController:
         events = list(problem.clamp_events)
         self.clamp_log.extend(events)
 
-        if self.last_solution is not None and self.last_solution.decision.shape == (problem.n,):
+        if self.last_solution is None:
+            result = solve(problem, problem.rollout(), log=self.solver_log)
+        else:
             guess = warm_start_shift(self.last_solution, problem)
             result = solve(problem, guess, multipliers=self.last_solution.multipliers, log=self.solver_log)
-            if result.status != CONVERGED:
-                result = self._best(result, solve(problem, problem.rollout(), log=self.solver_log))
-        else:
-            result = solve(problem, problem.rollout(), log=self.solver_log)
 
-        X, U, Z, V = problem.unpack(result.decision)
+        _, U, _, V = problem.unpack(result.decision)
         self.last_solution = result
-        diag = ControlDiagnostics(
-            solve=result,
-            predicted_states=X.copy(),
-            predicted_inputs=U.copy(),
-            predicted_path_states=Z.copy(),
-            predicted_virtual_inputs=V.copy(),
-            failure=result.status != CONVERGED,
-            clamp_events=events,
-        )
+        diag = ControlDiagnostics(solve=result, failure=result.status != CONVERGED, clamp_events=events)
         return U[0].copy(), V[0].copy(), diag
-
-    @staticmethod
-    def _best(a: SolveResult, b: SolveResult) -> SolveResult:
-        if (b.status == CONVERGED) != (a.status == CONVERGED):
-            return b if b.status == CONVERGED else a
-        return b if b.kkt_residual < a.kkt_residual else a
 
     def _feasible_pin(self) -> np.ndarray:
         """Progress state to pin the horizon problem at.

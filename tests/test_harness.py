@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quadpath import simulate
+from quadpath.cli import FAILURE_BUDGET, VIOLATION_LIMIT
 from quadpath.cli import main as cli_main
 from quadpath.dynamics import ModelParams, rk4_step
 from quadpath.simulate import (
@@ -93,6 +94,26 @@ class TestHoverScenario:
     def test_states_respect_boxes(self, hover_run):
         cfg, log, metrics = hover_run
         assert metrics.constraint_violation_max <= 1e-6
+
+
+class TestOffNominalSample:
+    """Full spiral flights with a thrust or mass mismatch, or the
+    finite-difference sensor under position noise, keep the robustness
+    invariants: no exception, no box violation, failures within budget,
+    monotone progress and the path end reached."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(thrust_scale=0.9),
+        dict(mass_error=0.05),
+        dict(sensor="fd", position_noise=0.01),
+    ], ids=["thrust_scale-0.9", "mass_error-0.05", "fd-noise-0.01"])
+    def test_flight_keeps_the_invariants(self, overrides):
+        log, metrics = run_scenario(scenario_config("spiral", **overrides))
+        assert metrics.constraint_violation_max <= VIOLATION_LIMIT
+        assert metrics.failures <= FAILURE_BUDGET * metrics.steps
+        progress = np.array([r.path_state[0] for r in log.records])
+        assert np.all(np.diff(progress) >= 0.0)
+        assert metrics.time_to_path_end is not None
 
 
 class TestPlant:
