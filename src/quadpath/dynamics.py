@@ -180,11 +180,12 @@ def _check_dt(dt) -> None:
         raise ValueError("dt must be positive and finite")
 
 
-def _rk4_stages(x, u, h: float, params: ModelParams):
+def _rk4_stages(x, u, h: float, params: ModelParams, c, tau):
     """One RK4 step of length ``h``: ``(x_next, trig, axis, scale)``, with
     the :func:`_attitude_trig` and thrust axes of the four stage attitudes,
     each of shape ``(3, 4) + batch`` (component, stage), and the thrust per
-    mass.
+    mass.  ``c`` and ``tau`` are the stage offsets and time constants of
+    :func:`_step_constants` for ``h``, which the caller looks up once.
 
     The attitude rows do not depend on position or velocity, so the stage
     attitudes come first and one trig pass serves all four stages.  Every
@@ -199,7 +200,6 @@ def _rk4_stages(x, u, h: float, params: ModelParams):
     first = (x.ndim - 1, *range(x.ndim - 1))
     xt, ut = x.transpose(first), u.transpose(first)
     # stage i + 1 starts at x + c_i k_i; k holds the stage derivatives
-    c, tau, _, _ = _step_constants(h, params)
     ones = (1,) * len(batch)
     c_col = c.reshape((3,) + ones)
     att = np.empty((3, 4) + batch, dtype=float)
@@ -240,8 +240,9 @@ def rk4_step(state, inp, dt: float, params: ModelParams, substeps: int = 1) -> n
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
     h = dt / substeps
+    c, tau, _, _ = _step_constants(h, params)
     for _ in range(substeps):
-        x = _rk4_stages(x, u, h, params)[0]
+        x = _rk4_stages(x, u, h, params, c, tau)[0]
     return x
 
 
@@ -317,9 +318,9 @@ def rk4_step_with_jacobians(state, inp, dt: float, params: ModelParams):
     _check_dt(dt)
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
-    x_next, trig, axis, scale = _rk4_stages(x, u, dt, params)
+    c, tau, weights, sens0 = _step_constants(float(dt), params)
+    x_next, trig, axis, scale = _rk4_stages(x, u, dt, params, c, tau)
     batch = x_next.shape[:-1]
-    _, _, weights, sens0 = _step_constants(float(dt), params)
 
     cph, sph, cth, sth, cps, sps = trig
     # per stage: d axis/d(roll, pitch, yaw) and the axis, components first:

@@ -10,9 +10,19 @@ cost is approximated by its Gauss-Newton model, and the
 equality-constrained Newton step comes from one symmetric KKT system.
 The barrier problem is stepped in primal-dual form (bound duals scale the
 Hessian diagonal) which avoids the step-length collapse of pure primal
-barrier Newton near active bounds; convergence is still measured by the
-primal barrier stationarity.  A backtracking line search on the
-exact-penalty merit
+barrier Newton near active bounds, and convergence is measured in the same
+form, by the primal-dual optimality error of IPOPT (Waechter & Biegler 2006,
+Math. Program. 106(1), sec. 2.1)
+
+    E = max(|2 J^T r + A^T lam - sum sign * z|, |c|, |z * gap - mu| * tol / mu)
+
+on the free entries, with the bound duals ``z`` in place of the primal
+barrier gradient ``mu / gap``: a face that a fraction-to-boundary cut
+leaves a hair away blows ``mu / gap`` up long after its dual has settled.
+The complementarity term passes when ``|z * gap - mu| <= mu``.  When the
+step falls to the rounding floor while ``z`` is off ``mu / gap``, one
+dual-only iteration resets ``z`` to ``mu / gap`` and the test is taken
+again.  A backtracking line search on the exact-penalty merit
 
     ||r(w)||^2 + mu * B(w) + rho * ||c(w)||_1
 
@@ -272,6 +282,16 @@ class _BoundDuals:
     def sigma(self, gap) -> np.ndarray:
         return np.bincount(self.box.idx, self.z / gap, self.box.n)
 
+    def gradient(self) -> np.ndarray:
+        """The bound-dual term ``-sum sign * z`` of the Lagrangian gradient,
+        full length."""
+        return np.bincount(self.box.idx, self.box.neg_sign * self.z, self.box.n)
+
+    def complementarity(self, gap) -> float:
+        """``max |z * gap - mu|`` scaled by ``tol / mu``, so that it meets the
+        tolerance when every ``|z * gap - mu| <= mu``."""
+        return float(np.abs(self.z * gap - _MU).max(initial=0.0)) * (_TOLERANCE / _MU)
+
     def update(self, gap, step):
         """Linearized-complementarity dual step for the accepted primal step,
         cut per side by the fraction-to-boundary rule."""
@@ -286,14 +306,17 @@ class _BoundDuals:
 
 
 def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=None) -> SolveResult:
-    """Solve the barrier problem at ``mu = 1e-7`` to the KKT tolerance 1e-6.
+    """Solve the barrier problem at ``mu = 1e-7`` until its primal-dual
+    optimality error (the module docstring's ``E``) is at most 1e-6.
 
     A cold guess (no ``multipliers``) is pushed strictly inside the box
     before iterating; a warm guess is only projected at the margin of
     :func:`warm_start_shift`, which leaves a shifted guess unchanged.  On line
-    search failure or iteration exhaustion (50 iterations) the best
-    (current) iterate is returned with the corresponding status; the caller
-    decides what to do with a non-converged first input.
+    search failure, iteration exhaustion (50 iterations, dual-only ones
+    included) or a step at the rounding floor with the bound duals already
+    at ``mu / gap``, the current iterate is returned with the corresponding
+    status; the caller decides what to do with a non-converged first input.
+    ``SolveResult.kkt_residual`` is ``E`` at the returned point.
     """
     t_start = time.perf_counter()
     box = problem.box
@@ -336,11 +359,13 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         log.write(f"# solve n={problem.n} m={m}\n")
 
     while True:
-        g = 2.0 * problem.jt_dot(blocks, r) + _MU * bgrad
-        stat = float(np.abs((g + problem.at_dot(blocks, lam))[box.free]).max(initial=0.0))
+        grad_r = 2.0 * problem.jt_dot(blocks, r)
+        g = grad_r + _MU * bgrad
+        stat = float(np.abs((grad_r + duals.gradient() + problem.at_dot(blocks, lam))[box.free])
+                     .max(initial=0.0))
         abs_c = np.abs(c)
         eq_val = float(abs_c.max(initial=0.0))
-        kkt_val = max(stat, eq_val)
+        kkt_val = max(stat, eq_val, duals.complementarity(gap))
         if kkt_val <= _TOLERANCE:
             return _finish(CONVERGED)
         if iters >= _ITERATION_CAP:
@@ -374,8 +399,16 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
                 return _finish(LINESEARCH_FAILURE)
         merit0 = float(r @ r) + _MU * bval + rho * c_l1
         if np.abs(dw).max() <= 100.0 * _EPS * (1.0 + np.abs(w).max()):
-            # step at the rounding floor above the tolerance: no progress left
-            return _finish(MAX_ITERATIONS)
+            # step at the rounding floor above the tolerance: the primal has
+            # no progress left, but duals that lag behind it do; once they
+            # sit at mu / gap, nothing has
+            if np.array_equal(duals.z, _MU / gap):
+                return _finish(MAX_ITERATIONS)
+            duals = _BoundDuals(box, gap)
+            iters += 1
+            if log is not None:
+                _log_line(log, iters, merit0, merit0, 0.0, kkt_val, eq_val, 0, False)
+            continue
 
         noise = 16.0 * _EPS * (1.0 + abs(merit0))
         alpha = box.step_to_boundary(gap, dw, _TAU)
@@ -421,12 +454,16 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         lam = lam_new.copy()
         iters += 1
         if log is not None:
-            log.write(
-                f"mu={_MU:9.3e} it={iters:3d} merit={merit:.17g} "
-                f"merit_before={merit0:.17g} "
-                f"alpha={alpha:8.3e} kkt={kkt_val:9.3e} eq={eq_val:9.3e} "
-                f"trials={trials} soc={int(soc)}\n"
-            )
+            _log_line(log, iters, merit, merit0, alpha, kkt_val, eq_val, trials, soc)
+
+
+def _log_line(log, iters, merit, merit0, alpha, kkt_val, eq_val, trials, soc):
+    log.write(
+        f"mu={_MU:9.3e} it={iters:3d} merit={merit:.17g} "
+        f"merit_before={merit0:.17g} "
+        f"alpha={alpha:8.3e} kkt={kkt_val:9.3e} eq={eq_val:9.3e} "
+        f"trials={trials} soc={int(soc)}\n"
+    )
 
 
 def warm_start_shift(previous: SolveResult, problem_new) -> np.ndarray:

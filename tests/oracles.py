@@ -10,7 +10,9 @@ computes another way:
   integrates in closed form;
 - ``nominal_yaw_rate`` is the yaw rate the tangential sinusoid reference
   demands at a given progress rate;
-- ``kkt_residual`` is a standalone stationarity measure for a solve result;
+- ``kkt_residual`` is the primal barrier measure of a solve result (the
+  barrier gradient ``mu / gap`` in place of the bound duals), not the
+  primal-dual error ``solve`` stops on;
 - ``_barrier_terms`` is the log barrier over full-length masks, against
   the barrier on the faces of ``solver.Box``;
 - ``frozen_mask`` and ``project_interior`` are the frozen entries and the
@@ -156,7 +158,13 @@ def _barrier_terms(w, lower, upper, active):
 
 
 def kkt_residual(problem, point, multipliers, mu: float) -> float:
-    """Infinity norm of barrier stationarity stacked with equality residual.
+    """Infinity norm of the primal barrier stationarity (barrier gradient
+    ``mu / gap``, no bound duals) stacked with the equality residual.
+
+    This is not the stopping test of ``solve``, which measures stationarity
+    with its bound duals and adds their complementarity: a face that a
+    fraction-to-boundary cut leaves a hair away makes this measure large
+    while the face's dual has already settled.
 
     Raises ``ValueError`` when the point is not strictly interior to the box
     (frozen coordinates must sit on their pin).

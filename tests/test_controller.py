@@ -167,12 +167,16 @@ class TestClosedLoopProperties:
 
 
 class TestWarmStartFlight:
-    @pytest.mark.parametrize("scenario, warm_mean_max", [("spiral", 4.2), ("hover", 4.9)])
-    def test_every_step_converges_on_its_first_attempt(self, monkeypatch, scenario, warm_mean_max):
-        # the warm guess keeps its active bounds, and the second-order
-        # correction lets the full step through: every solve converges, and
-        # warm solves take at least a quarter fewer iterations than with
-        # the push (5.62 on spiral and 6.58 on hover)
+    @pytest.mark.parametrize("scenario, warm_mean_max, warm_max", [("spiral", 2.5, 11), ("hover", 2.0, 10)],
+                             ids=["spiral", "hover"])
+    def test_every_step_converges_on_its_first_attempt(self, monkeypatch, scenario, warm_mean_max,
+                                                       warm_max):
+        # the warm guess keeps its active bounds, the second-order
+        # correction lets the full step through, and the primal-dual stopping
+        # test ends a solve once its bound duals have settled: every solve
+        # converges, warm solves average 2.24 iterations on spiral and 1.56
+        # on hover (3.34 and 3.70 when the primal barrier gradient was
+        # tested), and hover's largest warm solve takes 8 (33 at its path end)
         attempts = []
         original = controller_module.solve
 
@@ -187,6 +191,7 @@ class TestWarmStartFlight:
         warm = [result.iterations for is_warm, result in attempts if is_warm]
         assert len(warm) == metrics.steps - 1
         assert np.mean(warm) <= warm_mean_max
+        assert max(warm) <= warm_max
 
 
 class TestStageBlockedPath:

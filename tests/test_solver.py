@@ -4,12 +4,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadpath.dynamics import ModelParams, rk4_step
 from quadpath.paths import make_path, step_timing
 from quadpath.solver import (
     CONVERGED,
     LINESEARCH_FAILURE,
+    MAX_ITERATIONS,
     Box,
     DenseNlp,
     SolveResult,
@@ -121,6 +124,72 @@ class TestKktResidual:
         a = np.array([0.3, 0.7])
         prob = quadratic_problem(a)
         assert kkt_residual(prob, a, np.zeros(0), 1e-12) < 1e-12
+
+
+class TestStoppingTest:
+    """``solve`` stops on the primal-dual optimality error, with the bound
+    duals in place of ``mu / gap``; a step at the rounding floor resets
+    duals that lag behind the primal once, then ends the solve."""
+
+    @staticmethod
+    def bounded_problem():
+        # w - 2 on w <= 1: the optimum sits mu / 2 below the face
+        return DenseNlp(1, residual=lambda w: w - 2.0, residual_jacobian=lambda w: np.eye(1),
+                        lower=np.array([-INF]), upper=np.array([1.0]))
+
+    def test_dual_only_step_at_the_rounding_floor(self):
+        # the primal reaches the optimum in two iterations while the dual
+        # lags at about half of mu / gap; one dual-only iteration recentres it
+        trace = io.StringIO()
+        res = solve(self.bounded_problem(), np.array([0.0]), log=trace)
+        assert res.status == CONVERGED and res.kkt_residual <= 1e-6
+        lines = trace.getvalue().splitlines()[1:]
+        assert len(lines) == res.iterations == 3
+        assert "alpha=0.000e+00" in lines[-1] and lines[-1].endswith("trials=0 soc=0")
+        merit, merit_before = re.search(r"merit=(\S+) merit_before=(\S+)", lines[-1]).groups()
+        assert merit == merit_before
+
+    def test_floor_with_centred_duals_ends_the_solve(self):
+        # the primal stalls after its first step: one dual-only iteration,
+        # then the floor with the duals at mu / gap stops the solve
+        prob = self.bounded_problem()
+        original = prob.kkt_step
+        first = iter([True])
+
+        def stalling(blocks, g, c, sigma, reg):
+            dw, lam = original(blocks, g, c, sigma, reg)
+            return (dw if next(first, False) else np.zeros_like(dw)), lam
+        prob.kkt_step = stalling
+        trace = io.StringIO()
+        res = solve(prob, np.array([0.0]), log=trace)
+        assert res.status == MAX_ITERATIONS and res.iterations == 2
+        assert res.kkt_residual > 1e-6
+        assert trace.getvalue().splitlines()[2].endswith("trials=0 soc=0")
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_box_constrained_least_squares(self, n, seed):
+        # min ||D (w - a)||^2 on a box with at least one a_i outside it (and
+        # every other a_i at least 0.05 inside), some sides unbounded: the
+        # optimum is clip(a, lb, ub), up to the barrier's offset of
+        # mu / (2 d_i^2 |a_i - bound|) <= 4e-6
+        rng = np.random.default_rng(seed)
+        d = rng.uniform(0.5, 5.0, n)
+        lb = rng.uniform(-2.0, 1.0, n)
+        ub = lb + rng.uniform(0.2, 3.0, n)
+        side = rng.integers(0, 3, n)  # 0 inside, 1 below, 2 above
+        side[rng.integers(n)] = rng.integers(1, 3)
+        a = np.where(side == 1, lb - rng.uniform(0.05, 2.0, n),
+                     np.where(side == 2, ub + rng.uniform(0.05, 2.0, n),
+                              rng.uniform(lb + 0.05, ub - 0.05)))
+        lb[(side != 1) & (rng.random(n) < 0.25)] = -INF
+        ub[(side != 2) & (rng.random(n) < 0.25)] = INF
+        prob = DenseNlp(n, residual=lambda w: d * (w - a), residual_jacobian=lambda w: np.diag(d),
+                        lower=lb, upper=ub)
+        res = solve(prob, rng.uniform(-3.0, 3.0, n))
+        assert res.status == CONVERGED
+        assert np.max(np.abs(res.decision - np.clip(a, lb, ub))) <= 1e-5
+        assert res.kkt_residual <= 1e-6
 
 
 class TestGlobalization:
