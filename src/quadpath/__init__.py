@@ -13,9 +13,6 @@ from .dynamics import (
 from .paths import (
     CorridorPath,
     Path,
-    eval_lemniscate,
-    eval_sinusoid,
-    eval_spiral,
     make_path,
     path_error,
     wrap_angle,
@@ -41,6 +38,7 @@ from .solver import (
 from .transcription import (
     OcpConfig,
     OcpProblem,
+    OcpStructure,
     build_ocp,
 )
 

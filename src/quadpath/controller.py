@@ -48,11 +48,11 @@ class PathController:
     """
 
     def __init__(self, path, config: OcpConfig, params: ModelParams, solver_log=None):
-        # the layout, constant blocks and box every control step shares
-        self.structure = OcpStructure(path, config)
+        # the path, model, layout, constant blocks and box every control
+        # step shares
+        self.structure = OcpStructure(path, config, params)
         self.path = path
         self.config = config
-        self.params = params
         self.solver_log = solver_log
         if config.corridor:
             self.path_state = np.array([-1.0, 0.0, config.s_dot_floor, 0.0])
@@ -69,7 +69,7 @@ class PathController:
             raise ValueError("measured state must be finite")
 
         z_pin = self._feasible_pin()
-        problem = build_ocp(measured, z_pin, self.path, self.config, self.params, self.structure)
+        problem = build_ocp(measured, z_pin, self.structure)
         events = list(problem.clamp_events)
         self.clamp_log.extend(events)
 

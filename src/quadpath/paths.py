@@ -4,16 +4,17 @@ A path is a curve in the output space ``[x, y, z, yaw]`` parameterized by a
 progress variable ``s`` restricted to ``[-1, 0]``; ``s = 0`` is the path
 end.  Progress over time is produced by a double-integrator timing law whose
 acceleration is a virtual input chosen by the optimizer.  The corridor
-variant adds a second, bounded parameter that offsets selected output
-components (here: yaw) to trade tracking strictness for faster progress.
-Each curve fills the columns of one preallocated point and derivative pair,
-and a NaN progress or offset fails the domain checks.
+variant adds a second parameter that offsets selected output components
+(here: yaw) to trade tracking strictness for faster progress; its bounds
+are a constraint of the horizon problem (``OcpConfig.s2_bounds``), not of
+the curve.  Each curve fills the columns of one preallocated point and
+derivative pair, and a NaN progress or offset fails the domain checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -21,7 +22,6 @@ S_START = -1.0
 _DOMAIN_TOL = 1e-9
 
 TWO_PI = 2.0 * np.pi
-CORRIDOR_S2_BOUNDS = (-0.5 * np.pi, 0.5 * np.pi)
 
 
 def wrap_angle(angle):
@@ -42,7 +42,8 @@ def _check_domain(s) -> np.ndarray:
 
 
 def _spiral(s):
-    """``(point, derivative)`` of :func:`eval_spiral`'s curve."""
+    """Rising circular spiral, radius 0.25 m, climbing 0.25 m to 0.65 m:
+    ``(point, derivative)``."""
     s = _check_domain(s)
     a = TWO_PI * s
     sin_a, cos_a = np.sin(a), np.cos(a)
@@ -53,7 +54,8 @@ def _spiral(s):
 
 
 def _lemniscate(s):
-    """``(point, derivative)`` of :func:`eval_lemniscate`'s curve."""
+    """Closed figure-eight at constant height 0.5 m: ``(point,
+    derivative)``."""
     s = _check_domain(s)
     a = TWO_PI * s
     sin_a, cos_a = np.sin(a), np.cos(a)
@@ -68,7 +70,8 @@ def _lemniscate(s):
 
 
 def _sinusoid(s):
-    """``(point, derivative)`` of :func:`eval_sinusoid`'s curve."""
+    """Planar sine sweep with the yaw reference tangential to the curve:
+    ``(point, derivative)``."""
     s = _check_domain(s)
     a = TWO_PI * s
     sin_a, cos_a = np.sin(a), np.cos(a)
@@ -78,21 +81,6 @@ def _sinusoid(s):
     deriv[..., 0], deriv[..., 1:3] = 0.5 * np.pi * cos_a, (0.5, 0.0)
     deriv[..., 3] = 2.0 * np.pi**2 * sin_a / (np.pi**2 * cos_a**2 + 1.0)
     return point, deriv
-
-
-def eval_spiral(s) -> np.ndarray:
-    """Rising circular spiral, radius 0.25 m, climbing 0.25 m to 0.65 m."""
-    return _spiral(s)[0]
-
-
-def eval_lemniscate(s) -> np.ndarray:
-    """Closed figure-eight at constant height 0.5 m."""
-    return _lemniscate(s)[0]
-
-
-def eval_sinusoid(s) -> np.ndarray:
-    """Planar sine sweep with the yaw reference tangential to the curve."""
-    return _sinusoid(s)[0]
 
 
 @dataclass(frozen=True)
@@ -129,23 +117,23 @@ def _constant_path(point) -> Path:
 HOVER_POINT = np.array([0.0, 0.0, 0.5, 0.0])
 
 
+_YAW = np.array([0.0, 0.0, 0.0, 1.0])
+_YAW.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class CorridorPath:
     """A base path plus a second parameter offsetting chosen output axes.
 
-    ``point(s1) + s2 * direction`` with ``s2`` confined to ``s2_bounds``.
-    A degenerate ``(0, 0)`` bound disables the corridor and must reproduce
+    ``point(s1) + s2 * direction``; the offset ``s2`` is any finite number
+    here, and the horizon problem bounds it by ``OcpConfig.s2_bounds``.  A
+    degenerate ``(0, 0)`` bound disables the corridor and must reproduce
     the base path exactly.
     """
 
     base: Path
-    direction: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
-    s2_bounds: tuple[float, float] = CORRIDOR_S2_BOUNDS
-
-    def __post_init__(self) -> None:
-        lo, hi = self.s2_bounds
-        if not (lo <= 0.0 <= hi):
-            raise ValueError("corridor bounds must contain 0")
+    # the offset axes: yaw alone
+    direction: ClassVar[np.ndarray] = _YAW
 
     @property
     def name(self) -> str:
@@ -158,10 +146,8 @@ class CorridorPath:
         """The offset point and the derivative w.r.t. the progress
         parameter, from one evaluation of the base path."""
         s2 = np.asarray(s2, dtype=float)
-        lo, hi = self.s2_bounds
-        # as in _check_domain: NaN fails, and 0.0 lies inside the bounds
-        if not (s2.min(initial=0.0) >= lo - _DOMAIN_TOL and s2.max(initial=0.0) <= hi + _DOMAIN_TOL):
-            raise ValueError("corridor offset outside bounds")
+        if not np.isfinite(s2).all():
+            raise ValueError("corridor offset must be finite")
         base, deriv = self.base.point_and_derivative(s1)
         return base + s2[..., None] * self.direction, deriv
 
@@ -177,16 +163,13 @@ _BASE_PATHS = {"spiral": _spiral, "lemniscate": _lemniscate, "sinusoid": _sinuso
 PATH_NAMES = (*_BASE_PATHS, "sinusoid-corridor", "hover")
 
 
-def make_path(name: str, s2_bounds: tuple[float, float] = CORRIDOR_S2_BOUNDS):
-    """Look up a path by its scenario name (one of ``PATH_NAMES``).
-
-    ``s2_bounds`` sets the offset bounds of the corridor path; the other
-    paths ignore it.
-    """
+def make_path(name: str):
+    """Look up a path by its scenario name (one of ``PATH_NAMES``); the
+    corridor path's offset is bounded by the horizon problem, not here."""
     if name in _BASE_PATHS:
         return Path(name, _BASE_PATHS[name])
     if name == "sinusoid-corridor":
-        return CorridorPath(make_path("sinusoid"), s2_bounds=s2_bounds)
+        return CorridorPath(make_path("sinusoid"))
     if name == "hover":
         return _constant_path(HOVER_POINT)
     raise ValueError(f"unknown path {name!r}")

@@ -162,7 +162,7 @@ def _parse_value(key: str, val: str):
 
 def build_components(cfg: ScenarioConfig):
     """Path, OCP configuration and model parameters for a scenario."""
-    path = make_path(cfg.scenario, s2_bounds=(cfg.s2_min, cfg.s2_max))
+    path = make_path(cfg.scenario)
     params = ModelParams(cfg.mass, cfg.gravity, cfg.tau_roll, cfg.tau_pitch)
     input_bound = np.array([cfg.thrust_bound, cfg.tilt_cmd_bound,
                             cfg.tilt_cmd_bound, cfg.yawrate_cmd_bound])
@@ -206,9 +206,9 @@ class StepRecord:
 
 @dataclass
 class SimLog:
-    scenario: str
-    delta: float
-    corridor: bool
+    """The records of one flight and the configuration it flew; the
+    scenario, control period and corridor mode are read from ``config``."""
+
     config: ScenarioConfig
     records: list = field(default_factory=list)
 
@@ -285,7 +285,7 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
     state[0:3] = p0[0:3]
     state[8] = p0[3]
 
-    log = SimLog(cfg.scenario, cfg.delta, cfg.corridor, cfg)
+    log = SimLog(cfg)
     position_history: list[np.ndarray] = []
     settle_needed = int(math.ceil(SETTLE_TIME / cfg.delta))
     settled = 0
@@ -323,13 +323,14 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
         if settled >= settle_needed:
             break
 
-    metrics = compute_metrics(log, cfg, ocp)
+    metrics = compute_metrics(log, ocp)
     return log, metrics
 
 
-def compute_metrics(log: SimLog, cfg: ScenarioConfig, ocp: OcpConfig) -> RunMetrics:
+def compute_metrics(log: SimLog, ocp: OcpConfig) -> RunMetrics:
     if not log.records:
         raise ValueError("cannot summarize an empty run")
+    cfg = log.config
     errors = np.array([r.error for r in log.records])
     states = np.array([r.state for r in log.records])
     inputs = np.array([r.inp for r in log.records])
@@ -427,7 +428,7 @@ def export_csv(log: SimLog, path: str) -> None:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER.split(","))
             for r in log.records:
-                if log.corridor:
+                if log.config.corridor:
                     s2, s2dot, nu2 = _fmt(r.path_state[1]), _fmt(r.path_state[3]), _fmt(r.nu[1])
                     s1dot = _fmt(r.path_state[2])
                 else:

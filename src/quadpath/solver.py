@@ -45,8 +45,9 @@ otherwise the original direction is backtracked.
 
 Cold starts are pushed ``0.1 * sqrt(mu)`` away from the box faces.  A guess
 passed with ``multipliers`` is taken to be a shifted previous optimum
-(:func:`warm_start_shift`, which already projects it strictly inside the
-box) and is used as it is, so the bounds that were active stay active.
+(:func:`warm_start_shift`) and is only moved just inside the box
+(:meth:`Box.project` at a margin of 1e-6), so the bounds that were active
+stay active.
 Either way the bound duals start at ``mu / gap``, which at a converged
 point gives back the previous duals.
 
@@ -100,7 +101,7 @@ _TAU = 1.0 - _MU
 # bound only geometrically, so starting deep in the barrier well wastes
 # iterations
 _COLD_MARGIN = 0.1 * np.sqrt(_MU)
-# the margin inside the box of a warm start (warm_start_shift's projection)
+# the margin inside the box of a warm start
 _WARM_MARGIN = 1e-6
 _TOLERANCE = 1e-6
 _ITERATION_CAP = 50
@@ -119,7 +120,6 @@ class SolveResult:
     decision: np.ndarray
     status: str
     kkt_residual: float
-    equality_residual_inf: float
     iterations: int
     solve_time: float
     multipliers: np.ndarray
@@ -310,8 +310,10 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
     optimality error (the module docstring's ``E``) is at most 1e-6.
 
     A cold guess (no ``multipliers``) is pushed strictly inside the box
-    before iterating; a warm guess is only projected at the margin of
-    :func:`warm_start_shift`, which leaves a shifted guess unchanged.  On line
+    before iterating; a warm guess, such as the plan
+    :func:`warm_start_shift` returns, is only moved just inside it
+    (:meth:`Box.project` at a margin of 1e-6), which keeps its active
+    bounds where they are.  On line
     search failure, iteration exhaustion (50 iterations, dual-only ones
     included) or a step at the rounding floor with the bound duals already
     at ``mu / gap``, the current iterate is returned with the corresponding
@@ -320,8 +322,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
     """
     t_start = time.perf_counter()
     box = problem.box
-    # a warm guess is a shifted optimum already projected by
-    # warm_start_shift: keep its active bounds where they are
+    # a warm guess is a shifted optimum: keep its active bounds where they are
     w = box.project(initial_guess, _COLD_MARGIN if multipliers is None else _WARM_MARGIN)
 
     # r, c and blocks always hold the linearization at w, and bval, bgrad
@@ -340,8 +341,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
 
     def _finish(stat):
         return SolveResult(
-            decision=w, status=stat, kkt_residual=float(kkt_val),
-            equality_residual_inf=float(eq_val), iterations=iters,
+            decision=w, status=stat, kkt_residual=float(kkt_val), iterations=iters,
             solve_time=time.perf_counter() - t_start, multipliers=lam,
         )
 
@@ -472,7 +472,8 @@ def warm_start_shift(previous: SolveResult, problem_new) -> np.ndarray:
     States, inputs and timing quantities are shifted one stage left; the last
     input (and virtual input) is duplicated and the final state/timing node is
     re-propagated with it, so a model-consistent previous solution stays
-    feasible.  The result is projected strictly inside the new bounds.
+    feasible.  The shifted plan is returned as it is: :func:`solve` projects
+    a warm guess strictly inside the box.
     """
     X, U, Z, V = problem_new.unpack(previous.decision)
     w = np.empty(problem_new.n)
@@ -481,4 +482,4 @@ def warm_start_shift(previous: SolveResult, problem_new) -> np.ndarray:
     U_new[:-1], U_new[-1] = U[1:], U[-1]
     Z_new[:-1], Z_new[-1] = Z[1:], problem_new.step_timing(Z[-1], V[-1])
     V_new[:-1], V_new[-1] = V[1:], V[-1]
-    return problem_new.box.project(w, _WARM_MARGIN)
+    return w

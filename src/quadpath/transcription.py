@@ -35,21 +35,23 @@ box holds (freezes) goes through both sweeps like any other, with its hold
 ``ds_k = 0`` as one more equality: the hold rows border the condensed
 Hessian, and their multipliers are extra columns of the backward sweep, so
 held and free states take one path.  Everything that does not depend on the
-pins (layout, index arrays, constant blocks, the box, the states it holds
-and the columns of their holds) lives in a read-only :class:`OcpStructure`
-that a controller builds once.  It rejects a box whose held states the free
-inputs of a stage cannot move independently (the held rows of the input
+pins lives in a read-only :class:`OcpStructure` that a controller builds
+once: the path, the configuration and the model it was built from, and
+the layout, index arrays, constant blocks, the box, the states it holds
+and the columns of their holds.  A problem is its two pins on a
+structure.  The structure rejects a box whose held states the free inputs
+of a stage cannot move independently (the held rows of the input
 sensitivity pattern have structural rank below their count): their gap
-rows would repeat the pins, and every Newton step would be singular.  It
-also rejects a corridor path whose offset bounds differ from the
-configuration's.
+rows would repeat the pins, and every Newton step would be singular.  The
+corridor offset is bounded by ``OcpConfig.s2_bounds`` alone: the box and
+the path evaluation read the same bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import NamedTuple, Optional, Union
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -61,7 +63,7 @@ from .dynamics import (
     rk4_step,
     rk4_step_with_jacobians,
 )
-from .paths import CorridorPath, Path, step_timing, timing_matrices, wrap_angle
+from .paths import CorridorPath, step_timing, timing_matrices, wrap_angle
 from .solver import Box
 
 INF = np.inf
@@ -78,20 +80,14 @@ DEFAULT_R_NU2 = 2.0
 _STATE_NAMES = ("x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw")
 
 
-def _as_weight_matrix(w, size: int, name: str) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        if w.shape != (size,):
-            raise ValueError(f"{name} diagonal must have length {size}")
-        if np.any(w <= 0.0):
-            raise ValueError(f"{name} must be positive definite")
-        return np.diag(w)
-    if w.shape != (size, size):
-        raise ValueError(f"{name} must be {size}x{size}")
-    if not np.allclose(w, w.T, atol=1e-12):
-        raise ValueError(f"{name} must be symmetric")
-    np.linalg.cholesky(w)  # raises if not positive definite
-    return w
+def _as_weight_matrix(diag, size: int, name: str) -> np.ndarray:
+    """The diagonal weight matrix of a positive diagonal of length ``size``."""
+    diag = np.asarray(diag, dtype=float)
+    if diag.shape != (size,):
+        raise ValueError(f"{name} diagonal must have length {size}")
+    if not np.all(diag > 0.0):
+        raise ValueError(f"{name} must be positive definite")
+    return np.diag(diag)
 
 
 def _structural_rank(pattern) -> int:
@@ -117,6 +113,9 @@ class OcpConfig:
 
     ``corridor=True`` switches to the 4-dim timing state and widens the
     weight matrices by one yaw-offset entry on each of Q and R.
+    ``q_weight`` and ``r_weight`` take the diagonals of Q and R; the
+    configuration holds the diagonal matrices.  ``s2_bounds`` is the one
+    bound of the corridor offset, and must contain 0 in corridor mode.
     """
 
     horizon: int = 5
@@ -134,7 +133,7 @@ class OcpConfig:
     # strictly positive floor realizing "progress rate > 0" as a closed box;
     # small enough that the floor-induced progress drift over one horizon
     # stays below the solver tolerance at the path end
-    s_dot_floor: float = 1e-5
+    s_dot_floor: ClassVar[float] = 1e-5
     s2_bounds: tuple[float, float] = (-0.5 * np.pi, 0.5 * np.pi)
     s2_dot_bound: float = 0.5
     nu_bound: float = 0.05
@@ -177,7 +176,10 @@ class OcpConfig:
         for name in ("nu_bound", "nu2_bound", "s2_dot_bound"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-        if not self.s2_bounds[0] <= self.s2_bounds[1]:
+        lo, hi = self.s2_bounds
+        if self.corridor and not lo <= 0.0 <= hi:
+            raise ValueError("corridor s2_bounds must contain 0")
+        if not lo <= hi:
             raise ValueError("s2_bounds are inverted")
 
     @property
@@ -227,24 +229,23 @@ class StageBlocks(NamedTuple):
 class OcpStructure:
     """Everything of a horizon problem that does not depend on its pins.
 
-    The layout and index arrays, the constant Jacobian blocks, the box and
-    the held (frozen) states are fixed by the configuration and the path.
-    A controller builds one structure and shares it between the problems of
-    its control steps; all of its arrays are read-only.
+    It holds the path, the configuration and the model parameters, and
+    what they fix: the layout and index arrays, the constant Jacobian
+    blocks, the box and the held (frozen) states.  A controller builds one
+    structure and shares it between the problems of its control steps; all
+    of its arrays are read-only.
 
-    Raises ``ValueError`` when the free inputs of a stage cannot move the
-    held states independently, and when a corridor path's ``s2_bounds``
-    differ from ``config.s2_bounds``.
+    Raises ``ValueError`` when the path type does not match
+    ``config.corridor``, and when the free inputs of a stage cannot move
+    the held states independently.
     """
 
-    def __init__(self, path, config: OcpConfig):
+    def __init__(self, path, config: OcpConfig, params: ModelParams):
         if isinstance(path, CorridorPath) != config.corridor:
             raise ValueError("path type does not match config.corridor")
-        if config.corridor and tuple(config.s2_bounds) != tuple(path.s2_bounds):
-            raise ValueError(f"config.s2_bounds {tuple(config.s2_bounds)} differ from the path's "
-                             f"s2_bounds {tuple(path.s2_bounds)}")
         self.path = path
         self.config = config
+        self.params = params
         N = config.horizon
         nx, nu, nz, nv = N_STATES, N_INPUTS, config.n_z, config.n_nu
         nq, nr = config.q_weight.shape[0], config.r_weight.shape[0]
@@ -375,22 +376,18 @@ class OcpProblem:
     structured Newton step.
 
     Instances are built per control step (the initial conditions are baked
-    in) and treated as immutable; everything else comes from the shared
-    :class:`OcpStructure`.  The box frees the pinned stage-0 coordinates
-    (the equality pin wins over the box; a clamping event is recorded when
-    the measurement violates the original box).
+    in) and treated as immutable; everything else, the path, configuration
+    and model included, comes from the shared :class:`OcpStructure`.  The
+    box frees the pinned stage-0 coordinates (the equality pin wins over
+    the box; a clamping event is recorded when the measurement violates the
+    original box).
     """
 
-    def __init__(self, x0, z0, path, config: OcpConfig, params: ModelParams,
-                 structure: Optional[OcpStructure] = None):
-        if structure is None:
-            structure = OcpStructure(path, config)
-        elif structure.path is not path or structure.config is not config:
-            raise ValueError("structure was built for another path or configuration")
+    def __init__(self, x0, z0, structure: OcpStructure):
         self.structure = structure
-        self.config = config
-        self.params = params
-        self.path = path
+        config = self.config = structure.config
+        self.params = structure.params
+        self.path = structure.path
         for name in ("n_x", "n_u", "n_z", "n_nu", "n", "m_eq", "n_res_q", "n_res_r", "m_res"):
             setattr(self, name, getattr(structure, name))
         self.box = structure.box
@@ -404,22 +401,7 @@ class OcpProblem:
             raise ValueError("initial conditions must be finite")
         self.clamp_events = self._clamp_events()
 
-    # ----- layout helpers ---------------------------------------------------
-
-    def x_slice(self, k: int) -> slice:
-        return slice(k * self.n_x, (k + 1) * self.n_x)
-
-    def u_slice(self, k: int) -> slice:
-        o = self.structure.ou
-        return slice(o + k * self.n_u, o + (k + 1) * self.n_u)
-
-    def z_slice(self, k: int) -> slice:
-        o = self.structure.oz
-        return slice(o + k * self.n_z, o + (k + 1) * self.n_z)
-
-    def nu_slice(self, k: int) -> slice:
-        o = self.structure.ov
-        return slice(o + k * self.n_nu, o + (k + 1) * self.n_nu)
+    # ----- layout ------------------------------------------------------------
 
     def unpack(self, w):
         w = np.asarray(w, dtype=float)
@@ -485,13 +467,14 @@ class OcpProblem:
     def _path_values(self, Z):
         """Path points and derivatives at the stage progress values.
 
-        The progress is clipped to the path domain before evaluation: the
-        bounded stages stay strictly inside [-1, 0] anyway, and the pinned
-        (box-free) stage 0 may wander by linear-solver roundoff.
+        The progress is clipped to the path domain and the offset to
+        ``config.s2_bounds`` before evaluation: the bounded stages stay
+        strictly inside the box anyway, and the pinned (box-free) stage 0
+        may wander by linear-solver roundoff.
         """
         s1 = Z[..., 0].clip(-1.0, 0.0)
         if self.config.corridor:
-            return self.path.point_and_derivative(s1, Z[..., 1].clip(*self.path.s2_bounds))
+            return self.path.point_and_derivative(s1, Z[..., 1].clip(*self.config.s2_bounds))
         return self.path.point_and_derivative(s1)
 
     def linearize(self, w):
@@ -693,9 +676,7 @@ class OcpProblem:
         return dw, lam
 
 
-def build_ocp(x0, z0, path: Union[Path, CorridorPath], config: OcpConfig, params: ModelParams,
-              structure: Optional[OcpStructure] = None) -> OcpProblem:
-    """Assemble the horizon NLP pinned at the measured state and progress,
-    on ``structure`` when given (built for the same path and configuration),
-    else on a fresh one."""
-    return OcpProblem(x0, z0, path, config, params, structure)
+def build_ocp(x0, z0, structure: OcpStructure) -> OcpProblem:
+    """Assemble the horizon NLP on ``structure``, pinned at the measured
+    state and progress."""
+    return OcpProblem(x0, z0, structure)

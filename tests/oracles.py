@@ -38,6 +38,10 @@ computes another way:
 - ``linearize_assembly`` assembles the residual, the gaps and the stage
   blocks through ``path_error``, ``output_map`` and ``np.concatenate``,
   against the preallocated vectors of ``OcpProblem.linearize``.
+
+``x_slice``, ``u_slice``, ``z_slice`` and ``nu_slice`` are the slices of
+one stage's block in a horizon problem's decision vector, which the stage
+loops index with.
 """
 
 import numpy as np
@@ -57,6 +61,25 @@ from quadpath.dynamics import (
 )
 from quadpath.paths import TWO_PI, path_error
 from quadpath.transcription import OcpConfig
+
+
+def x_slice(problem, k: int) -> slice:
+    return slice(k * problem.n_x, (k + 1) * problem.n_x)
+
+
+def u_slice(problem, k: int) -> slice:
+    o = problem.structure.ou
+    return slice(o + k * problem.n_u, o + (k + 1) * problem.n_u)
+
+
+def z_slice(problem, k: int) -> slice:
+    o = problem.structure.oz
+    return slice(o + k * problem.n_z, o + (k + 1) * problem.n_z)
+
+
+def nu_slice(problem, k: int) -> slice:
+    o = problem.structure.ov
+    return slice(o + k * problem.n_nu, o + (k + 1) * problem.n_nu)
 
 
 def stage_cost(e, xi_dot, z_path, u, nu, config: OcpConfig) -> float:
@@ -210,16 +233,16 @@ def residual_jacobian_loop(problem, w) -> np.ndarray:
             dz[0:4, 1] = -problem.path.direction
             dz[8, 1] = 1.0
         rows = slice(k * nq, (k + 1) * nq)
-        J[rows, problem.x_slice(k)] = lq @ dx
-        J[rows, problem.z_slice(k)] = lq @ dz
+        J[rows, x_slice(problem, k)] = lq @ dx
+        J[rows, z_slice(problem, k)] = lq @ dz
     for k in range(N):
         rows = slice(N * nq + k * nr, N * nq + (k + 1) * nr)
-        J[rows, problem.u_slice(k)] = lr[:, :problem.n_u]
-        J[rows, problem.nu_slice(k)] = lr[:, problem.n_u:]
+        J[rows, u_slice(problem, k)] = lr[:, :problem.n_u]
+        J[rows, nu_slice(problem, k)] = lr[:, problem.n_u:]
     trow = N * (nq + nr)
-    J[trow, problem.z_slice(N).start] = np.sqrt(cfg.terminal_weight)
+    J[trow, z_slice(problem, N).start] = np.sqrt(cfg.terminal_weight)
     if cfg.corridor:
-        J[trow + 1, problem.z_slice(N).start + 1] = np.sqrt(cfg.terminal_weight_s2)
+        J[trow + 1, z_slice(problem, N).start + 1] = np.sqrt(cfg.terminal_weight_s2)
     return J
 
 
@@ -230,21 +253,21 @@ def equality_jacobian_loop(problem, w) -> np.ndarray:
     N = problem.config.horizon
     nx, nz = problem.n_x, problem.n_z
     A = np.zeros((problem.m_eq, problem.n))
-    A[0:nx, problem.x_slice(0)] = np.eye(nx)
-    A[nx:nx + nz, problem.z_slice(0)] = np.eye(nz)
+    A[0:nx, x_slice(problem, 0)] = np.eye(nx)
+    A[nx:nx + nz, z_slice(problem, 0)] = np.eye(nz)
     _, ax, bu = rk4_step_with_jacobians(X[:N], U, problem.config.delta, problem.params)
     r0 = nx + nz
     for k in range(N):
         rows = slice(r0 + k * nx, r0 + (k + 1) * nx)
-        A[rows, problem.x_slice(k + 1)] = np.eye(nx)
-        A[rows, problem.x_slice(k)] = -ax[k]
-        A[rows, problem.u_slice(k)] = -bu[k]
+        A[rows, x_slice(problem, k + 1)] = np.eye(nx)
+        A[rows, x_slice(problem, k)] = -ax[k]
+        A[rows, u_slice(problem, k)] = -bu[k]
     z0row = r0 + N * nx
     for k in range(N):
         rows = slice(z0row + k * nz, z0row + (k + 1) * nz)
-        A[rows, problem.z_slice(k + 1)] = np.eye(nz)
-        A[rows, problem.z_slice(k)] = -problem.structure.ad
-        A[rows, problem.nu_slice(k)] = -problem.structure.bd
+        A[rows, z_slice(problem, k + 1)] = np.eye(nz)
+        A[rows, z_slice(problem, k)] = -problem.structure.ad
+        A[rows, nu_slice(problem, k)] = -problem.structure.bd
     return A
 
 
@@ -430,7 +453,7 @@ def linearize_assembly(problem, w):
     cfg = problem.config
     s1 = np.clip(Z[:N, 0], -1.0, 0.0)
     if cfg.corridor:
-        lo, hi = problem.path.s2_bounds
+        lo, hi = cfg.s2_bounds
         p, dp = problem.path.point_and_derivative(s1, np.clip(Z[:N, 1], lo, hi))
     else:
         p, dp = problem.path.point_and_derivative(s1)

@@ -19,7 +19,7 @@ from quadpath.simulate import (
     run_scenario,
     scenario_config,
 )
-from quadpath.transcription import OcpConfig, build_ocp
+from quadpath.transcription import OcpConfig, OcpStructure, build_ocp
 from quadpath.validate import (
     check_body_rates,
     check_hover,
@@ -28,7 +28,7 @@ from quadpath.validate import (
     check_solver,
 )
 
-from oracles import nominal_yaw_rate, quadrature_cost
+from oracles import nominal_yaw_rate, quadrature_cost, z_slice
 
 PARAMS = ModelParams()
 
@@ -74,7 +74,7 @@ def progress_rate_slow_intervals(log, s_dot_max):
     """Disjoint [start, end] intervals with the realized rate below half max."""
     zs = np.array([r.path_state for r in log.records])
     ts = np.array([r.t for r in log.records])
-    slow = zs[:, 1 if not log.corridor else 2] < 0.5 * s_dot_max
+    slow = zs[:, 1 if not log.config.corridor else 2] < 0.5 * s_dot_max
     intervals, start = [], None
     for i, flag in enumerate(slow):
         if flag and start is None:
@@ -127,14 +127,14 @@ def test_criterion_2_solver_correctness():
     x0 = np.zeros(9)
     x0[:3] = p0[:3]
     x0[8] = p0[3]
-    prob = build_ocp(x0, np.array([-1.0, cfg.s_dot_floor]), path, cfg, PARAMS)
+    prob = build_ocp(x0, np.array([-1.0, cfg.s_dot_floor]), OcpStructure(path, cfg, PARAMS))
     rng = np.random.default_rng(21)
     h = 1e-6
     worst_grad = worst_jac = 0.0
     for _ in range(20):
         w = rng.uniform(-0.2, 0.2, prob.n)
         for k in range(cfg.horizon + 1):
-            zs = prob.z_slice(k)
+            zs = z_slice(prob, k)
             w[zs.start] = rng.uniform(-0.9, -0.1)
             w[zs.start + 1] = rng.uniform(1e-4, 0.9 * cfg.s_dot_max)
         r, _, blocks = prob.linearize(w)

@@ -47,8 +47,7 @@ class TestControlStep:
         inp, nu, diag = controller.control_step(measured)
         from quadpath.dynamics import output_map
         from quadpath.paths import path_error
-        problem = build_ocp(measured, controller.path_state, controller.path, cfg, PARAMS,
-                            controller.structure)
+        problem = build_ocp(measured, controller.path_state, controller.structure)
         X, _, Z, _ = problem.unpack(diag.solve.decision)
         pred_out = output_map(X)
         refs = controller.path.point(Z[:, 0])
@@ -142,8 +141,7 @@ class TestClosedLoopProperties:
         assert np.all(diffs >= 0.0)
 
     def test_warm_start_consistency_under_nominal_dynamics(self):
-        # boxes wide and progress pressure off, so no bound is active and the
-        # strict-interior projection inside the shift is a no-op
+        # boxes wide and progress pressure off, so no bound is active
         cfg = OcpConfig(
             state_lower=np.full(9, -np.inf),
             state_upper=np.full(9, np.inf),
@@ -161,7 +159,7 @@ class TestClosedLoopProperties:
             inp, nu, diag = controller.control_step(x)
             x = rk4_step(x, inp, cfg.delta, PARAMS)  # plant identical to the model
             controller.advance_path_state(nu, cfg.delta)
-        problem = build_ocp(x, controller.path_state, controller.path, cfg, PARAMS)
+        problem = build_ocp(x, controller.path_state, controller.structure)
         guess = warm_start_shift(controller.last_solution, problem)
         assert np.max(np.abs(problem.equality(guess))) < 1e-8
 
@@ -464,7 +462,6 @@ class TestCorridorMode:
         assert controller.path_state.shape == (4,)
 
     def test_zero_width_corridor_reproduces_classic_inputs(self):
-        from quadpath.paths import CorridorPath
         yaw_bound = np.array([0.15, 0.35, 0.35, 0.2])
         classic_cfg = OcpConfig(
             s_dot_max=0.02,
@@ -479,9 +476,7 @@ class TestCorridorMode:
             s2_bounds=(0.0, 0.0),
         )
         classic = PathController(make_path("sinusoid"), classic_cfg, PARAMS)
-        corridor = PathController(
-            CorridorPath(make_path("sinusoid"), s2_bounds=(0.0, 0.0)), corridor_cfg, PARAMS
-        )
+        corridor = PathController(make_path("sinusoid-corridor"), corridor_cfg, PARAMS)
         x_c = state_on_path(classic.path, -1.0)
         x_k = x_c.copy()
         for _ in range(10):
@@ -498,11 +493,3 @@ class TestCorridorMode:
     def test_path_type_must_match_config(self):
         with pytest.raises(ValueError):
             PathController(make_path("spiral"), OcpConfig(corridor=True), PARAMS)
-
-    def test_corridor_bounds_must_match_config(self):
-        # the path clipped s2 to its own bounds while the box used the
-        # config's, so the residual Jacobian's s2 column was off the residual
-        from quadpath.paths import CorridorPath
-        with pytest.raises(ValueError, match="s2_bounds"):
-            PathController(CorridorPath(make_path("sinusoid"), s2_bounds=(0.0, 0.0)),
-                           OcpConfig(corridor=True, s_dot_max=0.02), PARAMS)

@@ -148,7 +148,7 @@ class TestPlant:
 class TestExportCsv:
     def test_header_and_row_count(self, hover_run, tmp_path):
         cfg, log, metrics = hover_run
-        short = type(log)(log.scenario, log.delta, log.corridor, log.config, log.records[:3])
+        short = type(log)(log.config, log.records[:3])
         out = tmp_path / "log.csv"
         export_csv(short, str(out))
         lines = out.read_text().splitlines()
@@ -414,4 +414,4 @@ def test_metrics_require_records():
     from quadpath.simulate import SimLog, build_components
     _, ocp, _ = build_components(cfg)
     with pytest.raises(ValueError):
-        compute_metrics(SimLog("hover", 0.05, False, cfg), cfg, ocp)
+        compute_metrics(SimLog(cfg), ocp)

@@ -4,9 +4,6 @@ import pytest
 from quadpath.paths import (
     CorridorPath,
     PATH_NAMES,
-    eval_lemniscate,
-    eval_sinusoid,
-    eval_spiral,
     make_path,
     path_error,
     step_timing,
@@ -14,39 +11,45 @@ from quadpath.paths import (
     wrap_angle,
 )
 
+from quadpath.transcription import OcpConfig
+
 from oracles import curve_stack, nominal_yaw_rate, timing_law
 
 
 class TestSpiral:
+    path = make_path("spiral")
+
     def test_endpoints_and_midpoint(self):
-        np.testing.assert_allclose(eval_spiral(-1.0), [0.25, 0.0, 0.25, 0.0], atol=1e-15)
-        np.testing.assert_allclose(eval_spiral(0.0), [0.25, 0.0, 0.65, 0.0], atol=1e-15)
-        np.testing.assert_allclose(eval_spiral(-0.5), [-0.25, 0.0, 0.45, 0.0], atol=1e-15)
+        np.testing.assert_allclose(self.path.point(-1.0), [0.25, 0.0, 0.25, 0.0], atol=1e-15)
+        np.testing.assert_allclose(self.path.point(0.0), [0.25, 0.0, 0.65, 0.0], atol=1e-15)
+        np.testing.assert_allclose(self.path.point(-0.5), [-0.25, 0.0, 0.45, 0.0], atol=1e-15)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            eval_spiral(-1.2)
+            self.path.point(-1.2)
         with pytest.raises(ValueError):
-            eval_spiral(0.1)
+            self.path.point(0.1)
 
 
 class TestLemniscate:
+    path = make_path("lemniscate")
+
     def test_closed_curve(self):
-        np.testing.assert_allclose(eval_lemniscate(0.0), [0.5, 0.0, 0.5, 0.0], atol=1e-15)
-        np.testing.assert_allclose(eval_lemniscate(-1.0), [0.5, 0.0, 0.5, 0.0], atol=1e-12)
+        np.testing.assert_allclose(self.path.point(0.0), [0.5, 0.0, 0.5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(self.path.point(-1.0), [0.5, 0.0, 0.5, 0.0], atol=1e-12)
 
     def test_quarter_point(self):
-        np.testing.assert_allclose(eval_lemniscate(-0.25), [0.0, 0.0, 0.5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(self.path.point(-0.25), [0.0, 0.0, 0.5, 0.0], atol=1e-15)
 
 
 class TestSinusoid:
     def test_start_point(self):
-        p = eval_sinusoid(-1.0)
+        p = make_path("sinusoid").point(-1.0)
         np.testing.assert_allclose(p[:3], [0.0, -0.25, 0.5], atol=1e-15)
         assert p[3] == pytest.approx(0.30817, abs=1e-5)
 
     def test_midpoint(self):
-        p = eval_sinusoid(-0.5)
+        p = make_path("sinusoid").point(-0.5)
         np.testing.assert_allclose(p[:3], [0.0, 0.0, 0.5], atol=1e-15)
         assert p[3] == pytest.approx(2.83342, abs=1e-5)
 
@@ -140,9 +143,9 @@ class TestRejectsNan:
     @pytest.mark.parametrize("s2", [np.nan, np.array([0.2, np.nan])], ids=["0-d", "1-d"])
     def test_corridor_offset(self, s2):
         path = make_path("sinusoid-corridor")
-        with pytest.raises(ValueError, match="corridor offset outside bounds"):
+        with pytest.raises(ValueError, match="corridor offset must be finite"):
             path.point(-0.5, s2)
-        with pytest.raises(ValueError, match="corridor offset outside bounds"):
+        with pytest.raises(ValueError, match="corridor offset must be finite"):
             path.point_and_derivative(np.full(np.shape(s2), -0.5), s2)
 
 
@@ -168,11 +171,11 @@ class TestCorridor:
 
     def test_zero_offset_equals_base(self):
         s = np.linspace(-1.0, 0.0, 11)
-        np.testing.assert_array_equal(self.corridor.point(s, np.zeros(11)), eval_sinusoid(s))
+        np.testing.assert_array_equal(self.corridor.point(s, np.zeros(11)), make_path("sinusoid").point(s))
 
     def test_offset_additivity(self):
         p = self.corridor.point(-1.0, 0.5)
-        base = eval_sinusoid(-1.0)
+        base = make_path("sinusoid").point(-1.0)
         assert p[3] == pytest.approx(base[3] + 0.5, abs=1e-12)
         np.testing.assert_array_equal(p[:3], base[:3])
 
@@ -180,19 +183,19 @@ class TestCorridor:
         p = self.corridor.point(-1.0, -0.5 * np.pi)
         assert p[3] == pytest.approx(0.30817 - 0.5 * np.pi, abs=1e-5)
 
-    def test_rejects_out_of_corridor(self):
-        with pytest.raises(ValueError):
-            self.corridor.point(-0.5, 0.5 * np.pi + 1e-3)
-
     def test_corridor_path_requires_zero_inside(self):
-        base = make_path("sinusoid")
-        with pytest.raises(ValueError):
-            CorridorPath(base, s2_bounds=(0.1, 0.5))
-        CorridorPath(base, s2_bounds=(0.0, 0.0))  # degenerate corridor is allowed
+        # the corridor's bounds are the horizon problem's, so the
+        # configuration checks them
+        with pytest.raises(ValueError, match="must contain 0"):
+            OcpConfig(corridor=True, s2_bounds=(0.1, 0.5))
+        OcpConfig(corridor=True, s2_bounds=(0.0, 0.0))  # degenerate corridor is allowed
 
     def test_direction_only_offsets_yaw(self):
         path = make_path("sinusoid-corridor")
         np.testing.assert_array_equal(path.direction, [0.0, 0.0, 0.0, 1.0])
+        assert path.direction is CorridorPath.direction
+        with pytest.raises(ValueError, match="read-only"):
+            path.direction[0] = 1.0
         p = path.point(-0.3, 0.7)
         np.testing.assert_array_equal(p[:3], make_path("sinusoid").point(-0.3)[:3])
 
@@ -281,6 +284,5 @@ def test_make_path_names():
     assert PATH_NAMES == ("spiral", "lemniscate", "sinusoid", "sinusoid-corridor", "hover")
     for name in PATH_NAMES:
         make_path(name)
-    assert make_path("sinusoid-corridor", s2_bounds=(0.0, 0.0)).s2_bounds == (0.0, 0.0)
     with pytest.raises(ValueError):
         make_path("zigzag")

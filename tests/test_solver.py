@@ -22,7 +22,7 @@ from quadpath.solver import (
 from quadpath.solver import _newton_direction
 from quadpath import solver as solver_module
 from quadpath import transcription
-from quadpath.transcription import OcpConfig, build_ocp
+from quadpath.transcription import OcpConfig, OcpStructure, build_ocp
 
 from oracles import _barrier_terms, frozen_mask, kkt_residual, project_interior
 
@@ -200,7 +200,7 @@ class TestGlobalization:
         x0 = np.zeros(9)
         x0[:3] = p0[:3]
         x0[8] = p0[3]
-        prob = build_ocp(x0, np.array([-1.0, 1e-5]), path, cfg, ModelParams())
+        prob = build_ocp(x0, np.array([-1.0, 1e-5]), OcpStructure(path, cfg, ModelParams()))
         trace = io.StringIO()
         res = solve(prob, prob.rollout(), log=trace)
         assert res.status == CONVERGED
@@ -256,7 +256,7 @@ class TestGlobalization:
         x0 = np.zeros(9)
         x0[:3] = p0[:3]
         x0[8] = p0[3]
-        prob = build_ocp(x0, np.array([-1.0, 1e-5]), path, cfg, ModelParams())
+        prob = build_ocp(x0, np.array([-1.0, 1e-5]), OcpStructure(path, cfg, ModelParams()))
         guess = prob.rollout()
         res1 = solve(prob, guess)
         res2 = solve(prob, guess)
@@ -304,8 +304,9 @@ class TestEvaluations:
         # the horizon problem integrates each visited point once, with its
         # sensitivities, in its one linearization pass, and never through
         # the plain RK4 step
+        structure = OcpStructure(make_path("spiral"), OcpConfig(), ModelParams())
         prob = build_ocp(np.concatenate([make_path("spiral").point(-1.0)[:3], np.zeros(6)]),
-                         np.array([-1.0, 1e-5]), make_path("spiral"), OcpConfig(), ModelParams())
+                         np.array([-1.0, 1e-5]), structure)
         guess = prob.rollout()
         calls = {"rk4_step": 0, "rk4_step_with_jacobians": 0, "linearize": 0, "residual": 0}
 
@@ -441,12 +442,12 @@ class TestProtocol:
                 path, cfg = make_path("spiral"), OcpConfig()
                 p0, z0 = path.point(-1.0), np.array([-1.0, 1e-5])
             else:
-                path = make_path("sinusoid-corridor", s2_bounds=width)
+                path = make_path("sinusoid-corridor")
                 cfg = OcpConfig(corridor=True, s2_bounds=width)
                 p0, z0 = path.point(-1.0, 0.0), np.array([-1.0, 0.0, 1e-5, 0.0])
             x0 = np.zeros(9)
             x0[:3] = p0[:3]
-            prob = build_ocp(x0, z0, path, cfg, ModelParams())
+            prob = build_ocp(x0, z0, OcpStructure(path, cfg, ModelParams()))
             yield prob, prob.rollout()
 
     def test_solve_uses_only_the_protocol(self):
@@ -469,7 +470,8 @@ class TestBoxIndexSets:
     def box(kind):
         if kind == "ocp":
             cfg = OcpConfig(horizon=20)
-            prob = build_ocp(np.zeros(9), np.array([-1.0, 1e-5]), make_path("spiral"), cfg, ModelParams())
+            structure = OcpStructure(make_path("spiral"), cfg, ModelParams())
+            prob = build_ocp(np.zeros(9), np.array([-1.0, 1e-5]), structure)
             return prob.box.lower, prob.box.upper
         # both sides, upper only, lower only, neither, frozen; over 128
         # faces a side, where the pairwise sum works in blocks
@@ -613,7 +615,7 @@ class TestWarmStartShift:
     def make_problem(self, x0, z0, cfg=None):
         cfg = cfg if cfg is not None else OcpConfig()
         path = make_path("spiral")
-        return build_ocp(x0, z0, path, cfg, ModelParams()), cfg
+        return build_ocp(x0, z0, OcpStructure(path, cfg, ModelParams())), cfg
 
     def test_stationary_hover_is_fixed_point(self):
         cfg = OcpConfig()
@@ -629,23 +631,28 @@ class TestWarmStartShift:
         V = np.zeros((N, 1))
         w = prob.pack(X, U, Z, V)
         from quadpath.solver import SolveResult
-        prev = SolveResult(w, CONVERGED, 0.0, 0.0, 0, 0.0, np.zeros(prob.m_eq))
+        prev = SolveResult(w, CONVERGED, 0.0, 0, 0.0, np.zeros(prob.m_eq))
         shifted = prob.unpack(warm_start_shift(prev, prob))
         np.testing.assert_array_equal(shifted[0], X)   # hover propagates to itself
         np.testing.assert_array_equal(shifted[1], U)
         assert np.max(np.abs(shifted[2] - Z)) < 1e-4   # progress creeps by the floor drift
         np.testing.assert_array_equal(shifted[3], V)
 
-    def test_result_respects_bounds(self):
+    def test_result_respects_bounds(self, monkeypatch):
+        # the warm solve starts from the shifted plan moved inside the box
         prob, cfg = self.make_problem(
             np.concatenate([make_path("spiral").point(-1.0)[:3], np.zeros(6)]),
             np.array([-1.0, 1e-5]),
         )
         res = solve(prob, prob.rollout())
-        shifted = warm_start_shift(res, prob)
+        visited = []
+        linearize = prob.linearize
+        monkeypatch.setattr(prob, "linearize", lambda w: visited.append(w.copy()) or linearize(w))
+        solve(prob, warm_start_shift(res, prob), multipliers=res.multipliers)
+        start = visited[0]
         lo, hi = prob.box.lower, prob.box.upper
-        assert np.all(shifted[np.isfinite(lo)] >= lo[np.isfinite(lo)])
-        assert np.all(shifted[np.isfinite(hi)] <= hi[np.isfinite(hi)])
+        assert np.all(start[np.isfinite(lo)] >= lo[np.isfinite(lo)])
+        assert np.all(start[np.isfinite(hi)] <= hi[np.isfinite(hi)])
 
     def test_layout_mismatch_rejected(self):
         prob_classic, _ = self.make_problem(
@@ -657,7 +664,8 @@ class TestWarmStartShift:
         path_c = make_path("sinusoid-corridor")
         x0 = np.zeros(9)
         x0[:3] = path_c.point(-1.0, 0.0)[:3]
-        prob_corridor = build_ocp(x0, np.array([-1.0, 0.0, 1e-5, 0.0]), path_c, cfg_c, ModelParams())
+        structure = OcpStructure(path_c, cfg_c, ModelParams())
+        prob_corridor = build_ocp(x0, np.array([-1.0, 0.0, 1e-5, 0.0]), structure)
         with pytest.raises(ValueError):
             warm_start_shift(res, prob_corridor)
 
@@ -670,10 +678,11 @@ class TestWarmStartShift:
         x = np.zeros(9)
         x[:3] = p0[:3]
         z = np.array([-1.0, cfg.s_dot_floor])
+        structure = OcpStructure(path, cfg, params)
         last = None
         warm_iters, cold_iters = [], []
         for _ in range(25):
-            prob = build_ocp(x, z, path, cfg, params)
+            prob = build_ocp(x, z, structure)
             cold = solve(prob, prob.rollout())
             if last is not None:
                 warm = solve(prob, warm_start_shift(last, prob), multipliers=last.multipliers)

@@ -26,6 +26,8 @@ from oracles import (
     residual_jacobian_loop,
     stage_cost,
     terminal_cost,
+    x_slice,
+    z_slice,
 )
 
 PARAMS = ModelParams()
@@ -38,7 +40,7 @@ def classic_problem(s0=-1.0, s_dot0=1e-5):
     x0 = np.zeros(9)
     x0[:3] = p0[:3]
     x0[8] = p0[3]
-    return build_ocp(x0, np.array([s0, s_dot0]), path, cfg, PARAMS), cfg
+    return build_ocp(x0, np.array([s0, s_dot0]), OcpStructure(path, cfg, PARAMS)), cfg
 
 
 def corridor_problem():
@@ -48,21 +50,40 @@ def corridor_problem():
     x0 = np.zeros(9)
     x0[:3] = p0[:3]
     x0[8] = p0[3]
-    return build_ocp(x0, np.array([-1.0, 0.0, 1e-5, 0.0]), path, cfg, PARAMS), cfg
+    return build_ocp(x0, np.array([-1.0, 0.0, 1e-5, 0.0]), OcpStructure(path, cfg, PARAMS)), cfg
 
 
-def random_feasible_vector(prob, cfg, rng):
-    w = rng.uniform(-0.2, 0.2, prob.n)
-    for k in range(cfg.horizon + 1):
-        zs = prob.z_slice(k)
-        w[zs.start] = rng.uniform(-0.9, -0.1)
-        if cfg.corridor:
-            w[zs.start + 1] = rng.uniform(-1.0, 1.0)
-            w[zs.start + 2] = rng.uniform(1e-4, 0.9 * cfg.s_dot_max)
-            w[zs.start + 3] = rng.uniform(-0.3, 0.3)
-        else:
-            w[zs.start + 1] = rng.uniform(1e-4, 0.9 * cfg.s_dot_max)
+def random_path_point(prob, rng):
+    """A box-interior point whose progress lies in [-0.9, -0.1] and whose
+    offset lies inside ``config.s2_bounds`` at every stage, the box-free
+    stage 0 included, so the path evaluation clips neither."""
+    w = random_interior_iterate(prob, rng)
+    _, _, Z, _ = prob.unpack(w)  # a view into w
+    Z[:, 0] = rng.uniform(-0.9, -0.1, len(Z))
+    if prob.config.corridor:
+        Z[:, 1] = rng.uniform(*prob.config.s2_bounds, len(Z))
     return w
+
+
+def finite_difference_columns(prob, w, rng, h, size=25):
+    """Up to ``size`` free columns of ``w`` whose steps ``+-h`` keep the
+    offset inside ``config.s2_bounds``, where the path evaluation clips it:
+    on a zero-width corridor the pinned stage-0 offset sits on the kink of
+    that clip, and every later offset is held."""
+    ok = prob.box.free.copy()
+    if prob.config.corridor:
+        s2 = prob.structure.state_idx[:, prob.n_x + 1]
+        lo, hi = prob.config.s2_bounds
+        ok[s2] &= (w[s2] - h >= lo) & (w[s2] + h <= hi)
+    cols = np.flatnonzero(ok)
+    return rng.choice(cols, size=min(size, cols.size), replace=False)
+
+
+# the finite-difference checks draw a horizon for each point; the narrow
+# corridor's offset can reach its bounds, the zero-width one's is held
+FINITE_DIFFERENCE_KINDS = pytest.mark.parametrize(
+    "kind", ["classic", "corridor", "zero-width", "narrow"],
+    ids=["classic_problem", "corridor_problem", "zero_width_problem", "narrow_corridor_problem"])
 
 
 class TestBookkeeping:
@@ -135,15 +156,15 @@ class TestEqualityConstraints:
         w = prob.rollout()
         assert np.max(np.abs(prob.equality(w))) < 1e-10
 
-    @pytest.mark.parametrize("make", [classic_problem, corridor_problem])
-    def test_jacobian_matches_finite_differences(self, make):
-        prob, cfg = make()
+    @FINITE_DIFFERENCE_KINDS
+    def test_jacobian_matches_finite_differences(self, kind):
         rng = np.random.default_rng(13)
         h = 1e-6
         for _ in range(3):
-            w = random_feasible_vector(prob, cfg, rng)
+            prob = horizon_problem(kind, int(rng.integers(1, 13)))
+            w = random_path_point(prob, rng)
             A = prob.equality_jacobian(w)
-            for i in rng.choice(prob.n, size=25, replace=False):
+            for i in finite_difference_columns(prob, w, rng, h):
                 wp, wm = w.copy(), w.copy()
                 wp[i] += h
                 wm[i] -= h
@@ -206,11 +227,12 @@ STATE_NAMES = ["x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw", "s1", "s
 
 
 def horizon_problem(kind, horizon, freeze_input=False, hold=(), **overrides):
-    """Classic, corridor, zero-width-corridor or planar (roll and roll
-    command frozen at zero) problem at the path start; ``freeze_input``
-    closes the yaw-rate command's box to zero, ``hold`` names quadrotor
-    states whose box closes at ``HOLD_VALUES``, and ``overrides`` are
-    further :class:`OcpConfig` fields."""
+    """Classic, corridor, zero-width-corridor, narrow-corridor (offset
+    within 0.1) or planar (roll and roll command frozen at zero) problem at
+    the path start; ``freeze_input`` closes the yaw-rate command's box to
+    zero, ``hold`` names quadrotor states whose box closes at
+    ``HOLD_VALUES``, and ``overrides`` are further :class:`OcpConfig`
+    fields."""
     kw = {"horizon": horizon}
     if hold:
         kw["state_lower"] = DEFAULT_STATE_LOWER.copy()
@@ -232,14 +254,14 @@ def horizon_problem(kind, horizon, freeze_input=False, hold=(), **overrides):
         path = make_path("spiral")
         p0, z0 = path.point(-1.0), np.array([-1.0, 1e-5])
     else:
-        width = (0.0, 0.0) if kind == "zero-width" else (-0.5 * np.pi, 0.5 * np.pi)
-        kw.update(corridor=True, s2_bounds=width)
-        path = make_path("sinusoid-corridor", s2_bounds=width)
+        widths = {"zero-width": (0.0, 0.0), "narrow": (-0.1, 0.1)}
+        kw.update(corridor=True, s2_bounds=widths.get(kind, (-0.5 * np.pi, 0.5 * np.pi)))
+        path = make_path("sinusoid-corridor")
         p0, z0 = path.point(-1.0, 0.0), np.array([-1.0, 0.0, 1e-5, 0.0])
     x0 = np.zeros(9)
     x0[:3] = p0[:3]
     x0[8] = p0[3]
-    return build_ocp(x0, z0, path, OcpConfig(**kw, **overrides), PARAMS)
+    return build_ocp(x0, z0, OcpStructure(path, OcpConfig(**kw, **overrides), PARAMS))
 
 
 def random_interior_iterate(prob, rng):
@@ -359,23 +381,23 @@ class TestFrozenBoxes:
 class TestCost:
     @pytest.mark.parametrize("make", [classic_problem, corridor_problem])
     def test_residual_route_equals_quadrature_route(self, make):
-        prob, cfg = make()
+        prob, _ = make()
         rng = np.random.default_rng(14)
         for _ in range(5):
-            w = random_feasible_vector(prob, cfg, rng)
+            w = random_path_point(prob, rng)
             r = prob.residual(w)
             assert abs(float(r @ r) - quadrature_cost(prob, w)) < 1e-10
 
-    @pytest.mark.parametrize("make", [classic_problem, corridor_problem])
-    def test_gauss_newton_gradient_matches_finite_differences(self, make):
-        prob, cfg = make()
+    @FINITE_DIFFERENCE_KINDS
+    def test_gauss_newton_gradient_matches_finite_differences(self, kind):
         rng = np.random.default_rng(15)
         h = 1e-6
         for _ in range(3):
-            w = random_feasible_vector(prob, cfg, rng)
+            prob = horizon_problem(kind, int(rng.integers(1, 13)))
+            w = random_path_point(prob, rng)
             r, _, blocks = prob.linearize(w)
             g = 2.0 * prob.jt_dot(blocks, r)
-            for i in rng.choice(prob.n, size=25, replace=False):
+            for i in finite_difference_columns(prob, w, rng, h):
                 wp, wm = w.copy(), w.copy()
                 wp[i] += h
                 wm[i] -= h
@@ -390,7 +412,7 @@ class TestCost:
         x0 = np.zeros(9)
         x0[:3] = p_end[:3]
         x0[8] = p_end[3]
-        prob = build_ocp(x0, np.array([s0, cfg.s_dot_floor]), path, cfg, PARAMS)
+        prob = build_ocp(x0, np.array([s0, cfg.s_dot_floor]), OcpStructure(path, cfg, PARAMS))
         cost = quadrature_cost(prob, prob.rollout())
         assert cost < 1e-6  # only the progress-rate floor contributes
 
@@ -400,7 +422,7 @@ class TestBounds:
         prob, cfg = classic_problem()
         assert np.all(prob.box.lower <= prob.box.upper)
         for k in range(1, cfg.horizon + 1):
-            zs = prob.z_slice(k)
+            zs = z_slice(prob, k)
             assert prob.box.lower[zs.start] == -1.0
             assert prob.box.upper[zs.start] == 0.0
             assert prob.box.lower[zs.start + 1] == cfg.s_dot_floor
@@ -408,8 +430,8 @@ class TestBounds:
 
     def test_stage_zero_pin_is_freed(self):
         prob, _ = classic_problem()
-        assert np.all(np.isinf(prob.box.lower[prob.x_slice(0)]))
-        assert np.all(np.isinf(prob.box.upper[prob.z_slice(0)]))
+        assert np.all(np.isinf(prob.box.lower[x_slice(prob, 0)]))
+        assert np.all(np.isinf(prob.box.upper[z_slice(prob, 0)]))
 
     def test_out_of_box_pin_reports_clamping_event(self):
         cfg = OcpConfig()
@@ -417,7 +439,7 @@ class TestBounds:
         x0 = np.zeros(9)
         x0[:3] = path.point(-1.0)[:3]
         x0[2] = 2.0  # above the 1.2 m ceiling
-        prob = build_ocp(x0, np.array([-1.0, 1e-5]), path, cfg, PARAMS)
+        prob = build_ocp(x0, np.array([-1.0, 1e-5]), OcpStructure(path, cfg, PARAMS))
         assert any("state[2]" in e for e in prob.clamp_events)
 
 
@@ -435,21 +457,15 @@ class TestConfigValidation:
             OcpConfig(q_weight=np.ones(7))
 
     def test_non_positive_definite_weight(self):
-        q = np.eye(8)
-        q[0, 0] = -1.0
-        with pytest.raises(np.linalg.LinAlgError):
-            OcpConfig(q_weight=q)
-
-    def test_asymmetric_weight(self):
-        q = np.eye(8)
-        q[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            OcpConfig(q_weight=q)
+        for bad in (-1.0, 0.0):
+            q = np.ones(8)
+            q[0] = bad
+            with pytest.raises(ValueError, match="Q must be positive definite"):
+                OcpConfig(q_weight=q)
 
     def test_path_config_mismatch(self):
-        cfg = OcpConfig(corridor=True)
         with pytest.raises(ValueError):
-            build_ocp(np.zeros(9), np.zeros(4), make_path("spiral"), cfg, PARAMS)
+            OcpStructure(make_path("spiral"), OcpConfig(corridor=True), PARAMS)
 
     @pytest.mark.parametrize("name", ["nu_bound", "nu2_bound", "s2_dot_bound"])
     def test_negative_half_width_rejected(self, name):
@@ -470,8 +486,9 @@ class TestConfigValidation:
             run_scenario(scenario_config("spiral", total_time=3.0, tilt_bound=0.0, tilt_cmd_bound=0.0))
 
     def test_inverted_s2_bounds_rejected(self):
-        with pytest.raises(ValueError, match="s2_bounds"):
-            OcpConfig(corridor=True, s2_bounds=(0.2, -0.2))
+        for corridor in (False, True):
+            with pytest.raises(ValueError, match="s2_bounds"):
+                OcpConfig(corridor=corridor, s2_bounds=(0.2, -0.2))
 
     @pytest.mark.parametrize("delta", [np.nan, np.inf])
     def test_non_finite_delta_rejected(self, delta):
@@ -483,12 +500,3 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="horizon"):
             OcpConfig(horizon=horizon)
         assert OcpConfig(horizon=np.int64(3)).horizon == 3
-
-    def test_structure_must_match_problem(self):
-        cfg = OcpConfig()
-        path = make_path("spiral")
-        structure = OcpStructure(path, cfg)
-        with pytest.raises(ValueError, match="structure"):
-            build_ocp(np.zeros(9), np.array([-1.0, 1e-5]), path, OcpConfig(), PARAMS, structure)
-        with pytest.raises(ValueError, match="structure"):
-            build_ocp(np.zeros(9), np.array([-1.0, 1e-5]), make_path("spiral"), cfg, PARAMS, structure)
