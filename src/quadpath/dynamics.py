@@ -309,19 +309,29 @@ def rk4_step_with_jacobians(state, inp, dt: float, params: ModelParams):
     """RK4 step plus its sensitivities ``(x_next, d x_next/dx, d x_next/du)``.
 
     The Jacobians are exact derivatives of the discrete map (not of the
-    continuous flow), and ``x_next`` is bitwise :func:`rk4_step`'s.  The
-    stage attitudes are linear in the attitude and the commands with
-    constant coefficients, and the position and velocity rows are sums over
-    the stage accelerations, so the sensitivities are one contraction of
-    the stage thrust-axis derivatives over the stage axis.
+    continuous flow), and ``x_next`` is bitwise :func:`rk4_step`'s: the
+    composition of :func:`_rk4_stages` and :func:`_rk4_sensitivities`.
     """
     _check_dt(dt)
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
     c, tau, weights, sens0 = _step_constants(float(dt), params)
     x_next, trig, axis, scale = _rk4_stages(x, u, dt, params, c, tau)
-    batch = x_next.shape[:-1]
+    return (x_next, *_rk4_sensitivities(trig, axis, scale, weights, sens0))
 
+
+def _rk4_sensitivities(trig, axis, scale, weights, sens0):
+    """``(d x_next/dx, d x_next/du)`` of an RK4 step from the stage
+    quantities ``trig``, ``axis`` and ``scale`` that :func:`_rk4_stages`
+    returned for it (or a slice of them over the batch axes), and the
+    ``weights`` and ``sens0`` of :func:`_step_constants`.
+
+    The stage attitudes are linear in the attitude and the commands with
+    constant coefficients, and the position and velocity rows are sums over
+    the stage accelerations, so the sensitivities are one contraction of
+    the stage thrust-axis derivatives over the stage axis.
+    """
+    batch = scale.shape
     cph, sph, cth, sth, cps, sps = trig
     # per stage: d axis/d(roll, pitch, yaw) and the axis, components first:
     # src[k, m] holds source m of axis component k, shape (4,) + batch
@@ -341,4 +351,4 @@ def rk4_step_with_jacobians(state, inp, dt: float, params: ModelParams):
     sens = np.empty(batch + (N_STATES, N_STATES + N_INPUTS), dtype=float)
     sens[...] = sens0
     sens[..., 0:6, ATT.start:] = rows.reshape(batch + (6, 7))
-    return x_next, sens[..., :N_STATES], sens[..., N_STATES:]
+    return sens[..., :N_STATES], sens[..., N_STATES:]

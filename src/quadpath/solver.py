@@ -28,11 +28,20 @@ again.  A backtracking line search on the exact-penalty merit
 
 globalizes the iteration; a fraction-to-boundary rule keeps every iterate
 strictly interior, so the problem is never evaluated outside the box.
-Each point is linearized once, at the start and at every line-search trial
-inside the box: the values and Jacobians of the accepted trial are those of
-the next iterate.  The barrier is evaluated once per visited point as well,
-on the faces of the problem's :class:`Box`, and its value and gradient
-travel with the linearization.
+The start and the first line-search trial inside the box of each iteration
+are linearized in one pass each, values and Jacobians together: most
+iterations accept that trial, whose linearization serves the next
+iterate.  When it is rejected, the second-order correction below is
+linearized the same way: it is the point most rejected trials accept.
+When that fails too, every halving left of the step is examined in order
+and valued in batched passes (``evaluate``) over the ones inside the box,
+up to 12 halvings a pass, the next pass only when none of a pass is
+accepted; only the accepted one gets its Jacobians (``row_blocks``), from
+what its pass kept.  So each point's values are computed once, and
+Jacobians only at the start, at first trials, at corrections and at
+accepted halvings.  The barrier is evaluated once per examined point as
+well, on the faces of the problem's :class:`Box`, and the value and
+gradient of the accepted one travel with its linearization.
 
 Along a full Gauss-Newton step the equality gaps grow quadratically (the
 Maratos effect), so the l1 merit can reject steps that are good.  When the
@@ -71,6 +80,10 @@ Problem objects must expose:
 - ``linearize(w) -> (r, c, blocks)``: the residual and the equality
   values at a point, and the problem's own representation ``blocks`` of
   their Jacobians ``J`` and ``A`` there, which the solver only passes back;
+- ``evaluate(W) -> (R, C, kept)`` and ``row_blocks(kept, i) -> blocks``:
+  the residuals and the equality values at the rows of ``W``, stacked,
+  each row bitwise what ``linearize`` gives for it alone, and whatever the
+  problem ``kept`` to build the ``blocks`` of row ``i`` later;
 - ``jt_dot(blocks, v)`` and ``at_dot(blocks, v)``: the products ``J^T v``
   and ``A^T v``;
 - ``kkt_step(blocks, g, c, sigma, reg) -> (dw, lam)``: the step and the
@@ -110,6 +123,11 @@ _PENALTY = 1e3
 _REG_FLOOR = 1e-8
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
+# halvings valued in one pass once the first trial and the second-order
+# correction are rejected: the deepest backtracking of a 70 s
+# sinusoid-corridor flight accepts the 11th, and at N = 5 a pass of 12
+# costs about one linearization
+_PASS_ROWS = 12
 _MAX_REG_ESCALATIONS = 24
 _DUAL_SAFEGUARD = 1e10
 _EPS = np.finfo(float).eps
@@ -123,6 +141,9 @@ class SolveResult:
     iterations: int
     solve_time: float
     multipliers: np.ndarray
+    # line-search trials over all iterations: the points examined up to
+    # each acceptance, the second-order correction included
+    trials: int
 
 
 class Box:
@@ -187,6 +208,11 @@ class Box:
         w[self.frozen_idx] = self.pin
         return w
 
+    def strictly_inside(self, points) -> np.ndarray:
+        """Whether each row of ``points`` has every gap positive, that is,
+        a finite :meth:`barrier`."""
+        return ~(self.sign * (points[:, self.idx] - self.bound) <= 0.0).any(axis=1)
+
     def barrier(self, w):
         """``(value, gradient, gaps)`` of the log barrier at ``w``;
         ``(inf, None, None)`` unless every gap is positive."""
@@ -229,6 +255,17 @@ class DenseNlp:
     def linearize(self, w):
         """``(r, c, (J, A))`` at ``w`` from the four callables."""
         return self.residual(w), self.equality(w), (self.residual_jacobian(w), self.equality_jacobian(w))
+
+    def evaluate(self, W):
+        """``(R, C, W)``: the residuals and the equality values at the rows
+        of ``W``, one row at a time, stacked; the rows are kept for
+        :meth:`row_blocks`."""
+        rows = [(self.residual(w), self.equality(w)) for w in W]
+        return np.stack([r for r, _ in rows]), np.stack([c for _, c in rows]), W
+
+    def row_blocks(self, kept, i):
+        """``(J, A)`` at row ``i`` of an :meth:`evaluate` call."""
+        return self.residual_jacobian(kept[i]), self.equality_jacobian(kept[i])
 
     def jt_dot(self, blocks, v):
         return blocks[0].T @ v
@@ -338,22 +375,18 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
     rho = _PENALTY
     duals = _BoundDuals(box, gap)
     iters = 0
+    total_trials = 0
 
     def _finish(stat):
         return SolveResult(
             decision=w, status=stat, kkt_residual=float(kkt_val), iterations=iters,
-            solve_time=time.perf_counter() - t_start, multipliers=lam,
+            solve_time=time.perf_counter() - t_start, multipliers=lam, trials=total_trials,
         )
 
-    def merit_at(point):
-        """Merit (at the current rho), linearization and barrier of an in-box
-        point; ``(inf, None, None)`` outside the box, where nothing is
-        linearized."""
-        bar = box.barrier(point)
-        if bar[2] is None:
-            return np.inf, None, None
-        lin = problem.linearize(point)
-        return float(lin[0] @ lin[0]) + _MU * bar[0] + rho * float(np.abs(lin[1]).sum()), lin, bar
+    def merit_of(r, c, bval):
+        """Merit at the current rho of a point's residual, equality values
+        and barrier value."""
+        return float(r @ r) + _MU * bval + rho * float(np.abs(c).sum())
 
     if log is not None:
         log.write(f"# solve n={problem.n} m={m}\n")
@@ -412,39 +445,72 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
 
         noise = 16.0 * _EPS * (1.0 + abs(merit0))
         alpha = box.step_to_boundary(gap, dw, _TAU)
-        step = None
-        soc = False
-        trials = 0
-        for _ in range(_MAX_BACKTRACKS):
-            merit, lin, bar = merit_at(w + alpha * dw)  # same rho as merit0
-            if lin is None:
-                alpha *= _BACKTRACK
-                continue
-            trials += 1
-            bound = merit0 + _ARMIJO * alpha * descent
-            if merit <= bound or abs(alpha * descent) <= noise:
-                step = alpha * dw
+        # the first trial inside the box, linearized in one pass: most
+        # iterations accept it
+        for left in range(_MAX_BACKTRACKS - 1, -1, -1):
+            step = alpha * dw
+            point = w + step
+            bar = box.barrier(point)
+            if bar[2] is not None:
                 break
-            if trials == 1:
+            alpha *= _BACKTRACK
+        else:
+            return _finish(LINESEARCH_FAILURE)
+        lin = problem.linearize(point)
+        trials = 1
+        soc = False
+        merit = merit_of(lin[0], lin[1], bar[0])  # same rho as merit0
+        bound = merit0 + _ARMIJO * alpha * descent
+        if not (merit <= bound or abs(alpha * descent) <= noise):
+            step = None
+            try:
                 # second-order correction: the full step's constraint
                 # curvature (RK4 gaps grow quadratically along it) makes
                 # the l1 merit reject it; re-solve with the trial's gaps
                 # and accept the corrected point on the same Armijo bound
-                try:
-                    dw_soc, lam_soc = problem.kkt_step(blocks, g, alpha * c + lin[1], sigma, reg)
-                except np.linalg.LinAlgError:
-                    pass
-                else:
-                    soc_step = box.step_to_boundary(gap, dw_soc, _TAU) * dw_soc
-                    merit_soc, lin_soc, bar_soc = merit_at(w + soc_step)
-                    trials += lin_soc is not None
+                dw_soc, lam_soc = problem.kkt_step(blocks, g, alpha * c + lin[1], sigma, reg)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                # linearized in one pass like the first trial: it is the
+                # point most rejected first trials accept
+                soc_step = box.step_to_boundary(gap, dw_soc, _TAU) * dw_soc
+                point = w + soc_step
+                bar_soc = box.barrier(point)
+                if bar_soc[2] is not None:
+                    lin_soc = problem.linearize(point)
+                    trials += 1
+                    merit_soc = merit_of(lin_soc[0], lin_soc[1], bar_soc[0])
                     if merit_soc <= bound:
                         step, merit, lin, bar, lam_new, soc = (soc_step, merit_soc, lin_soc, bar_soc,
                                                                lam_soc, True)
-                        break
-            alpha *= _BACKTRACK
-        if step is None:
-            return _finish(LINESEARCH_FAILURE)
+            if step is None:
+                # the halvings left, examined in order; each pass values the
+                # next _PASS_ROWS of them inside the box at once
+                alphas = []
+                for _ in range(left):
+                    alpha *= _BACKTRACK
+                    alphas.append(alpha)
+                steps = np.array(alphas)[:, None] * dw
+                points = w + steps
+                for start in range(0, left, _PASS_ROWS):
+                    rows = start + np.flatnonzero(box.strictly_inside(points[start:start + _PASS_ROWS]))
+                    if rows.size:
+                        R, C, kept = problem.evaluate(points[rows])
+                    for i, j in enumerate(rows):
+                        bar = box.barrier(points[j])
+                        trials += 1
+                        merit = merit_of(R[i], C[i], bar[0])
+                        alpha = alphas[j]
+                        if merit <= merit0 + _ARMIJO * alpha * descent or abs(alpha * descent) <= noise:
+                            break
+                    else:
+                        continue
+                    step = steps[j]
+                    lin = R[i], C[i], problem.row_blocks(kept, i)
+                    break
+                else:
+                    return _finish(LINESEARCH_FAILURE)
 
         duals.update(gap, step)
         w = w + step
@@ -453,6 +519,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         duals.clip(gap)
         lam = lam_new.copy()
         iters += 1
+        total_trials += trials
         if log is not None:
             _log_line(log, iters, merit, merit0, alpha, kkt_val, eq_val, trials, soc)
 

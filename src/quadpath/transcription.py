@@ -22,8 +22,13 @@ couples two stages or a state with an input, and the gap into ``s_{k+1}``
 involves only ``s_k`` and ``q_k``.  ``OcpProblem.linearize`` therefore
 returns the residual, the gaps and :class:`StageBlocks`: the path residual
 rows over each ``s_k`` and the transitions built from the RK4 sensitivities
-and the constant timing blocks; it gathers the stage vectors from ``w``
-with index arrays and writes ``r`` and ``c`` into full-length vectors.  The
+and the constant timing blocks.  It is one code path with the line
+search's batch: ``OcpProblem.evaluate`` takes a stack of points, gathers
+their stage vectors with index arrays, makes one path evaluation and one
+RK4 stage pass for the whole stack and writes the stacked ``r`` and ``c``
+row by row; ``OcpProblem.row_blocks`` builds the blocks of one row from
+the path derivatives and stage quantities that pass kept, and
+``linearize`` is the same pass on one point, with its blocks.  The
 products the solver needs (``J^T v`` and ``A^T v``) and the Newton step,
 which condenses the shooting states out of the KKT system and solves for
 the inputs alone, work on those blocks.
@@ -41,8 +46,10 @@ the layout, index arrays, constant blocks, the box, the states it holds
 and the columns of their holds.  A problem is its two pins on a
 structure.  The structure rejects a box whose held states the free inputs
 of a stage cannot move independently (the held rows of the input
-sensitivity pattern have structural rank below their count): their gap
-rows would repeat the pins, and every Newton step would be singular.  The
+sensitivity pattern have structural rank below their count, or the held
+rows of the input sensitivity at hover have numerical rank below it):
+their gap rows would repeat the pins, and every Newton step would be
+singular.  The
 corridor offset is bounded by ``OcpConfig.s2_bounds`` alone: the box and
 the path evaluation read the same bounds.
 """
@@ -59,6 +66,9 @@ from .dynamics import (
     ModelParams,
     N_INPUTS,
     N_STATES,
+    _rk4_sensitivities,
+    _rk4_stages,
+    _step_constants,
     input_sensitivity_pattern,
     rk4_step,
     rk4_step_with_jacobians,
@@ -215,8 +225,8 @@ class StageBlocks(NamedTuple):
     path residual rows of stage k over ``s_k`` (only the progress column
     depends on the point); ``f[k] = d s_{k+1}/d s_k`` is
     ``blockdiag(ax_k, Ad)`` and ``g[k] = d s_{k+1}/d q_k`` is
-    ``blockdiag(bu_k, Bd)``, with ``ax_k`` and ``bu_k`` from
-    ``rk4_step_with_jacobians`` and the constant timing blocks ``Ad``,
+    ``blockdiag(bu_k, Bd)``, with ``ax_k`` and ``bu_k`` the RK4 step
+    sensitivities and the constant timing blocks ``Ad``,
     ``Bd``.  The input residual rows and the terminal rows are constant
     (:class:`OcpStructure` ``lr`` and ``jt``).
     """
@@ -237,7 +247,7 @@ class OcpStructure:
 
     Raises ``ValueError`` when the path type does not match
     ``config.corridor``, and when the free inputs of a stage cannot move
-    the held states independently.
+    the held states independently, structurally or at hover.
     """
 
     def __init__(self, path, config: OcpConfig, params: ModelParams):
@@ -304,6 +314,8 @@ class OcpStructure:
         if config.corridor:
             self.jt[1, nx + 1] = np.sqrt(config.terminal_weight_s2)
         self.hs_terminal = 2.0 * (self.jt.T @ self.jt)
+        # the constants of one RK4 step of length delta and its sensitivities
+        self.rk4_constants = _step_constants(float(config.delta), params)
 
         # transitions: the constant timing blocks
         self.ad, self.bd = timing_matrices(nz // 2, config.delta)
@@ -334,10 +346,10 @@ class OcpStructure:
         g_pattern = self.g[0] != 0.0
         g_pattern[:nx, :nu] = input_sensitivity_pattern()
         pattern = g_pattern[self.held][:, fq]
+        timing = ("s1", "s2", "s1dot", "s2dot") if config.corridor else ("s1", "s1dot")
+        names = np.array(_STATE_NAMES + timing)[self.held]
         rank = _structural_rank(pattern)
         if rank < pattern.shape[0]:
-            timing = ("s1", "s2", "s1dot", "s2dot") if config.corridor else ("s1", "s1dot")
-            names = np.array(_STATE_NAMES + timing)[self.held]
             stuck = ~pattern.any(axis=1)
             if stuck.any():
                 raise ValueError(f"the box freezes the state {', '.join(names[stuck])} and every input "
@@ -345,6 +357,16 @@ class OcpStructure:
                                  "singular")
             raise ValueError(f"the box freezes the states {', '.join(names)}, which the free inputs reach "
                              f"with structural rank {rank} only: every Newton step is singular")
+        if self.held.any():
+            # a full matching can still be numerically singular: at level
+            # attitude the vertical thrust axis does not move with the tilt
+            # commands, so z and vz see the thrust alone
+            g0 = self.g[0].copy()
+            g0[:nx, :nu] = rk4_step_with_jacobians(np.zeros(nx), np.zeros(nu), config.delta, params)[2]
+            rank = np.linalg.matrix_rank(g0[self.held][:, fq])
+            if rank < pattern.shape[0]:
+                raise ValueError(f"the box freezes the states {', '.join(names)}, which the free inputs reach "
+                                 f"with numerical rank {rank} at hover: every Newton step is singular")
 
         # the free columns of a stage input, the indices of the free inputs
         # and their block of the input Hessian
@@ -404,15 +426,17 @@ class OcpProblem:
     # ----- layout ------------------------------------------------------------
 
     def unpack(self, w):
+        """Views ``(X, U, Z, V)`` of a decision vector, or of a stack of
+        them over leading axes."""
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.n,):
+        if w.shape[-1:] != (self.n,):
             raise ValueError(f"decision vector must have length {self.n}")
-        N = self.config.horizon
+        batch, N = w.shape[:-1], self.config.horizon
         st = self.structure
-        X = w[:st.ou].reshape(N + 1, self.n_x)
-        U = w[st.ou:st.oz].reshape(N, self.n_u)
-        Z = w[st.oz:st.ov].reshape(N + 1, self.n_z)
-        V = w[st.ov:].reshape(N, self.n_nu)
+        X = w[..., :st.ou].reshape(batch + (N + 1, self.n_x))
+        U = w[..., st.ou:st.oz].reshape(batch + (N, self.n_u))
+        Z = w[..., st.oz:st.ov].reshape(batch + (N + 1, self.n_z))
+        V = w[..., st.ov:].reshape(batch + (N, self.n_nu))
         return X, U, Z, V
 
     def pack(self, X, U, Z, V) -> np.ndarray:
@@ -477,49 +501,75 @@ class OcpProblem:
             return self.path.point_and_derivative(s1, Z[..., 1].clip(*self.config.s2_bounds))
         return self.path.point_and_derivative(s1)
 
-    def linearize(self, w):
-        """``(r, c, blocks)`` at ``w``: the residual, the equality values and
-        the :class:`StageBlocks`, with one path evaluation and one RK4
-        integration.  ``r`` and ``c`` are written block by block into
-        vectors of their full length."""
-        w = np.asarray(w, dtype=float)
-        X, U, Z, V = self.unpack(w)
-        N = self.config.horizon
+    def evaluate(self, W):
+        """``(R, C, kept)`` at ``W``, one point (shape ``(n,)``) or a stack
+        of them (shape ``(k, n)``): the residuals and the equality values,
+        stacked like ``W``, with one path evaluation and one RK4 stage pass
+        for the whole stack, and the path derivatives and RK4 stage
+        quantities ``kept`` from which :meth:`row_blocks` builds the blocks
+        of one row.  ``R`` and ``C`` are written block by block, and each
+        row is bitwise what the same routine gives for that row alone."""
+        W = np.asarray(W, dtype=float)
+        X, U, Z, V = self.unpack(W)
+        batch, N = W.shape[:-1], self.config.horizon
         st = self.structure
-        nx, nq, nr = self.n_x, self.n_res_q, self.n_res_r
-        p, dp = self._path_values(Z[:N])
+        nx, nz, nq, nr = self.n_x, self.n_z, self.n_res_q, self.n_res_r
+        p, dp = self._path_values(Z[..., :N, :])
 
         # residual: path stages, inputs, terminal cost; the stage vector is
         # [output - path point (yaw wrapped), velocity, progress (, offset)]
-        q = w.take(st.q_idx)
-        q[:, 0:4] -= p
-        q[:, 3] = wrap_angle(q[:, 3])
-        r = np.empty(self.m_res)
-        np.matmul(q, st.lq.T, out=r[:N * nq].reshape(N, nq))
-        np.matmul(w.take(st.input_idx), st.lr.T, out=r[N * nq:N * (nq + nr)].reshape(N, nr))
+        q = W.take(st.q_idx, axis=-1)
+        q[..., 0:4] -= p
+        q[..., 3] = wrap_angle(q[..., 3])
+        R = np.empty(batch + (self.m_res,))
+        np.matmul(q, st.lq.T, out=R[..., :N * nq].reshape(batch + (N, nq)))
+        np.matmul(W.take(st.input_idx, axis=-1), st.lr.T,
+                  out=R[..., N * nq:N * (nq + nr)].reshape(batch + (N, nr)))
         term = st.jt[:, nx:].diagonal()  # the square roots of the terminal weights
-        np.multiply(term, Z[N, :term.size], out=r[N * (nq + nr):])
+        np.multiply(term, Z[..., N, :term.size], out=R[..., N * (nq + nr):])
 
+        # gaps: one integration of every row; its stage quantities give the
+        # sensitivities of a row on demand
+        c_stage, tau = st.rk4_constants[:2]
+        fx, trig, axis, scale = _rk4_stages(X[..., :N, :], U, self.config.delta, self.params, c_stage, tau)
+        gz = Z[..., :N, :] @ st.ad.T + V @ st.bd.T
+        C = np.empty(batch + (self.m_eq,))
+        ns, gap_z = nx + nz, nx + nz + N * nx
+        np.subtract(X[..., 0, :], self.x0, out=C[..., :nx])
+        np.subtract(Z[..., 0, :], self.z0, out=C[..., nx:ns])
+        np.subtract(X[..., 1:, :], fx, out=C[..., ns:gap_z].reshape(batch + (N, nx)))
+        np.subtract(Z[..., 1:, :], gz, out=C[..., gap_z:].reshape(batch + (N, nz)))
+        return R, C, (dp, trig, axis, scale)
+
+    def row_blocks(self, kept, i) -> StageBlocks:
+        """The :class:`StageBlocks` of row ``i`` of a stack's
+        :meth:`evaluate`, from what it ``kept``: no point is integrated
+        twice."""
+        dp, trig, axis, scale = kept
+        return self._blocks(dp[i], tuple(t[:, i] for t in trig), axis[:, :, i], scale[i])
+
+    def _blocks(self, dp, trig, axis, scale) -> StageBlocks:
+        """The :class:`StageBlocks` of one point from what :meth:`evaluate`
+        kept for it."""
+        st = self.structure
+        nx = self.n_x
         # the path residual rows over s_k depend on w in the progress column
         dz = st.dz.copy()
         np.negative(dp, out=dz[:, 0:4])
         js = st.js.copy()
         js[:, :, nx] = dz @ st.lq.T
-
-        # gaps: one integration gives the state gaps and their sensitivities
-        fx, ax, bu = rk4_step_with_jacobians(X[:N], U, self.config.delta, self.params)
-        gz = Z[:N] @ st.ad.T + V @ st.bd.T
-        c = np.empty(self.m_eq)
-        ns, gap_z = nx + self.n_z, nx + self.n_z + N * nx
-        np.subtract(X[0], self.x0, out=c[:nx])
-        np.subtract(Z[0], self.z0, out=c[nx:ns])
-        np.subtract(X[1:], fx, out=c[ns:gap_z].reshape(N, nx))
-        np.subtract(Z[1:], gz, out=c[gap_z:].reshape(N, self.n_z))
+        ax, bu = _rk4_sensitivities(trig, axis, scale, *st.rk4_constants[2:])
         f = st.f.copy()
         f[:, :nx, :nx] = ax
         g = st.g.copy()
         g[:, :nx, :self.n_u] = bu
-        return r, c, StageBlocks(js, f, g)
+        return StageBlocks(js, f, g)
+
+    def linearize(self, w):
+        """``(r, c, blocks)`` at ``w``: :meth:`evaluate` on the one point
+        ``w``, and its :class:`StageBlocks`."""
+        r, c, kept = self.evaluate(w)
+        return r, c, self._blocks(*kept)
 
     # views of the one pass, for checks; no solve calls them
 

@@ -209,9 +209,21 @@ class TestStageBlockedPath:
     def test_no_full_width_matrix_on_the_ocp_path(self, monkeypatch):
         # a cold step, then warm ones, at N=20; the dense routes raise, and
         # numpy in the controller, solver and transcription refuses to
-        # return an array of two or more dimensions with one of length n
+        # return an array of two or more dimensions with one of length n,
+        # but for the stack of line-search candidates OcpProblem.evaluate
+        # is valuing, itself
         controller, cfg = spiral_controller(horizon=20)
         n = controller.structure.n
+        stacks = []
+        evaluate = transcription.OcpProblem.evaluate
+
+        def evaluating(self, W):
+            stacks.append(W)
+            try:
+                return evaluate(self, W)
+            finally:
+                stacks.pop()
+        monkeypatch.setattr(transcription.OcpProblem, "evaluate", evaluating)
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense Jacobian or KKT matrix on the OCP path")
@@ -228,7 +240,9 @@ class TestStageBlockedPath:
                 def checked(*args, **kwargs):
                     out = attr(*args, **kwargs)
                     if isinstance(out, np.ndarray) and out.ndim >= 2 and n in out.shape:
-                        raise AssertionError(f"np.{name} returned an array of shape {out.shape}")
+                        if not (stacks and out.shape == stacks[-1].shape
+                                and out.tobytes() == stacks[-1].tobytes()):
+                            raise AssertionError(f"np.{name} returned an array of shape {out.shape}")
                     return out
                 return checked
         for module in (controller_module, solver, transcription):
@@ -405,8 +419,9 @@ class TestVelocityKick:
 
 
 class TestOnePassPerPoint:
-    """Each point a solve visits is evaluated once: one linearization, with
-    one path evaluation and one barrier evaluation."""
+    """Each point a solve evaluates is evaluated once, in one pass per
+    stack of points with one path evaluation, and the barrier is evaluated
+    once per examined point."""
 
     @pytest.mark.parametrize("scenario", ["spiral", "sinusoid-corridor"])
     def test_one_path_and_barrier_evaluation_per_linearization(self, monkeypatch, scenario):
@@ -414,7 +429,7 @@ class TestOnePassPerPoint:
         path = make_path(scenario)
         controller = PathController(path, cfg, PARAMS)
         x = state_on_path(path, -1.0, cfg.corridor)
-        linearized, path_calls, in_box = [], [], []
+        stacks, path_calls, in_box = [], [], []
 
         def recorded(owner, name, record):
             original = getattr(owner, name)
@@ -427,7 +442,8 @@ class TestOnePassPerPoint:
 
         def refuse(*args, **kwargs):
             raise AssertionError("a second evaluation of a visited point")
-        recorded(transcription.OcpProblem, "linearize", lambda args, _: linearized.append(args[1].copy()))
+        recorded(transcription.OcpProblem, "evaluate",
+                 lambda args, _: stacks.append(np.atleast_2d(args[1]).copy()))
         recorded(type(path), "point_and_derivative", lambda args, _: path_calls.append(1))
         recorded(solver.Box, "barrier",
                  lambda args, out: out[2] is not None and in_box.append(args[1].copy()))
@@ -445,13 +461,24 @@ class TestOnePassPerPoint:
             x = rk4_step(x, inp, cfg.delta, PARAMS)
             controller.advance_path_state(nu, cfg.delta)
         assert len(results) == 3 and all(r.status == CONVERGED for r in results)
-        assert len(linearized) > sum(r.iterations for r in results)
-        assert len(path_calls) == len(linearized)
-        # the in-box barrier evaluations are those of the linearized points,
-        # in the same order; out-of-box trials are not linearized
-        assert len(in_box) == len(linearized)
-        for a, b in zip(in_box, linearized):
-            assert a.tobytes() == b.tobytes()
+        assert sum(r.trials for r in results) > sum(r.iterations for r in results)
+        assert len(path_calls) == len(stacks)
+        evaluated = [w.tobytes() for stack in stacks for w in stack]
+        assert len(set(evaluated)) == len(evaluated)
+        # the in-box barrier evaluations are those of each start and of the
+        # examined trials: in order, a non-empty prefix of each evaluated
+        # stack (the whole of a one-point stack); candidates of a pass past
+        # the accepted one are evaluated, not examined
+        assert len(in_box) == len(results) + sum(r.trials for r in results)
+        seen = 0
+        for stack in stacks:
+            examined = 0
+            while (examined < len(stack) and seen < len(in_box)
+                   and in_box[seen].tobytes() == stack[examined].tobytes()):
+                examined += 1
+                seen += 1
+            assert examined >= 1, "a stack none of whose points was examined"
+        assert seen == len(in_box)
 
 
 class TestCorridorMode:

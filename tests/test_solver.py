@@ -20,8 +20,10 @@ from quadpath.solver import (
     warm_start_shift,
 )
 from quadpath.solver import _newton_direction
+from quadpath import controller as controller_module
 from quadpath import solver as solver_module
 from quadpath import transcription
+from quadpath.simulate import run_scenario, scenario_config
 from quadpath.transcription import OcpConfig, OcpStructure, build_ocp
 
 from oracles import _barrier_terms, frozen_mask, kkt_residual, project_interior
@@ -265,15 +267,56 @@ class TestGlobalization:
         assert res1.status == res2.status
 
 
+def trials_per_iteration(log_text):
+    return [int(k) for k in re.findall(r"trials=(\d+)", log_text)]
+
+
+def corrections_per_iteration(log_text):
+    return [k == "1" for k in re.findall(r"soc=(\d)", log_text)]
+
+
+def check_evaluation_order(events, trials, corrections):
+    """``events`` are the ``("values", points)`` and ``("blocks", point)``
+    calls of one solve in call order, on a problem without a box.  The
+    start, each iteration's first trial and, after a rejected first trial,
+    the second-order correction are linearized, values and blocks of one
+    point; an iteration that examined more points values its halvings in
+    passes of at most ``_PASS_ROWS``, up to the pass that holds the
+    accepted one, the ``trials - 2``-th halving, and takes the blocks of
+    that one alone."""
+    it = iter(events)
+
+    def linearized():
+        (kind, (point,)), (kind_j, at) = next(it), next(it)
+        assert kind == "values" and kind_j == "blocks" and np.array_equal(at, point)
+
+    linearized()
+    for t, soc in zip(trials, corrections):
+        linearized()
+        if t >= 2:
+            linearized()
+            assert soc == (t == 2)
+        if t >= 3:
+            halvings = []
+            while len(halvings) < t - 2:
+                kind, rows = next(it)
+                assert kind == "values" and 1 <= len(rows) <= solver_module._PASS_ROWS
+                halvings.extend(rows)
+            kind_j, at = next(it)
+            assert kind_j == "blocks" and np.array_equal(at, halvings[t - 3])
+    assert next(it, None) is None
+
+
 class TestEvaluations:
     def test_one_evaluation_per_point(self):
-        # one residual, equality and Jacobian evaluation each at the start,
-        # then one each per line-search trial
-        points = {"residual": [], "equality": [], "residual_jacobian": [], "equality_jacobian": []}
+        # values are computed once per evaluated point, and Jacobians once
+        # per first trial, correction or accepted halving, never at a
+        # rejected batch row
+        calls = {"residual": [], "equality": [], "residual_jacobian": [], "equality_jacobian": []}
 
         def recorded(name, f):
             def call(w):
-                points[name].append(w.copy())
+                calls[name].append(w.copy())
                 return f(w)
             return call
 
@@ -287,28 +330,46 @@ class TestEvaluations:
             equality=recorded("equality", lambda w: np.array([w[0] + 0.1 * w[1] ** 2 - 0.1])),
             equality_jacobian=recorded("equality_jacobian", lambda w: np.array([[1.0, 0.2 * w[1]]])),
         )
+        events = []
+        evaluate, row_blocks = prob.evaluate, prob.row_blocks
+        prob.evaluate = lambda W: events.append(("values", W.copy())) or evaluate(W)
+        prob.row_blocks = lambda kept, i: events.append(("blocks", kept[i].copy())) or row_blocks(kept, i)
+        linearize = prob.linearize
+
+        def linearized(w):
+            events.extend([("values", w[None].copy()), ("blocks", w.copy())])
+            return linearize(w)
+        prob.linearize = linearized
+
         trace = io.StringIO()
         res = solve(prob, np.array([4.0, -3.0]), log=trace)
         assert res.status == CONVERGED
-        # trials= counts the points each iteration linearized, the
+        # trials= counts the points each iteration examined, the
         # second-order correction included
-        counts = [int(k) for k in re.findall(r"trials=(\d+)", trace.getvalue())]
-        assert len(counts) == res.iterations
-        trials = sum(counts)
-        assert trials > res.iterations  # some step backtracked
-        for name, visited in points.items():
-            assert len(visited) == 1 + trials, name
-            np.testing.assert_array_equal(visited, points["residual"])
+        trials = trials_per_iteration(trace.getvalue())
+        assert len(trials) == res.iterations
+        assert res.trials == sum(trials) > res.iterations  # some step backtracked
+        check_evaluation_order(events, trials, corrections_per_iteration(trace.getvalue()))
+        assert max(trials) >= 3  # some step backtracked past the correction
+        values = [p for kind, points in events if kind == "values" for p in points]
+        blocks = [p for kind, p in events if kind == "blocks"]
+        np.testing.assert_array_equal(calls["residual"], values)
+        np.testing.assert_array_equal(calls["equality"], values)
+        np.testing.assert_array_equal(calls["residual_jacobian"], blocks)
+        np.testing.assert_array_equal(calls["equality_jacobian"], blocks)
+        assert len({p.tobytes() for p in values}) == len(values)
+        assert len(blocks) == 1 + len(trials) + sum(t >= 2 for t in trials) + sum(t >= 3 for t in trials)
 
     def test_one_integration_per_point(self, monkeypatch):
-        # the horizon problem integrates each visited point once, with its
-        # sensitivities, in its one linearization pass, and never through
-        # the plain RK4 step
+        # the horizon problem integrates each evaluated stack of points once
+        # and never through the plain RK4 step; the sensitivities come from
+        # that integration, at the linearized and the accepted points alone
         structure = OcpStructure(make_path("spiral"), OcpConfig(), ModelParams())
         prob = build_ocp(np.concatenate([make_path("spiral").point(-1.0)[:3], np.zeros(6)]),
                          np.array([-1.0, 1e-5]), structure)
         guess = prob.rollout()
-        calls = {"rk4_step": 0, "rk4_step_with_jacobians": 0, "linearize": 0, "residual": 0}
+        calls = {"rk4_step": 0, "rk4_step_with_jacobians": 0, "_rk4_stages": 0, "_rk4_sensitivities": 0,
+                 "residual": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -318,14 +379,131 @@ class TestEvaluations:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, call)
 
-        counted(transcription, "rk4_step")
-        counted(transcription, "rk4_step_with_jacobians")
-        counted(prob, "linearize")
+        for name in ("rk4_step", "rk4_step_with_jacobians", "_rk4_stages", "_rk4_sensitivities"):
+            counted(transcription, name)
         counted(prob, "residual")
-        res = solve(prob, guess)
+        # linearize evaluates one point and builds its blocks; the blocks of
+        # row i are those of row i of the last stack evaluated
+        events = []
+        evaluate, row_blocks, linearize = prob.evaluate, prob.row_blocks, prob.linearize
+
+        def evaluated(W):
+            if W.ndim == 2:
+                events.append(("values", W.copy()))
+            return evaluate(W)
+        monkeypatch.setattr(prob, "evaluate", evaluated)
+        monkeypatch.setattr(prob, "row_blocks",
+                            lambda kept, i: events.append(("blocks", events[-1][1][i])) or row_blocks(kept, i))
+        monkeypatch.setattr(prob, "linearize",
+                            lambda w: events.extend([("values", w[None].copy()), ("blocks", w.copy())])
+                            or linearize(w))
+        trace = io.StringIO()
+        res = solve(prob, guess, log=trace)
         assert res.status == CONVERGED
-        assert calls["rk4_step"] == calls["residual"] == 0
-        assert calls["rk4_step_with_jacobians"] == calls["linearize"] > res.iterations
+        trials = trials_per_iteration(trace.getvalue())
+        assert max(trials) >= 3
+        check_evaluation_order(events, trials, corrections_per_iteration(trace.getvalue()))
+        assert calls["rk4_step"] == calls["residual"] == calls["rk4_step_with_jacobians"] == 0
+        assert calls["_rk4_stages"] == sum(kind == "values" for kind, _ in events)
+        assert calls["_rk4_sensitivities"] == sum(kind == "blocks" for kind, _ in events)
+
+
+class RowByRow:
+    """A problem that evaluates a stack one row per call of the problem it
+    wraps."""
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def evaluate(self, W):
+        rows = [self.problem.evaluate(W[i:i + 1]) for i in range(len(W))]
+        return np.vstack([r[0] for r in rows]), np.vstack([r[1] for r in rows]), [r[2] for r in rows]
+
+    def row_blocks(self, kept, i):
+        return self.problem.row_blocks(kept[i], 0)
+
+
+@pytest.fixture(scope="module")
+def corridor_cluster():
+    """The problem, guess and multipliers of the solve with the most line-
+    search trials among the steps at 12.7-14.7 s of the default
+    sinusoid-corridor flight, where its long solves cluster."""
+    captured = []
+
+    def recording(problem, guess, multipliers=None, log=None):
+        result = solve(problem, guess, multipliers=multipliers, log=log)
+        if 12.7 <= 0.05 * len(captured) <= 14.7:
+            captured.append((result.trials, problem, guess.copy(), multipliers))
+        else:
+            captured.append((0, None, None, None))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controller_module, "solve", recording)
+        run_scenario(scenario_config("sinusoid-corridor", total_time=14.7))
+    return max(captured, key=lambda c: c[0])[1:]
+
+
+class TestBatchedBacktracking:
+    """The batched line search gives what evaluating one row at a time
+    gives, bit for bit."""
+
+    def circle_problem(self):
+        # the unit circle with the target outside it: every step is cut to
+        # alpha = 2**-9, so every iteration backtracks through the batch
+        return DenseNlp(
+            2,
+            residual=lambda w: w - np.array([2.0, 0.0]),
+            residual_jacobian=lambda w: np.eye(2),
+            lower=np.full(2, -INF),
+            upper=np.full(2, INF),
+            equality=lambda w: np.array([w[0] ** 2 + w[1] ** 2 - 1.0]),
+            equality_jacobian=lambda w: np.array([[2.0 * w[0], 2.0 * w[1]]]),
+        )
+
+    circle_guess = np.array([np.cos(0.5), np.sin(0.5)])
+
+    @staticmethod
+    def logged_solve(prob, guess, multipliers=None):
+        log = io.StringIO()
+        return solve(prob, guess, multipliers=multipliers, log=log), log.getvalue()
+
+    @staticmethod
+    def assert_same_solve(want, got):
+        (want, want_log), (got, got_log) = want, got
+        for name in ("status", "kkt_residual", "iterations", "trials"):
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("decision", "multipliers"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got_log.encode() == want_log.encode()
+
+    def assert_row_by_row_same(self, prob, guess, multipliers=None):
+        want = self.logged_solve(prob, guess, multipliers)
+        self.assert_same_solve(want, self.logged_solve(RowByRow(prob), guess, multipliers))
+        return want[0], trials_per_iteration(want[1])
+
+    def test_unit_circle(self):
+        res, trials = self.assert_row_by_row_same(self.circle_problem(), self.circle_guess)
+        assert res.iterations == 50 and min(trials) >= 4
+
+    def test_corridor_cluster(self, corridor_cluster):
+        res, trials = self.assert_row_by_row_same(*corridor_cluster)
+        assert max(trials) >= 3
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_pass_size_leaves_the_solve_unchanged(self, monkeypatch, corridor_cluster, rows):
+        # one halving a pass examines them as the unbatched line search
+        # did; three a pass makes the circle's nine halvings take three
+        for prob, guess, multipliers in ((self.circle_problem(), self.circle_guess, None), corridor_cluster):
+            want = self.logged_solve(prob, guess, multipliers)
+            with monkeypatch.context() as mp:
+                mp.setattr(solver_module, "_PASS_ROWS", rows)
+                got = self.logged_solve(prob, guess, multipliers)
+            self.assert_same_solve(want, got)
+            assert max(trials_per_iteration(want[1])) - 2 > rows
 
 
 class TestSecondOrderCorrection:
@@ -405,7 +583,7 @@ class TestProtocol:
     """``solve`` touches a problem only through the protocol the solver
     module documents."""
 
-    PROTOCOL = ("n", "box", "linearize", "jt_dot", "at_dot", "kkt_step")
+    PROTOCOL = ("n", "box", "linearize", "evaluate", "row_blocks", "jt_dot", "at_dot", "kkt_step")
 
     class Proxy:
         def __init__(self, problem, allowed):
@@ -631,7 +809,7 @@ class TestWarmStartShift:
         V = np.zeros((N, 1))
         w = prob.pack(X, U, Z, V)
         from quadpath.solver import SolveResult
-        prev = SolveResult(w, CONVERGED, 0.0, 0, 0.0, np.zeros(prob.m_eq))
+        prev = SolveResult(w, CONVERGED, 0.0, 0, 0.0, np.zeros(prob.m_eq), 0)
         shifted = prob.unpack(warm_start_shift(prev, prob))
         np.testing.assert_array_equal(shifted[0], X)   # hover propagates to itself
         np.testing.assert_array_equal(shifted[1], U)

@@ -191,16 +191,24 @@ class TestResidualJacobian:
     @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
     @pytest.mark.parametrize("horizon", [1, 5, 20])
     def test_linearize_equals_concatenated_assembly_bitwise(self, kind, horizon):
+        # and every row of one batched evaluation, with its blocks, is the
+        # linearization of that row alone
         prob = horizon_problem(kind, horizon)
         rng = np.random.default_rng(23)
         yaw = np.arange(horizon + 1) * prob.n_x + 8
-        for trial in range(6):
-            w = random_interior_iterate(prob, rng)
+        W = np.empty((6, prob.n))
+        for trial, w in enumerate(W):
+            w[:] = random_interior_iterate(prob, rng)
             if trial % 2:
                 # yaw errors across the wrap seam; yaw has no box
                 w[yaw] += rng.uniform(-3.0 * np.pi, 3.0 * np.pi, horizon + 1)
             r, c, blocks = prob.linearize(w)
             for got, ref in zip((r, c, *blocks), linearize_assembly(prob, w)):
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        R, C, kept = prob.evaluate(W)
+        for i, w in enumerate(W):
+            r, c, blocks = prob.linearize(w)
+            for got, ref in zip((R[i], C[i], *prob.row_blocks(kept, i)), (r, c, *blocks)):
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
@@ -340,8 +348,9 @@ class TestCondensedStep:
 class TestFrozenBoxes:
     """A box is rejected when the structure is built if the free inputs of a
     stage cannot move its held states independently (structural rank of the
-    held rows below their count): the first gap rows of those states would
-    repeat the pins, so every Newton step would be singular."""
+    held rows below their count, or numerical rank at the hover
+    linearization): the first gap rows of those states would repeat the
+    pins, so every Newton step would be singular."""
 
     @pytest.mark.parametrize("kind, horizon, overrides, message", [
         ("planar", 1, {}, "freezes the state roll and every input"),
@@ -352,7 +361,14 @@ class TestFrozenBoxes:
         # six held rows, each reached by some input, on four inputs
         ("classic", 5, {"hold": ["x", "y", "z", "vx", "vy", "vz"]},
          "freezes the states x, y, z, vx, vy, vz, which the free inputs reach with structural rank 4"),
-    ], ids=["planar-1", "planar-5", "planar-20", "s2dot-and-nu2", "s2-and-nu2", "position-and-velocity"])
+        # a full matching (z to thrust, vz to a tilt command), but at level
+        # attitude z and vz see the thrust alone
+        ("classic", 1, {"hold": ["z", "vz"]},
+         "freezes the states z, vz, which the free inputs reach with numerical rank 1 at hover"),
+        ("corridor", 5, {"hold": ["z", "vz"]},
+         "freezes the states z, vz, which the free inputs reach with numerical rank 1 at hover"),
+    ], ids=["planar-1", "planar-5", "planar-20", "s2dot-and-nu2", "s2-and-nu2", "position-and-velocity",
+            "z-and-vz-1", "z-and-vz-corridor-5"])
     def test_state_frozen_with_its_inputs_rejected(self, kind, horizon, overrides, message):
         with pytest.raises(ValueError, match=message):
             horizon_problem(kind, horizon, **overrides)
