@@ -290,21 +290,6 @@ def _step_constants(h: float, params: ModelParams):
     return consts
 
 
-def input_sensitivity_pattern() -> np.ndarray:
-    """Entries of :func:`rk4_step_with_jacobians`'s ``bu`` that can be
-    nonzero, as a boolean mask.
-
-    Position and velocity rows see every input through the stage thrust
-    axes, except that the vertical axis component does not depend on the
-    yaw-rate command; each attitude row sees only its own command.
-    """
-    bu = np.zeros((N_STATES, N_INPUTS), dtype=bool)
-    bu[0:6] = True
-    bu[ATT, 1:] = np.eye(3, dtype=bool)
-    bu[[2, 5], 3] = False
-    return bu
-
-
 def rk4_step_with_jacobians(state, inp, dt: float, params: ModelParams):
     """RK4 step plus its sensitivities ``(x_next, d x_next/dx, d x_next/du)``.
 

@@ -398,6 +398,9 @@ def compare_corridor(classic: RunMetrics, corridor: RunMetrics) -> dict:
         raise ValueError("comparison requires identical progress-rate limits")
     if classic.time_to_path_end is None or corridor.time_to_path_end is None:
         raise ValueError("both runs must reach the path end")
+    if classic.max_abs_s2 is not None or corridor.max_abs_s2 is None:
+        raise ValueError("comparison requires a classic run, with no corridor offset, and a corridor run, "
+                         "with one, in that order")
     reduction = classic.time_to_path_end - corridor.time_to_path_end
     return {
         "classic_time_s": classic.time_to_path_end,

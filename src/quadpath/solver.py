@@ -28,20 +28,17 @@ again.  A backtracking line search on the exact-penalty merit
 
 globalizes the iteration; a fraction-to-boundary rule keeps every iterate
 strictly interior, so the problem is never evaluated outside the box.
-The start and the first line-search trial inside the box of each iteration
-are linearized in one pass each, values and Jacobians together: most
-iterations accept that trial, whose linearization serves the next
-iterate.  When it is rejected, the second-order correction below is
-linearized the same way: it is the point most rejected trials accept.
-When that fails too, every halving left of the step is examined in order
-and valued in batched passes (``evaluate``) over the ones inside the box,
-up to 12 halvings a pass, the next pass only when none of a pass is
-accepted; only the accepted one gets its Jacobians (``row_blocks``), from
-what its pass kept.  So each point's values are computed once, and
-Jacobians only at the start, at first trials, at corrections and at
-accepted halvings.  The barrier is evaluated once per examined point as
+Every point the solve examines is valued once, by the problem's
+``evaluate``: the start, each iteration's first line-search trial inside
+the box and, when that is rejected, the second-order correction below,
+one point each; when that fails too, every halving left of the step in
+order, in batched passes over the ones inside the box, up to 12 halvings
+a pass, the next pass only when none of a pass is accepted.  Jacobians
+(``row_blocks``) are built from what that evaluation kept, at the start
+and at each iteration's accepted point alone, so a rejected point never
+pays for them.  The barrier is evaluated once per examined point as
 well, on the faces of the problem's :class:`Box`, and the value and
-gradient of the accepted one travel with its linearization.
+gradient of the accepted one travel with its values.
 
 Along a full Gauss-Newton step the equality gaps grow quadratically (the
 Maratos effect), so the l1 merit can reject steps that are good.  When the
@@ -76,14 +73,15 @@ drops them in its own step when they hold.
 
 Problem objects must expose:
 
-- ``n`` and ``box``, a :class:`Box`;
-- ``linearize(w) -> (r, c, blocks)``: the residual and the equality
-  values at a point, and the problem's own representation ``blocks`` of
-  their Jacobians ``J`` and ``A`` there, which the solver only passes back;
-- ``evaluate(W) -> (R, C, kept)`` and ``row_blocks(kept, i) -> blocks``:
-  the residuals and the equality values at the rows of ``W``, stacked,
-  each row bitwise what ``linearize`` gives for it alone, and whatever the
-  problem ``kept`` to build the ``blocks`` of row ``i`` later;
+- ``box``, a :class:`Box`;
+- ``evaluate(W) -> (R, C, kept)``: the residuals and the equality values
+  at ``W``, one point (shape ``(n,)``) or a stack of them (shape
+  ``(k, n)``), stacked like ``W``, each row bitwise what the point alone
+  gives, and whatever the problem ``kept`` to build Jacobians later;
+- ``row_blocks(kept, i) -> blocks``: the problem's own representation of
+  the Jacobians ``J`` and ``A`` at point ``i`` of that evaluation (row
+  ``i`` of a stack, ``...`` for one point), which the solver only passes
+  back;
 - ``jt_dot(blocks, v)`` and ``at_dot(blocks, v)``: the products ``J^T v``
   and ``A^T v``;
 - ``kkt_step(blocks, g, c, sigma, reg) -> (dw, lam)``: the step and the
@@ -252,19 +250,18 @@ class DenseNlp:
             self.equality_jacobian = lambda w: np.zeros((0, self.n))
         self.box = Box(self.lower, self.upper)
 
-    def linearize(self, w):
-        """``(r, c, (J, A))`` at ``w`` from the four callables."""
-        return self.residual(w), self.equality(w), (self.residual_jacobian(w), self.equality_jacobian(w))
-
     def evaluate(self, W):
-        """``(R, C, W)``: the residuals and the equality values at the rows
-        of ``W``, one row at a time, stacked; the rows are kept for
-        :meth:`row_blocks`."""
-        rows = [(self.residual(w), self.equality(w)) for w in W]
-        return np.stack([r for r, _ in rows]), np.stack([c for _, c in rows]), W
+        """``(R, C, W)``: the residuals and the equality values at ``W``, one
+        point or a stack of them, one point at a time, stacked like ``W``;
+        the points are kept for :meth:`row_blocks`."""
+        W = np.asarray(W, dtype=float)
+        rows = [(self.residual(w), self.equality(w)) for w in W.reshape(-1, self.n)]
+        R, C = (np.stack(v) for v in zip(*rows))
+        batch = W.shape[:-1]
+        return R.reshape(batch + R.shape[1:]), C.reshape(batch + C.shape[1:]), W
 
     def row_blocks(self, kept, i):
-        """``(J, A)`` at row ``i`` of an :meth:`evaluate` call."""
+        """``(J, A)`` at point ``i`` of an :meth:`evaluate` call."""
         return self.residual_jacobian(kept[i]), self.equality_jacobian(kept[i])
 
     def jt_dot(self, blocks, v):
@@ -362,10 +359,12 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
     # a warm guess is a shifted optimum: keep its active bounds where they are
     w = box.project(initial_guess, _COLD_MARGIN if multipliers is None else _WARM_MARGIN)
 
-    # r, c and blocks always hold the linearization at w, and bval, bgrad
-    # and gap its barrier: the accepted line-search trial computed both at
-    # the point the step moves to
-    r, c, blocks = problem.linearize(w)
+    # r, c and blocks always hold the values and the Jacobians at w, and
+    # bval, bgrad and gap its barrier: the accepted line-search point brings
+    # its values and barrier along, and its Jacobians come from what its
+    # evaluation kept
+    r, c, kept = problem.evaluate(w)
+    blocks = problem.row_blocks(kept, ...)
     bval, bgrad, gap = box.barrier(w)
     m = c.shape[0]
     lam = np.zeros(m) if multipliers is None else np.asarray(multipliers, dtype=float).copy()
@@ -389,7 +388,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         return float(r @ r) + _MU * bval + rho * float(np.abs(c).sum())
 
     if log is not None:
-        log.write(f"# solve n={problem.n} m={m}\n")
+        log.write(f"# solve n={box.n} m={m}\n")
 
     while True:
         grad_r = 2.0 * problem.jt_dot(blocks, r)
@@ -445,8 +444,9 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
 
         noise = 16.0 * _EPS * (1.0 + abs(merit0))
         alpha = box.step_to_boundary(gap, dw, _TAU)
-        # the first trial inside the box, linearized in one pass: most
-        # iterations accept it
+        # the first trial inside the box; most iterations accept it.  val
+        # holds the (r, c, kept) of the candidate and at its index in kept:
+        # ... for one point, its row for a pass of halvings
         for left in range(_MAX_BACKTRACKS - 1, -1, -1):
             step = alpha * dw
             point = w + step
@@ -456,10 +456,10 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
             alpha *= _BACKTRACK
         else:
             return _finish(LINESEARCH_FAILURE)
-        lin = problem.linearize(point)
+        val, at = problem.evaluate(point), ...
         trials = 1
         soc = False
-        merit = merit_of(lin[0], lin[1], bar[0])  # same rho as merit0
+        merit = merit_of(val[0], val[1], bar[0])  # same rho as merit0
         bound = merit0 + _ARMIJO * alpha * descent
         if not (merit <= bound or abs(alpha * descent) <= noise):
             step = None
@@ -468,21 +468,19 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
                 # curvature (RK4 gaps grow quadratically along it) makes
                 # the l1 merit reject it; re-solve with the trial's gaps
                 # and accept the corrected point on the same Armijo bound
-                dw_soc, lam_soc = problem.kkt_step(blocks, g, alpha * c + lin[1], sigma, reg)
+                dw_soc, lam_soc = problem.kkt_step(blocks, g, alpha * c + val[1], sigma, reg)
             except np.linalg.LinAlgError:
                 pass
             else:
-                # linearized in one pass like the first trial: it is the
-                # point most rejected first trials accept
                 soc_step = box.step_to_boundary(gap, dw_soc, _TAU) * dw_soc
                 point = w + soc_step
                 bar_soc = box.barrier(point)
                 if bar_soc[2] is not None:
-                    lin_soc = problem.linearize(point)
+                    val_soc = problem.evaluate(point)
                     trials += 1
-                    merit_soc = merit_of(lin_soc[0], lin_soc[1], bar_soc[0])
+                    merit_soc = merit_of(val_soc[0], val_soc[1], bar_soc[0])
                     if merit_soc <= bound:
-                        step, merit, lin, bar, lam_new, soc = (soc_step, merit_soc, lin_soc, bar_soc,
+                        step, merit, val, bar, lam_new, soc = (soc_step, merit_soc, val_soc, bar_soc,
                                                                lam_soc, True)
             if step is None:
                 # the halvings left, examined in order; each pass values the
@@ -507,14 +505,15 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
                     else:
                         continue
                     step = steps[j]
-                    lin = R[i], C[i], problem.row_blocks(kept, i)
+                    val, at = (R[i], C[i], kept), i
                     break
                 else:
                     return _finish(LINESEARCH_FAILURE)
 
         duals.update(gap, step)
         w = w + step
-        r, c, blocks = lin
+        r, c, kept = val
+        blocks = problem.row_blocks(kept, at)
         bval, bgrad, gap = bar
         duals.clip(gap)
         lam = lam_new.copy()

@@ -19,19 +19,17 @@ what the Gauss-Newton solver consumes.
 No m x n matrix is formed on the solver's path.  With the stage state
 ``s_k = (x_k, z_k)`` and stage input ``q_k = (u_k, v_k)``, no residual
 couples two stages or a state with an input, and the gap into ``s_{k+1}``
-involves only ``s_k`` and ``q_k``.  ``OcpProblem.linearize`` therefore
-returns the residual, the gaps and :class:`StageBlocks`: the path residual
-rows over each ``s_k`` and the transitions built from the RK4 sensitivities
-and the constant timing blocks.  It is one code path with the line
-search's batch: ``OcpProblem.evaluate`` takes a stack of points, gathers
-their stage vectors with index arrays, makes one path evaluation and one
-RK4 stage pass for the whole stack and writes the stacked ``r`` and ``c``
-row by row; ``OcpProblem.row_blocks`` builds the blocks of one row from
-the path derivatives and stage quantities that pass kept, and
-``linearize`` is the same pass on one point, with its blocks.  The
-products the solver needs (``J^T v`` and ``A^T v``) and the Newton step,
-which condenses the shooting states out of the KKT system and solves for
-the inputs alone, work on those blocks.
+involves only ``s_k`` and ``q_k``.  ``OcpProblem.evaluate`` takes one
+point or a stack of them, gathers their stage vectors with index arrays,
+makes one path evaluation and one RK4 stage pass for all of them and
+writes the stacked residuals ``r`` and gaps ``c`` block by block;
+``OcpProblem.row_blocks`` builds the :class:`StageBlocks` of one point
+from the path derivatives and stage quantities that pass kept: the path
+residual rows over each ``s_k`` and the transitions built from the RK4
+sensitivities and the constant timing blocks.  The products the solver
+needs (``J^T v`` and ``A^T v``) and the Newton step, which condenses the
+shooting states out of the KKT system and solves for the inputs alone,
+work on those blocks.
 The condensing runs backward, in O(N^2): a forward sweep carries each state
 step's dependence on the inputs, a backward sweep gathers the cost gradient
 the later stages pass back to each state, and the condensed Hessian and
@@ -46,10 +44,8 @@ the layout, index arrays, constant blocks, the box, the states it holds
 and the columns of their holds.  A problem is its two pins on a
 structure.  The structure rejects a box whose held states the free inputs
 of a stage cannot move independently (the held rows of the input
-sensitivity pattern have structural rank below their count, or the held
-rows of the input sensitivity at hover have numerical rank below it):
-their gap rows would repeat the pins, and every Newton step would be
-singular.  The
+sensitivity at hover have numerical rank below their count): their gap
+rows would repeat the pins, and every Newton step would be singular.  The
 corridor offset is bounded by ``OcpConfig.s2_bounds`` alone: the box and
 the path evaluation read the same bounds.
 """
@@ -69,7 +65,6 @@ from .dynamics import (
     _rk4_sensitivities,
     _rk4_stages,
     _step_constants,
-    input_sensitivity_pattern,
     rk4_step,
     rk4_step_with_jacobians,
 )
@@ -98,23 +93,6 @@ def _as_weight_matrix(diag, size: int, name: str) -> np.ndarray:
     if not np.all(diag > 0.0):
         raise ValueError(f"{name} must be positive definite")
     return np.diag(diag)
-
-
-def _structural_rank(pattern) -> int:
-    """Structural rank of a boolean pattern: the size of a maximum matching
-    of its rows to distinct columns (augmenting paths, Kuhn 1955)."""
-    owner = [-1] * pattern.shape[1]
-
-    def augment(i, seen):
-        for j in np.flatnonzero(pattern[i]):
-            if not seen[j]:
-                seen[j] = True
-                if owner[j] < 0 or augment(owner[j], seen):
-                    owner[j] = i
-                    return True
-        return False
-
-    return sum(augment(i, [False] * pattern.shape[1]) for i in range(pattern.shape[0]))
 
 
 @dataclass
@@ -247,7 +225,9 @@ class OcpStructure:
 
     Raises ``ValueError`` when the path type does not match
     ``config.corridor``, and when the free inputs of a stage cannot move
-    the held states independently, structurally or at hover.
+    the held states independently: the held rows of the stage input
+    sensitivity at hover, over the free inputs, have numerical rank below
+    their count.
     """
 
     def __init__(self, path, config: OcpConfig, params: ModelParams):
@@ -339,32 +319,25 @@ class OcpStructure:
         # the held (frozen) states and the free inputs, the same at every
         # stage past the first (the box tiles the bounds, the pins free stage
         # 0); the held rows of s_1 see the free inputs of stage 0 alone, so
-        # their pattern needs full structural row rank, or those gap rows
-        # repeat the pins and every Newton step is singular
+        # they need full row rank there, or those gap rows repeat the pins
+        # and every Newton step is singular.  The rank is taken at hover: at
+        # level attitude the vertical thrust axis does not move with the
+        # tilt commands, so z and vz see the thrust alone
         fq = self.box.free[self.input_idx[0]]
         self.held = ~self.box.free[self.state_idx[1]]
-        g_pattern = self.g[0] != 0.0
-        g_pattern[:nx, :nu] = input_sensitivity_pattern()
-        pattern = g_pattern[self.held][:, fq]
-        timing = ("s1", "s2", "s1dot", "s2dot") if config.corridor else ("s1", "s1dot")
-        names = np.array(_STATE_NAMES + timing)[self.held]
-        rank = _structural_rank(pattern)
-        if rank < pattern.shape[0]:
-            stuck = ~pattern.any(axis=1)
-            if stuck.any():
-                raise ValueError(f"the box freezes the state {', '.join(names[stuck])} and every input "
-                                 "that drives it: its gap rows repeat the pins and every Newton step is "
-                                 "singular")
-            raise ValueError(f"the box freezes the states {', '.join(names)}, which the free inputs reach "
-                             f"with structural rank {rank} only: every Newton step is singular")
         if self.held.any():
-            # a full matching can still be numerically singular: at level
-            # attitude the vertical thrust axis does not move with the tilt
-            # commands, so z and vz see the thrust alone
             g0 = self.g[0].copy()
             g0[:nx, :nu] = rk4_step_with_jacobians(np.zeros(nx), np.zeros(nu), config.delta, params)[2]
-            rank = np.linalg.matrix_rank(g0[self.held][:, fq])
-            if rank < pattern.shape[0]:
+            reach = g0[self.held][:, fq]
+            timing = ("s1", "s2", "s1dot", "s2dot") if config.corridor else ("s1", "s1dot")
+            names = np.array(_STATE_NAMES + timing)[self.held]
+            stuck = ~reach.any(axis=1)
+            if stuck.any():
+                raise ValueError(f"the box freezes the state {', '.join(names[stuck])} and every input "
+                                 "that drives it at hover: its gap rows repeat the pins and every Newton "
+                                 "step is singular")
+            rank = np.linalg.matrix_rank(reach)
+            if rank < reach.shape[0]:
                 raise ValueError(f"the box freezes the states {', '.join(names)}, which the free inputs reach "
                                  f"with numerical rank {rank} at hover: every Newton step is singular")
 
@@ -542,17 +515,17 @@ class OcpProblem:
         return R, C, (dp, trig, axis, scale)
 
     def row_blocks(self, kept, i) -> StageBlocks:
-        """The :class:`StageBlocks` of row ``i`` of a stack's
-        :meth:`evaluate`, from what it ``kept``: no point is integrated
-        twice."""
-        dp, trig, axis, scale = kept
-        return self._blocks(dp[i], tuple(t[:, i] for t in trig), axis[:, :, i], scale[i])
-
-    def _blocks(self, dp, trig, axis, scale) -> StageBlocks:
-        """The :class:`StageBlocks` of one point from what :meth:`evaluate`
-        kept for it."""
+        """The :class:`StageBlocks` of point ``i`` of an :meth:`evaluate`
+        call, from the path derivatives and RK4 stage quantities it
+        ``kept``: row ``i`` of a stack, or ``...`` for one point.  No point
+        is integrated twice."""
         st = self.structure
         nx = self.n_x
+        dp, trig, axis, scale = kept
+        if i is not Ellipsis:
+            # row i of a stack; one point's quantities (i is ...) are used as
+            # they are: views of them through ... cost 1% of a spiral solve
+            dp, trig, axis, scale = dp[i], [t[:, i] for t in trig], axis[:, :, i], scale[i]
         # the path residual rows over s_k depend on w in the progress column
         dz = st.dz.copy()
         np.negative(dp, out=dz[:, 0:4])
@@ -565,13 +538,14 @@ class OcpProblem:
         g[:, :nx, :self.n_u] = bu
         return StageBlocks(js, f, g)
 
+    # views of one point's evaluation and blocks, for checks; no solve calls
+    # them
+
     def linearize(self, w):
         """``(r, c, blocks)`` at ``w``: :meth:`evaluate` on the one point
-        ``w``, and its :class:`StageBlocks`."""
+        ``w``, and :meth:`row_blocks` of what it kept."""
         r, c, kept = self.evaluate(w)
-        return r, c, self._blocks(*kept)
-
-    # views of the one pass, for checks; no solve calls them
+        return r, c, self.row_blocks(kept, ...)
 
     def residual(self, w) -> np.ndarray:
         return self.linearize(w)[0]

@@ -13,6 +13,10 @@ computes another way:
 - ``kkt_residual`` is the primal barrier measure of a solve result (the
   barrier gradient ``mu / gap`` in place of the bound duals), not the
   primal-dual error ``solve`` stops on;
+- ``held_states_rejected`` is the two-test rule for held states, the
+  structural rank of ``input_sensitivity_pattern`` (by a Kuhn matching,
+  ``_structural_rank``) and the numerical rank at hover, against the one
+  numerical rank test of ``OcpStructure``;
 - ``_barrier_terms`` is the log barrier over full-length masks, against
   the barrier on the faces of ``solver.Box``;
 - ``frozen_mask`` and ``project_interior`` are the frozen entries and the
@@ -37,7 +41,8 @@ computes another way:
   ``np.stack``, against the preallocated columns of ``quadpath.paths``;
 - ``linearize_assembly`` assembles the residual, the gaps and the stage
   blocks through ``path_error``, ``output_map`` and ``np.concatenate``,
-  against the preallocated vectors of ``OcpProblem.linearize``.
+  against the preallocated vectors of ``OcpProblem.evaluate`` and the
+  blocks of ``OcpProblem.row_blocks``.
 
 ``x_slice``, ``u_slice``, ``z_slice`` and ``nu_slice`` are the slices of
 one stage's block in a horizon problem's decision vector, which the stage
@@ -59,7 +64,7 @@ from quadpath.dynamics import (
     output_map,
     rk4_step_with_jacobians,
 )
-from quadpath.paths import TWO_PI, path_error
+from quadpath.paths import TWO_PI, path_error, timing_matrices
 from quadpath.transcription import OcpConfig
 
 
@@ -201,7 +206,8 @@ def kkt_residual(problem, point, multipliers, mu: float) -> float:
     if np.any(np.abs(w[frozen] - lo[frozen]) > 1e-9):
         raise ValueError("frozen coordinate off its pinned value")
     _, bgrad = _barrier_terms(w, lo, hi, active)
-    r, c, blocks = problem.linearize(w)
+    r, c, kept = problem.evaluate(w)
+    blocks = problem.row_blocks(kept, ...)
     lam = np.asarray(multipliers, dtype=float)
     g = 2.0 * problem.jt_dot(blocks, r) + mu * bgrad
     if c.size:
@@ -209,6 +215,63 @@ def kkt_residual(problem, point, multipliers, mu: float) -> float:
     stat = np.max(np.abs(g[active])) if np.any(active) else 0.0
     eq = np.max(np.abs(c)) if c.size else 0.0
     return float(max(stat, eq))
+
+
+def input_sensitivity_pattern() -> np.ndarray:
+    """Entries of ``rk4_step_with_jacobians``'s ``bu`` that can be nonzero,
+    as a boolean mask.
+
+    Position and velocity rows see every input through the stage thrust
+    axes, except that the vertical axis component does not depend on the
+    yaw-rate command; each attitude row sees only its own command.
+    """
+    bu = np.zeros((N_STATES, N_INPUTS), dtype=bool)
+    bu[0:6] = True
+    bu[ATT, 1:] = np.eye(3, dtype=bool)
+    bu[[2, 5], 3] = False
+    return bu
+
+
+def _structural_rank(pattern) -> int:
+    """Structural rank of a boolean pattern: the size of a maximum matching
+    of its rows to distinct columns (augmenting paths, Kuhn 1955)."""
+    owner = [-1] * pattern.shape[1]
+
+    def augment(i, seen):
+        for j in np.flatnonzero(pattern[i]):
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, [False] * pattern.shape[1]) for i in range(pattern.shape[0]))
+
+
+def held_states_rejected(config: OcpConfig, params) -> bool:
+    """Whether the free stage inputs of ``config``'s box fail to move its
+    held states independently: the held rows of the stage input
+    sensitivity, over the free inputs, have structural rank (of
+    :func:`input_sensitivity_pattern` and the timing input block) or
+    numerical rank at hover below their count."""
+    zlo, zhi = config.z_bounds()
+    vlo, vhi = config.nu_bounds()
+    held = frozen_mask(np.concatenate([config.state_lower, zlo]), np.concatenate([config.state_upper, zhi]))
+    free = ~frozen_mask(np.concatenate([config.input_lower, vlo]), np.concatenate([config.input_upper, vhi]))
+    if not held.any():
+        return False
+    bd = timing_matrices(config.n_z // 2, config.delta)[1]
+    sens = np.zeros((N_STATES + bd.shape[0], N_INPUTS + bd.shape[1]))
+    sens[:N_STATES, :N_INPUTS] = rk4_step_with_jacobians(np.zeros(N_STATES), np.zeros(N_INPUTS),
+                                                         config.delta, params)[2]
+    sens[N_STATES:, N_INPUTS:] = bd
+    pattern = np.zeros(sens.shape, dtype=bool)
+    pattern[:N_STATES, :N_INPUTS] = input_sensitivity_pattern()
+    pattern[N_STATES:, N_INPUTS:] = bd != 0.0
+    count = int(held.sum())
+    return (_structural_rank(pattern[held][:, free]) < count
+            or np.linalg.matrix_rank(sens[held][:, free]) < count)
 
 
 def residual_jacobian_loop(problem, w) -> np.ndarray:

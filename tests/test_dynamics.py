@@ -5,7 +5,6 @@ from quadpath.dynamics import (
     ModelParams,
     body_angular_velocity,
     dynamics,
-    input_sensitivity_pattern,
     output_map,
     rk4_step,
     rk4_step_with_jacobians,
@@ -15,6 +14,7 @@ from quadpath.dynamics import (
 
 from oracles import (
     dynamics_jacobians,
+    input_sensitivity_pattern,
     rk4_step_chain_rule,
     rk4_step_loop,
     rk4_step_with_jacobians_stage_major,

@@ -340,6 +340,14 @@ class TestCompareCorridor:
             compare_corridor(self.make_metrics("sinusoid", 0.02, 50.0),
                              self.make_metrics("sinusoid", 0.04, 40.0))
 
+    def test_rejects_swapped_or_classic_only_runs(self):
+        # the corridor run has an offset to report, the classic run none
+        classic = self.make_metrics("sinusoid", 0.02, 80.0)
+        corridor = self.make_metrics("sinusoid", 0.02, 60.0, max_abs_s2=1.2, terminal_abs_s2=0.05)
+        for pair in ((corridor, classic), (classic, classic), (corridor, corridor)):
+            with pytest.raises(ValueError, match="corridor offset"):
+                compare_corridor(*pair)
+
 
 class TestCli:
     def test_exit_code_policy(self, hover_run):

@@ -277,41 +277,47 @@ def corrections_per_iteration(log_text):
 
 def check_evaluation_order(events, trials, corrections):
     """``events`` are the ``("values", points)`` and ``("blocks", point)``
-    calls of one solve in call order, on a problem without a box.  The
-    start, each iteration's first trial and, after a rejected first trial,
-    the second-order correction are linearized, values and blocks of one
-    point; an iteration that examined more points values its halvings in
-    passes of at most ``_PASS_ROWS``, up to the pass that holds the
-    accepted one, the ``trials - 2``-th halving, and takes the blocks of
-    that one alone."""
+    calls of one solve in call order, ``points`` a stack (of one row for a
+    one-point evaluation), on a solve whose second-order corrections fall
+    inside the box.  Every examined point is valued: the start, each
+    iteration's first trial and, after a rejected first trial, the
+    second-order correction, one point each, then the halvings in passes of
+    at most ``_PASS_ROWS``, up to the pass that holds the accepted one.
+    Jacobians are built exactly once at the start and once per iteration
+    that moved, at the point it accepted, the last it examined: never at a
+    rejected point."""
     it = iter(events)
 
-    def linearized():
-        (kind, (point,)), (kind_j, at) = next(it), next(it)
-        assert kind == "values" and kind_j == "blocks" and np.array_equal(at, point)
+    def one_point():
+        kind, points = next(it)
+        assert kind == "values" and len(points) == 1
+        return points[0]
 
-    linearized()
+    def blocks_at(point):
+        kind, at = next(it)
+        assert kind == "blocks" and np.array_equal(at, point)
+
+    blocks_at(one_point())
     for t, soc in zip(trials, corrections):
-        linearized()
+        if t == 0:
+            continue  # a dual-only iteration examines no point
+        examined = [one_point()]
         if t >= 2:
-            linearized()
+            examined.append(one_point())
             assert soc == (t == 2)
-        if t >= 3:
-            halvings = []
-            while len(halvings) < t - 2:
-                kind, rows = next(it)
-                assert kind == "values" and 1 <= len(rows) <= solver_module._PASS_ROWS
-                halvings.extend(rows)
-            kind_j, at = next(it)
-            assert kind_j == "blocks" and np.array_equal(at, halvings[t - 3])
+        while len(examined) < t:
+            kind, rows = next(it)
+            assert kind == "values" and 1 <= len(rows) <= solver_module._PASS_ROWS
+            examined.extend(rows)
+        blocks_at(examined[t - 1])
     assert next(it, None) is None
 
 
 class TestEvaluations:
     def test_one_evaluation_per_point(self):
         # values are computed once per evaluated point, and Jacobians once
-        # per first trial, correction or accepted halving, never at a
-        # rejected batch row
+        # at the start and once per iteration, at its accepted point, never
+        # at a rejected one
         calls = {"residual": [], "equality": [], "residual_jacobian": [], "equality_jacobian": []}
 
         def recorded(name, f):
@@ -332,14 +338,8 @@ class TestEvaluations:
         )
         events = []
         evaluate, row_blocks = prob.evaluate, prob.row_blocks
-        prob.evaluate = lambda W: events.append(("values", W.copy())) or evaluate(W)
+        prob.evaluate = lambda W: events.append(("values", np.atleast_2d(W).copy())) or evaluate(W)
         prob.row_blocks = lambda kept, i: events.append(("blocks", kept[i].copy())) or row_blocks(kept, i)
-        linearize = prob.linearize
-
-        def linearized(w):
-            events.extend([("values", w[None].copy()), ("blocks", w.copy())])
-            return linearize(w)
-        prob.linearize = linearized
 
         trace = io.StringIO()
         res = solve(prob, np.array([4.0, -3.0]), log=trace)
@@ -358,12 +358,12 @@ class TestEvaluations:
         np.testing.assert_array_equal(calls["residual_jacobian"], blocks)
         np.testing.assert_array_equal(calls["equality_jacobian"], blocks)
         assert len({p.tobytes() for p in values}) == len(values)
-        assert len(blocks) == 1 + len(trials) + sum(t >= 2 for t in trials) + sum(t >= 3 for t in trials)
+        assert min(trials) >= 1 and len(blocks) == 1 + len(trials)
 
     def test_one_integration_per_point(self, monkeypatch):
-        # the horizon problem integrates each evaluated stack of points once
+        # the horizon problem integrates each evaluated point or stack once
         # and never through the plain RK4 step; the sensitivities come from
-        # that integration, at the linearized and the accepted points alone
+        # that integration, at the start and the accepted points alone
         structure = OcpStructure(make_path("spiral"), OcpConfig(), ModelParams())
         prob = build_ocp(np.concatenate([make_path("spiral").point(-1.0)[:3], np.zeros(6)]),
                          np.array([-1.0, 1e-5]), structure)
@@ -382,21 +382,18 @@ class TestEvaluations:
         for name in ("rk4_step", "rk4_step_with_jacobians", "_rk4_stages", "_rk4_sensitivities"):
             counted(transcription, name)
         counted(prob, "residual")
-        # linearize evaluates one point and builds its blocks; the blocks of
-        # row i are those of row i of the last stack evaluated
-        events = []
-        evaluate, row_blocks, linearize = prob.evaluate, prob.row_blocks, prob.linearize
+        # the blocks of point i are those of point i (row i, or ... for one
+        # point) of the last evaluation
+        events, last = [], []
+        evaluate, row_blocks = prob.evaluate, prob.row_blocks
 
         def evaluated(W):
-            if W.ndim == 2:
-                events.append(("values", W.copy()))
+            events.append(("values", np.atleast_2d(W).copy()))
+            last[:] = [W.copy()]
             return evaluate(W)
         monkeypatch.setattr(prob, "evaluate", evaluated)
         monkeypatch.setattr(prob, "row_blocks",
-                            lambda kept, i: events.append(("blocks", events[-1][1][i])) or row_blocks(kept, i))
-        monkeypatch.setattr(prob, "linearize",
-                            lambda w: events.extend([("values", w[None].copy()), ("blocks", w.copy())])
-                            or linearize(w))
+                            lambda kept, i: events.append(("blocks", last[0][i])) or row_blocks(kept, i))
         trace = io.StringIO()
         res = solve(prob, guess, log=trace)
         assert res.status == CONVERGED
@@ -405,12 +402,12 @@ class TestEvaluations:
         check_evaluation_order(events, trials, corrections_per_iteration(trace.getvalue()))
         assert calls["rk4_step"] == calls["residual"] == calls["rk4_step_with_jacobians"] == 0
         assert calls["_rk4_stages"] == sum(kind == "values" for kind, _ in events)
-        assert calls["_rk4_sensitivities"] == sum(kind == "blocks" for kind, _ in events)
+        assert calls["_rk4_sensitivities"] == sum(kind == "blocks" for kind, _ in events) == 1 + res.iterations
 
 
 class RowByRow:
     """A problem that evaluates a stack one row per call of the problem it
-    wraps."""
+    wraps, each row as one point; one point passes through."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -419,11 +416,15 @@ class RowByRow:
         return getattr(self.problem, name)
 
     def evaluate(self, W):
-        rows = [self.problem.evaluate(W[i:i + 1]) for i in range(len(W))]
-        return np.vstack([r[0] for r in rows]), np.vstack([r[1] for r in rows]), [r[2] for r in rows]
+        if W.ndim == 1:
+            return self.problem.evaluate(W)
+        rows = [self.problem.evaluate(w) for w in W]
+        return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows]), [r[2] for r in rows]
 
     def row_blocks(self, kept, i):
-        return self.problem.row_blocks(kept[i], 0)
+        if i is Ellipsis:
+            return self.problem.row_blocks(kept, i)
+        return self.problem.row_blocks(kept[i], ...)
 
 
 @pytest.fixture(scope="module")
@@ -484,6 +485,16 @@ class TestBatchedBacktracking:
         want = self.logged_solve(prob, guess, multipliers)
         self.assert_same_solve(want, self.logged_solve(RowByRow(prob), guess, multipliers))
         return want[0], trials_per_iteration(want[1])
+
+    def test_dense_one_point_equals_its_stacked_row(self):
+        prob = self.circle_problem()
+        W = self.circle_guess + np.linspace(0.0, 1.0, 6)[:, None] * np.array([0.3, -0.7])
+        R, C, kept = prob.evaluate(W)
+        for i, w in enumerate(W):
+            r, c, one = prob.evaluate(w)
+            assert r.shape == (2,) and c.shape == (1,)
+            for got, ref in zip((r, c, *prob.row_blocks(one, ...)), (R[i], C[i], *prob.row_blocks(kept, i))):
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     def test_unit_circle(self):
         res, trials = self.assert_row_by_row_same(self.circle_problem(), self.circle_guess)
@@ -583,7 +594,7 @@ class TestProtocol:
     """``solve`` touches a problem only through the protocol the solver
     module documents."""
 
-    PROTOCOL = ("n", "box", "linearize", "evaluate", "row_blocks", "jt_dot", "at_dot", "kkt_step")
+    PROTOCOL = ("box", "evaluate", "row_blocks", "jt_dot", "at_dot", "kkt_step")
 
     class Proxy:
         def __init__(self, problem, allowed):
@@ -824,8 +835,8 @@ class TestWarmStartShift:
         )
         res = solve(prob, prob.rollout())
         visited = []
-        linearize = prob.linearize
-        monkeypatch.setattr(prob, "linearize", lambda w: visited.append(w.copy()) or linearize(w))
+        evaluate = prob.evaluate
+        monkeypatch.setattr(prob, "evaluate", lambda W: visited.append(W.copy()) or evaluate(W))
         solve(prob, warm_start_shift(res, prob), multipliers=res.multipliers)
         start = visited[0]
         lo, hi = prob.box.lower, prob.box.upper

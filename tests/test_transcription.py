@@ -20,6 +20,7 @@ from oracles import (
     _barrier_terms,
     equality_jacobian_loop,
     frozen_mask,
+    held_states_rejected,
     linearize_assembly,
     project_interior,
     quadrature_cost,
@@ -191,8 +192,9 @@ class TestResidualJacobian:
     @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
     @pytest.mark.parametrize("horizon", [1, 5, 20])
     def test_linearize_equals_concatenated_assembly_bitwise(self, kind, horizon):
-        # and every row of one batched evaluation, with its blocks, is the
-        # linearization of that row alone
+        # one point's evaluation and its blocks (row_blocks at ...) are the
+        # assembly's and linearize's, and every row of one batched
+        # evaluation, with its blocks, is that row's evaluation alone
         prob = horizon_problem(kind, horizon)
         rng = np.random.default_rng(23)
         yaw = np.arange(horizon + 1) * prob.n_x + 8
@@ -202,13 +204,17 @@ class TestResidualJacobian:
             if trial % 2:
                 # yaw errors across the wrap seam; yaw has no box
                 w[yaw] += rng.uniform(-3.0 * np.pi, 3.0 * np.pi, horizon + 1)
+            r, c, kept = prob.evaluate(w)
+            one = (r, c, *prob.row_blocks(kept, ...))
             r, c, blocks = prob.linearize(w)
-            for got, ref in zip((r, c, *blocks), linearize_assembly(prob, w)):
+            for got, ref in zip(one, linearize_assembly(prob, w)):
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            for got, ref in zip(one, (r, c, *blocks)):
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         R, C, kept = prob.evaluate(W)
         for i, w in enumerate(W):
-            r, c, blocks = prob.linearize(w)
-            for got, ref in zip((R[i], C[i], *prob.row_blocks(kept, i)), (r, c, *blocks)):
+            r, c, one = prob.evaluate(w)
+            for got, ref in zip((R[i], C[i], *prob.row_blocks(kept, i)), (r, c, *prob.row_blocks(one, ...))):
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
@@ -347,10 +353,10 @@ class TestCondensedStep:
 
 class TestFrozenBoxes:
     """A box is rejected when the structure is built if the free inputs of a
-    stage cannot move its held states independently (structural rank of the
-    held rows below their count, or numerical rank at the hover
-    linearization): the first gap rows of those states would repeat the
-    pins, so every Newton step would be singular."""
+    stage cannot move its held states independently (numerical rank of the
+    held rows at the hover linearization below their count): the first gap
+    rows of those states would repeat the pins, so every Newton step would
+    be singular."""
 
     @pytest.mark.parametrize("kind, horizon, overrides, message", [
         ("planar", 1, {}, "freezes the state roll and every input"),
@@ -360,7 +366,7 @@ class TestFrozenBoxes:
         ("zero-width", 5, {"nu2_bound": 0.0}, "freezes the state s2 and every input"),
         # six held rows, each reached by some input, on four inputs
         ("classic", 5, {"hold": ["x", "y", "z", "vx", "vy", "vz"]},
-         "freezes the states x, y, z, vx, vy, vz, which the free inputs reach with structural rank 4"),
+         "freezes the states x, y, z, vx, vy, vz, which the free inputs reach with numerical rank 3 at hover"),
         # a full matching (z to thrust, vz to a tilt command), but at level
         # attitude z and vz see the thrust alone
         ("classic", 1, {"hold": ["z", "vz"]},
@@ -392,6 +398,35 @@ class TestFrozenBoxes:
             assert np.array_equal(~prob.box.free[st.state_idx], np.vstack([np.zeros_like(st.held)]
                                                                            + [st.held] * horizon))
             check_condensed_step(prob, rng, 10.0, (0.0, 1e-4), not held)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corridor=st.booleans(), held=st.sets(st.sampled_from(STATE_NAMES[:9] + ["s2", "s2dot"])),
+           frozen=st.sets(st.integers(0, 5)))
+    def test_rejected_exactly_when_the_two_test_rule_says(self, corridor, held, frozen):
+        # held quadrotor states and frozen inputs (the yaw-rate command
+        # included) close their boxes at zero; the corridor holds s2 and
+        # s2dot and freezes its virtual inputs through its bounds
+        kw = {"horizon": 1, "corridor": corridor}
+        lower, upper = DEFAULT_STATE_LOWER.copy(), DEFAULT_STATE_UPPER.copy()
+        for name in held & set(STATE_NAMES[:9]):
+            j = STATE_NAMES.index(name)
+            lower[j] = upper[j] = 0.0
+        in_lower, in_upper = -DEFAULT_INPUT_BOUND.copy(), DEFAULT_INPUT_BOUND.copy()
+        for j in frozen & {0, 1, 2, 3}:
+            in_lower[j] = in_upper[j] = 0.0
+        if 4 in frozen:
+            kw["nu_bound"] = 0.0
+        if corridor:
+            kw["s2_bounds"] = (0.0, 0.0) if "s2" in held else (-0.5 * np.pi, 0.5 * np.pi)
+            kw["s2_dot_bound"] = 0.0 if "s2dot" in held else 0.5
+            kw["nu2_bound"] = 0.0 if 5 in frozen else 0.5
+        cfg = OcpConfig(state_lower=lower, state_upper=upper, input_lower=in_lower, input_upper=in_upper, **kw)
+        path = make_path("sinusoid-corridor" if corridor else "spiral")
+        if held_states_rejected(cfg, PARAMS):
+            with pytest.raises(ValueError, match="the box freezes the state"):
+                OcpStructure(path, cfg, PARAMS)
+        else:
+            OcpStructure(path, cfg, PARAMS)
 
 
 class TestCost:
