@@ -33,13 +33,13 @@ from .solver import (
     DenseNlp,
     SolveResult,
     solve,
-    warm_start_shift,
 )
 from .transcription import (
     OcpConfig,
     OcpProblem,
     OcpStructure,
     build_ocp,
+    warm_start_shift,
 )
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from .simulate import (
 )
 
 EXIT_OK = 0
+EXIT_FAILURE = 1
 EXIT_CONSTRAINT_VIOLATION = 2
 EXIT_SOLVER_BUDGET = 3
 
@@ -83,7 +84,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_validate(_args) -> int:
     failures = validation.run_all(print)
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
 def main(argv=None) -> int:
@@ -110,7 +111,13 @@ def main(argv=None) -> int:
     val_p.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # a refused input (a bad config file, runs compared in the wrong
+        # order) is one line, not a traceback
+        print(f"quadpath: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -5,43 +5,43 @@ the controller's own timing state, on the constant structure the controller
 built once, and runs one solve: from the input rollout on the first step,
 from the shifted previous solution on every later one.  A solve that does
 not converge is not retried: its returned iterate is applied and kept as
-the next warm start, and the step is flagged as a failure.  That iterate is
+the next warm start, and its status marks the step as a failure.  That iterate is
 the shifted plan or a point the merit line search accepted over it, and the
-fraction-to-boundary rule keeps it inside the box.  The step applies the
-first input interval and advances the timing state in closed form with the
-first virtual input.
+fraction-to-boundary rule keeps it inside the box.  The step returns the
+first input and the first virtual input; the caller applies the input and
+then advances the timing state in closed form over one control period
+with :meth:`PathController.advance_path_state`.
 Advancing the controller copy of the timing state by the applied virtual
 input, instead of reading back the solver prediction, keeps the plant-side
 and controller-side progress consistent even when a solve fails.
+Every clamp the controller applies or meets is one message in its
+``clamp_log``: the rate and progress guards of the pin, a pinned coordinate
+outside the configured box, and the timing state clipped to its box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import ModelParams
 from .paths import step_timing
-from .solver import (
-    CONVERGED,
-    SolveResult,
-    solve,
-    warm_start_shift,
-)
-from .transcription import OcpConfig, OcpStructure, build_ocp
+from .solver import SolveResult, solve
+from .transcription import OcpConfig, OcpStructure, build_ocp, warm_start_shift
 
 
 @dataclass
 class ControlDiagnostics:
+    """What a control step returns besides its inputs: the step's one solve
+    (its status says whether the step failed)."""
+
     solve: SolveResult
-    failure: bool
-    clamp_events: list = field(default_factory=list)
 
 
 class PathController:
-    """Owns the timing-law state, the solver instance and the warm start.
+    """Owns the timing-law state, the previous solve and the clamp log.
 
     One controller drives one simulation; instances are not shareable
     across concurrent runs.
@@ -70,8 +70,7 @@ class PathController:
 
         z_pin = self._feasible_pin()
         problem = build_ocp(measured, z_pin, self.structure)
-        events = list(problem.clamp_events)
-        self.clamp_log.extend(events)
+        self._log_pins_outside_box(measured, z_pin)
 
         if self.last_solution is None:
             result = solve(problem, problem.rollout(), log=self.solver_log)
@@ -81,8 +80,7 @@ class PathController:
 
         _, U, _, V = problem.unpack(result.decision)
         self.last_solution = result
-        diag = ControlDiagnostics(solve=result, failure=result.status != CONVERGED, clamp_events=events)
-        return U[0].copy(), V[0].copy(), diag
+        return U[0].copy(), V[0].copy(), ControlDiagnostics(solve=result)
 
     def _feasible_pin(self) -> np.ndarray:
         """Progress state to pin the horizon problem at.
@@ -117,14 +115,26 @@ class PathController:
             z_pin[0] = s_hold
         return z_pin
 
-    def advance_path_state(self, nu_applied, dt: float) -> np.ndarray:
-        """Integrate the timing chains exactly over ``dt`` and clamp to the
-        admissible progress box (clamping is logged, not an error)."""
-        if not 0.0 < dt < np.inf:
-            raise ValueError("dt must be positive and finite")
+    def _log_pins_outside_box(self, x_pin, z_pin) -> None:
+        """One message per pinned coordinate outside the configured box."""
+        zlo, zhi = self.config.z_bounds()
+        for name, value, lo, hi in (
+            ("state", x_pin, self.config.state_lower, self.config.state_upper),
+            ("path", z_pin, zlo, zhi),
+        ):
+            for idx in np.flatnonzero((value < lo) | (value > hi)):
+                self.clamp_log.append(
+                    f"pinned {name}[{idx}]={value[idx]:.6g} outside box "
+                    f"[{lo[idx]:.6g}, {hi[idx]:.6g}]"
+                )
+
+    def advance_path_state(self, nu_applied) -> np.ndarray:
+        """Integrate the timing chains exactly over one control period
+        ``config.delta`` and clamp to the admissible progress box (clamping
+        is logged, not an error)."""
         if not np.all(np.isfinite(nu_applied)):
             raise ValueError("virtual input must be finite")
-        z = step_timing(self.path_state, nu_applied, dt)
+        z = step_timing(self.path_state, nu_applied, self.config.delta)
         lo, hi = self.config.z_bounds()
         clipped = np.clip(z, lo, hi)
         moved = np.abs(clipped - z) > 1e-12

@@ -313,7 +313,7 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
         state = _plant_step(state, inp, cfg, params, plant_params)
         if not np.all(np.isfinite(state)):
             raise RuntimeError(f"plant state became non-finite at t={t:.3f}s")
-        controller.advance_path_state(nu, cfg.delta)
+        controller.advance_path_state(nu)
 
         done = controller.path_state[0] >= PATH_END_THRESHOLD and np.linalg.norm(err) < SETTLE_ERROR
         if cfg.corridor:

@@ -51,9 +51,9 @@ otherwise the original direction is backtracked.
 
 Cold starts are pushed ``0.1 * sqrt(mu)`` away from the box faces.  A guess
 passed with ``multipliers`` is taken to be a shifted previous optimum
-(:func:`warm_start_shift`) and is only moved just inside the box
-(:meth:`Box.project` at a margin of 1e-6), so the bounds that were active
-stay active.
+(``quadpath.transcription.warm_start_shift``) and is only moved just
+inside the box (:meth:`Box.project` at a margin of 1e-6), so the bounds
+that were active stay active.
 Either way the bound duals start at ``mu / gap``, which at a converged
 point gives back the previous duals.
 
@@ -345,13 +345,12 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
 
     A cold guess (no ``multipliers``) is pushed strictly inside the box
     before iterating; a warm guess, such as the plan
-    :func:`warm_start_shift` returns, is only moved just inside it
-    (:meth:`Box.project` at a margin of 1e-6), which keeps its active
-    bounds where they are.  On line
-    search failure, iteration exhaustion (50 iterations, dual-only ones
-    included) or a step at the rounding floor with the bound duals already
-    at ``mu / gap``, the current iterate is returned with the corresponding
-    status; the caller decides what to do with a non-converged first input.
+    ``quadpath.transcription.warm_start_shift`` returns, is only moved just
+    inside it (:meth:`Box.project` at a margin of 1e-6), which keeps its
+    active bounds where they are.  On line search failure, iteration
+    exhaustion (50 iterations, dual-only ones included) or a step at the
+    rounding floor with the bound duals already at ``mu / gap``, the current
+    iterate is returned with the corresponding status; the caller decides what to do with a non-converged first input.
     ``SolveResult.kkt_residual`` is ``E`` at the returned point.
     """
     t_start = time.perf_counter()
@@ -531,21 +530,3 @@ def _log_line(log, iters, merit, merit0, alpha, kkt_val, eq_val, trials, soc):
         f"trials={trials} soc={int(soc)}\n"
     )
 
-
-def warm_start_shift(previous: SolveResult, problem_new) -> np.ndarray:
-    """Receding-horizon initial guess from the previous optimum.
-
-    States, inputs and timing quantities are shifted one stage left; the last
-    input (and virtual input) is duplicated and the final state/timing node is
-    re-propagated with it, so a model-consistent previous solution stays
-    feasible.  The shifted plan is returned as it is: :func:`solve` projects
-    a warm guess strictly inside the box.
-    """
-    X, U, Z, V = problem_new.unpack(previous.decision)
-    w = np.empty(problem_new.n)
-    X_new, U_new, Z_new, V_new = problem_new.unpack(w)  # views into w
-    X_new[:-1], X_new[-1] = X[1:], problem_new.step_state(X[-1], U[-1])
-    U_new[:-1], U_new[-1] = U[1:], U[-1]
-    Z_new[:-1], Z_new[-1] = Z[1:], problem_new.step_timing(Z[-1], V[-1])
-    V_new[:-1], V_new[-1] = V[1:], V[-1]
-    return w

@@ -42,12 +42,13 @@ pins lives in a read-only :class:`OcpStructure` that a controller builds
 once: the path, the configuration and the model it was built from, and
 the layout, index arrays, constant blocks, the box, the states it holds
 and the columns of their holds.  A problem is its two pins on a
-structure.  The structure rejects a box whose held states the free inputs
-of a stage cannot move independently (the held rows of the input
-sensitivity at hover have numerical rank below their count): their gap
-rows would repeat the pins, and every Newton step would be singular.  The
-corridor offset is bounded by ``OcpConfig.s2_bounds`` alone: the box and
-the path evaluation read the same bounds.
+structure, and :func:`warm_start_shift` moves one problem's solution
+onto the next problem's layout.  The structure rejects a box whose held
+states the free inputs of a stage cannot move independently (the held rows
+of the input sensitivity at hover have numerical rank below their count):
+their gap rows would repeat the pins, and every Newton step would be
+singular.  The corridor offset is bounded by ``OcpConfig.s2_bounds``
+alone: the box and the path evaluation read the same bounds.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .dynamics import (
     rk4_step_with_jacobians,
 )
 from .paths import CorridorPath, step_timing, timing_matrices, wrap_angle
-from .solver import Box
+from .solver import Box, SolveResult
 
 INF = np.inf
 
@@ -373,9 +374,8 @@ class OcpProblem:
     Instances are built per control step (the initial conditions are baked
     in) and treated as immutable; everything else, the path, configuration
     and model included, comes from the shared :class:`OcpStructure`.  The
-    box frees the pinned stage-0 coordinates (the equality pin wins over
-    the box; a clamping event is recorded when the measurement violates the
-    original box).
+    box frees the pinned stage-0 coordinates: the equality pin wins over
+    the box.
     """
 
     def __init__(self, x0, z0, structure: OcpStructure):
@@ -394,7 +394,6 @@ class OcpProblem:
             raise ValueError(f"z0 must have length {config.n_z}")
         if not np.all(np.isfinite(self.x0)) or not np.all(np.isfinite(self.z0)):
             raise ValueError("initial conditions must be finite")
-        self.clamp_events = self._clamp_events()
 
     # ----- layout ------------------------------------------------------------
 
@@ -412,16 +411,7 @@ class OcpProblem:
         V = w[..., st.ov:].reshape(batch + (N, self.n_nu))
         return X, U, Z, V
 
-    def pack(self, X, U, Z, V) -> np.ndarray:
-        return np.concatenate([np.ravel(X), np.ravel(U), np.ravel(Z), np.ravel(V)])
-
-    # ----- model propagation (shared with warm starting) ---------------------
-
-    def step_state(self, x, u) -> np.ndarray:
-        return rk4_step(x, u, self.config.delta, self.params)
-
-    def step_timing(self, z, nu) -> np.ndarray:
-        return step_timing(z, nu, self.config.delta)
+    # ----- initial guesses ----------------------------------------------------
 
     def rollout(self, u_seq=None, nu_seq=None) -> np.ndarray:
         """Single-shooting rollout from the pinned initial conditions.
@@ -429,35 +419,19 @@ class OcpProblem:
         By construction the result satisfies every shooting gap exactly;
         useful as a cold-start guess and as the feasibility oracle in tests.
         """
-        N = self.config.horizon
-        U = np.zeros((N, self.n_u)) if u_seq is None else np.asarray(u_seq, dtype=float).reshape(N, self.n_u)
-        V = np.zeros((N, self.n_nu)) if nu_seq is None else np.asarray(nu_seq, dtype=float).reshape(N, self.n_nu)
-        X = np.empty((N + 1, self.n_x))
-        Z = np.empty((N + 1, self.n_z))
+        w = np.zeros(self.n)
+        X, U, Z, V = self.unpack(w)  # views into w
+        if u_seq is not None:
+            U[:] = np.reshape(u_seq, U.shape)
+        if nu_seq is not None:
+            V[:] = np.reshape(nu_seq, V.shape)
         X[0] = self.x0
         Z[0] = self.z0
-        for k in range(N):
-            X[k + 1] = self.step_state(X[k], U[k])
-            Z[k + 1] = self.step_timing(Z[k], V[k])
-        return self.pack(X, U, Z, V)
-
-    # ----- bounds -----------------------------------------------------------
-
-    def _clamp_events(self) -> list[str]:
-        """One message per pinned coordinate outside the configured box."""
-        zlo, zhi = self.config.z_bounds()
-        events = []
-        for name, value, lo, hi in (
-            ("state", self.x0, self.config.state_lower, self.config.state_upper),
-            ("path", self.z0, zlo, zhi),
-        ):
-            bad = (value < lo) | (value > hi)
-            for idx in np.flatnonzero(bad):
-                events.append(
-                    f"pinned {name}[{idx}]={value[idx]:.6g} outside box "
-                    f"[{lo[idx]:.6g}, {hi[idx]:.6g}]"
-                )
-        return events
+        delta = self.config.delta
+        for k in range(self.config.horizon):
+            X[k + 1] = rk4_step(X[k], U[k], delta, self.params)
+            Z[k + 1] = step_timing(Z[k], V[k], delta)
+        return w
 
     # ----- cost and equality constraints, in one pass -------------------------
 
@@ -704,3 +678,22 @@ def build_ocp(x0, z0, structure: OcpStructure) -> OcpProblem:
     """Assemble the horizon NLP on ``structure``, pinned at the measured
     state and progress."""
     return OcpProblem(x0, z0, structure)
+
+
+def warm_start_shift(previous: SolveResult, problem: OcpProblem) -> np.ndarray:
+    """Receding-horizon initial guess from the previous optimum.
+
+    States, inputs and timing quantities are shifted one stage left; the last
+    input (and virtual input) is duplicated and the final state/timing node is
+    re-propagated with it, so a model-consistent previous solution stays
+    feasible.  The shifted plan is returned as it is: the solver projects
+    a warm guess strictly inside the box.
+    """
+    X, U, Z, V = problem.unpack(previous.decision)
+    w = np.empty(problem.n)
+    X_new, U_new, Z_new, V_new = problem.unpack(w)  # views into w
+    X_new[:-1], X_new[-1] = X[1:], rk4_step(X[-1], U[-1], problem.config.delta, problem.params)
+    U_new[:-1], U_new[-1] = U[1:], U[-1]
+    Z_new[:-1], Z_new[-1] = Z[1:], step_timing(Z[-1], V[-1], problem.config.delta)
+    V_new[:-1], V_new[-1] = V[1:], V[-1]
+    return w

@@ -11,8 +11,8 @@ from quadpath.controller import PathController
 from quadpath.dynamics import ModelParams, rk4_step
 from quadpath.paths import make_path
 from quadpath.simulate import build_components, run_scenario, scenario_config
-from quadpath.solver import CONVERGED, MAX_ITERATIONS, warm_start_shift
-from quadpath.transcription import OcpConfig, build_ocp
+from quadpath.solver import CONVERGED, MAX_ITERATIONS
+from quadpath.transcription import OcpConfig, build_ocp, warm_start_shift
 
 PARAMS = ModelParams()
 
@@ -37,7 +37,7 @@ class TestControlStep:
         measured = state_on_path(controller.path, 0.0)
         inp, nu, diag = controller.control_step(measured)
         assert np.max(np.abs(inp)) < 1e-3
-        assert not diag.failure
+        assert diag.solve.status == CONVERGED
 
     def test_displacement_contracts_over_horizon(self):
         controller, cfg = spiral_controller()
@@ -77,21 +77,29 @@ class TestControlStep:
         measured = state_on_path(controller.path, -1.0)
         measured[2] = 2.0  # above the altitude box
         inp, nu, diag = controller.control_step(measured)
-        assert diag.clamp_events
+        assert controller.clamp_log
         assert np.all(np.isfinite(inp))
+
+    def test_out_of_box_pin_reports_clamping_event(self):
+        controller, _ = spiral_controller()
+        x0 = np.zeros(9)
+        x0[:3] = controller.path.point(-1.0)[:3]
+        x0[2] = 2.0  # above the 1.2 m ceiling
+        controller.control_step(x0)
+        assert any("state[2]" in e for e in controller.clamp_log)
 
 
 class TestAdvancePathState:
     def test_closed_form_update(self):
         controller, _ = spiral_controller()
         controller.path_state = np.array([-1.0, 0.04])
-        z = controller.advance_path_state(np.array([0.0]), 0.05)
+        z = controller.advance_path_state(np.array([0.0]))
         np.testing.assert_allclose(z, [-0.998, 0.04], atol=1e-15)
 
     def test_acceleration_update(self):
         controller, _ = spiral_controller()
         controller.path_state = np.array([-0.5, 0.02])
-        z = controller.advance_path_state(np.array([0.02]), 0.05)
+        z = controller.advance_path_state(np.array([0.02]))
         assert z[1] == pytest.approx(0.021, abs=1e-15)
         assert z[0] == pytest.approx(-0.5 + 0.02 * 0.05 + 0.5 * 0.02 * 0.0025, abs=1e-16)
 
@@ -99,27 +107,16 @@ class TestAdvancePathState:
         controller, _ = spiral_controller()
         controller.path_state = np.array([-0.001, 0.04])
         before = len(controller.clamp_log)
-        z = controller.advance_path_state(np.array([0.0]), 0.05)
+        z = controller.advance_path_state(np.array([0.0]))
         assert z[0] == 0.0
         assert len(controller.clamp_log) > before
-
-    def test_rejects_nonpositive_dt(self):
-        controller, _ = spiral_controller()
-        with pytest.raises(ValueError):
-            controller.advance_path_state(np.array([0.0]), 0.0)
-
-    @pytest.mark.parametrize("dt", [np.nan, np.inf])
-    def test_rejects_non_finite_dt(self, dt):
-        controller, _ = spiral_controller()
-        with pytest.raises(ValueError, match="finite"):
-            controller.advance_path_state(np.array([0.0]), dt)
 
     @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_virtual_input(self, nu):
         controller, _ = spiral_controller()
         before = controller.path_state.copy()
         with pytest.raises(ValueError, match="finite"):
-            controller.advance_path_state(np.array([nu]), 0.05)
+            controller.advance_path_state(np.array([nu]))
         np.testing.assert_array_equal(controller.path_state, before)
 
 
@@ -135,7 +132,7 @@ class TestClosedLoopProperties:
             vlo, vhi = cfg.nu_bounds()
             assert np.all(nu >= vlo - 1e-9) and np.all(nu <= vhi + 1e-9)
             x = rk4_step(x, inp, cfg.delta, PARAMS)
-            controller.advance_path_state(nu, cfg.delta)
+            controller.advance_path_state(nu)
             s_values.append(controller.path_state[0])
         diffs = np.diff(np.array(s_values))
         assert np.all(diffs >= 0.0)
@@ -158,7 +155,7 @@ class TestClosedLoopProperties:
         for _ in range(4):
             inp, nu, diag = controller.control_step(x)
             x = rk4_step(x, inp, cfg.delta, PARAMS)  # plant identical to the model
-            controller.advance_path_state(nu, cfg.delta)
+            controller.advance_path_state(nu)
         problem = build_ocp(x, controller.path_state, controller.structure)
         guess = warm_start_shift(controller.last_solution, problem)
         assert np.max(np.abs(problem.equality(guess))) < 1e-8
@@ -203,7 +200,7 @@ class TestStageBlockedPath:
             inp, nu, diag = controller.control_step(x)
             results.append(diag.solve)
             x = rk4_step(x, inp, cfg.delta, PARAMS)
-            controller.advance_path_state(nu, cfg.delta)
+            controller.advance_path_state(nu)
         return results
 
     def test_no_full_width_matrix_on_the_ocp_path(self, monkeypatch):
@@ -336,11 +333,11 @@ class TestFallbackChain:
         x = state_on_path(controller.path, -1.0)
         inp, nu, _ = controller.control_step(x)
         x = rk4_step(x, inp, cfg.delta, PARAMS)
-        controller.advance_path_state(nu, cfg.delta)
+        controller.advance_path_state(nu)
         attempts = cls.record(monkeypatch, failing)
         inp, nu, diag = controller.control_step(x)
         x = rk4_step(x, inp, cfg.delta, PARAMS)
-        controller.advance_path_state(nu, cfg.delta)
+        controller.advance_path_state(nu)
         return controller, x, attempts, (inp, nu, diag)
 
     def test_first_step_is_the_rollout_alone(self, monkeypatch):
@@ -349,23 +346,23 @@ class TestFallbackChain:
         _, _, diag = controller.control_step(state_on_path(controller.path, -1.0))
         assert [a[0] for a in attempts] == ["rollout"]
         assert attempts[0][1].box is controller.structure.box
-        assert diag.solve is attempts[0][4] and diag.failure
+        assert diag.solve is attempts[0][4] and diag.solve.status != CONVERGED
 
     def test_failure_only_when_every_attempt_fails(self, monkeypatch):
         # a later step runs one warm attempt, so its failure is that attempt's
         _, _, attempts, (_, _, diag) = self.second_step(monkeypatch, {"rollout"})
-        assert [a[0] for a in attempts] == ["warm"] and not diag.failure
+        assert [a[0] for a in attempts] == ["warm"] and diag.solve.status == CONVERGED
         monkeypatch.undo()
         controller, _, attempts, (_, _, diag) = self.second_step(monkeypatch, {"warm"})
         assert [a[0] for a in attempts] == ["warm"]
-        assert diag.solve is attempts[0][4] and diag.failure
+        assert diag.solve is attempts[0][4] and diag.solve.status != CONVERGED
         assert controller.last_solution is diag.solve
 
     def test_failed_warm_solve_applies_its_own_iterate(self, monkeypatch):
         _, _, attempts, (inp, nu, diag) = self.second_step(monkeypatch, {"warm"})
         (_, problem, _, _, result), = attempts
         _, U, _, V = problem.unpack(result.decision)
-        assert diag.failure
+        assert diag.solve.status != CONVERGED
         assert inp.tobytes() == U[0].tobytes() and nu.tobytes() == V[0].tobytes()
 
     def test_next_step_warm_starts_from_the_failed_result(self, monkeypatch):
@@ -378,7 +375,7 @@ class TestFallbackChain:
         _, problem, guess, multipliers, result = attempts[1]
         assert multipliers is failed.multipliers
         assert guess.tobytes() == warm_start_shift(failed, problem).tobytes()
-        assert diag.solve is result and not diag.failure
+        assert diag.solve is result and diag.solve.status == CONVERGED
 
 
 class TestVelocityKick:
@@ -409,7 +406,7 @@ class TestVelocityKick:
             assert np.all(inp >= ocp.input_lower) and np.all(inp <= ocp.input_upper)
             x = rk4_step(x, inp, cfg.delta, params, substeps=cfg.plant_substeps)
             assert np.all(np.isfinite(x))
-            controller.advance_path_state(nu, cfg.delta)
+            controller.advance_path_state(nu)
         failed = [k for k, attempts in enumerate(steps) if attempts[-1].status != CONVERGED]
         assert failed and min(failed) >= 100
         for attempts in steps[1:]:
@@ -459,7 +456,7 @@ class TestOnePassPerPoint:
             inp, nu, diag = controller.control_step(x)
             results.append(diag.solve)
             x = rk4_step(x, inp, cfg.delta, PARAMS)
-            controller.advance_path_state(nu, cfg.delta)
+            controller.advance_path_state(nu)
         assert len(results) == 3 and all(r.status == CONVERGED for r in results)
         assert sum(r.trials for r in results) > sum(r.iterations for r in results)
         assert len(path_calls) == len(stacks)
@@ -514,8 +511,8 @@ class TestCorridorMode:
             assert abs(nu_k[1]) < 1e-6
             x_c = rk4_step(x_c, inp_c, classic_cfg.delta, PARAMS)
             x_k = rk4_step(x_k, inp_k, corridor_cfg.delta, PARAMS)
-            classic.advance_path_state(nu_c, classic_cfg.delta)
-            corridor.advance_path_state(nu_k, corridor_cfg.delta)
+            classic.advance_path_state(nu_c)
+            corridor.advance_path_state(nu_k)
 
     def test_path_type_must_match_config(self):
         with pytest.raises(ValueError):

@@ -363,7 +363,23 @@ class TestCli:
                                    constraint_violation_max=1e-3)
         assert exit_code_for(both) == 3  # failure budget outranks violations
 
-    def test_run_and_compare_cycle(self, tmp_path):
+    @staticmethod
+    def write_compare_runs(tmp_path, metrics):
+        """A classic and a corridor sinusoid ``summary.json`` made from one
+        run's metrics; returns their two directories."""
+        import dataclasses
+        runs = {
+            "classic": dataclasses.replace(metrics, path_name="sinusoid", time_to_path_end=80.0,
+                                           max_abs_s2=None, terminal_abs_s2=None),
+            "corridor": dataclasses.replace(metrics, path_name="sinusoid", time_to_path_end=60.0,
+                                            max_abs_s2=0.8, terminal_abs_s2=0.01),
+        }
+        for name, run in runs.items():
+            (tmp_path / name).mkdir()
+            summarize_json(run, str(tmp_path / name / "summary.json"))
+        return str(tmp_path / "classic"), str(tmp_path / "corridor")
+
+    def test_run_and_compare_cycle(self, tmp_path, capsys):
         cfg_file = tmp_path / "tiny.cfg"
         cfg_file.write_text("scenario = hover\ntotal_time = 3.0\n")
         out_dir = tmp_path / "out"
@@ -372,6 +388,33 @@ class TestCli:
         assert (out_dir / "log.csv").exists()
         assert (out_dir / "summary.json").exists()
         assert (out_dir / "solver.log").exists()
+
+        classic, corridor = self.write_compare_runs(
+            tmp_path, metrics_from_summary(str(out_dir / "summary.json")))
+        capsys.readouterr()
+        assert cli_main(["compare", "--classic", classic, "--corridor", corridor]) == 0
+        assert json.loads(capsys.readouterr().out)["time_reduction_s"] == 20.0
+        assert cli_main(["compare", "--classic", corridor, "--corridor", classic]) == 1
+
+    def assert_one_line_refusal(self, code, capsys, text):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("quadpath: ") and text in err
+        assert "Traceback" not in err
+
+    def test_swapped_compare_is_one_line_not_traceback(self, hover_run, tmp_path, capsys):
+        _, _, metrics = hover_run
+        classic, corridor = self.write_compare_runs(tmp_path, metrics)
+        code = cli_main(["compare", "--classic", corridor, "--corridor", classic])
+        self.assert_one_line_refusal(code, capsys, "in that order")
+
+    def test_unknown_config_key_is_one_line_not_traceback(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("scenario = hover\nwingspan = 3.0\n")
+        code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        self.assert_one_line_refusal(code, capsys, "unknown key 'wingspan'")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scenario", ["hover", "spiral"])
     def test_run_rejects_scenario_with_config(self, tmp_path, capsys, scenario):

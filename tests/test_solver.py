@@ -17,14 +17,13 @@ from quadpath.solver import (
     DenseNlp,
     SolveResult,
     solve,
-    warm_start_shift,
 )
 from quadpath.solver import _newton_direction
 from quadpath import controller as controller_module
 from quadpath import solver as solver_module
 from quadpath import transcription
 from quadpath.simulate import run_scenario, scenario_config
-from quadpath.transcription import OcpConfig, OcpStructure, build_ocp
+from quadpath.transcription import OcpConfig, OcpStructure, build_ocp, warm_start_shift
 
 from oracles import _barrier_terms, frozen_mask, kkt_residual, project_interior
 
@@ -818,7 +817,9 @@ class TestWarmStartShift:
         U = np.zeros((N, 4))
         Z = np.tile([-0.5, cfg.s_dot_floor], (N + 1, 1))
         V = np.zeros((N, 1))
-        w = prob.pack(X, U, Z, V)
+        w = np.empty(prob.n)
+        for view, value in zip(prob.unpack(w), (X, U, Z, V)):
+            view[:] = value
         from quadpath.solver import SolveResult
         prev = SolveResult(w, CONVERGED, 0.0, 0, 0.0, np.zeros(prob.m_eq), 0)
         shifted = prob.unpack(warm_start_shift(prev, prob))

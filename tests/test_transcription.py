@@ -484,15 +484,6 @@ class TestBounds:
         assert np.all(np.isinf(prob.box.lower[x_slice(prob, 0)]))
         assert np.all(np.isinf(prob.box.upper[z_slice(prob, 0)]))
 
-    def test_out_of_box_pin_reports_clamping_event(self):
-        cfg = OcpConfig()
-        path = make_path("spiral")
-        x0 = np.zeros(9)
-        x0[:3] = path.point(-1.0)[:3]
-        x0[2] = 2.0  # above the 1.2 m ceiling
-        prob = build_ocp(x0, np.array([-1.0, 1e-5]), OcpStructure(path, cfg, PARAMS))
-        assert any("state[2]" in e for e in prob.clamp_events)
-
 
 class TestConfigValidation:
     def test_bad_horizon(self):
