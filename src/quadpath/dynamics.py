@@ -23,6 +23,14 @@ no 9x9 chain product through the stages is needed.  The stage arrays hold
 the state components on their first axis, so that every elementwise numpy
 call runs over contiguous batch rows: at these sizes a call costs its
 overhead, not its arithmetic, and the operations stay those of ``dynamics``.
+
+The step has two routes with the same floating-point operations, so the
+same bits.  The stack pass ``_rk4_stages`` integrates a whole stack at once
+and keeps the stage quantities the sensitivities need; the horizon
+problem's evaluation and ``rk4_step_with_jacobians`` call it.  The
+one-state kernel ``_rk4_one`` runs in Python floats, one row at a time, for
+``rk4_step``: the plant, the warm shift's last node, the rollout and
+``validate``.
 """
 
 from __future__ import annotations
@@ -233,16 +241,64 @@ def _rk4_stages(x, u, h: float, params: ModelParams, c, tau):
 
 def rk4_step(state, inp, dt: float, params: ModelParams, substeps: int = 1) -> np.ndarray:
     """Classical fourth-order Runge-Kutta step under zero-order-hold input,
-    split into ``substeps`` equal steps."""
+    split into ``substeps`` equal steps, one row of a stack at a time."""
     _check_dt(dt)
     if isinstance(substeps, bool) or not isinstance(substeps, Integral) or substeps < 1:
         raise ValueError("substeps must be a positive integer")
     x = np.asarray(state, dtype=float)
     u = np.asarray(inp, dtype=float)
-    h = dt / substeps
-    c, tau, _, _ = _step_constants(h, params)
+    batch = x.shape[:-1]
+    if u.shape[:-1] != batch:
+        batch = np.broadcast_shapes(batch, u.shape[:-1])
+        x, u = np.broadcast_to(x, batch + (N_STATES,)), np.broadcast_to(u, batch + (N_INPUTS,))
+    if x.shape[-1:] != (N_STATES,) or u.shape[-1:] != (N_INPUTS,):
+        raise ValueError(f"states need {N_STATES} components and inputs {N_INPUTS}")
+    h = float(dt / substeps)
+    rows = [_rk4_one(xi, ui, h, substeps, params)
+            for xi, ui in zip(x.reshape(-1, N_STATES).tolist(), u.reshape(-1, N_INPUTS).tolist())]
+    return np.array(rows, dtype=float).reshape(batch + (N_STATES,))
+
+
+def _rk4_one(x, u, h: float, substeps: int, params: ModelParams) -> list:
+    """``substeps`` RK4 steps of length ``h`` from one state ``x`` under one
+    input ``u``, lists of Python floats (IEEE doubles, never contracted), with
+    the operations of :func:`_rk4_stages` in their order; the stage attitudes'
+    trigonometry goes through ``np.cos`` and ``np.sin``, as in the stack pass."""
+    c, w = 0.5 * h, h / 6.0
+    m, g, t_r, t_p = params.mass, params.gravity, params.tau_roll, params.tau_pitch
+    d_thrust, r_cmd, p_cmd, yaw_rate = u
+    scale = (d_thrust + m * g) / m
+    # the yaw rate is every stage's yaw derivative
+    yaw_mid, yaw_end = c * yaw_rate, h * yaw_rate
+    yaw_sum = ((yaw_rate + 2.0 * yaw_rate) + 2.0 * yaw_rate) + yaw_rate
     for _ in range(substeps):
-        x = _rk4_stages(x, u, h, params, c, tau)[0]
+        px, py, pz, vx, vy, vz, ph, th, ps = x
+        # roll and pitch lag their commands, stage by stage
+        r0, q0 = (r_cmd - ph) / t_r, (p_cmd - th) / t_p
+        ph1, th1 = ph + c * r0, th + c * q0
+        r1, q1 = (r_cmd - ph1) / t_r, (p_cmd - th1) / t_p
+        ph2, th2 = ph + c * r1, th + c * q1
+        r2, q2 = (r_cmd - ph2) / t_r, (p_cmd - th2) / t_p
+        ph3, th3 = ph + h * r2, th + h * q2
+        r3, q3 = (r_cmd - ph3) / t_r, (p_cmd - th3) / t_p
+        ps1 = ps + yaw_mid
+        att = np.array([ph, ph1, ph2, ph3, th, th1, th2, th3, ps, ps1, ps1, ps + yaw_end])
+        cos, sin = np.cos(att).tolist(), np.sin(att).tolist()
+        # stage accelerations: thrust along the body axis, then gravity
+        ax, ay, az = [], [], []
+        for i in range(4):
+            cph, sph, cth, sth, cps, sps = cos[i], sin[i], cos[4 + i], sin[4 + i], cos[8 + i], sin[8 + i]
+            ax.append(scale * (sph * sps + cph * cps * sth))
+            ay.append(scale * (cph * sps * sth - cps * sph))
+            az.append(scale * (cph * cth) - g)
+        x = []
+        for p, v, (a0, a1, a2, _) in ((px, vx, ax), (py, vy, ay), (pz, vz, az)):
+            x.append(p + w * (((v + 2.0 * (v + c * a0)) + 2.0 * (v + c * a1)) + (v + h * a2)))
+        for v, (a0, a1, a2, a3) in ((vx, ax), (vy, ay), (vz, az)):
+            x.append(v + w * (((a0 + 2.0 * a1) + 2.0 * a2) + a3))
+        x += [ph + w * (((r0 + 2.0 * r1) + 2.0 * r2) + r3),
+              th + w * (((q0 + 2.0 * q1) + 2.0 * q2) + q3),
+              ps + w * yaw_sum]
     return x
 
 

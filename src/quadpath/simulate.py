@@ -31,6 +31,7 @@ PATH_END_THRESHOLD = -1e-3   # progress value treated as "path end reached"
 SETTLE_ERROR = 0.02          # output-error norm required while settling
 SETTLE_TIME = 1.0            # seconds the settle condition must hold
 SETTLE_S2 = 0.08             # corridor runs also need the offset unwound
+STALL_RATE = 1e-3            # progress rate under which a step counts as stalled
 
 
 @dataclass
@@ -231,6 +232,7 @@ class RunMetrics:
     steps: int
     max_abs_s2: Optional[float] = None
     terminal_abs_s2: Optional[float] = None
+    longest_stall_s: Optional[float] = None
 
 
 def sense(plant_state, position_history, cfg: ScenarioConfig, rng=None):
@@ -344,6 +346,11 @@ def compute_metrics(log: SimLog, ocp: OcpConfig) -> RunMetrics:
     reached = np.flatnonzero(zs[:, 0] >= PATH_END_THRESHOLD)
     if reached.size:
         t_end = float(log.records[reached[0]].t)
+    # the longest run of consecutive steps under the stall rate, before the path end
+    longest = run = 0
+    for slow in zs[:reached[0] if reached.size else len(zs), 2 if cfg.corridor else 1] < STALL_RATE:
+        run = run + 1 if slow else 0
+        longest = max(longest, run)
 
     zlo, zhi = ocp.z_bounds()
     vlo, vhi = ocp.nu_bounds()
@@ -387,6 +394,7 @@ def compute_metrics(log: SimLog, ocp: OcpConfig) -> RunMetrics:
         steps=len(log.records),
         max_abs_s2=max_s2,
         terminal_abs_s2=terminal_s2,
+        longest_stall_s=longest * cfg.delta,
     )
 
 
@@ -466,6 +474,7 @@ _SUMMARY_KEYS = (
     ("steps", "steps"),
     ("max_abs_s2", "max_abs_s2"),
     ("terminal_abs_s2", "terminal_abs_s2"),
+    ("longest_stall_s", "longest_stall_s"),
 )
 
 
@@ -486,4 +495,6 @@ def metrics_from_summary(path: str) -> RunMetrics:
     """Rebuild RunMetrics from an exported summary (for the compare CLI)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return RunMetrics(**{name: doc[key] for name, key in _SUMMARY_KEYS})
+    # summaries written before the stall key was appended lack it
+    return RunMetrics(**{name: doc[key] for name, key in _SUMMARY_KEYS[:-1]},
+                      longest_stall_s=doc.get("longest_stall_s"))

@@ -206,6 +206,18 @@ class TestRk4:
         with pytest.raises(ValueError):
             rk4_step(np.zeros(9), np.zeros(4), 0.05, PARAMS, substeps=substeps)
 
+    @pytest.mark.parametrize("x_shape, u_shape", [((9,), (8,)), ((18,), (4,)), ((), (4,)), ((2, 9), (2, 5))])
+    def test_rejects_wrong_component_counts(self, x_shape, u_shape):
+        with pytest.raises(ValueError, match="components"):
+            rk4_step(np.zeros(x_shape), np.zeros(u_shape), 0.05, PARAMS)
+
+    def test_broadcasts_one_input_over_a_stack(self):
+        x = np.random.default_rng(12).uniform(-0.5, 0.5, (3, 9))
+        u = np.array([0.01, 0.1, -0.1, 0.2])
+        got = rk4_step(x, u, 0.05, PARAMS)
+        assert got.shape == (3, 9)
+        assert got.tobytes() == rk4_step(x, np.broadcast_to(u, (3, 4)), 0.05, PARAMS).tobytes()
+
     def test_accepts_numpy_integer_substeps(self):
         x = np.full(9, 0.1)
         u = np.full(4, 0.05)
@@ -229,7 +241,7 @@ class TestRk4:
             x = rng.uniform(-0.5, 0.5, batch + (9,))
             u = rng.uniform(-0.3, 0.3, batch + (4,))
             x_next = rk4_step_with_jacobians(x, u, 0.05, PARAMS)[0]
-            assert np.array_equal(x_next, rk4_step(x, u, 0.05, PARAMS))
+            assert x_next.tobytes() == rk4_step(x, u, 0.05, PARAMS).tobytes()
 
     def test_step_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -289,18 +301,41 @@ class TestRk4Oracles:
                     assert got.shape == ref.shape
                     err = np.linalg.norm((got - ref).ravel())
                     assert err <= 1e-13 * np.linalg.norm(ref.ravel())
-                assert np.array_equal(x_next, rk4_step(x, u, 0.05, params))
+                assert x_next.tobytes() == rk4_step(x, u, 0.05, params).tobytes()
 
     @pytest.mark.parametrize("params", [PARAMS, OFFSET], ids=["default", "offset"])
-    @pytest.mark.parametrize("substeps", [1, 5])
+    @pytest.mark.parametrize("substeps", [1, 2, 3, 5, 8])
     def test_step_equals_dynamics_loop_bitwise(self, params, substeps):
         rng = np.random.default_rng(9)
-        for batch in self.BATCHES:
-            for _ in range(10):
-                x, u = self.sample(rng, batch)
-                got = rk4_step(x, u, 0.05, params, substeps=substeps)
-                ref = rk4_step_loop(x, u, 0.05, params, substeps=substeps)
-                assert got.tobytes() == ref.tobytes()
+        for dt in (0.05, 0.02):
+            for batch in self.BATCHES:
+                for _ in range(10):
+                    x, u = self.sample(rng, batch)
+                    got = rk4_step(x, u, dt, params, substeps=substeps)
+                    ref = rk4_step_loop(x, u, dt, params, substeps=substeps)
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["position", "velocity", "roll", "yaw", "thrust", "yaw rate"])
+    def test_non_finite_state_or_input_matches_loop(self, bad, where):
+        # the float route raises no ZeroDivisionError or OverflowError and
+        # marks the same entries non-finite as the stage-by-stage loop
+        x, u = self.sample(np.random.default_rng(11), (3,))
+        index = {"position": 0, "velocity": 4, "roll": 6, "yaw": 8, "thrust": 0, "yaw rate": 3}[where]
+        (u if where in ("thrust", "yaw rate") else x)[1, index] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            for substeps in (1, 5):
+                got = rk4_step(x, u, 0.05, PARAMS, substeps=substeps)
+                ref = rk4_step_loop(x, u, 0.05, PARAMS, substeps=substeps)
+                assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+                assert not np.all(np.isfinite(got[1])) and np.all(np.isfinite(got[[0, 2]]))
+
+    def test_overflowing_state_matches_loop(self):
+        x, u = np.full(9, 1e300), np.full(4, 1e300)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = rk4_step(x, u, 0.05, PARAMS, substeps=5)
+            ref = rk4_step_loop(x, u, 0.05, PARAMS, substeps=5)
+        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
 
     def test_params_change_jacobians_at_same_dt(self):
         rng = np.random.default_rng(10)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -9,11 +10,14 @@ import pytest
 from quadpath import simulate
 from quadpath.cli import FAILURE_BUDGET, VIOLATION_LIMIT
 from quadpath.cli import main as cli_main
-from quadpath.dynamics import ModelParams, rk4_step
+from quadpath.dynamics import ModelParams
 from quadpath.simulate import (
     CSV_HEADER,
     RunMetrics,
     ScenarioConfig,
+    SimLog,
+    StepRecord,
+    build_components,
     compare_corridor,
     compute_metrics,
     export_csv,
@@ -24,6 +28,8 @@ from quadpath.simulate import (
     sense,
     summarize_json,
 )
+
+from oracles import rk4_step_loop
 
 
 class TestSense:
@@ -117,8 +123,9 @@ class TestOffNominalSample:
 
 
 class TestPlant:
-    """The plant's offset-mass parameters are built once per flight, and its
-    states are those of parameters built afresh at every step."""
+    """The plant's offset-mass parameters are built once per flight, its
+    states are those of parameters built afresh at every step, integrated
+    stage by stage, and a non-finite state stops the flight."""
 
     def test_params_built_once_per_flight(self, monkeypatch):
         built = []
@@ -141,8 +148,22 @@ class TestPlant:
             plant = ModelParams(m * (1.0 + cfg.mass_error), g, cfg.tau_roll, cfg.tau_pitch)
             u = np.array(before.inp)
             u[0] = cfg.thrust_scale * (u[0] + m * g) - plant.mass * plant.gravity
-            step = rk4_step(before.state, u, cfg.delta, plant, substeps=cfg.plant_substeps)
+            step = rk4_step_loop(before.state, u, cfg.delta, plant, substeps=cfg.plant_substeps)
             assert step.tobytes() == after.state.tobytes()
+
+    def test_non_finite_state_names_the_step(self, monkeypatch):
+        real, steps = simulate.PathController.control_step, []
+
+        def nan_thrust_at_fourth_step(controller, measured):
+            inp, nu, diag = real(controller, measured)
+            steps.append(len(steps))
+            if len(steps) == 4:
+                inp[0] = np.nan
+            return inp, nu, diag
+        monkeypatch.setattr(simulate.PathController, "control_step", nan_thrust_at_fourth_step)
+        with pytest.raises(RuntimeError, match=r"^plant state became non-finite at t=0\.150s$"):
+            run_scenario(scenario_config("hover", total_time=1.0))
+        assert len(steps) == 4
 
 
 class TestExportCsv:
@@ -216,6 +237,53 @@ class TestSummarizeJson:
         out = tmp_path / "summary.json"
         summarize_json(metrics, str(out))
         assert metrics_from_summary(str(out)) == metrics
+
+    def test_stall_key_last_and_optional_on_read(self, hover_run, tmp_path):
+        cfg, log, metrics = hover_run
+        out = tmp_path / "summary.json"
+        summarize_json(metrics, str(out))
+        doc = json.loads(out.read_text())
+        assert list(doc)[-1] == "longest_stall_s"
+        # a summary written before the key was appended still reads
+        del doc["longest_stall_s"]
+        out.write_text(json.dumps(doc))
+        assert metrics_from_summary(str(out)) == dataclasses.replace(metrics, longest_stall_s=None)
+
+
+class TestLongestStall:
+    """``longest_stall_s`` is the longest run of steps with a progress rate
+    under 1e-3 before the path end, in seconds."""
+
+    @staticmethod
+    def flight(scenario, rates, progress):
+        cfg = scenario_config(scenario, total_time=10.0)
+        log = SimLog(cfg)
+        for k, (rate, s) in enumerate(zip(rates, progress)):
+            z = np.array([s, 0.1, rate, 0.0]) if cfg.corridor else np.array([s, rate])
+            log.records.append(StepRecord(
+                t=k * cfg.delta, state=np.zeros(9), inp=np.zeros(4), nu=np.zeros(2),
+                path_state=z, reference=np.zeros(4), error=np.zeros(4),
+                solve_iterations=1, solve_time_ms=1.0, status="converged"))
+        return cfg, compute_metrics(log, build_components(cfg)[1])
+
+    @pytest.mark.parametrize("scenario", ["spiral", "sinusoid-corridor"])
+    def test_longest_run_before_the_path_end(self, scenario):
+        # runs of 2 and 3 slow steps, a step at exactly the threshold, then
+        # the path end (s >= -1e-3) and a longer stall after it
+        rates = [5e-4, 5e-4, 0.02, 1e-4, 0.0, 9e-4, 1e-3, 5e-4, 0.0, 0.0, 0.0, 0.0, 0.0]
+        progress = [-1.0, -0.9, -0.8, -0.7, -0.6, -0.5, -0.4, -0.3, -1e-3, -5e-4, 0.0, 0.0, 0.0]
+        cfg, metrics = self.flight(scenario, rates, progress)
+        assert metrics.longest_stall_s == 3 * cfg.delta
+        assert metrics.time_to_path_end == 8 * cfg.delta
+
+    def test_whole_flight_when_the_end_is_not_reached(self):
+        cfg, metrics = self.flight("spiral", [1e-5] * 6, np.linspace(-1.0, -0.5, 6))
+        assert metrics.longest_stall_s == 6 * cfg.delta
+        assert metrics.time_to_path_end is None
+
+    def test_no_stall_reads_zero(self):
+        _, metrics = self.flight("spiral", [0.02] * 5, np.linspace(-1.0, -0.5, 5))
+        assert metrics.longest_stall_s == 0.0
 
 
 class TestScenarioConfig:
@@ -462,7 +530,6 @@ class TestCli:
 
 def test_metrics_require_records():
     cfg = scenario_config("hover", total_time=3.0)
-    from quadpath.simulate import SimLog, build_components
     _, ocp, _ = build_components(cfg)
     with pytest.raises(ValueError):
         compute_metrics(SimLog(cfg), ocp)
