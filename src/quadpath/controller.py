@@ -75,10 +75,10 @@ class PathController:
         if self.last_solution is None:
             result = solve(problem, problem.rollout(), log=self.solver_log)
         else:
-            guess = warm_start_shift(self.last_solution, problem)
+            guess = warm_start_shift(self.last_solution, self.structure)
             result = solve(problem, guess, multipliers=self.last_solution.multipliers, log=self.solver_log)
 
-        _, U, _, V = problem.unpack(result.decision)
+        _, U, _, V = self.structure.unpack(result.decision)
         self.last_solution = result
         return U[0].copy(), V[0].copy(), ControlDiagnostics(solve=result)
 

@@ -160,8 +160,7 @@ def dynamics(state, inp, params: ModelParams) -> np.ndarray:
     axis, rows 6-8 are the first-order attitude responses.  Position never
     feeds back; attitude rows depend on attitude and commands only.
     """
-    x = np.asarray(state, dtype=float)
-    u = np.asarray(inp, dtype=float)
+    x, u = _state_and_input(state, inp)
     att = np.moveaxis(x[..., ATT], -1, 0)
     axis = np.moveaxis(_thrust_axis(_attitude_trig(att), np.empty(att.shape)), 0, -1)
     thrust = u[..., 0] + params.mass * params.gravity
@@ -186,6 +185,14 @@ def output_map(state) -> np.ndarray:
 def _check_dt(dt) -> None:
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
+
+
+def _state_and_input(state, inp):
+    """Float arrays of a state and an input, refused without 9 and 4 components."""
+    x, u = np.asarray(state, dtype=float), np.asarray(inp, dtype=float)
+    if x.shape[-1:] != (N_STATES,) or u.shape[-1:] != (N_INPUTS,):
+        raise ValueError(f"states need {N_STATES} components and inputs {N_INPUTS}")
+    return x, u
 
 
 def _rk4_stages(x, u, h: float, params: ModelParams, c, tau):
@@ -245,14 +252,11 @@ def rk4_step(state, inp, dt: float, params: ModelParams, substeps: int = 1) -> n
     _check_dt(dt)
     if isinstance(substeps, bool) or not isinstance(substeps, Integral) or substeps < 1:
         raise ValueError("substeps must be a positive integer")
-    x = np.asarray(state, dtype=float)
-    u = np.asarray(inp, dtype=float)
+    x, u = _state_and_input(state, inp)
     batch = x.shape[:-1]
     if u.shape[:-1] != batch:
         batch = np.broadcast_shapes(batch, u.shape[:-1])
         x, u = np.broadcast_to(x, batch + (N_STATES,)), np.broadcast_to(u, batch + (N_INPUTS,))
-    if x.shape[-1:] != (N_STATES,) or u.shape[-1:] != (N_INPUTS,):
-        raise ValueError(f"states need {N_STATES} components and inputs {N_INPUTS}")
     h = float(dt / substeps)
     rows = [_rk4_one(xi, ui, h, substeps, params)
             for xi, ui in zip(x.reshape(-1, N_STATES).tolist(), u.reshape(-1, N_INPUTS).tolist())]
@@ -354,8 +358,7 @@ def rk4_step_with_jacobians(state, inp, dt: float, params: ModelParams):
     composition of :func:`_rk4_stages` and :func:`_rk4_sensitivities`.
     """
     _check_dt(dt)
-    x = np.asarray(state, dtype=float)
-    u = np.asarray(inp, dtype=float)
+    x, u = _state_and_input(state, inp)
     c, tau, weights, sens0 = _step_constants(float(dt), params)
     x_next, trig, axis, scale = _rk4_stages(x, u, dt, params, c, tau)
     return (x_next, *_rk4_sensitivities(trig, axis, scale, weights, sens0))

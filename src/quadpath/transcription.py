@@ -23,7 +23,7 @@ involves only ``s_k`` and ``q_k``.  ``OcpProblem.evaluate`` takes one
 point or a stack of them, gathers their stage vectors with index arrays,
 makes one path evaluation and one RK4 stage pass for all of them and
 writes the stacked residuals ``r`` and gaps ``c`` block by block;
-``OcpProblem.row_blocks`` builds the :class:`StageBlocks` of one point
+``OcpStructure.row_blocks`` builds the :class:`StageBlocks` of one point
 from the path derivatives and stage quantities that pass kept: the path
 residual rows over each ``s_k`` and the transitions built from the RK4
 sensitivities and the constant timing blocks.  The products the solver
@@ -38,12 +38,14 @@ box holds (freezes) goes through both sweeps like any other, with its hold
 ``ds_k = 0`` as one more equality: the hold rows border the condensed
 Hessian, and their multipliers are extra columns of the backward sweep, so
 held and free states take one path.  Everything that does not depend on the
-pins lives in a read-only :class:`OcpStructure` that a controller builds
-once: the path, the configuration and the model it was built from, and
-the layout, index arrays, constant blocks, the box, the states it holds
-and the columns of their holds.  A problem is its two pins on a
-structure, and :func:`warm_start_shift` moves one problem's solution
-onto the next problem's layout.  The structure rejects a box whose held
+pins has one owner, the read-only :class:`OcpStructure` a controller builds
+once: the path, configuration and model, the layout, index arrays, constant
+blocks, the box and its held states, and every operation that reads no pin
+(``unpack``, ``row_blocks``, ``jt_dot``, ``at_dot``, ``kkt_step`` and, for
+checks, ``dense_jacobians``).  A problem (:class:`OcpProblem`) is its two
+pins on a structure: it defines only what reads them, ``evaluate`` and
+``rollout``.  :func:`warm_start_shift` moves a solution onto the
+structure's layout, pin-free too.  The structure rejects a box whose held
 states the free inputs of a stage cannot move independently (the held rows
 of the input sensitivity at hover have numerical rank below their count):
 their gap rows would repeat the pins, and every Newton step would be
@@ -91,8 +93,8 @@ def _as_weight_matrix(diag, size: int, name: str) -> np.ndarray:
     diag = np.asarray(diag, dtype=float)
     if diag.shape != (size,):
         raise ValueError(f"{name} diagonal must have length {size}")
-    if not np.all(diag > 0.0):
-        raise ValueError(f"{name} must be positive definite")
+    if not np.all((diag > 0.0) & (diag < INF)):
+        raise ValueError(f"{name} must be positive definite and finite")
     return np.diag(diag)
 
 
@@ -135,8 +137,8 @@ class OcpConfig:
             raise ValueError("horizon must be at least 1")
         if not (np.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError("delta must be positive and finite")
-        if self.terminal_weight < 0.0 or self.terminal_weight_s2 < 0.0:
-            raise ValueError("terminal weights must be nonnegative")
+        if not (0.0 <= self.terminal_weight < INF and 0.0 <= self.terminal_weight_s2 < INF):
+            raise ValueError("terminal weights must be nonnegative and finite")
         if not (0.0 < self.s_dot_floor < self.s_dot_max):
             raise ValueError("need 0 < s_dot_floor < s_dot_max")
         nq, nr = (9, 6) if self.corridor else (8, 5)
@@ -158,8 +160,8 @@ class OcpConfig:
             (self.state_lower, self.state_upper, "state"),
             (self.input_lower, self.input_upper, "input"),
         ):
-            if np.any(lo > hi):
-                raise ValueError(f"{what} bounds are inverted")
+            if not np.all(lo <= hi):
+                raise ValueError(f"{what} bounds are NaN or inverted")
         # a negative half-width is an inverted box, which the solver would
         # otherwise take for a frozen variable
         for name in ("nu_bound", "nu2_bound", "s2_dot_bound"):
@@ -220,7 +222,10 @@ class OcpStructure:
 
     It holds the path, the configuration and the model parameters, and
     what they fix: the layout and index arrays, the constant Jacobian
-    blocks, the box and the held (frozen) states.  A controller builds one
+    blocks, the box and the held (frozen) states.  It owns every operation
+    that reads no pin: :meth:`unpack`, the stage blocks of an evaluation
+    (:meth:`row_blocks`), the Jacobian products, the condensed Newton step
+    and, for checks, :meth:`dense_jacobians`.  A controller builds one
     structure and shares it between the problems of its control steps; all
     of its arrays are read-only.
 
@@ -366,37 +371,6 @@ class OcpStructure:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-
-class OcpProblem:
-    """NLP view of one horizon: residuals, equalities, box bounds and the
-    structured Newton step.
-
-    Instances are built per control step (the initial conditions are baked
-    in) and treated as immutable; everything else, the path, configuration
-    and model included, comes from the shared :class:`OcpStructure`.  The
-    box frees the pinned stage-0 coordinates: the equality pin wins over
-    the box.
-    """
-
-    def __init__(self, x0, z0, structure: OcpStructure):
-        self.structure = structure
-        config = self.config = structure.config
-        self.params = structure.params
-        self.path = structure.path
-        for name in ("n_x", "n_u", "n_z", "n_nu", "n", "m_eq", "n_res_q", "n_res_r", "m_res"):
-            setattr(self, name, getattr(structure, name))
-        self.box = structure.box
-        self.x0 = np.asarray(x0, dtype=float).copy()
-        self.z0 = np.asarray(z0, dtype=float).copy()
-        if self.x0.shape != (N_STATES,):
-            raise ValueError("x0 must be a 9-vector")
-        if self.z0.shape != (config.n_z,):
-            raise ValueError(f"z0 must have length {config.n_z}")
-        if not np.all(np.isfinite(self.x0)) or not np.all(np.isfinite(self.z0)):
-            raise ValueError("initial conditions must be finite")
-
-    # ----- layout ------------------------------------------------------------
-
     def unpack(self, w):
         """Views ``(X, U, Z, V)`` of a decision vector, or of a stack of
         them over leading axes."""
@@ -404,36 +378,11 @@ class OcpProblem:
         if w.shape[-1:] != (self.n,):
             raise ValueError(f"decision vector must have length {self.n}")
         batch, N = w.shape[:-1], self.config.horizon
-        st = self.structure
-        X = w[..., :st.ou].reshape(batch + (N + 1, self.n_x))
-        U = w[..., st.ou:st.oz].reshape(batch + (N, self.n_u))
-        Z = w[..., st.oz:st.ov].reshape(batch + (N + 1, self.n_z))
-        V = w[..., st.ov:].reshape(batch + (N, self.n_nu))
+        X = w[..., :self.ou].reshape(batch + (N + 1, self.n_x))
+        U = w[..., self.ou:self.oz].reshape(batch + (N, self.n_u))
+        Z = w[..., self.oz:self.ov].reshape(batch + (N + 1, self.n_z))
+        V = w[..., self.ov:].reshape(batch + (N, self.n_nu))
         return X, U, Z, V
-
-    # ----- initial guesses ----------------------------------------------------
-
-    def rollout(self, u_seq=None, nu_seq=None) -> np.ndarray:
-        """Single-shooting rollout from the pinned initial conditions.
-
-        By construction the result satisfies every shooting gap exactly;
-        useful as a cold-start guess and as the feasibility oracle in tests.
-        """
-        w = np.zeros(self.n)
-        X, U, Z, V = self.unpack(w)  # views into w
-        if u_seq is not None:
-            U[:] = np.reshape(u_seq, U.shape)
-        if nu_seq is not None:
-            V[:] = np.reshape(nu_seq, V.shape)
-        X[0] = self.x0
-        Z[0] = self.z0
-        delta = self.config.delta
-        for k in range(self.config.horizon):
-            X[k + 1] = rk4_step(X[k], U[k], delta, self.params)
-            Z[k + 1] = step_timing(Z[k], V[k], delta)
-        return w
-
-    # ----- cost and equality constraints, in one pass -------------------------
 
     def _path_values(self, Z):
         """Path points and derivatives at the stage progress values.
@@ -448,52 +397,11 @@ class OcpProblem:
             return self.path.point_and_derivative(s1, Z[..., 1].clip(*self.config.s2_bounds))
         return self.path.point_and_derivative(s1)
 
-    def evaluate(self, W):
-        """``(R, C, kept)`` at ``W``, one point (shape ``(n,)``) or a stack
-        of them (shape ``(k, n)``): the residuals and the equality values,
-        stacked like ``W``, with one path evaluation and one RK4 stage pass
-        for the whole stack, and the path derivatives and RK4 stage
-        quantities ``kept`` from which :meth:`row_blocks` builds the blocks
-        of one row.  ``R`` and ``C`` are written block by block, and each
-        row is bitwise what the same routine gives for that row alone."""
-        W = np.asarray(W, dtype=float)
-        X, U, Z, V = self.unpack(W)
-        batch, N = W.shape[:-1], self.config.horizon
-        st = self.structure
-        nx, nz, nq, nr = self.n_x, self.n_z, self.n_res_q, self.n_res_r
-        p, dp = self._path_values(Z[..., :N, :])
-
-        # residual: path stages, inputs, terminal cost; the stage vector is
-        # [output - path point (yaw wrapped), velocity, progress (, offset)]
-        q = W.take(st.q_idx, axis=-1)
-        q[..., 0:4] -= p
-        q[..., 3] = wrap_angle(q[..., 3])
-        R = np.empty(batch + (self.m_res,))
-        np.matmul(q, st.lq.T, out=R[..., :N * nq].reshape(batch + (N, nq)))
-        np.matmul(W.take(st.input_idx, axis=-1), st.lr.T,
-                  out=R[..., N * nq:N * (nq + nr)].reshape(batch + (N, nr)))
-        term = st.jt[:, nx:].diagonal()  # the square roots of the terminal weights
-        np.multiply(term, Z[..., N, :term.size], out=R[..., N * (nq + nr):])
-
-        # gaps: one integration of every row; its stage quantities give the
-        # sensitivities of a row on demand
-        c_stage, tau = st.rk4_constants[:2]
-        fx, trig, axis, scale = _rk4_stages(X[..., :N, :], U, self.config.delta, self.params, c_stage, tau)
-        gz = Z[..., :N, :] @ st.ad.T + V @ st.bd.T
-        C = np.empty(batch + (self.m_eq,))
-        ns, gap_z = nx + nz, nx + nz + N * nx
-        np.subtract(X[..., 0, :], self.x0, out=C[..., :nx])
-        np.subtract(Z[..., 0, :], self.z0, out=C[..., nx:ns])
-        np.subtract(X[..., 1:, :], fx, out=C[..., ns:gap_z].reshape(batch + (N, nx)))
-        np.subtract(Z[..., 1:, :], gz, out=C[..., gap_z:].reshape(batch + (N, nz)))
-        return R, C, (dp, trig, axis, scale)
-
     def row_blocks(self, kept, i) -> StageBlocks:
-        """The :class:`StageBlocks` of point ``i`` of an :meth:`evaluate`
-        call, from the path derivatives and RK4 stage quantities it
+        """The :class:`StageBlocks` of point ``i`` of an
+        :meth:`OcpProblem.evaluate` call, from the path derivatives and RK4 stage quantities it
         ``kept``: row ``i`` of a stack, or ``...`` for one point.  No point
         is integrated twice."""
-        st = self.structure
         nx = self.n_x
         dp, trig, axis, scale = kept
         if i is not Ellipsis:
@@ -501,55 +409,29 @@ class OcpProblem:
             # they are: views of them through ... cost 1% of a spiral solve
             dp, trig, axis, scale = dp[i], [t[:, i] for t in trig], axis[:, :, i], scale[i]
         # the path residual rows over s_k depend on w in the progress column
-        dz = st.dz.copy()
+        dz = self.dz.copy()
         np.negative(dp, out=dz[:, 0:4])
-        js = st.js.copy()
-        js[:, :, nx] = dz @ st.lq.T
-        ax, bu = _rk4_sensitivities(trig, axis, scale, *st.rk4_constants[2:])
-        f = st.f.copy()
+        js = self.js.copy()
+        js[:, :, nx] = dz @ self.lq.T
+        ax, bu = _rk4_sensitivities(trig, axis, scale, *self.rk4_constants[2:])
+        f = self.f.copy()
         f[:, :nx, :nx] = ax
-        g = st.g.copy()
+        g = self.g.copy()
         g[:, :nx, :self.n_u] = bu
         return StageBlocks(js, f, g)
-
-    # views of one point's evaluation and blocks, for checks; no solve calls
-    # them
-
-    def linearize(self, w):
-        """``(r, c, blocks)`` at ``w``: :meth:`evaluate` on the one point
-        ``w``, and :meth:`row_blocks` of what it kept."""
-        r, c, kept = self.evaluate(w)
-        return r, c, self.row_blocks(kept, ...)
-
-    def residual(self, w) -> np.ndarray:
-        return self.linearize(w)[0]
-
-    def residual_jacobian(self, w) -> np.ndarray:
-        """The path residual rows over ``s_k``, shape ``(N, n_res_q, n_x +
-        n_z)``: the blocks of the residual Jacobian that depend on ``w``, in
-        their progress column only."""
-        return self.linearize(w)[2].js
-
-    def equality(self, w) -> np.ndarray:
-        return self.linearize(w)[1]
-
-    def equality_jacobian(self, w) -> np.ndarray:
-        """Dense equality Jacobian at ``w``."""
-        return self.dense_jacobians(self.linearize(w)[2])[1]
 
     def dense_jacobians(self, blocks: StageBlocks):
         """The residual and equality Jacobians ``(J, A)`` as dense matrices
         assembled from the blocks (for checks; no solve forms them)."""
         N = self.config.horizon
-        st = self.structure
-        si, qi = st.state_idx, st.input_idx
+        si, qi = self.state_idx, self.input_idx
         nq, nr = self.n_res_q, self.n_res_r
         J = np.zeros((self.m_res, self.n))
         J[np.arange(N * nq).reshape(N, nq, 1), si[:N, None, :]] = blocks.js
-        J[N * nq + np.arange(N * nr).reshape(N, nr, 1), qi[:, None, :]] = st.lr
-        J[N * (nq + nr):, si[N]] = st.jt
+        J[N * nq + np.arange(N * nr).reshape(N, nr, 1), qi[:, None, :]] = self.lr
+        J[N * (nq + nr):, si[N]] = self.jt
         # row block k holds the pins (k = 0) or the gap into s_k
-        rows = st.row_idx[:, :, None]
+        rows = self.row_idx[:, :, None]
         A = np.zeros((self.m_eq, self.n))
         A[rows, si[:, None, :]] = np.eye(si.shape[1])
         A[rows[1:], si[:N, None, :]] = -blocks.f
@@ -561,25 +443,23 @@ class OcpProblem:
     def jt_dot(self, blocks: StageBlocks, v) -> np.ndarray:
         """``J^T v`` for a residual-space vector ``v``."""
         N = self.config.horizon
-        st = self.structure
         nq, nr = self.n_res_q, self.n_res_r
-        gs = np.empty(st.state_idx.shape)
+        gs = np.empty(self.state_idx.shape)
         gs[:N] = (v[:N * nq].reshape(N, 1, nq) @ blocks.js)[:, 0]
-        gs[N] = v[N * (nq + nr):] @ st.jt
+        gs[N] = v[N * (nq + nr):] @ self.jt
         out = np.empty(self.n)
-        out[st.state_idx] = gs
-        out[st.input_idx] = v[N * nq:N * (nq + nr)].reshape(N, nr) @ st.lr
+        out[self.state_idx] = gs
+        out[self.input_idx] = v[N * nq:N * (nq + nr)].reshape(N, nr) @ self.lr
         return out
 
     def at_dot(self, blocks: StageBlocks, v) -> np.ndarray:
         """``A^T v`` for an equality-space vector ``v``: row block k + 1
         reads ``s_{k+1} - f_k s_k - g_k q_k``."""
-        st = self.structure
-        vs = v[st.row_idx]
+        vs = v[self.row_idx]
         out = np.empty(self.n)
-        out[st.input_idx] = -(vs[1:, None, :] @ blocks.g)[:, 0]
+        out[self.input_idx] = -(vs[1:, None, :] @ blocks.g)[:, 0]
         vs[:-1] -= (vs[1:, None, :] @ blocks.f)[:, 0]
-        out[st.state_idx] = vs
+        out[self.state_idx] = vs
         return out
 
     # ----- Newton step by condensing ------------------------------------------
@@ -621,39 +501,38 @@ class OcpProblem:
         Raises ``LinAlgError`` when the condensed system is singular.
         """
         N = self.config.horizon
-        st = self.structure
-        si, qf, ri, held = st.state_idx, st.q_free_idx, st.row_idx, st.held
+        si, qf, ri, held = self.state_idx, self.q_free_idx, self.row_idx, self.held
         ns, nf = si.shape[1], qf.size
-        n = nf + st.e_cols.shape[2]
+        n = nf + self.e_cols.shape[2]
 
         # stage Hessians of the states
         jp = blocks.js
         hs = np.empty((N + 1, ns, ns))
         hs[:N] = 2.0 * (jp.transpose(0, 2, 1) @ jp)
-        hs[N] = st.hs_terminal
+        hs[N] = self.hs_terminal
         hs.reshape(N + 1, ns * ns)[:, ::ns + 1] += sigma[si] + reg
 
         # forward sweep over X_k = [s0_k | S_k | 0] in the free inputs (the
         # hold multipliers do not move the states); row block k + 1 reads
         # ds_{k+1} - F_k ds_k - G_k dq_k + c = 0
-        F, G = blocks.f, blocks.g.take(st.q_free, axis=2)
+        F, G = blocks.f, blocks.g.take(self.q_free, axis=2)
         X = np.zeros((N + 1, ns, 1 + n))
         np.negative(c[ri], out=X[:, :, 0])
-        X.reshape(-1)[st.g_pos] = G
+        X.reshape(-1)[self.g_pos] = G
         for f, prev, cur in zip(F, X[:-1], X[1:]):
             cur += f @ prev
 
         # backward sweep, in place on Y
         L = hs @ X
         L[:, :, 0] += g[si]
-        L[:, :, 1 + nf:] = st.e_cols
+        L[:, :, 1 + nf:] = self.e_cols
         for f, prev, cur in zip(F[::-1], L[-2::-1], L[:0:-1]):
             prev += f.T @ cur
 
         # condensed system in the free inputs, bordered by the holds, as
         # [-rhs | kkt]: the gradient rows over the hold rows
         hg = G.transpose(0, 2, 1) @ L[1:]
-        hg.reshape(-1)[st.hq_pos] += st.hq_free
+        hg.reshape(-1)[self.hq_pos] += self.hq_free
         aug = np.concatenate([hg.reshape(nf, 1 + n), X[1:, held].reshape(-1, 1 + n)])
         aug[:nf, 0] += g[qf]
         aug.reshape(-1)[1:nf * (n + 2):n + 2] += sigma[qf] + reg
@@ -674,14 +553,130 @@ class OcpProblem:
         return dw, lam
 
 
+class OcpProblem:
+    """One horizon problem: its two pins ``x0`` and ``z0`` on a shared
+    :class:`OcpStructure`, built per control step and treated as immutable.
+
+    It binds the structure's box and pin-free solver members (``row_blocks``,
+    ``jt_dot``, ``at_dot``, ``kkt_step``), and defines only what reads the
+    pins: :meth:`evaluate`, :meth:`rollout` and the views of one point's
+    evaluation for checks.  The box frees the pinned stage-0 coordinates:
+    the equality pin wins over the box.
+    """
+
+    def __init__(self, x0, z0, structure: OcpStructure):
+        self.structure = structure
+        self.box = structure.box
+        self.row_blocks, self.jt_dot = structure.row_blocks, structure.jt_dot
+        self.at_dot, self.kkt_step = structure.at_dot, structure.kkt_step
+        self.x0 = np.asarray(x0, dtype=float).copy()
+        self.z0 = np.asarray(z0, dtype=float).copy()
+        if self.x0.shape != (N_STATES,):
+            raise ValueError("x0 must be a 9-vector")
+        if self.z0.shape != (structure.n_z,):
+            raise ValueError(f"z0 must have length {structure.n_z}")
+        if not np.all(np.isfinite(self.x0)) or not np.all(np.isfinite(self.z0)):
+            raise ValueError("initial conditions must be finite")
+
+    def rollout(self, u_seq=None, nu_seq=None) -> np.ndarray:
+        """Single-shooting rollout from the pinned initial conditions.
+
+        By construction the result satisfies every shooting gap exactly;
+        useful as a cold-start guess and as the feasibility oracle in tests.
+        """
+        st = self.structure
+        w = np.zeros(st.n)
+        X, U, Z, V = st.unpack(w)  # views into w
+        if u_seq is not None:
+            U[:] = np.reshape(u_seq, U.shape)
+        if nu_seq is not None:
+            V[:] = np.reshape(nu_seq, V.shape)
+        X[0] = self.x0
+        Z[0] = self.z0
+        delta = st.config.delta
+        for k in range(st.config.horizon):
+            X[k + 1] = rk4_step(X[k], U[k], delta, st.params)
+            Z[k + 1] = step_timing(Z[k], V[k], delta)
+        return w
+
+    # ----- cost and equality constraints, in one pass -------------------------
+
+    def evaluate(self, W):
+        """``(R, C, kept)`` at ``W``, one point (shape ``(n,)``) or a stack
+        of them (shape ``(k, n)``): the residuals and the equality values,
+        stacked like ``W``, with one path evaluation and one RK4 stage pass
+        for the whole stack, and the path derivatives and RK4 stage
+        quantities ``kept`` from which :meth:`OcpStructure.row_blocks`
+        builds the blocks of one row.  ``R`` and ``C`` are written block by
+        block, and each row is bitwise what the same routine gives for that
+        row alone."""
+        W = np.asarray(W, dtype=float)
+        st = self.structure
+        X, U, Z, V = st.unpack(W)
+        batch, N = W.shape[:-1], st.config.horizon
+        nx, nz, nq, nr = st.n_x, st.n_z, st.n_res_q, st.n_res_r
+        p, dp = st._path_values(Z[..., :N, :])
+
+        # residual: path stages, inputs, terminal cost; the stage vector is
+        # [output - path point (yaw wrapped), velocity, progress (, offset)]
+        q = W.take(st.q_idx, axis=-1)
+        q[..., 0:4] -= p
+        q[..., 3] = wrap_angle(q[..., 3])
+        R = np.empty(batch + (st.m_res,))
+        np.matmul(q, st.lq.T, out=R[..., :N * nq].reshape(batch + (N, nq)))
+        np.matmul(W.take(st.input_idx, axis=-1), st.lr.T,
+                  out=R[..., N * nq:N * (nq + nr)].reshape(batch + (N, nr)))
+        term = st.jt[:, nx:].diagonal()  # the square roots of the terminal weights
+        np.multiply(term, Z[..., N, :term.size], out=R[..., N * (nq + nr):])
+
+        # gaps: one integration of every row; its stage quantities give the
+        # sensitivities of a row on demand
+        c_stage, tau = st.rk4_constants[:2]
+        fx, trig, axis, scale = _rk4_stages(X[..., :N, :], U, st.config.delta, st.params, c_stage, tau)
+        gz = Z[..., :N, :] @ st.ad.T + V @ st.bd.T
+        C = np.empty(batch + (st.m_eq,))
+        ns, gap_z = nx + nz, nx + nz + N * nx
+        np.subtract(X[..., 0, :], self.x0, out=C[..., :nx])
+        np.subtract(Z[..., 0, :], self.z0, out=C[..., nx:ns])
+        np.subtract(X[..., 1:, :], fx, out=C[..., ns:gap_z].reshape(batch + (N, nx)))
+        np.subtract(Z[..., 1:, :], gz, out=C[..., gap_z:].reshape(batch + (N, nz)))
+        return R, C, (dp, trig, axis, scale)
+
+    # views of one point's evaluation and blocks, for checks; no solve calls
+    # them
+
+    def linearize(self, w):
+        """``(r, c, blocks)`` at ``w``: :meth:`evaluate` on the one point
+        ``w``, and the structure's ``row_blocks`` of what it kept."""
+        r, c, kept = self.evaluate(w)
+        return r, c, self.row_blocks(kept, ...)
+
+    def residual(self, w) -> np.ndarray:
+        return self.linearize(w)[0]
+
+    def residual_jacobian(self, w) -> np.ndarray:
+        """The path residual rows over ``s_k``, shape ``(N, n_res_q, n_x +
+        n_z)``: the blocks of the residual Jacobian that depend on ``w``, in
+        their progress column only."""
+        return self.linearize(w)[2].js
+
+    def equality(self, w) -> np.ndarray:
+        return self.linearize(w)[1]
+
+    def equality_jacobian(self, w) -> np.ndarray:
+        """Dense equality Jacobian at ``w``."""
+        return self.structure.dense_jacobians(self.linearize(w)[2])[1]
+
+
 def build_ocp(x0, z0, structure: OcpStructure) -> OcpProblem:
     """Assemble the horizon NLP on ``structure``, pinned at the measured
     state and progress."""
     return OcpProblem(x0, z0, structure)
 
 
-def warm_start_shift(previous: SolveResult, problem: OcpProblem) -> np.ndarray:
-    """Receding-horizon initial guess from the previous optimum.
+def warm_start_shift(previous: SolveResult, structure: OcpStructure) -> np.ndarray:
+    """Receding-horizon initial guess from the previous optimum; it reads
+    no pin, only the layout and model of ``structure``.
 
     States, inputs and timing quantities are shifted one stage left; the last
     input (and virtual input) is duplicated and the final state/timing node is
@@ -689,11 +684,12 @@ def warm_start_shift(previous: SolveResult, problem: OcpProblem) -> np.ndarray:
     feasible.  The shifted plan is returned as it is: the solver projects
     a warm guess strictly inside the box.
     """
-    X, U, Z, V = problem.unpack(previous.decision)
-    w = np.empty(problem.n)
-    X_new, U_new, Z_new, V_new = problem.unpack(w)  # views into w
-    X_new[:-1], X_new[-1] = X[1:], rk4_step(X[-1], U[-1], problem.config.delta, problem.params)
+    X, U, Z, V = structure.unpack(previous.decision)
+    w = np.empty(structure.n)
+    X_new, U_new, Z_new, V_new = structure.unpack(w)  # views into w
+    delta = structure.config.delta
+    X_new[:-1], X_new[-1] = X[1:], rk4_step(X[-1], U[-1], delta, structure.params)
     U_new[:-1], U_new[-1] = U[1:], U[-1]
-    Z_new[:-1], Z_new[-1] = Z[1:], step_timing(Z[-1], V[-1], problem.config.delta)
+    Z_new[:-1], Z_new[-1] = Z[1:], step_timing(Z[-1], V[-1], delta)
     V_new[:-1], V_new[-1] = V[1:], V[-1]
     return w

@@ -25,7 +25,7 @@ computes another way:
 - ``residual_jacobian_loop`` and ``equality_jacobian_loop`` build the
   dense residual and equality Jacobians stage by stage, with the same
   arithmetic as the stage blocks of ``OcpProblem.linearize``, so the dense
-  matrices ``OcpProblem.dense_jacobians`` assembles from those blocks agree
+  matrices ``OcpStructure.dense_jacobians`` assembles from those blocks agree
   with them bitwise;
 - ``dynamics_jacobians`` differentiates ``dynamics`` by hand, and
   ``rk4_step_chain_rule`` carries those Jacobians through the four RK4
@@ -42,7 +42,7 @@ computes another way:
 - ``linearize_assembly`` assembles the residual, the gaps and the stage
   blocks through ``path_error``, ``output_map`` and ``np.concatenate``,
   against the preallocated vectors of ``OcpProblem.evaluate`` and the
-  blocks of ``OcpProblem.row_blocks``.
+  blocks of ``OcpStructure.row_blocks``.
 
 ``x_slice``, ``u_slice``, ``z_slice`` and ``nu_slice`` are the slices of
 one stage's block in a horizon problem's decision vector, which the stage
@@ -69,22 +69,23 @@ from quadpath.transcription import OcpConfig
 
 
 def x_slice(problem, k: int) -> slice:
-    return slice(k * problem.n_x, (k + 1) * problem.n_x)
+    n = problem.structure.n_x
+    return slice(k * n, (k + 1) * n)
 
 
 def u_slice(problem, k: int) -> slice:
-    o = problem.structure.ou
-    return slice(o + k * problem.n_u, o + (k + 1) * problem.n_u)
+    o, n = problem.structure.ou, problem.structure.n_u
+    return slice(o + k * n, o + (k + 1) * n)
 
 
 def z_slice(problem, k: int) -> slice:
-    o = problem.structure.oz
-    return slice(o + k * problem.n_z, o + (k + 1) * problem.n_z)
+    o, n = problem.structure.oz, problem.structure.n_z
+    return slice(o + k * n, o + (k + 1) * n)
 
 
 def nu_slice(problem, k: int) -> slice:
-    o = problem.structure.ov
-    return slice(o + k * problem.n_nu, o + (k + 1) * problem.n_nu)
+    o, n = problem.structure.ov, problem.structure.n_nu
+    return slice(o + k * n, o + (k + 1) * n)
 
 
 def stage_cost(e, xi_dot, z_path, u, nu, config: OcpConfig) -> float:
@@ -109,11 +110,12 @@ def terminal_cost(z_terminal, config: OcpConfig) -> float:
 
 def quadrature_cost(problem, w) -> float:
     """Rectangle-rule quadrature of the stage cost plus terminal cost."""
-    X, U, Z, V = problem.unpack(w)
-    config = problem.config
+    st = problem.structure
+    X, U, Z, V = st.unpack(w)
+    config = st.config
     total = 0.0
     for k in range(config.horizon):
-        e = path_error(output_map(X[k]), problem._path_values(Z[k])[0])
+        e = path_error(output_map(X[k]), st._path_values(Z[k])[0])
         zpart = Z[k, 0:2] if config.corridor else Z[k, 0:1]
         total += config.delta * stage_cost(e, X[k, 3:6], zpart, U[k], V[k], config)
     return total + terminal_cost(Z[config.horizon], config)
@@ -277,31 +279,32 @@ def held_states_rejected(config: OcpConfig, params) -> bool:
 def residual_jacobian_loop(problem, w) -> np.ndarray:
     """The dense residual Jacobian of an ``OcpProblem``, one stage block at
     a time."""
-    X, U, Z, V = problem.unpack(w)
-    cfg = problem.config
+    st = problem.structure
+    X, U, Z, V = st.unpack(w)
+    cfg = st.config
     N = cfg.horizon
-    nq, nr = problem.n_res_q, problem.n_res_r
-    lq, lr = problem.structure.lq, problem.structure.lr
-    J = np.zeros((problem.m_res, problem.n))
-    dp = problem.path.derivative(np.clip(Z[:N, 0], -1.0, 0.0))
-    dx = np.zeros((nq, problem.n_x))
+    nq, nr = st.n_res_q, st.n_res_r
+    lq, lr = st.lq, st.lr
+    J = np.zeros((st.m_res, st.n))
+    dp = st.path.derivative(np.clip(Z[:N, 0], -1.0, 0.0))
+    dx = np.zeros((nq, st.n_x))
     dx[0:3, 0:3] = np.eye(3)
     dx[3, 8] = 1.0
     dx[4:7, 3:6] = np.eye(3)
     for k in range(N):
-        dz = np.zeros((nq, problem.n_z))
+        dz = np.zeros((nq, st.n_z))
         dz[0:4, 0] = -dp[k]
         dz[7, 0] = 1.0
         if cfg.corridor:
-            dz[0:4, 1] = -problem.path.direction
+            dz[0:4, 1] = -st.path.direction
             dz[8, 1] = 1.0
         rows = slice(k * nq, (k + 1) * nq)
         J[rows, x_slice(problem, k)] = lq @ dx
         J[rows, z_slice(problem, k)] = lq @ dz
     for k in range(N):
         rows = slice(N * nq + k * nr, N * nq + (k + 1) * nr)
-        J[rows, u_slice(problem, k)] = lr[:, :problem.n_u]
-        J[rows, nu_slice(problem, k)] = lr[:, problem.n_u:]
+        J[rows, u_slice(problem, k)] = lr[:, :st.n_u]
+        J[rows, nu_slice(problem, k)] = lr[:, st.n_u:]
     trow = N * (nq + nr)
     J[trow, z_slice(problem, N).start] = np.sqrt(cfg.terminal_weight)
     if cfg.corridor:
@@ -312,13 +315,14 @@ def residual_jacobian_loop(problem, w) -> np.ndarray:
 def equality_jacobian_loop(problem, w) -> np.ndarray:
     """The dense equality Jacobian of an ``OcpProblem``, one stage block at
     a time."""
-    X, U, Z, V = problem.unpack(w)
-    N = problem.config.horizon
-    nx, nz = problem.n_x, problem.n_z
-    A = np.zeros((problem.m_eq, problem.n))
+    st = problem.structure
+    X, U, Z, V = st.unpack(w)
+    N = st.config.horizon
+    nx, nz = st.n_x, st.n_z
+    A = np.zeros((st.m_eq, st.n))
     A[0:nx, x_slice(problem, 0)] = np.eye(nx)
     A[nx:nx + nz, z_slice(problem, 0)] = np.eye(nz)
-    _, ax, bu = rk4_step_with_jacobians(X[:N], U, problem.config.delta, problem.params)
+    _, ax, bu = rk4_step_with_jacobians(X[:N], U, st.config.delta, st.params)
     r0 = nx + nz
     for k in range(N):
         rows = slice(r0 + k * nx, r0 + (k + 1) * nx)
@@ -329,8 +333,8 @@ def equality_jacobian_loop(problem, w) -> np.ndarray:
     for k in range(N):
         rows = slice(z0row + k * nz, z0row + (k + 1) * nz)
         A[rows, z_slice(problem, k + 1)] = np.eye(nz)
-        A[rows, z_slice(problem, k)] = -problem.structure.ad
-        A[rows, nu_slice(problem, k)] = -problem.structure.bd
+        A[rows, z_slice(problem, k)] = -st.ad
+        A[rows, nu_slice(problem, k)] = -st.bd
     return A
 
 
@@ -510,16 +514,16 @@ def curve_stack(name: str, s):
 def linearize_assembly(problem, w):
     """``(r, c, js, f, g)`` of a horizon problem at ``w``, each vector
     concatenated from its stage pieces."""
-    X, U, Z, V = problem.unpack(w)
-    N = problem.config.horizon
     st = problem.structure
-    cfg = problem.config
+    X, U, Z, V = st.unpack(w)
+    cfg = st.config
+    N = cfg.horizon
     s1 = np.clip(Z[:N, 0], -1.0, 0.0)
     if cfg.corridor:
         lo, hi = cfg.s2_bounds
-        p, dp = problem.path.point_and_derivative(s1, np.clip(Z[:N, 1], lo, hi))
+        p, dp = st.path.point_and_derivative(s1, np.clip(Z[:N, 1], lo, hi))
     else:
-        p, dp = problem.path.point_and_derivative(s1)
+        p, dp = st.path.point_and_derivative(s1)
 
     e = path_error(output_map(X[:N]), p)
     zpart = Z[:N, 0:2] if cfg.corridor else Z[:N, 0:1]
@@ -530,17 +534,17 @@ def linearize_assembly(problem, w):
         term.append(np.sqrt(cfg.terminal_weight_s2) * Z[N, 1])
     r = np.concatenate([(q_vec @ st.lq.T).ravel(), (r_vec @ st.lr.T).ravel(), np.array(term)])
 
-    dz = np.zeros((N, problem.n_res_q))
+    dz = np.zeros((N, st.n_res_q))
     dz[:, 0:4] = -dp
     dz[:, 7] = 1.0
     js = st.js.copy()
-    js[:, :, problem.n_x] = dz @ st.lq.T
+    js[:, :, st.n_x] = dz @ st.lq.T
 
-    fx, ax, bu = rk4_step_with_jacobians(X[:N], U, cfg.delta, problem.params)
+    fx, ax, bu = rk4_step_with_jacobians(X[:N], U, cfg.delta, st.params)
     gz = Z[:N] @ st.ad.T + V @ st.bd.T
     c = np.concatenate([X[0] - problem.x0, Z[0] - problem.z0, (X[1:] - fx).ravel(), (Z[1:] - gz).ravel()])
     f = st.f.copy()
-    f[:, :problem.n_x, :problem.n_x] = ax
+    f[:, :st.n_x, :st.n_x] = ax
     g = st.g.copy()
-    g[:, :problem.n_x, :problem.n_u] = bu
+    g[:, :st.n_x, :st.n_u] = bu
     return r, c, js, f, g

@@ -132,15 +132,15 @@ def test_criterion_2_solver_correctness():
     h = 1e-6
     worst_grad = worst_jac = 0.0
     for _ in range(20):
-        w = rng.uniform(-0.2, 0.2, prob.n)
+        w = rng.uniform(-0.2, 0.2, prob.structure.n)
         for k in range(cfg.horizon + 1):
             zs = z_slice(prob, k)
             w[zs.start] = rng.uniform(-0.9, -0.1)
             w[zs.start + 1] = rng.uniform(1e-4, 0.9 * cfg.s_dot_max)
         r, _, blocks = prob.linearize(w)
         g = 2.0 * prob.jt_dot(blocks, r)
-        A = prob.dense_jacobians(blocks)[1]
-        for i in rng.choice(prob.n, size=12, replace=False):
+        A = prob.structure.dense_jacobians(blocks)[1]
+        for i in rng.choice(prob.structure.n, size=12, replace=False):
             wp, wm = w.copy(), w.copy()
             wp[i] += h
             wm[i] -= h

@@ -48,7 +48,7 @@ class TestControlStep:
         from quadpath.dynamics import output_map
         from quadpath.paths import path_error
         problem = build_ocp(measured, controller.path_state, controller.structure)
-        X, _, Z, _ = problem.unpack(diag.solve.decision)
+        X, _, Z, _ = problem.structure.unpack(diag.solve.decision)
         pred_out = output_map(X)
         refs = controller.path.point(Z[:, 0])
         errs = path_error(pred_out, refs)
@@ -157,7 +157,7 @@ class TestClosedLoopProperties:
             x = rk4_step(x, inp, cfg.delta, PARAMS)  # plant identical to the model
             controller.advance_path_state(nu)
         problem = build_ocp(x, controller.path_state, controller.structure)
-        guess = warm_start_shift(controller.last_solution, problem)
+        guess = warm_start_shift(controller.last_solution, problem.structure)
         assert np.max(np.abs(problem.equality(guess))) < 1e-8
 
 
@@ -225,7 +225,7 @@ class TestStageBlockedPath:
         def refuse(*args, **kwargs):
             raise AssertionError("dense Jacobian or KKT matrix on the OCP path")
         monkeypatch.setattr(transcription.OcpProblem, "equality_jacobian", refuse)
-        monkeypatch.setattr(transcription.OcpProblem, "dense_jacobians", refuse)
+        monkeypatch.setattr(transcription.OcpStructure, "dense_jacobians", refuse)
         monkeypatch.setattr(solver, "_newton_direction", refuse)
 
         class NoFullWidth:
@@ -361,7 +361,7 @@ class TestFallbackChain:
     def test_failed_warm_solve_applies_its_own_iterate(self, monkeypatch):
         _, _, attempts, (inp, nu, diag) = self.second_step(monkeypatch, {"warm"})
         (_, problem, _, _, result), = attempts
-        _, U, _, V = problem.unpack(result.decision)
+        _, U, _, V = problem.structure.unpack(result.decision)
         assert diag.solve.status != CONVERGED
         assert inp.tobytes() == U[0].tobytes() and nu.tobytes() == V[0].tobytes()
 
@@ -374,7 +374,7 @@ class TestFallbackChain:
         assert [a[0] for a in attempts] == ["warm", "warm"]
         _, problem, guess, multipliers, result = attempts[1]
         assert multipliers is failed.multipliers
-        assert guess.tobytes() == warm_start_shift(failed, problem).tobytes()
+        assert guess.tobytes() == warm_start_shift(failed, problem.structure).tobytes()
         assert diag.solve is result and diag.solve.status == CONVERGED
 
 

@@ -208,8 +208,12 @@ class TestRk4:
 
     @pytest.mark.parametrize("x_shape, u_shape", [((9,), (8,)), ((18,), (4,)), ((), (4,)), ((2, 9), (2, 5))])
     def test_rejects_wrong_component_counts(self, x_shape, u_shape):
-        with pytest.raises(ValueError, match="components"):
-            rk4_step(np.zeros(x_shape), np.zeros(u_shape), 0.05, PARAMS)
+        # the step, its sensitivities and the derivative share one check
+        x, u = np.zeros(x_shape), np.zeros(u_shape)
+        for call in (lambda: rk4_step(x, u, 0.05, PARAMS), lambda: rk4_step_with_jacobians(x, u, 0.05, PARAMS),
+                     lambda: dynamics(x, u, PARAMS)):
+            with pytest.raises(ValueError, match="components"):
+                call()
 
     def test_broadcasts_one_input_over_a_stack(self):
         x = np.random.default_rng(12).uniform(-0.5, 0.5, (3, 9))

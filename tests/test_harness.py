@@ -28,6 +28,7 @@ from quadpath.simulate import (
     sense,
     summarize_json,
 )
+from quadpath.transcription import OcpStructure
 
 from oracles import rk4_step_loop
 
@@ -286,6 +287,21 @@ class TestLongestStall:
         assert metrics.longest_stall_s == 0.0
 
 
+# every bound and weight key of a scenario file
+BOUND_AND_WEIGHT_KEYS = ("yawrate_cmd_bound", "thrust_bound", "tilt_cmd_bound", "xy_bound", "z_min", "z_max",
+                         "vel_bound", "tilt_bound", "nu_bound", "s2_min", "s2_max", "s_dot_max",
+                         "terminal_weight", "terminal_weight_s2", "q_diag", "r_diag")
+
+
+def config_value(scenario, key, value):
+    """``value`` for a scalar key; for a weight diagonal, ``value`` and then
+    ones, at the scenario's length."""
+    if key not in ("q_diag", "r_diag"):
+        return value
+    size = {"q_diag": 8, "r_diag": 5}[key] + (scenario == "sinusoid-corridor")
+    return ",".join([value] + ["1"] * (size - 1))
+
+
 class TestScenarioConfig:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
@@ -377,6 +393,34 @@ class TestScenarioConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             scenario_config("hover", seed=-3)
+
+    @pytest.mark.parametrize("scenario", ["spiral", "sinusoid-corridor"])
+    @pytest.mark.parametrize("key", BOUND_AND_WEIGHT_KEYS)
+    def test_nan_bound_or_weight_refused(self, tmp_path, scenario, key):
+        # a NaN bound would drop its box faces, a NaN weight every solve
+        cfg_file = tmp_path / "nan.cfg"
+        cfg_file.write_text(f"scenario = {scenario}\n{key} = {config_value(scenario, key, 'nan')}\n")
+        with pytest.raises(ValueError):
+            build_components(load_config(str(cfg_file)))
+
+    @pytest.mark.parametrize("key", ["terminal_weight", "terminal_weight_s2", "q_diag", "r_diag"])
+    def test_infinite_weight_refused(self, tmp_path, key):
+        cfg_file = tmp_path / "inf.cfg"
+        value = config_value("sinusoid-corridor", key, "inf")
+        cfg_file.write_text(f"scenario = sinusoid-corridor\n{key} = {value}\n")
+        with pytest.raises(ValueError, match="finite"):
+            build_components(load_config(str(cfg_file)))
+
+    @pytest.mark.parametrize("key, value", [("xy_bound", "inf"), ("vel_bound", "inf"), ("z_min", "-inf"),
+                                            ("z_max", "inf"), ("yawrate_cmd_bound", "inf"), ("nu_bound", "inf")])
+    def test_infinite_bound_drops_its_faces(self, tmp_path, key, value):
+        # +-inf is no bound, as for yaw by default
+        cfg_file = tmp_path / "inf.cfg"
+        cfg_file.write_text(f"scenario = spiral\n{key} = {value}\n")
+        default = OcpStructure(*build_components(scenario_config("spiral"))).box
+        box = OcpStructure(*build_components(load_config(str(cfg_file)))).box
+        unbounded = [np.isinf(b.lower).sum() + np.isinf(b.upper).sum() for b in (default, box)]
+        assert unbounded[1] > unbounded[0]
 
 
 class TestCompareCorridor:
@@ -483,6 +527,14 @@ class TestCli:
         code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         self.assert_one_line_refusal(code, capsys, "unknown key 'wingspan'")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", BOUND_AND_WEIGHT_KEYS)
+    def test_nan_bound_or_weight_is_one_line_not_traceback(self, tmp_path, capsys, key):
+        cfg_file = tmp_path / "nan.cfg"
+        cfg_file.write_text(f"scenario = sinusoid-corridor\ntotal_time = 1.0\n"
+                            f"{key} = {config_value('sinusoid-corridor', key, 'nan')}\n")
+        code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        self.assert_one_line_refusal(code, capsys, "")
 
     @pytest.mark.parametrize("scenario", ["hover", "spiral"])
     def test_run_rejects_scenario_with_config(self, tmp_path, capsys, scenario):

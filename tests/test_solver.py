@@ -609,7 +609,7 @@ class TestProtocol:
         names = re.findall(r"^- ``(\w+)[^`]*``(?: and ``(\w+)[^`]*``)?", doc, re.MULTILINE)
         assert tuple(n for pair in names for n in pair if n) == self.PROTOCOL
         assert "``kkt_step(blocks, g, c, sigma, reg) -> (dw, lam)``" in doc
-        for cls in (DenseNlp, transcription.OcpProblem):
+        for cls in (DenseNlp, transcription.OcpStructure):
             params = list(inspect.signature(cls.kkt_step).parameters)
             assert params == ["self", "blocks", "g", "c", "sigma", "reg"]
 
@@ -817,12 +817,12 @@ class TestWarmStartShift:
         U = np.zeros((N, 4))
         Z = np.tile([-0.5, cfg.s_dot_floor], (N + 1, 1))
         V = np.zeros((N, 1))
-        w = np.empty(prob.n)
-        for view, value in zip(prob.unpack(w), (X, U, Z, V)):
+        w = np.empty(prob.structure.n)
+        for view, value in zip(prob.structure.unpack(w), (X, U, Z, V)):
             view[:] = value
         from quadpath.solver import SolveResult
-        prev = SolveResult(w, CONVERGED, 0.0, 0, 0.0, np.zeros(prob.m_eq), 0)
-        shifted = prob.unpack(warm_start_shift(prev, prob))
+        prev = SolveResult(w, CONVERGED, 0.0, 0, 0.0, np.zeros(prob.structure.m_eq), 0)
+        shifted = prob.structure.unpack(warm_start_shift(prev, prob.structure))
         np.testing.assert_array_equal(shifted[0], X)   # hover propagates to itself
         np.testing.assert_array_equal(shifted[1], U)
         assert np.max(np.abs(shifted[2] - Z)) < 1e-4   # progress creeps by the floor drift
@@ -838,7 +838,7 @@ class TestWarmStartShift:
         visited = []
         evaluate = prob.evaluate
         monkeypatch.setattr(prob, "evaluate", lambda W: visited.append(W.copy()) or evaluate(W))
-        solve(prob, warm_start_shift(res, prob), multipliers=res.multipliers)
+        solve(prob, warm_start_shift(res, prob.structure), multipliers=res.multipliers)
         start = visited[0]
         lo, hi = prob.box.lower, prob.box.upper
         assert np.all(start[np.isfinite(lo)] >= lo[np.isfinite(lo)])
@@ -857,7 +857,7 @@ class TestWarmStartShift:
         structure = OcpStructure(path_c, cfg_c, ModelParams())
         prob_corridor = build_ocp(x0, np.array([-1.0, 0.0, 1e-5, 0.0]), structure)
         with pytest.raises(ValueError):
-            warm_start_shift(res, prob_corridor)
+            warm_start_shift(res, prob_corridor.structure)
 
     def test_warm_start_saves_iterations_closed_loop(self):
         # paired cold/warm measurement over a short spiral segment
@@ -875,13 +875,13 @@ class TestWarmStartShift:
             prob = build_ocp(x, z, structure)
             cold = solve(prob, prob.rollout())
             if last is not None:
-                warm = solve(prob, warm_start_shift(last, prob), multipliers=last.multipliers)
+                warm = solve(prob, warm_start_shift(last, prob.structure), multipliers=last.multipliers)
                 warm_iters.append(warm.iterations)
                 cold_iters.append(cold.iterations)
                 last = warm
             else:
                 last = cold
-            X, U, Z, V = prob.unpack(last.decision)
+            X, U, Z, V = prob.structure.unpack(last.decision)
             x = rk4_step(x, U[0], cfg.delta, params)
             z = np.clip(step_timing(z, V[0], cfg.delta),
                         [-1.0, cfg.s_dot_floor], [0.0, cfg.s_dot_max])

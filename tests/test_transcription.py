@@ -58,11 +58,12 @@ def random_path_point(prob, rng):
     """A box-interior point whose progress lies in [-0.9, -0.1] and whose
     offset lies inside ``config.s2_bounds`` at every stage, the box-free
     stage 0 included, so the path evaluation clips neither."""
+    st = prob.structure
     w = random_interior_iterate(prob, rng)
-    _, _, Z, _ = prob.unpack(w)  # a view into w
+    _, _, Z, _ = st.unpack(w)  # a view into w
     Z[:, 0] = rng.uniform(-0.9, -0.1, len(Z))
-    if prob.config.corridor:
-        Z[:, 1] = rng.uniform(*prob.config.s2_bounds, len(Z))
+    if st.config.corridor:
+        Z[:, 1] = rng.uniform(*st.config.s2_bounds, len(Z))
     return w
 
 
@@ -72,9 +73,10 @@ def finite_difference_columns(prob, w, rng, h, size=25):
     on a zero-width corridor the pinned stage-0 offset sits on the kink of
     that clip, and every later offset is held."""
     ok = prob.box.free.copy()
-    if prob.config.corridor:
-        s2 = prob.structure.state_idx[:, prob.n_x + 1]
-        lo, hi = prob.config.s2_bounds
+    st = prob.structure
+    if st.config.corridor:
+        s2 = st.state_idx[:, st.n_x + 1]
+        lo, hi = st.config.s2_bounds
         ok[s2] &= (w[s2] - h >= lo) & (w[s2] + h <= hi)
     cols = np.flatnonzero(ok)
     return rng.choice(cols, size=min(size, cols.size), replace=False)
@@ -90,18 +92,18 @@ FINITE_DIFFERENCE_KINDS = pytest.mark.parametrize(
 class TestBookkeeping:
     def test_classic_dimensions(self):
         prob, cfg = classic_problem()
-        assert prob.n == 6 * (9 + 2) + 5 * (4 + 1) == 91
-        assert prob.m_eq == 5 * 11 + 11 == 66
+        assert prob.structure.n == 6 * (9 + 2) + 5 * (4 + 1) == 91
+        assert prob.structure.m_eq == 5 * 11 + 11 == 66
 
     def test_corridor_dimensions(self):
         prob, cfg = corridor_problem()
-        assert prob.n == 6 * (9 + 4) + 5 * (4 + 2) == 108
-        assert prob.m_eq == 6 * 13 == 78
+        assert prob.structure.n == 6 * (9 + 4) + 5 * (4 + 2) == 108
+        assert prob.structure.m_eq == 6 * 13 == 78
 
     def test_no_inequality_rows(self):
         prob, _ = classic_problem()
         assert not hasattr(prob, "inequality")
-        assert prob.box.lower.shape == prob.box.upper.shape == (prob.n,)
+        assert prob.box.lower.shape == prob.box.upper.shape == (prob.structure.n,)
 
 
 class TestStageCost:
@@ -184,7 +186,7 @@ class TestResidualJacobian:
         rng = np.random.default_rng(17)
         for _ in range(5):
             w = random_interior_iterate(prob, rng)
-            J, A = prob.dense_jacobians(prob.linearize(w)[2])
+            J, A = prob.structure.dense_jacobians(prob.linearize(w)[2])
             assert np.array_equal(J, residual_jacobian_loop(prob, w))
             assert np.array_equal(A, equality_jacobian_loop(prob, w))
             assert np.array_equal(prob.equality_jacobian(w), A)
@@ -197,8 +199,8 @@ class TestResidualJacobian:
         # evaluation, with its blocks, is that row's evaluation alone
         prob = horizon_problem(kind, horizon)
         rng = np.random.default_rng(23)
-        yaw = np.arange(horizon + 1) * prob.n_x + 8
-        W = np.empty((6, prob.n))
+        yaw = np.arange(horizon + 1) * prob.structure.n_x + 8
+        W = np.empty((6, prob.structure.n))
         for trial, w in enumerate(W):
             w[:] = random_interior_iterate(prob, rng)
             if trial % 2:
@@ -227,12 +229,40 @@ class TestResidualJacobian:
         for _ in range(3):
             w = random_interior_iterate(prob, rng)
             r, c, blocks = prob.linearize(w)
-            J, A = prob.dense_jacobians(blocks)
-            lam = rng.normal(0.0, 1.0, prob.m_eq)
+            J, A = prob.structure.dense_jacobians(blocks)
+            lam = rng.normal(0.0, 1.0, prob.structure.m_eq)
             for got, ref in ((prob.jt_dot(blocks, r), J.T @ r), (prob.at_dot(blocks, lam), A.T @ lam)):
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
             # every equality row involves a free variable
             assert np.all(np.max(np.abs(A[:, free]), axis=1) > 1e-14)
+
+
+class TestPinIndependence:
+    """Only the pin rows of ``C`` read the pins: two problems on one
+    structure agree in everything else, and share its pin-free members."""
+
+    @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
+    @pytest.mark.parametrize("horizon", [1, 5, 20])
+    def test_problems_on_one_structure_differ_only_in_the_pin_rows(self, kind, horizon):
+        prob = horizon_problem(kind, horizon)
+        st = prob.structure
+        rng = np.random.default_rng(29)
+        other = build_ocp(prob.x0 + rng.normal(0.0, 0.05, 9), prob.z0 + rng.uniform(0.01, 0.02, st.n_z), st)
+        pins = st.n_x + st.n_z
+        W = np.stack([random_interior_iterate(prob, rng) for _ in range(3)])
+        for w in (W[0], W):
+            (R, C, kept), (R2, C2, kept2) = prob.evaluate(w), other.evaluate(w)
+            assert R.tobytes() == R2.tobytes()
+            for a, b in zip((kept[0], *kept[1], *kept[2:]), (kept2[0], *kept2[1], *kept2[2:])):
+                assert a.tobytes() == b.tobytes()
+            assert C[..., pins:].tobytes() == C2[..., pins:].tobytes()
+            assert np.all(C[..., :pins] != C2[..., :pins])
+        for p in (prob, other):
+            assert set(vars(p)) == {"structure", "box", "x0", "z0", "row_blocks", "jt_dot", "at_dot", "kkt_step"}
+            assert p.box is st.box
+            for name in ("row_blocks", "jt_dot", "at_dot", "kkt_step"):
+                member = getattr(p, name)
+                assert member.__self__ is st and member.__func__ is getattr(OcpStructure, name)
 
 
 # the values at which ``horizon_problem`` holds a quadrotor state
@@ -280,10 +310,10 @@ def horizon_problem(kind, horizon, freeze_input=False, hold=(), **overrides):
 
 def random_interior_iterate(prob, rng):
     """A perturbed rollout, strictly inside the box (off the gap manifold)."""
-    N = prob.config.horizon
-    w = prob.rollout(rng.uniform(-0.1, 0.1, (N, prob.n_u)),
-                     rng.uniform(-0.01, 0.01, (N, prob.n_nu)))
-    return project_interior(w + rng.normal(0.0, 0.05, prob.n), prob.box.lower, prob.box.upper, 1e-3)
+    st = prob.structure
+    N = st.config.horizon
+    w = prob.rollout(rng.uniform(-0.1, 0.1, (N, st.n_u)), rng.uniform(-0.01, 0.01, (N, st.n_nu)))
+    return project_interior(w + rng.normal(0.0, 0.05, st.n), prob.box.lower, prob.box.upper, 1e-3)
 
 
 def kkt_relative_residual(h, g, A, c, free, keep, dw, lam):
@@ -304,10 +334,10 @@ def check_condensed_step(prob, rng, sigma_max, regs, check_lam):
     free = prob.box.free
     w = random_interior_iterate(prob, rng)
     r, c, blocks = prob.linearize(w)
-    J, A = prob.dense_jacobians(blocks)
+    J, A = prob.structure.dense_jacobians(blocks)
     _, bgrad = _barrier_terms(w, prob.box.lower, prob.box.upper, free)
     g = 2.0 * J.T @ r + 1e-2 * bgrad
-    sigma = np.where(free, rng.uniform(0.0, sigma_max, prob.n), 0.0)
+    sigma = np.where(free, rng.uniform(0.0, sigma_max, prob.structure.n), 0.0)
     keep = np.max(np.abs(A[:, free]), axis=1) > 1e-14
     assert keep.all()
     h = 2.0 * J.T @ J + np.diag(sigma)
@@ -324,7 +354,7 @@ def check_condensed_step(prob, rng, sigma_max, regs, check_lam):
 
 
 class TestCondensedStep:
-    """``OcpProblem.kkt_step`` against the dense KKT solve."""
+    """``OcpStructure.kkt_step`` against the dense KKT solve."""
 
     @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
     @pytest.mark.parametrize("horizon", [1, 5, 20, 40])
