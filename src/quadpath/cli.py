@@ -10,6 +10,7 @@ import sys
 from . import validate as validation
 from .simulate import (
     SCENARIOS,
+    build_components,
     compare_corridor,
     export_csv,
     load_config,
@@ -18,6 +19,7 @@ from .simulate import (
     scenario_config,
     summarize_json,
 )
+from .transcription import OcpStructure
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -48,6 +50,9 @@ def _cmd_run(args) -> int:
     else:
         cfg = scenario_config(args.scenario or "spiral", **overrides)
 
+    # the horizon problem's checks run before anything is created, so a
+    # refused config leaves no output behind
+    OcpStructure(*build_components(cfg))
     os.makedirs(args.out, exist_ok=True)
     solver_log = None
     if args.verbose:

@@ -3,18 +3,26 @@
 Each control step builds the horizon NLP pinned at the measured state and
 the controller's own timing state, on the constant structure the controller
 built once, and runs one solve: from the input rollout on the first step,
-from the shifted previous solution on every later one.  A solve that does
-not converge is not retried: its returned iterate is applied and kept as
-the next warm start, and its status marks the step as a failure.  That iterate is
-the shifted plan or a point the merit line search accepted over it, and the
-fraction-to-boundary rule keeps it inside the box.  The step returns the
-first input and the first virtual input; the caller applies the input and
-then advances the timing state in closed form over one control period
-with :meth:`PathController.advance_path_state`.
-Advancing the controller copy of the timing state by the applied virtual
-input, instead of reading back the solver prediction, keeps the plant-side
-and controller-side progress consistent even when a solve fails.
-Every clamp the controller applies or meets is one message in its
+from the shifted previous solution on every later one.  The step returns
+the first input and the first virtual input; the caller applies the input
+and then advances the timing state in closed form over one control period
+with :meth:`PathController.advance_path_state`.  Advancing the controller
+copy of the timing state by the applied virtual input, instead of reading
+back the solver prediction, keeps the plant-side and controller-side
+progress consistent even when a solve fails.
+
+A warm solve runs in two phases: :meth:`PathController.prepare`, after
+the timing state is advanced and before the next measurement, shifts the
+last solution and prepares the solve's start on the pin-free structure;
+:meth:`PathController.control_step`, the feedback, pins the problem at the
+measurement and solves from that start, or from one the solve prepares
+itself when none was prepared from the last solution (the first step).
+
+A solve that does not converge is not retried: its returned iterate is
+applied and kept as the next warm start, and its status marks the step as
+a failure.  That iterate is the shifted plan or a point the merit line
+search accepted over it, and the fraction-to-boundary rule keeps it inside
+the box.  Every clamp the controller applies or meets is one message in its
 ``clamp_log``: the rate and progress guards of the pin, a pinned coordinate
 outside the configured box, and the timing state clipped to its box.
 """
@@ -29,6 +37,7 @@ import numpy as np
 from .dynamics import ModelParams
 from .paths import step_timing
 from .solver import SolveResult, solve
+from .solver import prepare as prepare_start
 from .transcription import OcpConfig, OcpStructure, build_ocp, warm_start_shift
 
 
@@ -59,7 +68,17 @@ class PathController:
         else:
             self.path_state = np.array([-1.0, config.s_dot_floor])
         self.last_solution: Optional[SolveResult] = None
+        # (the solution it was shifted from, the shifted guess, its start)
+        self._prepared = None
         self.clamp_log: list[str] = []
+
+    def prepare(self) -> None:
+        """Prepare the next warm solve from the last solution, before the
+        measurement; the next :meth:`control_step` consumes it."""
+        if self.last_solution is not None:
+            guess = warm_start_shift(self.last_solution, self.structure)
+            self._prepared = (self.last_solution, guess,
+                              prepare_start(self.structure, guess, self.last_solution.multipliers))
 
     def control_step(self, measured):
         """Solve the horizon problem at the measured state; return the first
@@ -72,11 +91,16 @@ class PathController:
         problem = build_ocp(measured, z_pin, self.structure)
         self._log_pins_outside_box(measured, z_pin)
 
+        prepared, self._prepared = self._prepared, None
         if self.last_solution is None:
-            result = solve(problem, problem.rollout(), log=self.solver_log)
+            result = solve(problem, problem.rollout(), multipliers=None, log=self.solver_log)
         else:
-            guess = warm_start_shift(self.last_solution, self.structure)
-            result = solve(problem, guess, multipliers=self.last_solution.multipliers, log=self.solver_log)
+            if prepared is not None and prepared[0] is self.last_solution:
+                _, guess, start = prepared
+            else:
+                guess, start = warm_start_shift(self.last_solution, self.structure), None
+            result = solve(problem, guess, multipliers=self.last_solution.multipliers, log=self.solver_log,
+                           start=start)
 
         _, U, _, V = self.structure.unpack(result.decision)
         self.last_solution = result

@@ -203,6 +203,7 @@ class StepRecord:
     solve_iterations: int
     solve_time_ms: float
     status: str
+    prepare_time_ms: float = 0.0
 
 
 @dataclass
@@ -233,6 +234,12 @@ class RunMetrics:
     max_abs_s2: Optional[float] = None
     terminal_abs_s2: Optional[float] = None
     longest_stall_s: Optional[float] = None
+    prepare_time_ms_p50: Optional[float] = None
+    prepare_time_ms_max: Optional[float] = None
+    solve_time_ms_p50: Optional[float] = None
+    solve_time_ms_p99: Optional[float] = None
+    deadline_misses: Optional[int] = None
+    total_solver_iters: Optional[int] = None
 
 
 def sense(plant_state, position_history, cfg: ScenarioConfig, rng=None):
@@ -309,6 +316,7 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
             solve_iterations=diag.solve.iterations,
             solve_time_ms=1e3 * diag.solve.solve_time,
             status=diag.solve.status,
+            prepare_time_ms=1e3 * diag.solve.prepare_time,
         ))
         position_history.append(measured[0:3].copy())
         del position_history[:-8]
@@ -316,6 +324,7 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
         if not np.all(np.isfinite(state)):
             raise RuntimeError(f"plant state became non-finite at t={t:.3f}s")
         controller.advance_path_state(nu)
+        controller.prepare()
 
         done = controller.path_state[0] >= PATH_END_THRESHOLD and np.linalg.norm(err) < SETTLE_ERROR
         if cfg.corridor:
@@ -370,6 +379,7 @@ def compute_metrics(log: SimLog, ocp: OcpConfig) -> RunMetrics:
 
     iters = np.array([r.solve_iterations for r in log.records])
     times = np.array([r.solve_time_ms for r in log.records])
+    prepare_times = np.array([r.prepare_time_ms for r in log.records])
     failures = sum(1 for r in log.records if r.status != "converged")
 
     max_s2 = terminal_s2 = None
@@ -395,6 +405,12 @@ def compute_metrics(log: SimLog, ocp: OcpConfig) -> RunMetrics:
         max_abs_s2=max_s2,
         terminal_abs_s2=terminal_s2,
         longest_stall_s=longest * cfg.delta,
+        prepare_time_ms_p50=float(np.median(prepare_times)),
+        prepare_time_ms_max=float(np.max(prepare_times)),
+        solve_time_ms_p50=float(np.median(times)),
+        solve_time_ms_p99=float(np.percentile(times, 99)),
+        deadline_misses=int(np.sum(times > 1e3 * cfg.delta)),
+        total_solver_iters=int(np.sum(iters)),
     )
 
 
@@ -475,7 +491,15 @@ _SUMMARY_KEYS = (
     ("max_abs_s2", "max_abs_s2"),
     ("terminal_abs_s2", "terminal_abs_s2"),
     ("longest_stall_s", "longest_stall_s"),
+    ("prepare_time_ms_p50", "prepare_time_ms_p50"),
+    ("prepare_time_ms_max", "prepare_time_ms_max"),
+    ("solve_time_ms_p50", "solve_time_ms_p50"),
+    ("solve_time_ms_p99", "solve_time_ms_p99"),
+    ("deadline_misses", "deadline_misses"),
+    ("total_solver_iters", "total_solver_iters"),
 )
+# the keys from longest_stall_s on were appended: older summaries lack them
+_FIRST_APPENDED = [name for name, _ in _SUMMARY_KEYS].index("longest_stall_s")
 
 
 def summarize_json(metrics: RunMetrics, path: str) -> None:
@@ -495,6 +519,5 @@ def metrics_from_summary(path: str) -> RunMetrics:
     """Rebuild RunMetrics from an exported summary (for the compare CLI)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    # summaries written before the stall key was appended lack it
-    return RunMetrics(**{name: doc[key] for name, key in _SUMMARY_KEYS[:-1]},
-                      longest_stall_s=doc.get("longest_stall_s"))
+    return RunMetrics(**{name: doc[key] for name, key in _SUMMARY_KEYS[:_FIRST_APPENDED]},
+                      **{name: doc.get(key) for name, key in _SUMMARY_KEYS[_FIRST_APPENDED:]})

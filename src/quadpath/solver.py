@@ -57,6 +57,10 @@ that were active stay active.
 Either way the bound duals start at ``mu / gap``, which at a converged
 point gives back the previous duals.
 
+A solve is a preparation (:func:`prepare`), which reads no pin (measured
+state) and can run on a pin-free structure before the measurement, then
+the feedback (:func:`solve`), which fills the pin rows of ``c`` and iterates.
+
 The problem keeps its own Jacobians and solves its own KKT system, so it
 can use its structure: :class:`DenseNlp` holds dense matrices and factors
 the dense KKT matrix, and the horizon problem
@@ -84,6 +88,8 @@ Problem objects must expose:
   back;
 - ``jt_dot(blocks, v)`` and ``at_dot(blocks, v)``: the products ``J^T v``
   and ``A^T v``;
+- ``fill_pins(w, c)``: writes in place the rows of ``c`` at ``w`` that read
+  a pin (a measured state), which a pin-free evaluation leaves empty;
 - ``kkt_step(blocks, g, c, sigma, reg) -> (dw, lam)``: the step and the
   equality multipliers that solve the KKT system with Hessian
   ``2 J^T J + diag(sigma)`` plus ``reg`` on the diagonal, gradient ``g``
@@ -142,6 +148,7 @@ class SolveResult:
     # line-search trials over all iterations: the points examined up to
     # each acceptance, the second-order correction included
     trials: int
+    prepare_time: float = 0.0
 
 
 class Box:
@@ -264,6 +271,9 @@ class DenseNlp:
         """``(J, A)`` at point ``i`` of an :meth:`evaluate` call."""
         return self.residual_jacobian(kept[i]), self.equality_jacobian(kept[i])
 
+    def fill_pins(self, w, c):
+        """No row reads a pin."""
+
     def jt_dot(self, blocks, v):
         return blocks[0].T @ v
 
@@ -339,29 +349,27 @@ class _BoundDuals:
         self.z = self.z.clip(_MU / (_DUAL_SAFEGUARD * gap), _DUAL_SAFEGUARD * _MU / gap)
 
 
-def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=None) -> SolveResult:
-    """Solve the barrier problem at ``mu = 1e-7`` until its primal-dual
-    optimality error (the module docstring's ``E``) is at most 1e-6.
+def _first_order(problem, blocks, r, bgrad, duals, lam):
+    """The step's gradient ``g`` and the stationarity term of ``E`` at a
+    point."""
+    grad_r = 2.0 * problem.jt_dot(blocks, r)
+    stat = float(np.abs((grad_r + duals.gradient() + problem.at_dot(blocks, lam))[problem.box.free])
+                 .max(initial=0.0))
+    return grad_r + _MU * bgrad, stat
 
-    A cold guess (no ``multipliers``) is pushed strictly inside the box
-    before iterating; a warm guess, such as the plan
-    ``quadpath.transcription.warm_start_shift`` returns, is only moved just
-    inside it (:meth:`Box.project` at a margin of 1e-6), which keeps its
-    active bounds where they are.  On line search failure, iteration
-    exhaustion (50 iterations, dual-only ones included) or a step at the
-    rounding floor with the bound duals already at ``mu / gap``, the current
-    iterate is returned with the corresponding status; the caller decides what to do with a non-converged first input.
-    ``SolveResult.kkt_residual`` is ``E`` at the returned point.
-    """
+
+def prepare(problem, initial_guess, multipliers: Optional[np.ndarray] = None) -> tuple:
+    """A solve's start: all of its first iteration that reads no equality
+    value, ``(w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat,
+    seconds taken)``; :func:`solve` consumes it.  A cold guess (no
+    ``multipliers``) is pushed strictly inside the box; a warm guess, such
+    as the plan ``quadpath.transcription.warm_start_shift`` returns, is only
+    moved just inside it (:meth:`Box.project` at a margin of 1e-6), which
+    keeps its active bounds where they are."""
     t_start = time.perf_counter()
     box = problem.box
     # a warm guess is a shifted optimum: keep its active bounds where they are
     w = box.project(initial_guess, _COLD_MARGIN if multipliers is None else _WARM_MARGIN)
-
-    # r, c and blocks always hold the values and the Jacobians at w, and
-    # bval, bgrad and gap its barrier: the accepted line-search point brings
-    # its values and barrier along, and its Jacobians come from what its
-    # evaluation kept
     r, c, kept = problem.evaluate(w)
     blocks = problem.row_blocks(kept, ...)
     bval, bgrad, gap = box.barrier(w)
@@ -369,9 +377,37 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
     lam = np.zeros(m) if multipliers is None else np.asarray(multipliers, dtype=float).copy()
     if lam.shape != (m,):
         raise ValueError("multiplier vector has the wrong length")
+    duals = _BoundDuals(box, gap)
+    g, stat = _first_order(problem, blocks, r, bgrad, duals, lam)
+    return w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat, time.perf_counter() - t_start
+
+
+def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=None,
+          start: Optional[tuple] = None) -> SolveResult:
+    """Solve the barrier problem at ``mu = 1e-7`` until its primal-dual
+    optimality error (the module docstring's ``E``) is at most 1e-6.
+
+    It runs :func:`prepare`, unless ``start`` holds what ``prepare`` made
+    of ``initial_guess`` and ``multipliers`` on ``problem`` or on its
+    pin-free structure, then the feedback.  On line search failure, iteration
+    exhaustion (50 iterations, dual-only ones included) or a step at the
+    rounding floor with the bound duals already at ``mu / gap``, the current
+    iterate is returned with the corresponding status; the caller decides what to do with a non-converged first input.
+    ``SolveResult.kkt_residual`` is ``E`` at the returned point;
+    ``solve_time`` is the feedback's time, ``prepare_time`` the start's.
+    """
+    if start is None:
+        start = prepare(problem, initial_guess, multipliers)
+    t_start = time.perf_counter()
+    box = problem.box
+    # r, c and blocks always hold the values and the Jacobians at w, and
+    # bval, bgrad and gap its barrier: the accepted line-search point brings
+    # its values and barrier along, and its Jacobians come from what its
+    # evaluation kept
+    w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat, prepare_time = start
+    problem.fill_pins(w, c)
 
     rho = _PENALTY
-    duals = _BoundDuals(box, gap)
     iters = 0
     total_trials = 0
 
@@ -379,6 +415,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         return SolveResult(
             decision=w, status=stat, kkt_residual=float(kkt_val), iterations=iters,
             solve_time=time.perf_counter() - t_start, multipliers=lam, trials=total_trials,
+            prepare_time=prepare_time,
         )
 
     def merit_of(r, c, bval):
@@ -387,13 +424,9 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         return float(r @ r) + _MU * bval + rho * float(np.abs(c).sum())
 
     if log is not None:
-        log.write(f"# solve n={box.n} m={m}\n")
+        log.write(f"# solve n={box.n} m={c.shape[0]}\n")
 
     while True:
-        grad_r = 2.0 * problem.jt_dot(blocks, r)
-        g = grad_r + _MU * bgrad
-        stat = float(np.abs((grad_r + duals.gradient() + problem.at_dot(blocks, lam))[box.free])
-                     .max(initial=0.0))
         abs_c = np.abs(c)
         eq_val = float(abs_c.max(initial=0.0))
         kkt_val = max(stat, eq_val, duals.complementarity(gap))
@@ -436,6 +469,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
             if np.array_equal(duals.z, _MU / gap):
                 return _finish(MAX_ITERATIONS)
             duals = _BoundDuals(box, gap)
+            g, stat = _first_order(problem, blocks, r, bgrad, duals, lam)
             iters += 1
             if log is not None:
                 _log_line(log, iters, merit0, merit0, 0.0, kkt_val, eq_val, 0, False)
@@ -516,6 +550,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         bval, bgrad, gap = bar
         duals.clip(gap)
         lam = lam_new.copy()
+        g, stat = _first_order(problem, blocks, r, bgrad, duals, lam)
         iters += 1
         total_trials += trials
         if log is not None:

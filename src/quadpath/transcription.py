@@ -17,19 +17,19 @@ a terminal cost) is encoded as a weighted least-squares residual, which is
 what the Gauss-Newton solver consumes.
 
 No m x n matrix is formed on the solver's path.  With the stage state
-``s_k = (x_k, z_k)`` and stage input ``q_k = (u_k, v_k)``, no residual
-couples two stages or a state with an input, and the gap into ``s_{k+1}``
-involves only ``s_k`` and ``q_k``.  ``OcpProblem.evaluate`` takes one
-point or a stack of them, gathers their stage vectors with index arrays,
-makes one path evaluation and one RK4 stage pass for all of them and
-writes the stacked residuals ``r`` and gaps ``c`` block by block;
+``s_k = (x_k, z_k)`` and stage input ``q_k = (u_k, v_k)``, no residual couples
+two stages or a state with an input, and the gap into ``s_{k+1}`` involves
+only ``s_k`` and ``q_k``.  ``OcpStructure.evaluate`` takes one point or a
+stack of them, gathers their stage vectors with index arrays, makes one
+path evaluation and one RK4 stage pass for all of them and writes the
+stacked residuals ``r`` and gaps ``c`` but the pin rows block by block;
 ``OcpStructure.row_blocks`` builds the :class:`StageBlocks` of one point
 from the path derivatives and stage quantities that pass kept: the path
 residual rows over each ``s_k`` and the transitions built from the RK4
 sensitivities and the constant timing blocks.  The products the solver
 needs (``J^T v`` and ``A^T v``) and the Newton step, which condenses the
-shooting states out of the KKT system and solves for the inputs alone,
-work on those blocks.
+shooting states out of the KKT system and solves for the inputs alone, work
+on those blocks.
 The condensing runs backward, in O(N^2): a forward sweep carries each state
 step's dependence on the inputs, a backward sweep gathers the cost gradient
 the later stages pass back to each state, and the condensed Hessian and
@@ -41,16 +41,18 @@ held and free states take one path.  Everything that does not depend on the
 pins has one owner, the read-only :class:`OcpStructure` a controller builds
 once: the path, configuration and model, the layout, index arrays, constant
 blocks, the box and its held states, and every operation that reads no pin
-(``unpack``, ``row_blocks``, ``jt_dot``, ``at_dot``, ``kkt_step`` and, for
-checks, ``dense_jacobians``).  A problem (:class:`OcpProblem`) is its two
-pins on a structure: it defines only what reads them, ``evaluate`` and
-``rollout``.  :func:`warm_start_shift` moves a solution onto the
-structure's layout, pin-free too.  The structure rejects a box whose held
-states the free inputs of a stage cannot move independently (the held rows
-of the input sensitivity at hover have numerical rank below their count):
-their gap rows would repeat the pins, and every Newton step would be
-singular.  The corridor offset is bounded by ``OcpConfig.s2_bounds``
-alone: the box and the path evaluation read the same bounds.
+(``unpack``, ``evaluate`` but its pin rows, ``row_blocks``, ``jt_dot``,
+``at_dot``, ``kkt_step`` and, for checks, ``dense_jacobians``), so a
+solve's start is prepared on it before the measurement.  A problem
+(:class:`OcpProblem`) is its two pins on a structure: it defines only what
+reads them, ``fill_pins``, ``evaluate`` and ``rollout``.
+:func:`warm_start_shift` moves a solution onto the structure's layout,
+pin-free too.  The structure rejects a box whose held states the free
+inputs of a stage cannot move independently (the held rows of the input
+sensitivity at hover have numerical rank below their count): their gap rows
+would repeat the pins, and every Newton step would be singular.  The
+corridor offset is bounded by ``OcpConfig.s2_bounds`` alone: the box and
+the path evaluation read the same bounds.
 """
 
 from __future__ import annotations
@@ -223,7 +225,8 @@ class OcpStructure:
     It holds the path, the configuration and the model parameters, and
     what they fix: the layout and index arrays, the constant Jacobian
     blocks, the box and the held (frozen) states.  It owns every operation
-    that reads no pin: :meth:`unpack`, the stage blocks of an evaluation
+    that reads no pin: :meth:`unpack`, the evaluation of all but the pin
+    rows (:meth:`evaluate`), the stage blocks of an evaluation
     (:meth:`row_blocks`), the Jacobian products, the condensed Newton step
     and, for checks, :meth:`dense_jacobians`.  A controller builds one
     structure and shares it between the problems of its control steps; all
@@ -438,6 +441,46 @@ class OcpStructure:
         A[rows[1:], qi[:, None, :]] = -blocks.g
         return J, A
 
+    # ----- cost and equality constraints, in one pass -------------------------
+
+    def evaluate(self, W):
+        """``(R, C, kept)`` at ``W``, one point (shape ``(n,)``) or a stack
+        of them (shape ``(k, n)``): the residuals and the equality values,
+        stacked like ``W``, with one path evaluation and one RK4 stage pass
+        for the whole stack, and the path derivatives and RK4 stage
+        quantities ``kept`` from which :meth:`row_blocks` builds the blocks
+        of one row.  ``R`` and ``C`` are written block by block, and each
+        row is bitwise what the same routine gives for that row alone.  The
+        pin rows of ``C`` are left empty (:meth:`OcpProblem.fill_pins`)."""
+        W = np.asarray(W, dtype=float)
+        X, U, Z, V = self.unpack(W)
+        batch, N = W.shape[:-1], self.config.horizon
+        nx, nz, nq, nr = self.n_x, self.n_z, self.n_res_q, self.n_res_r
+        p, dp = self._path_values(Z[..., :N, :])
+
+        # residual: path stages, inputs, terminal cost; the stage vector is
+        # [output - path point (yaw wrapped), velocity, progress (, offset)]
+        q = W.take(self.q_idx, axis=-1)
+        q[..., 0:4] -= p
+        q[..., 3] = wrap_angle(q[..., 3])
+        R = np.empty(batch + (self.m_res,))
+        np.matmul(q, self.lq.T, out=R[..., :N * nq].reshape(batch + (N, nq)))
+        np.matmul(W.take(self.input_idx, axis=-1), self.lr.T,
+                  out=R[..., N * nq:N * (nq + nr)].reshape(batch + (N, nr)))
+        term = self.jt[:, nx:].diagonal()  # the square roots of the terminal weights
+        np.multiply(term, Z[..., N, :term.size], out=R[..., N * (nq + nr):])
+
+        # gaps: one integration of every row; its stage quantities give the
+        # sensitivities of a row on demand
+        c_stage, tau = self.rk4_constants[:2]
+        fx, trig, axis, scale = _rk4_stages(X[..., :N, :], U, self.config.delta, self.params, c_stage, tau)
+        gz = Z[..., :N, :] @ self.ad.T + V @ self.bd.T
+        C = np.empty(batch + (self.m_eq,))
+        ns, gap_z = nx + nz, nx + nz + N * nx
+        np.subtract(X[..., 1:, :], fx, out=C[..., ns:gap_z].reshape(batch + (N, nx)))
+        np.subtract(Z[..., 1:, :], gz, out=C[..., gap_z:].reshape(batch + (N, nz)))
+        return R, C, (dp, trig, axis, scale)
+
     # ----- products of the Jacobians ------------------------------------------
 
     def jt_dot(self, blocks: StageBlocks, v) -> np.ndarray:
@@ -559,8 +602,8 @@ class OcpProblem:
 
     It binds the structure's box and pin-free solver members (``row_blocks``,
     ``jt_dot``, ``at_dot``, ``kkt_step``), and defines only what reads the
-    pins: :meth:`evaluate`, :meth:`rollout` and the views of one point's
-    evaluation for checks.  The box frees the pinned stage-0 coordinates:
+    pins: :meth:`fill_pins`, :meth:`evaluate`, :meth:`rollout` and the views
+    of one point's evaluation for checks.  The box frees the pinned stage-0 coordinates:
     the equality pin wins over the box.
     """
 
@@ -599,48 +642,19 @@ class OcpProblem:
             Z[k + 1] = step_timing(Z[k], V[k], delta)
         return w
 
-    # ----- cost and equality constraints, in one pass -------------------------
+    def fill_pins(self, W, C):
+        """Write the pin rows of ``C`` at ``W``, which the structure's
+        :meth:`~OcpStructure.evaluate` leaves empty."""
+        st, nx = self.structure, self.structure.n_x
+        np.subtract(W[..., :nx], self.x0, out=C[..., :nx])
+        np.subtract(W[..., st.oz:st.oz + st.n_z], self.z0, out=C[..., nx:nx + st.n_z])
 
     def evaluate(self, W):
-        """``(R, C, kept)`` at ``W``, one point (shape ``(n,)``) or a stack
-        of them (shape ``(k, n)``): the residuals and the equality values,
-        stacked like ``W``, with one path evaluation and one RK4 stage pass
-        for the whole stack, and the path derivatives and RK4 stage
-        quantities ``kept`` from which :meth:`OcpStructure.row_blocks`
-        builds the blocks of one row.  ``R`` and ``C`` are written block by
-        block, and each row is bitwise what the same routine gives for that
-        row alone."""
+        """:meth:`OcpStructure.evaluate` at ``W`` with its pin rows filled."""
         W = np.asarray(W, dtype=float)
-        st = self.structure
-        X, U, Z, V = st.unpack(W)
-        batch, N = W.shape[:-1], st.config.horizon
-        nx, nz, nq, nr = st.n_x, st.n_z, st.n_res_q, st.n_res_r
-        p, dp = st._path_values(Z[..., :N, :])
-
-        # residual: path stages, inputs, terminal cost; the stage vector is
-        # [output - path point (yaw wrapped), velocity, progress (, offset)]
-        q = W.take(st.q_idx, axis=-1)
-        q[..., 0:4] -= p
-        q[..., 3] = wrap_angle(q[..., 3])
-        R = np.empty(batch + (st.m_res,))
-        np.matmul(q, st.lq.T, out=R[..., :N * nq].reshape(batch + (N, nq)))
-        np.matmul(W.take(st.input_idx, axis=-1), st.lr.T,
-                  out=R[..., N * nq:N * (nq + nr)].reshape(batch + (N, nr)))
-        term = st.jt[:, nx:].diagonal()  # the square roots of the terminal weights
-        np.multiply(term, Z[..., N, :term.size], out=R[..., N * (nq + nr):])
-
-        # gaps: one integration of every row; its stage quantities give the
-        # sensitivities of a row on demand
-        c_stage, tau = st.rk4_constants[:2]
-        fx, trig, axis, scale = _rk4_stages(X[..., :N, :], U, st.config.delta, st.params, c_stage, tau)
-        gz = Z[..., :N, :] @ st.ad.T + V @ st.bd.T
-        C = np.empty(batch + (st.m_eq,))
-        ns, gap_z = nx + nz, nx + nz + N * nx
-        np.subtract(X[..., 0, :], self.x0, out=C[..., :nx])
-        np.subtract(Z[..., 0, :], self.z0, out=C[..., nx:ns])
-        np.subtract(X[..., 1:, :], fx, out=C[..., ns:gap_z].reshape(batch + (N, nx)))
-        np.subtract(Z[..., 1:, :], gz, out=C[..., gap_z:].reshape(batch + (N, nz)))
-        return R, C, (dp, trig, axis, scale)
+        R, C, kept = self.structure.evaluate(W)
+        self.fill_pins(W, C)
+        return R, C, kept
 
     # views of one point's evaluation and blocks, for checks; no solve calls
     # them

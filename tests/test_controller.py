@@ -175,8 +175,8 @@ class TestWarmStartFlight:
         attempts = []
         original = controller_module.solve
 
-        def recorded(problem, guess, multipliers=None, log=None):
-            result = original(problem, guess, multipliers=multipliers, log=log)
+        def recorded(problem, guess, multipliers=None, log=None, start=None):
+            result = original(problem, guess, multipliers=multipliers, log=log, start=start)
             attempts.append((multipliers is not None, result))
             return result
         monkeypatch.setattr(controller_module, "solve", recorded)
@@ -314,9 +314,9 @@ class TestFallbackChain:
         attempts = []
         original = controller_module.solve
 
-        def patched(problem, guess, multipliers=None, log=None):
+        def patched(problem, guess, multipliers=None, log=None, start=None):
             kind = "rollout" if multipliers is None else "warm"
-            result = original(problem, guess, multipliers=multipliers, log=log)
+            result = original(problem, guess, multipliers=multipliers, log=log, start=start)
             if kind in failing:
                 result = replace(result, status=MAX_ITERATIONS)
             attempts.append((kind, problem, guess.copy(), multipliers, result))
@@ -390,8 +390,8 @@ class TestVelocityKick:
         results = []
         original = controller_module.solve
 
-        def recorded(problem, guess, multipliers=None, log=None):
-            results.append(original(problem, guess, multipliers=multipliers, log=log))
+        def recorded(problem, guess, multipliers=None, log=None, start=None):
+            results.append(original(problem, guess, multipliers=multipliers, log=log, start=start))
             return results[-1]
         monkeypatch.setattr(controller_module, "solve", recorded)
 
@@ -517,3 +517,120 @@ class TestCorridorMode:
     def test_path_type_must_match_config(self):
         with pytest.raises(ValueError):
             PathController(make_path("spiral"), OcpConfig(corridor=True), PARAMS)
+
+
+class TestPrepareFeedback:
+    """``PathController.prepare`` moves a warm solve's measurement-free work
+    ahead of the measurement, and ``control_step`` is the feedback: the
+    split changes no bit, and a prepared start serves one solve."""
+
+    @staticmethod
+    def fly(scenario, prepares, steps=60):
+        """Inputs, decisions and multipliers of a flight that calls
+        ``prepare`` ``prepares`` times after each ``advance_path_state``."""
+        path, ocp, params = build_components(scenario_config(scenario))
+        controller = PathController(path, ocp, params)
+        x = state_on_path(path, -1.0, ocp.corridor)
+        out = []
+        for _ in range(steps):
+            inp, nu, diag = controller.control_step(x)
+            out += [inp.tobytes(), nu.tobytes(), diag.solve.decision.tobytes(), diag.solve.multipliers.tobytes()]
+            x = rk4_step(x, inp, ocp.delta, params)
+            controller.advance_path_state(nu)
+            for _ in range(prepares):
+                controller.prepare()
+        return out
+
+    @pytest.mark.parametrize("scenario", ["spiral", "sinusoid-corridor"])
+    def test_flight_identical_prepared_once_never_or_twice(self, scenario):
+        once = self.fly(scenario, 1)
+        assert self.fly(scenario, 0) == once
+        assert self.fly(scenario, 2) == once
+
+    @staticmethod
+    def count_preparations(monkeypatch):
+        """Count the starts prepared on the structure (by ``prepare``) and
+        on a pinned problem (by a solve that prepares for itself)."""
+        counts = {"structure": 0, "problem": 0}
+        original = solver.prepare
+
+        def counted(problem, *args, **kwargs):
+            counts["structure" if isinstance(problem, transcription.OcpStructure) else "problem"] += 1
+            return original(problem, *args, **kwargs)
+        monkeypatch.setattr(solver, "prepare", counted)
+        monkeypatch.setattr(controller_module, "prepare_start", counted)
+        return counts
+
+    def test_a_prepared_start_serves_one_solve(self, monkeypatch):
+        counts = self.count_preparations(monkeypatch)
+        controller, cfg = spiral_controller()
+        x = state_on_path(controller.path, -1.0)
+        controller.prepare()  # no solution yet: nothing to prepare
+        expected = []
+        for prepares in (0, 1, 0, 2, 1):
+            for _ in range(prepares):
+                controller.prepare()
+            inp, nu, diag = controller.control_step(x)
+            assert diag.solve.status == CONVERGED
+            x = rk4_step(x, inp, cfg.delta, PARAMS)
+            controller.advance_path_state(nu)
+            expected.append(dict(counts))
+        # the cold step prepares on its problem; a prepared start is used by
+        # the next step alone, which then prepares nothing itself
+        assert [(c["structure"], c["problem"]) for c in expected] == [(0, 1), (1, 1), (1, 2), (3, 2), (4, 2)]
+
+    def test_a_solution_replaced_after_prepare_is_not_served_the_old_start(self, monkeypatch):
+        counts = self.count_preparations(monkeypatch)
+        controller, cfg = spiral_controller()
+        x = state_on_path(controller.path, -1.0)
+        inp, nu, diag = controller.control_step(x)
+        controller.advance_path_state(nu)
+        controller.prepare()
+        controller.last_solution = replace(controller.last_solution)
+        controller.control_step(rk4_step(x, inp, cfg.delta, PARAMS))
+        assert (counts["structure"], counts["problem"]) == (1, 2)
+
+    def test_the_prepared_start_reads_no_pin(self, monkeypatch):
+        # two controllers, one solution; after prepare, the second gets
+        # another timing state and another measurement
+        starts, first_steps = [], []
+        original = controller_module.prepare_start
+        monkeypatch.setattr(controller_module, "prepare_start",
+                            lambda *args: starts.append(original(*args)) or starts[-1])
+        controller, cfg = spiral_controller()
+        x = state_on_path(controller.path, -1.0)
+        inp, nu, _ = controller.control_step(x)
+        x = rk4_step(x, inp, cfg.delta, PARAMS)
+        controller.advance_path_state(nu)
+        twin = copy.deepcopy(controller)
+        ns = controller.structure.n_x + controller.structure.n_z
+
+        def start_bytes(start):
+            """Every array of a start but its empty pin rows, and its time."""
+            values = [v.z if isinstance(v, solver._BoundDuals) else v for v in start[:-1]]
+            values[2] = start[2][ns:]  # c
+            return [np.asarray(a).tobytes() for v in values for a in (v if isinstance(v, tuple) else (v,))]
+
+        controller.prepare()
+        twin.prepare()
+        twin.path_state = twin.path_state + np.array([0.01, 0.001])
+        twin.prepare()
+        assert len(starts) == 3
+        assert start_bytes(starts[1]) == start_bytes(starts[0]) == start_bytes(starts[2])
+
+        kkt_step = transcription.OcpStructure.kkt_step
+
+        def recorded(structure, blocks, g, c, sigma, reg):
+            first_steps.append((blocks, g.copy(), c.copy(), sigma.copy(), reg))
+            return kkt_step(structure, blocks, g, c, sigma, reg)
+        monkeypatch.setattr(transcription.OcpStructure, "kkt_step", recorded)
+        controller.control_step(x)
+        first = len(first_steps)
+        measured = x.copy()
+        measured[0] += 0.02
+        twin.control_step(measured)
+        (blocks_a, g_a, c_a, sigma_a, reg_a), (blocks_b, g_b, c_b, sigma_b, reg_b) = first_steps[0], first_steps[first]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(blocks_a, blocks_b))
+        assert (g_a.tobytes(), sigma_a.tobytes(), reg_a) == (g_b.tobytes(), sigma_b.tobytes(), reg_b)
+        assert c_a[ns:].tobytes() == c_b[ns:].tobytes()
+        assert not np.array_equal(c_a[:ns], c_b[:ns])

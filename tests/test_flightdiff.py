@@ -44,3 +44,11 @@ def test_one_changed_float_on_the_flight_path_fails(flightdiff, tmp_path, capsys
 def test_unknown_revision_is_refused(flightdiff, tmp_path, capsys):
     assert flightdiff.main(["--against", str(tmp_path / "no-such-tree")], flights=()) == 2
     assert capsys.readouterr().err.startswith("flightdiff: no source tree or revision")
+
+
+def test_summary_keys_appended_by_one_tree_are_not_a_difference(flightdiff):
+    ours = {"summary.json": [["steps", "3"], ["total_solver_iters", "7"]]}
+    assert flightdiff.first_difference(ours, {"summary.json": [["steps", "3"]]}) is None
+    assert flightdiff.first_difference({"summary.json": [["steps", "3"]]}, ours) is None
+    assert flightdiff.first_difference(ours, {"summary.json": [["steps", "4"]]}) == \
+        "summary.json row 1, column 2: 3 != 4"

@@ -221,7 +221,8 @@ class TestSummarizeJson:
             out = tmp_path / f"summary{i}.json"
             summarize_json(metrics, str(out))
             docs.append(json.loads(out.read_text()))
-        timing_keys = {"mean_solve_time_ms", "max_solve_time_ms"}
+        timing_keys = {"mean_solve_time_ms", "max_solve_time_ms", "prepare_time_ms_p50", "prepare_time_ms_max",
+                       "solve_time_ms_p50", "solve_time_ms_p99", "deadline_misses"}
         for key in docs[0]:
             if key not in timing_keys:
                 assert docs[0][key] == docs[1][key], key
@@ -239,16 +240,53 @@ class TestSummarizeJson:
         summarize_json(metrics, str(out))
         assert metrics_from_summary(str(out)) == metrics
 
-    def test_stall_key_last_and_optional_on_read(self, hover_run, tmp_path):
+    APPENDED_KEYS = ("longest_stall_s", "prepare_time_ms_p50", "prepare_time_ms_max", "solve_time_ms_p50",
+                     "solve_time_ms_p99", "deadline_misses", "total_solver_iters")
+
+    def test_appended_keys_last_in_order_and_optional_on_read(self, hover_run, tmp_path):
         cfg, log, metrics = hover_run
         out = tmp_path / "summary.json"
         summarize_json(metrics, str(out))
         doc = json.loads(out.read_text())
-        assert list(doc)[-1] == "longest_stall_s"
-        # a summary written before the key was appended still reads
-        del doc["longest_stall_s"]
-        out.write_text(json.dumps(doc))
-        assert metrics_from_summary(str(out)) == dataclasses.replace(metrics, longest_stall_s=None)
+        assert tuple(doc)[-len(self.APPENDED_KEYS):] == self.APPENDED_KEYS
+        assert doc["total_solver_iters"] == sum(r.solve_iterations for r in log.records)
+        # summaries written before the stall key, or before the step-time
+        # keys, were appended still read
+        for first in (0, 1):
+            missing = self.APPENDED_KEYS[first:]
+            out.write_text(json.dumps({k: v for k, v in doc.items() if k not in missing}))
+            assert metrics_from_summary(str(out)) == dataclasses.replace(metrics, **dict.fromkeys(missing))
+
+
+class TestStepTimes:
+    """The appended step-time keys: feedback solve time p50 / p99, the
+    preparation's p50 / max, feedback solves over the control period and
+    the iterations of the flight."""
+
+    def test_percentiles_misses_and_iterations(self):
+        cfg = scenario_config("spiral", total_time=10.0)
+        solve_ms = [1.0, 2.0, 60.0, 3.0, 50.0, 51.0]
+        prepare_ms = [9.0, 0.5, 0.25, 0.5, 1.0, 0.75]
+        log = SimLog(cfg)
+        for k, (solve_time, prepare_time) in enumerate(zip(solve_ms, prepare_ms)):
+            log.records.append(StepRecord(
+                t=k * cfg.delta, state=np.zeros(9), inp=np.zeros(4), nu=np.zeros(1),
+                path_state=np.array([-1.0, 0.02]), reference=np.zeros(4), error=np.zeros(4),
+                solve_iterations=k + 1, solve_time_ms=solve_time, status="converged",
+                prepare_time_ms=prepare_time))
+        metrics = compute_metrics(log, build_components(cfg)[1])
+        assert metrics.solve_time_ms_p50 == 26.5
+        assert metrics.solve_time_ms_p99 == pytest.approx(59.55)
+        assert (metrics.prepare_time_ms_p50, metrics.prepare_time_ms_max) == (0.625, 9.0)
+        assert metrics.deadline_misses == 2  # 50 ms is on the period, not over it
+        assert metrics.total_solver_iters == 21
+
+    def test_flight_records_the_feedback_and_the_preparation(self):
+        log, metrics = run_scenario(scenario_config("spiral", total_time=1.0))
+        prepare_ms = [r.prepare_time_ms for r in log.records]
+        assert all(t > 0.0 for t in prepare_ms)
+        assert metrics.prepare_time_ms_max == max(prepare_ms)
+        assert metrics.solve_time_ms_p50 == float(np.median([r.solve_time_ms for r in log.records]))
 
 
 class TestLongestStall:
@@ -535,6 +573,19 @@ class TestCli:
                             f"{key} = {config_value('sinusoid-corridor', key, 'nan')}\n")
         code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         self.assert_one_line_refusal(code, capsys, "")
+
+    @pytest.mark.parametrize("text", ["scenario = sinusoid\nyawrate_cmd_bound = nan\n",
+                                      "scenario = spiral\nz_min = 0.5\nz_max = 0.5\nthrust_bound = 0\n"],
+                             ids=["nan-bound", "frozen-z"])
+    def test_refused_config_creates_no_output(self, tmp_path, capsys, text):
+        # the OcpConfig checks and the horizon problem's own run before the
+        # output directory or solver.log is made
+        cfg_file = tmp_path / "refused.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "out"
+        code = cli_main(["run", "--config", str(cfg_file), "--out", str(out), "--verbose"])
+        self.assert_one_line_refusal(code, capsys, "")
+        assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["hover", "spiral"])
     def test_run_rejects_scenario_with_config(self, tmp_path, capsys, scenario):

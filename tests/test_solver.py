@@ -16,6 +16,7 @@ from quadpath.solver import (
     Box,
     DenseNlp,
     SolveResult,
+    prepare,
     solve,
 )
 from quadpath.solver import _newton_direction
@@ -433,8 +434,8 @@ def corridor_cluster():
     sinusoid-corridor flight, where its long solves cluster."""
     captured = []
 
-    def recording(problem, guess, multipliers=None, log=None):
-        result = solve(problem, guess, multipliers=multipliers, log=log)
+    def recording(problem, guess, multipliers=None, log=None, start=None):
+        result = solve(problem, guess, multipliers=multipliers, log=log, start=start)
         if 12.7 <= 0.05 * len(captured) <= 14.7:
             captured.append((result.trials, problem, guess.copy(), multipliers))
         else:
@@ -593,7 +594,7 @@ class TestProtocol:
     """``solve`` touches a problem only through the protocol the solver
     module documents."""
 
-    PROTOCOL = ("box", "evaluate", "row_blocks", "jt_dot", "at_dot", "kkt_step")
+    PROTOCOL = ("box", "evaluate", "row_blocks", "jt_dot", "at_dot", "fill_pins", "kkt_step")
 
     class Proxy:
         def __init__(self, problem, allowed):
@@ -648,6 +649,43 @@ class TestProtocol:
             # and warm, with multipliers
             warm = solve(self.Proxy(prob, self.PROTOCOL), want.decision, multipliers=want.multipliers)
             assert warm.status == CONVERGED
+
+
+class TestPrepareThenFeedback:
+    """``solve(problem, guess, multipliers)`` is ``prepare`` followed by the
+    feedback, bit for bit, whether the start is prepared on the problem or,
+    for a horizon problem, on its pin-free structure."""
+
+    @staticmethod
+    def run(prob, guess, multipliers, start=None):
+        log = io.StringIO()
+        result = solve(prob, guess, multipliers=multipliers, log=log, start=start)
+        return (result.decision.tobytes(), result.multipliers.tobytes(), result.status, result.iterations,
+                result.trials, result.kkt_residual, log.getvalue())
+
+    @pytest.mark.parametrize("kind", ["dense", "classic", "corridor"])
+    def test_solve_equals_prepare_then_feedback(self, kind):
+        prob, guess = list(TestProtocol.problems())[["dense", "classic", "corridor"].index(kind)]
+        cold = solve(prob, guess)
+        # a cold start, and a warm one from a perturbed optimum, which takes
+        # iterations
+        warm_guess = cold.decision + 1e-3 * np.sin(np.arange(cold.decision.size))
+        owners = [prob] + ([prob.structure] if kind != "dense" else [])
+        for guess, multipliers in ((guess, None), (warm_guess, cold.multipliers)):
+            want = self.run(prob, guess, multipliers)
+            assert want[3] > 0
+            for owner in owners:
+                assert self.run(prob, guess, multipliers, prepare(owner, guess, multipliers)) == want
+
+    def test_the_structure_leaves_only_the_pin_rows_to_the_problem(self):
+        _, prob, _ = (p for p, _ in TestProtocol.problems())
+        w = prob.rollout() + 1e-3
+        r, c, _ = prob.evaluate(w)
+        r_free, c_free, _ = prob.structure.evaluate(w)
+        ns = prob.structure.n_x + prob.structure.n_z
+        assert r.tobytes() == r_free.tobytes() and c[ns:].tobytes() == c_free[ns:].tobytes()
+        prob.fill_pins(w, c_free)
+        assert c.tobytes() == c_free.tobytes()
 
 
 class TestBoxIndexSets:

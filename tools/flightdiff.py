@@ -11,7 +11,8 @@ other tree is the one this script lives in.
 Each flight of :data:`FLIGHTS` runs ``python -m quadpath.cli run --config
 <file> --verbose`` with the tree's ``src`` on ``PYTHONPATH``, both trees side
 by side.  Compared are ``log.csv`` without its ``solve_time_ms`` column,
-``summary.json`` without ``mean_solve_time_ms`` and ``max_solve_time_ms``,
+``summary.json`` without its timing keys (:data:`TIMING_KEYS`) and up to
+the last key both trees write (keys are only ever appended),
 ``solver.log``, stdout, stderr and the exit code; ``quadpath validate`` is
 compared once.  One line per flight: ``identical``, or the first differing
 file, row and column with both values.  The exit status is 0 only when
@@ -47,7 +48,8 @@ FLIGHTS = (
 )
 
 TIMING_COLUMN = "solve_time_ms"
-TIMING_KEYS = ("mean_solve_time_ms", "max_solve_time_ms")
+TIMING_KEYS = ("mean_solve_time_ms", "max_solve_time_ms", "prepare_time_ms_p50", "prepare_time_ms_max",
+               "solve_time_ms_p50", "solve_time_ms_p99", "deadline_misses")
 
 
 def export_revision(rev: str, dest: Path) -> Path:
@@ -104,6 +106,8 @@ def first_difference(ours: dict, theirs: dict) -> str | None:
     ``None`` when they are identical."""
     for name in dict.fromkeys([*ours, *theirs]):
         a, b = ours.get(name, []), theirs.get(name, [])
+        if name == "summary.json":
+            a, b = a[:len(b)], b[:len(a)]  # a key one tree appends is not a difference
         for i in range(max(len(a), len(b))):
             row_a, row_b = a[i] if i < len(a) else [], b[i] if i < len(b) else []
             if row_a != row_b:
