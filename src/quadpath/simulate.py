@@ -324,15 +324,16 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
         if not np.all(np.isfinite(state)):
             raise RuntimeError(f"plant state became non-finite at t={t:.3f}s")
         controller.advance_path_state(nu)
-        controller.prepare()
 
         done = controller.path_state[0] >= PATH_END_THRESHOLD and np.linalg.norm(err) < SETTLE_ERROR
         if cfg.corridor:
             # at the true path end the corridor offset must have unwound too
             done = done and abs(controller.path_state[1]) < SETTLE_S2
         settled = settled + 1 if done else 0
-        if settled >= settle_needed:
+        if settled >= settle_needed or k + 1 == n_steps:
             break
+        # the next step's measurement-free work, for a step that comes
+        controller.prepare()
 
     metrics = compute_metrics(log, ocp)
     return log, metrics

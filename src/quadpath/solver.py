@@ -60,6 +60,9 @@ point gives back the previous duals.
 A solve is a preparation (:func:`prepare`), which reads no pin (measured
 state) and can run on a pin-free structure before the measurement, then
 the feedback (:func:`solve`), which fills the pin rows of ``c`` and iterates.
+The preparation builds the first iteration's Newton system at ``reg = 0``
+with the pins left open (``kkt_system``), so the feedback's first step
+only applies the pins and solves it (``kkt_feedback``).
 
 The problem keeps its own Jacobians and solves its own KKT system, so it
 can use its structure: :class:`DenseNlp` holds dense matrices and factors
@@ -95,7 +98,12 @@ Problem objects must expose:
   ``2 J^T J + diag(sigma)`` plus ``reg`` on the diagonal, gradient ``g``
   and linearized equalities ``A dw + c = 0``, on the ``box.free`` entries
   (``dw`` is zero off ``box.free``);
-  it raises ``numpy.linalg.LinAlgError`` when the system is singular.
+  it raises ``numpy.linalg.LinAlgError`` when the system is singular;
+- ``kkt_system(blocks, g, c, sigma)`` and ``kkt_feedback(system, c)``:
+  ``kkt_step``'s ``(dw, lam)`` at ``reg = 0`` in two parts, the system,
+  built without reading a pin row of ``c``, and its solve, which reads
+  only the pin rows of ``c``; ``kkt_feedback`` raises
+  ``numpy.linalg.LinAlgError`` when the system is singular.
 """
 
 from __future__ import annotations
@@ -189,9 +197,22 @@ class Box:
         self.width = (upper - lower)[self.idx]
         self.frozen_idx = np.flatnonzero(frozen)
         self.pin = 0.5 * (lower[self.frozen_idx] + upper[self.frozen_idx])
-        for value in vars(self).values():
+        # the projection's limits at the solver's two margin scales
+        self.limits = {scale: self._limits_at(scale) for scale in (_COLD_MARGIN, _WARM_MARGIN)}
+        for value in (*vars(self).values(), *(a for pair in self.limits.values() for a in pair)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+    def _limits_at(self, margin_scale: float):
+        """Full-length lower and upper limits of :meth:`project`: the faces
+        moved in, and infinite where an entry has no face or is frozen."""
+        width = self.width
+        margin = np.where(self.two_sided, np.minimum(margin_scale * width, 0.25 * width), margin_scale)
+        k = self.n_lo
+        lo, hi = np.full(self.n, -np.inf), np.full(self.n, np.inf)
+        lo[self.idx[:k]] = np.maximum(self.bound[:k] + margin[:k], self.inside[:k])
+        hi[self.idx[k:]] = np.minimum(self.bound[k:] - margin[k:], self.inside[k:])
+        return lo, hi
 
     def project(self, w, margin_scale: float) -> np.ndarray:
         """A copy of ``w`` strictly inside the box, frozen entries at their
@@ -201,15 +222,12 @@ class Box:
         capped at a quarter of the range, or by ``margin_scale`` itself when
         the entry is bounded on one side only.  A margin under half an ulp of
         its bound would leave the face where it is; that face moves in to
-        the first float inside it instead.
+        the first float inside it instead.  The moved faces of the solver's
+        two margin scales are computed once, with the box.
         """
-        w = np.array(w, dtype=float)
-        width = self.width
-        margin = np.where(self.two_sided, np.minimum(margin_scale * width, 0.25 * width), margin_scale)
-        k = self.n_lo
-        lo_idx, hi_idx = self.idx[:k], self.idx[k:]
-        w[lo_idx] = np.maximum(w[lo_idx], np.maximum(self.bound[:k] + margin[:k], self.inside[:k]))
-        w[hi_idx] = np.minimum(w[hi_idx], np.minimum(self.bound[k:] - margin[k:], self.inside[k:]))
+        lo, hi = self.limits.get(margin_scale) or self._limits_at(margin_scale)
+        w = np.maximum(np.asarray(w, dtype=float), lo)
+        np.minimum(w, hi, out=w)
         w[self.frozen_idx] = self.pin
         return w
 
@@ -285,16 +303,33 @@ class DenseNlp:
         (see :func:`_newton_direction`) on the rows with an entry above 1e-14
         on a free variable at this point; the others carry no multiplier and
         must hold already (to 1e-9), else ``LinAlgError``."""
-        J, A = blocks
-        keep = np.max(np.abs(A[:, self.box.free]), axis=1, initial=0.0) > 1e-14
+        return self.kkt_feedback(self._kkt_system(blocks, g, c, sigma, reg), c)
+
+    def kkt_system(self, blocks, g, c, sigma):
+        """The dense KKT matrix and right-hand side of :meth:`kkt_step` at
+        ``reg = 0``; no row reads a pin."""
+        return self._kkt_system(blocks, g, c, sigma, 0.0)
+
+    def kkt_feedback(self, system, c):
+        """The step of a :meth:`kkt_system`: its LU solve."""
+        (kkt, rhs), keep = system
         if np.any(np.abs(c[~keep]) > 1e-9):
             raise np.linalg.LinAlgError("an equality row on frozen variables alone does not hold")
+        return _solve_kkt(kkt, rhs, self.box.free, keep)
+
+    def _kkt_system(self, blocks, g, c, sigma, reg):
+        J, A = blocks
+        keep = np.max(np.abs(A[:, self.box.free]), axis=1, initial=0.0) > 1e-14
         h = 2.0 * (J.T @ J)
         h[np.diag_indices_from(h)] += sigma
-        return _newton_direction(h, g, A, c, self.box.free, keep, reg)
+        return _kkt_matrix(h, g, A, c, self.box.free, keep, reg), keep
 
 
 def _newton_direction(h, g, a, c, free, keep, reg):
+    return _solve_kkt(*_kkt_matrix(h, g, a, c, free, keep, reg), free, keep)
+
+
+def _kkt_matrix(h, g, a, c, free, keep, reg):
     nf = int(np.sum(free))
     hf = h[np.ix_(free, free)] + reg * np.eye(nf)
     af = a[np.ix_(keep, free)]
@@ -303,13 +338,17 @@ def _newton_direction(h, g, a, c, free, keep, reg):
     kkt[:nf, :nf] = hf
     kkt[:nf, nf:] = af.T
     kkt[nf:, :nf] = af
-    rhs = np.concatenate([-g[free], -c[keep]])
+    return kkt, np.concatenate([-g[free], -c[keep]])
+
+
+def _solve_kkt(kkt, rhs, free, keep):
     sol = np.linalg.solve(kkt, rhs)
     if not np.all(np.isfinite(sol)):
         raise np.linalg.LinAlgError("non-finite KKT solution")
-    dw = np.zeros(g.shape)
+    nf = int(np.sum(free))
+    dw = np.zeros(free.shape)
     dw[free] = sol[:nf]
-    lam_new = np.zeros(c.shape)
+    lam_new = np.zeros(keep.shape)
     lam_new[keep] = sol[nf:]
     return dw, lam_new
 
@@ -359,13 +398,15 @@ def _first_order(problem, blocks, r, bgrad, duals, lam):
 
 
 def prepare(problem, initial_guess, multipliers: Optional[np.ndarray] = None) -> tuple:
-    """A solve's start: all of its first iteration that reads no equality
-    value, ``(w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat,
-    seconds taken)``; :func:`solve` consumes it.  A cold guess (no
-    ``multipliers``) is pushed strictly inside the box; a warm guess, such
-    as the plan ``quadpath.transcription.warm_start_shift`` returns, is only
-    moved just inside it (:meth:`Box.project` at a margin of 1e-6), which
-    keeps its active bounds where they are."""
+    """A solve's start: all of its first iteration that reads no pin row
+    of ``c``, ``(w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat,
+    sigma, system, seconds taken)``, ``system`` the first Newton system at
+    ``reg = 0`` with its pins open (``kkt_system``); :func:`solve` consumes
+    it.  A cold guess (no ``multipliers``) is pushed strictly inside the
+    box; a warm guess, such as the plan
+    ``quadpath.transcription.warm_start_shift`` returns, is only moved just
+    inside it (:meth:`Box.project` at a margin of 1e-6), which keeps its
+    active bounds where they are."""
     t_start = time.perf_counter()
     box = problem.box
     # a warm guess is a shifted optimum: keep its active bounds where they are
@@ -379,7 +420,10 @@ def prepare(problem, initial_guess, multipliers: Optional[np.ndarray] = None) ->
         raise ValueError("multiplier vector has the wrong length")
     duals = _BoundDuals(box, gap)
     g, stat = _first_order(problem, blocks, r, bgrad, duals, lam)
-    return w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat, time.perf_counter() - t_start
+    sigma = duals.sigma(gap)
+    system = problem.kkt_system(blocks, g, c, sigma)
+    return (w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat, sigma, system,
+            time.perf_counter() - t_start)
 
 
 def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=None,
@@ -389,7 +433,10 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
 
     It runs :func:`prepare`, unless ``start`` holds what ``prepare`` made
     of ``initial_guess`` and ``multipliers`` on ``problem`` or on its
-    pin-free structure, then the feedback.  On line search failure, iteration
+    pin-free structure, then the feedback, whose first Newton step is the
+    prepared system with the pins applied (``kkt_feedback``); a
+    regularization, a second-order correction and every later iteration
+    take ``kkt_step``.  On line search failure, iteration
     exhaustion (50 iterations, dual-only ones included) or a step at the
     rounding floor with the bound duals already at ``mu / gap``, the current
     iterate is returned with the corresponding status; the caller decides what to do with a non-converged first input.
@@ -403,8 +450,8 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
     # r, c and blocks always hold the values and the Jacobians at w, and
     # bval, bgrad and gap its barrier: the accepted line-search point brings
     # its values and barrier along, and its Jacobians come from what its
-    # evaluation kept
-    w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat, prepare_time = start
+    # evaluation kept; sigma is the bound duals' at w, None once they move
+    w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat, sigma, system, prepare_time = start
     problem.fill_pins(w, c)
 
     rho = _PENALTY
@@ -435,13 +482,20 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         if iters >= _ITERATION_CAP:
             return _finish(MAX_ITERATIONS)
 
-        sigma = duals.sigma(gap)
+        if sigma is None:
+            sigma = duals.sigma(gap)
         c_l1 = float(abs_c.sum())
         reg = 0.0
         direction = None
         for _ in range(_MAX_REG_ESCALATIONS):
+            # the prepared system serves the first attempt of the first
+            # iteration alone
+            first, system = system, None
             try:
-                dw, lam_new = problem.kkt_step(blocks, g, c, sigma, reg)
+                if first is None:
+                    dw, lam_new = problem.kkt_step(blocks, g, c, sigma, reg)
+                else:
+                    dw, lam_new = problem.kkt_feedback(first, c)
             except np.linalg.LinAlgError:
                 reg = max(_REG_FLOOR, reg * 10.0) if reg else _REG_FLOOR
                 continue
@@ -468,7 +522,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
             # sit at mu / gap, nothing has
             if np.array_equal(duals.z, _MU / gap):
                 return _finish(MAX_ITERATIONS)
-            duals = _BoundDuals(box, gap)
+            duals, sigma = _BoundDuals(box, gap), None
             g, stat = _first_order(problem, blocks, r, bgrad, duals, lam)
             iters += 1
             if log is not None:
@@ -549,6 +603,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         blocks = problem.row_blocks(kept, at)
         bval, bgrad, gap = bar
         duals.clip(gap)
+        sigma = None
         lam = lam_new.copy()
         g, stat = _first_order(problem, blocks, r, bgrad, duals, lam)
         iters += 1

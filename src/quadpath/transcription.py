@@ -42,8 +42,9 @@ pins has one owner, the read-only :class:`OcpStructure` a controller builds
 once: the path, configuration and model, the layout, index arrays, constant
 blocks, the box and its held states, and every operation that reads no pin
 (``unpack``, ``evaluate`` but its pin rows, ``row_blocks``, ``jt_dot``,
-``at_dot``, ``kkt_step`` and, for checks, ``dense_jacobians``), so a
-solve's start is prepared on it before the measurement.  A problem
+``at_dot``, ``kkt_step``, ``kkt_system``, ``kkt_feedback`` and, for
+checks, ``dense_jacobians``), so a solve's start, its first Newton system
+included, is prepared on it before the measurement.  A problem
 (:class:`OcpProblem`) is its two pins on a structure: it defines only what
 reads them, ``fill_pins``, ``evaluate`` and ``rollout``.
 :func:`warm_start_shift` moves a solution onto the structure's layout,
@@ -228,9 +229,10 @@ class OcpStructure:
     that reads no pin: :meth:`unpack`, the evaluation of all but the pin
     rows (:meth:`evaluate`), the stage blocks of an evaluation
     (:meth:`row_blocks`), the Jacobian products, the condensed Newton step
-    and, for checks, :meth:`dense_jacobians`.  A controller builds one
-    structure and shares it between the problems of its control steps; all
-    of its arrays are read-only.
+    (:meth:`kkt_step`, and split at the pins, :meth:`kkt_system` and
+    :meth:`kkt_feedback`) and, for checks, :meth:`dense_jacobians`.  A
+    controller builds one structure and shares it between the problems of
+    its control steps; all of its arrays are read-only.
 
     Raises ``ValueError`` when the path type does not match
     ``config.corridor``, and when the free inputs of a stage cannot move
@@ -362,13 +364,29 @@ class OcpStructure:
         self.e_cols[1:, self.held] = np.eye(N * nh).reshape(N, nh, N * nh)
         # flat positions of the stage-diagonal blocks: G_k in X_{k+1} (shape
         # (ns, width)) and H_q in row block k of the condensed rows (shape
-        # (nfi, width)), at the free-input columns of stage k
+        # (nfi, width)), at the free-input columns of stage k; row 0 for the
+        # sweep of the loop, row 1 for the prepared one, whose ns pin columns
+        # come before the input columns
         nfi = self.q_free.size
-        width = 1 + N * (nfi + nh)
+        self.n_kkt = N * (nfi + nh)
         blk = stages[:, :, None]
-        cols = 1 + blk * nfi + np.arange(nfi)
-        self.g_pos = ((blk + 1) * ns + np.arange(ns)[:, None]) * width + cols
-        self.hq_pos = (blk * nfi + np.arange(nfi)[:, None]) * width + cols
+        pos = []
+        for p in (0, ns):
+            width = 1 + p + self.n_kkt
+            cols = 1 + p + blk * nfi + np.arange(nfi)
+            pos.append((((blk + 1) * ns + np.arange(ns)[:, None]) * width + cols,
+                        (blk * nfi + np.arange(nfi)[:, None]) * width + cols))
+        self.g_pos, self.hq_pos = (np.stack(a) for a in zip(*pos))
+        # where a step's dw reads each entry from [ds_0 .. ds_N | dq | 0]
+        # (the 0 for the held states and the frozen inputs), and lam each
+        # row from the stacked L v
+        n_s = self.state_idx.size
+        moved = np.ones((N + 1, ns), bool)
+        moved[1:] = ~self.held
+        self.dw_src = np.full(self.n, n_s + self.q_free_idx.size)
+        self.dw_src[self.state_idx[moved]] = np.flatnonzero(moved)
+        self.dw_src[self.q_free_idx] = n_s + np.arange(self.q_free_idx.size)
+        self.lam_src = np.argsort(self.row_idx.ravel())
 
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -543,10 +561,45 @@ class OcpStructure:
         the backward sweep as ``lam_k = -L_k [1; dq; mu]``.
         Raises ``LinAlgError`` when the condensed system is singular.
         """
+        X, L, aug = self._condense(blocks, g, c, sigma, reg, False)
+        v = np.empty(aug.shape[1])
+        v[0] = 1.0
+        v[1:] = np.linalg.solve(aug[:, 1:], -aug[:, 0])
+        return self._step(X, L, v)
+
+    def kkt_system(self, blocks: StageBlocks, g, c, sigma):
+        """The system of :meth:`kkt_step` at ``reg = 0`` with its pins left
+        open, which reads no pin row of ``c``: both sweeps and the condensed
+        rows carry the pins' effect as ``ns`` more columns after column 0
+        (``X_0 = [0 | I | 0]``, so they hold ``F_{k-1} .. F_0``), and column
+        0 is the system with zero pin rows.  :meth:`kkt_feedback` applies
+        the pins."""
+        return self._condense(blocks, g, c, sigma, 0.0, True)
+
+    def kkt_feedback(self, system, c):
+        """:meth:`kkt_step` at ``reg = 0`` from the :meth:`kkt_system` of
+        its arguments but ``c``, of which it reads the pin rows alone: the
+        pins enter the condensed right-hand side and ``v = [1; -c_pin; dq;
+        mu]`` by linearity, one LU solve, and the sweeps are not run again.
+        Raises ``LinAlgError`` when the condensed system is singular."""
+        X, L, aug = system
+        ns = self.state_idx.shape[1]
+        v = np.empty(aug.shape[1])
+        v[0] = 1.0
+        np.negative(c[:ns], out=v[1:1 + ns])
+        v[1 + ns:] = np.linalg.solve(aug[:, 1 + ns:], -(aug[:, 0] + aug[:, 1:1 + ns] @ v[1:1 + ns]))
+        return self._step(X, L, v)
+
+    def _condense(self, blocks: StageBlocks, g, c, sigma, reg, pins: bool):
+        """The forward sweep ``X``, the backward sweep ``L`` and the
+        condensed rows ``aug = [-rhs | kkt]`` of :meth:`kkt_step`, with the
+        pin rows of ``c`` in column 0, or with ``pins`` the ``ns`` pin
+        columns of :meth:`kkt_system` after it."""
         N = self.config.horizon
         si, qf, ri, held = self.state_idx, self.q_free_idx, self.row_idx, self.held
         ns, nf = si.shape[1], qf.size
-        n = nf + self.e_cols.shape[2]
+        p = ns if pins else 0
+        width = 1 + p + self.n_kkt
 
         # stage Hessians of the states
         jp = blocks.js
@@ -557,43 +610,48 @@ class OcpStructure:
 
         # forward sweep over X_k = [s0_k | S_k | 0] in the free inputs (the
         # hold multipliers do not move the states); row block k + 1 reads
-        # ds_{k+1} - F_k ds_k - G_k dq_k + c = 0
+        # ds_{k+1} - F_k ds_k - G_k dq_k + c = 0, and the pins ds_0 + c = 0
         F, G = blocks.f, blocks.g.take(self.q_free, axis=2)
-        X = np.zeros((N + 1, ns, 1 + n))
-        np.negative(c[ri], out=X[:, :, 0])
-        X.reshape(-1)[self.g_pos] = G
+        X = np.zeros((N + 1, ns, width))
+        if pins:
+            np.negative(c[ri[1:]], out=X[1:, :, 0])
+            X[0].reshape(-1)[1:ns * (width + 1):width + 1] = 1.0
+        else:
+            np.negative(c[ri], out=X[:, :, 0])
+        X.reshape(-1)[self.g_pos[int(pins)]] = G
         for f, prev, cur in zip(F, X[:-1], X[1:]):
             cur += f @ prev
 
         # backward sweep, in place on Y
         L = hs @ X
         L[:, :, 0] += g[si]
-        L[:, :, 1 + nf:] = self.e_cols
+        L[:, :, 1 + p + nf:] = self.e_cols
         for f, prev, cur in zip(F[::-1], L[-2::-1], L[:0:-1]):
             prev += f.T @ cur
 
         # condensed system in the free inputs, bordered by the holds, as
         # [-rhs | kkt]: the gradient rows over the hold rows
         hg = G.transpose(0, 2, 1) @ L[1:]
-        hg.reshape(-1)[self.hq_pos] += self.hq_free
-        aug = np.concatenate([hg.reshape(nf, 1 + n), X[1:, held].reshape(-1, 1 + n)])
+        hg.reshape(-1)[self.hq_pos[int(pins)]] += self.hq_free
+        aug = np.concatenate([hg.reshape(nf, width), X[1:, held].reshape(-1, width)])
         aug[:nf, 0] += g[qf]
-        aug.reshape(-1)[1:nf * (n + 2):n + 2] += sigma[qf] + reg
-        sol = np.linalg.solve(aug[:, 1:], -aug[:, 0])
+        aug.reshape(-1)[1 + p:nf * (width + 1):width + 1] += sigma[qf] + reg
+        return X, L, aug
+
+    def _step(self, X, L, v):
+        """``(dw, lam)`` of a solved condensed system: ``v = [1; pins;
+        dq; mu]``, its columns those of ``X`` and ``L``."""
+        sol = v[v.size - self.n_kkt:]
         if not np.isfinite(sol).all():
             raise np.linalg.LinAlgError("non-finite KKT solution")
-
-        v = np.empty(1 + n)
-        v[0] = 1.0
-        v[1:] = sol
-        ds = X @ v
-        ds[1:, held] = 0.0
-        dw = np.zeros(self.n)
-        dw[si] = ds
-        dw[qf] = sol[:nf]
-        lam = np.zeros(self.m_eq)
-        lam[ri] = -(L @ v)
-        return dw, lam
+        n_s, nf = self.state_idx.size, self.q_free_idx.size
+        steps = np.empty(n_s + nf + 1)
+        np.matmul(X, v, out=steps[:n_s].reshape(X.shape[:2]))
+        steps[n_s:-1] = sol[:nf]
+        steps[-1] = 0.0
+        lam = L @ v
+        np.negative(lam, out=lam)
+        return steps[self.dw_src], lam.reshape(-1)[self.lam_src]
 
 
 class OcpProblem:
@@ -601,7 +659,8 @@ class OcpProblem:
     :class:`OcpStructure`, built per control step and treated as immutable.
 
     It binds the structure's box and pin-free solver members (``row_blocks``,
-    ``jt_dot``, ``at_dot``, ``kkt_step``), and defines only what reads the
+    ``jt_dot``, ``at_dot``, ``kkt_step``, ``kkt_system``, ``kkt_feedback``),
+    and defines only what reads the
     pins: :meth:`fill_pins`, :meth:`evaluate`, :meth:`rollout` and the views
     of one point's evaluation for checks.  The box frees the pinned stage-0 coordinates:
     the equality pin wins over the box.
@@ -612,6 +671,7 @@ class OcpProblem:
         self.box = structure.box
         self.row_blocks, self.jt_dot = structure.row_blocks, structure.jt_dot
         self.at_dot, self.kkt_step = structure.at_dot, structure.kkt_step
+        self.kkt_system, self.kkt_feedback = structure.kkt_system, structure.kkt_feedback
         self.x0 = np.asarray(x0, dtype=float).copy()
         self.z0 = np.asarray(z0, dtype=float).copy()
         if self.x0.shape != (N_STATES,):

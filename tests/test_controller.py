@@ -593,7 +593,7 @@ class TestPrepareFeedback:
     def test_the_prepared_start_reads_no_pin(self, monkeypatch):
         # two controllers, one solution; after prepare, the second gets
         # another timing state and another measurement
-        starts, first_steps = [], []
+        starts, feedbacks = [], []
         original = controller_module.prepare_start
         monkeypatch.setattr(controller_module, "prepare_start",
                             lambda *args: starts.append(original(*args)) or starts[-1])
@@ -618,19 +618,27 @@ class TestPrepareFeedback:
         assert len(starts) == 3
         assert start_bytes(starts[1]) == start_bytes(starts[0]) == start_bytes(starts[2])
 
-        kkt_step = transcription.OcpStructure.kkt_step
+        # the first Newton step is the prepared system's feedback: both
+        # controllers solve one system, and the feedback reads c's pin rows
+        # alone
+        kkt_feedback = transcription.OcpStructure.kkt_feedback
 
-        def recorded(structure, blocks, g, c, sigma, reg):
-            first_steps.append((blocks, g.copy(), c.copy(), sigma.copy(), reg))
-            return kkt_step(structure, blocks, g, c, sigma, reg)
-        monkeypatch.setattr(transcription.OcpStructure, "kkt_step", recorded)
+        def recorded(structure, system, c):
+            feedbacks.append((structure, system, c.copy()))
+            return kkt_feedback(structure, system, c)
+        monkeypatch.setattr(transcription.OcpStructure, "kkt_feedback", recorded)
         controller.control_step(x)
-        first = len(first_steps)
         measured = x.copy()
         measured[0] += 0.02
         twin.control_step(measured)
-        (blocks_a, g_a, c_a, sigma_a, reg_a), (blocks_b, g_b, c_b, sigma_b, reg_b) = first_steps[0], first_steps[first]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(blocks_a, blocks_b))
-        assert (g_a.tobytes(), sigma_a.tobytes(), reg_a) == (g_b.tobytes(), sigma_b.tobytes(), reg_b)
+        assert len(feedbacks) == 2
+        (structure, system_a, c_a), (_, system_b, c_b) = feedbacks
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(system_a, system_b))
         assert c_a[ns:].tobytes() == c_b[ns:].tobytes()
         assert not np.array_equal(c_a[:ns], c_b[:ns])
+        for c in (c_a, c_b):
+            pins_only = np.full(c.shape, np.nan)
+            pins_only[:ns] = c[:ns]
+            steps = [kkt_feedback(structure, system, rows) for system in (system_a, system_b)
+                     for rows in (c, pins_only)]
+            assert len({b"".join(a.tobytes() for a in step) for step in steps}) == 1

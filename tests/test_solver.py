@@ -152,15 +152,15 @@ class TestStoppingTest:
         assert merit == merit_before
 
     def test_floor_with_centred_duals_ends_the_solve(self):
-        # the primal stalls after its first step: one dual-only iteration,
-        # then the floor with the duals at mu / gap stops the solve
+        # the primal stalls after its first step, the prepared system's
+        # (kkt_feedback): one dual-only iteration, then the floor with the
+        # duals at mu / gap stops the solve
         prob = self.bounded_problem()
         original = prob.kkt_step
-        first = iter([True])
 
         def stalling(blocks, g, c, sigma, reg):
             dw, lam = original(blocks, g, c, sigma, reg)
-            return (dw if next(first, False) else np.zeros_like(dw)), lam
+            return np.zeros_like(dw), lam
         prob.kkt_step = stalling
         trace = io.StringIO()
         res = solve(prob, np.array([0.0]), log=trace)
@@ -594,7 +594,8 @@ class TestProtocol:
     """``solve`` touches a problem only through the protocol the solver
     module documents."""
 
-    PROTOCOL = ("box", "evaluate", "row_blocks", "jt_dot", "at_dot", "fill_pins", "kkt_step")
+    PROTOCOL = ("box", "evaluate", "row_blocks", "jt_dot", "at_dot", "fill_pins", "kkt_step", "kkt_system",
+                "kkt_feedback")
 
     class Proxy:
         def __init__(self, problem, allowed):
@@ -613,6 +614,8 @@ class TestProtocol:
         for cls in (DenseNlp, transcription.OcpStructure):
             params = list(inspect.signature(cls.kkt_step).parameters)
             assert params == ["self", "blocks", "g", "c", "sigma", "reg"]
+            assert list(inspect.signature(cls.kkt_system).parameters) == ["self", "blocks", "g", "c", "sigma"]
+            assert list(inspect.signature(cls.kkt_feedback).parameters) == ["self", "system", "c"]
 
     @staticmethod
     def problems():
@@ -676,6 +679,27 @@ class TestPrepareThenFeedback:
             assert want[3] > 0
             for owner in owners:
                 assert self.run(prob, guess, multipliers, prepare(owner, guess, multipliers)) == want
+
+    @pytest.mark.parametrize("kind", ["dense", "classic"])
+    def test_a_singular_first_system_falls_back_to_the_regularised_step(self, kind):
+        # the prepared system made singular: the first iteration's step is
+        # the in-loop kkt_step at the first regularization
+        prob, guess = list(TestProtocol.problems())[["dense", "classic"].index(kind)]
+        kkt_system, kkt_step = prob.kkt_system, prob.kkt_step
+        regs = []
+
+        def singular(*args):
+            system = kkt_system(*args)
+            if kind == "dense":
+                system[0][0][:] = 0.0  # the dense KKT matrix
+            else:
+                system[2][:, 1 + prob.structure.n_x + prob.structure.n_z:] = 0.0  # the condensed one
+            return system
+        prob.kkt_system = singular
+        prob.kkt_step = lambda blocks, g, c, sigma, reg: regs.append(reg) or kkt_step(blocks, g, c, sigma, reg)
+        result = solve(prob, guess)
+        assert result.status == CONVERGED
+        assert regs[0] == solver_module._REG_FLOOR
 
     def test_the_structure_leaves_only_the_pin_rows_to_the_problem(self):
         _, prob, _ = (p for p, _ in TestProtocol.problems())
@@ -769,7 +793,7 @@ class TestProjectInterior:
         w = Box(np.array([0.5]), np.array([0.5])).project(np.array([3.0]), 1e-6)
         assert w[0] == 0.5
 
-    @pytest.mark.parametrize("margin_scale", [1e-6, 1e-2, 0.5])
+    @pytest.mark.parametrize("margin_scale", [1e-6, 1e-2, 0.5, solver_module._COLD_MARGIN])
     def test_matches_mask_oracle_bitwise(self, margin_scale):
         # both sides, upper only, lower only, neither, frozen (equal bounds
         # and a range under the 1e-12 tolerance), and narrow boxes whose
@@ -794,6 +818,27 @@ class TestProjectInterior:
             want = project_interior(w, lo, hi, margin_scale)
             assert got.tobytes() == want.tobytes()
             assert np.array_equal(box.free, ~frozen_mask(lo, hi))
+
+    @pytest.mark.parametrize("kind", ["spiral", "zero-width"])
+    def test_horizon_box_at_the_solver_margins_matches_the_mask_oracle_bitwise(self, kind):
+        # the limits the box computes once for the cold and the warm margin,
+        # on the horizon problem's box (the zero-width corridor's holds its
+        # offsets frozen), at points inside, outside and on the faces
+        if kind == "spiral":
+            path, cfg = make_path("spiral"), OcpConfig()
+        else:
+            path, cfg = make_path("sinusoid-corridor"), OcpConfig(corridor=True, s2_bounds=(0.0, 0.0))
+        box = OcpStructure(path, cfg, ModelParams()).box
+        lo, hi = box.lower, box.upper
+        rng = np.random.default_rng(13)
+        for margin_scale in (solver_module._COLD_MARGIN, solver_module._WARM_MARGIN):
+            assert margin_scale in box.limits
+            for _ in range(20):
+                w = rng.uniform(-2.0, 2.0, box.n)
+                w[::5] = np.where(np.isfinite(lo[::5]), lo[::5], w[::5])
+                w[2::5] = np.where(np.isfinite(hi[2::5]), hi[2::5], w[2::5])
+                want = project_interior(w, lo, hi, margin_scale)
+                assert box.project(w, margin_scale).tobytes() == want.tobytes()
 
     def test_sub_ulp_margin_leaves_the_faces(self):
         # margins under half an ulp of their bounds: a two-sided box 2e-12

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from quadpath.dynamics import ModelParams
 from quadpath.paths import make_path
 from quadpath.simulate import run_scenario, scenario_config
-from quadpath.solver import _newton_direction
+from quadpath.solver import _newton_direction, prepare
 from quadpath.transcription import (
     DEFAULT_INPUT_BOUND,
     DEFAULT_STATE_LOWER,
@@ -237,6 +237,10 @@ class TestResidualJacobian:
             assert np.all(np.max(np.abs(A[:, free]), axis=1) > 1e-14)
 
 
+# the structure's members a problem binds
+PIN_FREE_MEMBERS = ("row_blocks", "jt_dot", "at_dot", "kkt_step", "kkt_system", "kkt_feedback")
+
+
 class TestPinIndependence:
     """Only the pin rows of ``C`` read the pins: two problems on one
     structure agree in everything else, and share its pin-free members."""
@@ -258,11 +262,31 @@ class TestPinIndependence:
             assert C[..., pins:].tobytes() == C2[..., pins:].tobytes()
             assert np.all(C[..., :pins] != C2[..., :pins])
         for p in (prob, other):
-            assert set(vars(p)) == {"structure", "box", "x0", "z0", "row_blocks", "jt_dot", "at_dot", "kkt_step"}
+            assert set(vars(p)) == {"structure", "box", "x0", "z0", *PIN_FREE_MEMBERS}
             assert p.box is st.box
-            for name in ("row_blocks", "jt_dot", "at_dot", "kkt_step"):
+            for name in PIN_FREE_MEMBERS:
                 member = getattr(p, name)
                 assert member.__self__ is st and member.__func__ is getattr(OcpStructure, name)
+
+    @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
+    @pytest.mark.parametrize("horizon", [1, 5, 20])
+    def test_the_prepared_system_reads_no_pin(self, kind, horizon):
+        # the first Newton system of a start prepared on the structure, on
+        # two pinned problems of it, and built with NaN pin rows in c
+        prob = horizon_problem(kind, horizon)
+        st = prob.structure
+        rng = np.random.default_rng(31)
+        other = build_ocp(prob.x0 + rng.normal(0.0, 0.05, 9), prob.z0 + rng.uniform(0.01, 0.02, st.n_z), st)
+        guess = random_interior_iterate(prob, rng)
+        multipliers = rng.normal(0.0, 1.0, st.m_eq)
+        starts = [prepare(owner, guess, multipliers) for owner in (st, prob, other)]
+        _, _, c, blocks, _, _, _, _, _, g, _, sigma, system, _ = starts[0]
+        c = c.copy()
+        c[:st.n_x + st.n_z] = np.nan
+        systems = [start[12] for start in starts] + [st.kkt_system(blocks, g, c, sigma)]
+        assert all(np.isfinite(a).all() for a in system)
+        for other_system in systems[1:]:
+            assert [a.tobytes() for a in other_system] == [a.tobytes() for a in system]
 
 
 # the values at which ``horizon_problem`` holds a quadrotor state
@@ -368,6 +392,40 @@ class TestCondensedStep:
             assert np.sum(~prob.box.free) == horizon * (freeze_input + (kind == "zero-width"))
             for _ in range(2):
                 check_condensed_step(prob, rng, 10.0, (0.0, 1e-4), kind != "zero-width")
+
+    @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
+    @pytest.mark.parametrize("horizon", [1, 5, 20])
+    def test_feedback_matches_the_loop_step_and_the_dense_route(self, kind, horizon):
+        # random pins applied to the prepared system: the step of the
+        # in-loop kkt_step at reg = 0 and of the dense KKT solve
+        rng = np.random.default_rng(37)
+        prob = horizon_problem(kind, horizon)
+        st, free = prob.structure, prob.box.free
+        ns = st.n_x + st.n_z
+        for _ in range(3):
+            w = random_interior_iterate(prob, rng)
+            r, c, blocks = prob.linearize(w)
+            J, A = st.dense_jacobians(blocks)
+            g = 2.0 * J.T @ r
+            sigma = np.where(free, rng.uniform(0.0, 10.0, st.n), 0.0)
+            open_pins = c.copy()
+            open_pins[:ns] = np.nan
+            system = st.kkt_system(blocks, g, open_pins, sigma)
+            c[:ns] = rng.normal(0.0, 0.05, ns)
+            dw, lam = st.kkt_feedback(system, c)
+            dw_loop, lam_loop = st.kkt_step(blocks, g, c, sigma, 0.0)
+            assert np.max(np.abs(dw - dw_loop)) <= 1e-10 * np.max(np.abs(dw_loop))
+            assert np.max(np.abs(lam - lam_loop)) <= 1e-10 * np.max(np.abs(lam_loop))
+            # the held offsets of the zero-width corridor leave its systems
+            # conditioned so that the dense route agrees only to about 1e-8:
+            # it keeps the backward-error check alone
+            h = 2.0 * J.T @ J + np.diag(sigma)
+            keep = np.ones(st.m_eq, bool)
+            dw_ref, lam_ref = _newton_direction(h, g, A, c, free, keep, 0.0)
+            assert kkt_relative_residual(h, g, A, c, free, keep, dw, lam) <= 1e-12
+            if kind != "zero-width":
+                assert np.max(np.abs(dw - dw_ref)) <= 1e-9 * np.max(np.abs(dw_ref))
+                assert np.max(np.abs(lam - lam_ref)) <= 1e-10 * np.max(np.abs(lam_ref))
 
     @settings(max_examples=100, deadline=None)
     @given(horizon=st.integers(1, 12), kind=st.sampled_from(["classic", "corridor", "zero-width"]),

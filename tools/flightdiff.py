@@ -2,6 +2,7 @@
 source trees and compare everything the runs write except solve times.
 
     python tools/flightdiff.py --against <rev|dir>
+    python tools/flightdiff.py --report --against <rev|dir>
 
 ``--against`` names a directory holding a source tree (its ``src/quadpath``
 is flown), or else a git revision of this repository, which is exported with
@@ -18,6 +19,15 @@ compared once.  One line per flight: ``identical``, or the first differing
 file, row and column with both values.  The exit status is 0 only when
 everything is identical, 1 when something differs and 2 when a tree cannot
 be found.
+
+``--report`` serves a change that means to move behaviour: it flies the
+same flights and prints one Markdown table row per flight, the other tree
+against this one, with the steps, failures, total solver iterations, RMS
+position error, path-end time and longest stall of each ``summary.json``
+(:data:`REPORT_KEYS`); a cell reads ``theirs -> ours`` where the two differ,
+and the last column says whether the row differs.  Its exit status is 0
+when every flight of both trees wrote its summary, else 1 (2 when a tree
+cannot be found).
 """
 
 from __future__ import annotations
@@ -46,6 +56,11 @@ FLIGHTS = (
     ("zero-width-20s", "scenario = sinusoid-corridor\ns2_min = 0.0\ns2_max = 0.0\ntotal_time = 20\n"),
     ("spiral-n20-8s", "scenario = spiral\nhorizon = 20\ntotal_time = 8\n"),
 )
+
+# (column title, summary.json key) of the report
+REPORT_KEYS = (("steps", "steps"), ("failures", "failures"), ("total iterations", "total_solver_iters"),
+               ("RMS error m", "rms_position_error_m"), ("path end s", "time_to_path_end_s"),
+               ("longest stall s", "longest_stall_s"))
 
 TIMING_COLUMN = "solve_time_ms"
 TIMING_KEYS = ("mean_solve_time_ms", "max_solve_time_ms", "prepare_time_ms_p50", "prepare_time_ms_max",
@@ -118,14 +133,13 @@ def first_difference(ours: dict, theirs: dict) -> str | None:
     return None
 
 
-def compare(ours: Path, theirs: Path, flights=FLIGHTS) -> int:
-    """Run ``quadpath validate`` and fly ``flights`` in both trees, side by
-    side; print one line each and return 0 when everything is identical,
-    else 1."""
-    differing = 0
+def _fly(ours: Path, theirs: Path, entries):
+    """For each ``(name, scenario file)`` of ``entries`` (``None`` runs
+    ``quadpath validate``), the name and both trees' outputs, ours first;
+    the two trees run side by side."""
     with tempfile.TemporaryDirectory(prefix="flightdiff-") as tmp:
         work = Path(tmp)
-        for name, text in (("validate", None), *flights):
+        for name, text in entries:
             runs = []
             for tree, side in ((ours, "ours"), (theirs, "theirs")):
                 args, out = ["validate"], None
@@ -134,15 +148,49 @@ def compare(ours: Path, theirs: Path, flights=FLIGHTS) -> int:
                     config.write_text(text, encoding="utf-8")
                     args = ["run", "--config", str(config), "--out", str(out), "--verbose"]
                 runs.append((_start(tree, args, work), out))
-            diff = first_difference(*(_outputs(proc, out) for proc, out in runs))
-            differing += diff is not None
-            print(f"{name}: {diff or 'identical'}")
+            yield name, *(_outputs(proc, out) for proc, out in runs)
+
+
+def compare(ours: Path, theirs: Path, flights=FLIGHTS) -> int:
+    """Run ``quadpath validate`` and fly ``flights`` in both trees; print
+    one line each and return 0 when everything is identical, else 1."""
+    differing = 0
+    for name, a, b in _fly(ours, theirs, (("validate", None), *flights)):
+        diff = first_difference(a, b)
+        differing += diff is not None
+        print(f"{name}: {diff or 'identical'}")
     return 1 if differing else 0
+
+
+def _report_row(name: str, ours: dict, theirs: dict) -> str:
+    """The report's Markdown row of one flight from both trees' outputs."""
+    theirs_values, our_values = ({key: json.loads(value) for key, value in out.get("summary.json", [])}
+                                 for out in (theirs, ours))
+    cells, same = [], True
+    for _, key in REPORT_KEYS:
+        a, b = theirs_values.get(key, "<missing>"), our_values.get(key, "<missing>")
+        same &= a == b
+        cells.append((f"{a:.6g}" if isinstance(a, float) else str(a)) if a == b else f"{a} -> {b}")
+    return f"| {name} | {' | '.join(cells)} | {'same' if same else 'differs'} |"
+
+
+def report(ours: Path, theirs: Path, flights=FLIGHTS) -> int:
+    """Fly ``flights`` in both trees and print the report table; return 0
+    when every run wrote its summary, else 1."""
+    print(f"| flight | {' | '.join(title for title, _ in REPORT_KEYS)} | |")
+    print("|" + " --- |" * (len(REPORT_KEYS) + 2))
+    missing = 0
+    for name, a, b in _fly(ours, theirs, flights):
+        missing += ("summary.json" not in a) + ("summary.json" not in b)
+        print(_report_row(name, a, b))
+    return 1 if missing else 0
 
 
 def main(argv=None, flights=FLIGHTS) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="a source-tree directory or a git revision")
+    parser.add_argument("--report", action="store_true",
+                        help="print the per-flight table of both trees instead of comparing them")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="flightdiff-tree-") as tmp:
         theirs = Path(args.against)
@@ -153,6 +201,8 @@ def main(argv=None, flights=FLIGHTS) -> int:
                 print(f"flightdiff: {exc}", file=sys.stderr)
                 return 2
         print(f"flightdiff: this tree against {args.against}")
+        if args.report:
+            return report(ROOT, theirs, flights)
         code = compare(ROOT, theirs, flights)
         print("identical" if code == 0 else "differences found")
         return code
