@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ SETTLE_ERROR = 0.02          # output-error norm required while settling
 SETTLE_TIME = 1.0            # seconds the settle condition must hold
 SETTLE_S2 = 0.08             # corridor runs also need the offset unwound
 STALL_RATE = 1e-3            # progress rate under which a step counts as stalled
+FD_WINDOW = 5                # position differences the fd sensor averages
 
 
 @dataclass
@@ -70,7 +71,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        for name in ("horizon", "plant_substeps", "seed"):
+        for name in (f.name for f in fields(self) if f.type == "int"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
@@ -124,7 +125,11 @@ def scenario_config(name: str, **overrides) -> ScenarioConfig:
     return ScenarioConfig(scenario=name, **kwargs)
 
 
-_CONFIG_TYPES = {f.name: f.type for f in ScenarioConfig.__dataclass_fields__.values()}
+# a scenario-file value's parser, by its field's annotation; a field whose
+# annotation is missing here fails at import
+_PARSERS = {"str": str, "int": int, "float": float,
+            "Optional[tuple]": lambda val: tuple(float(v) for v in val.split(","))}
+_CONFIG_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ScenarioConfig)}
 
 
 def load_config(path: str, **overrides) -> ScenarioConfig:
@@ -140,25 +145,15 @@ def load_config(path: str, **overrides) -> ScenarioConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _CONFIG_TYPES:
+            if key not in _CONFIG_PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _parse_value(key, val)
+                values[key] = _CONFIG_PARSERS[key](val)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     values.update(overrides)
     name = values.pop("scenario", "spiral")
     return scenario_config(name, **values)
-
-
-def _parse_value(key: str, val: str):
-    if key == "scenario" or key == "sensor":
-        return val
-    if key in ("horizon", "plant_substeps", "seed"):
-        return int(val)
-    if key in ("q_diag", "r_diag"):
-        return tuple(float(v) for v in val.split(","))
-    return float(val)
 
 
 def build_components(cfg: ScenarioConfig):
@@ -247,19 +242,19 @@ def sense(plant_state, position_history, cfg: ScenarioConfig, rng=None):
 
     Exact mode returns the plant state.  Finite-difference mode replaces the
     velocity by consecutive-position differences smoothed with a moving
-    average over the last five samples; with no prior position it falls back
-    to the exact velocity (warm-up).  Optional uniform position noise is for
-    robustness experiments only.
+    average over the last ``FD_WINDOW`` differences, so only the last
+    ``FD_WINDOW`` past positions are read; with no prior position it falls
+    back to the exact velocity (warm-up).  Optional uniform position noise
+    is for robustness experiments only.
     """
     measured = np.array(plant_state, dtype=float)
     if cfg.position_noise > 0.0 and rng is not None:
         measured[0:3] += rng.uniform(-cfg.position_noise, cfg.position_noise, 3)
     if cfg.sensor != "fd" or len(position_history) < 1:
         return measured
-    positions = list(position_history[-6:]) + [measured[0:3]]
+    positions = list(position_history[-FD_WINDOW:]) + [measured[0:3]]
     diffs = np.diff(np.asarray(positions), axis=0) / cfg.delta
-    window = diffs[-5:]
-    measured[3:6] = window.mean(axis=0)
+    measured[3:6] = diffs.mean(axis=0)
     return measured
 
 
@@ -278,6 +273,12 @@ def _plant_step(state, inp, cfg: ScenarioConfig, params: ModelParams,
     return rk4_step(state, u_eff, cfg.delta, plant_params, substeps=cfg.plant_substeps)
 
 
+def _reference(path, z, corridor: bool) -> np.ndarray:
+    """The path point at timing state ``z``: at its progress, and on a
+    corridor at its offset too."""
+    return path.point(z[0], z[1]) if corridor else path.point(z[0])
+
+
 def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetrics]:
     """Run the closed loop until the time budget or settled path end."""
     path, ocp, params = build_components(cfg)
@@ -286,10 +287,7 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
                                params.tau_roll, params.tau_pitch)
     rng = np.random.default_rng(cfg.seed)
 
-    if cfg.corridor:
-        p0 = path.point(-1.0, 0.0)
-    else:
-        p0 = path.point(-1.0)
+    p0 = _reference(path, controller.path_state, cfg.corridor)
     state = np.zeros(9)
     state[0:3] = p0[0:3]
     state[8] = p0[3]
@@ -305,10 +303,7 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
         measured = sense(state, position_history, cfg, rng)
         inp, nu, diag = controller.control_step(measured)
         z_now = controller.path_state.copy()  # after the feasible-pin guards
-        if cfg.corridor:
-            ref = path.point(z_now[0], z_now[1])
-        else:
-            ref = path.point(z_now[0])
+        ref = _reference(path, z_now, cfg.corridor)
         err = path_error(output_map(state), ref)
         log.records.append(StepRecord(
             t=t, state=state.copy(), inp=inp, nu=nu, path_state=z_now,
@@ -319,7 +314,7 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
             prepare_time_ms=1e3 * diag.solve.prepare_time,
         ))
         position_history.append(measured[0:3].copy())
-        del position_history[:-8]
+        del position_history[:-FD_WINDOW]
         state = _plant_step(state, inp, cfg, params, plant_params)
         if not np.all(np.isfinite(state)):
             raise RuntimeError(f"plant state became non-finite at t={t:.3f}s")
@@ -473,41 +468,20 @@ def export_csv(log: SimLog, path: str) -> None:
         raise OSError(f"failed to write log to {path!r}: {exc}") from exc
 
 
+# summary.json holds RunMetrics' fields in order, under their own names but these
+_RENAMED = {"path_name": "path", "rms_position_error": "rms_position_error_m",
+            "max_abs_yaw_rate": "max_abs_yaw_rate_rad_s", "time_to_path_end": "time_to_path_end_s"}
 # RunMetrics field -> summary.json key, in the order of the file
-_SUMMARY_KEYS = (
-    ("scenario", "scenario"),
-    ("path_name", "path"),
-    ("s_dot_max", "s_dot_max"),
-    ("config_hash", "config_hash"),
-    ("rms_position_error", "rms_position_error_m"),
-    ("max_abs_yaw_rate", "max_abs_yaw_rate_rad_s"),
-    ("time_to_path_end", "time_to_path_end_s"),
-    ("constraint_violation_max", "constraint_violation_max"),
-    ("mean_solver_iters", "mean_solver_iters"),
-    ("max_solver_iters", "max_solver_iters"),
-    ("mean_solve_time_ms", "mean_solve_time_ms"),
-    ("max_solve_time_ms", "max_solve_time_ms"),
-    ("failures", "failures"),
-    ("steps", "steps"),
-    ("max_abs_s2", "max_abs_s2"),
-    ("terminal_abs_s2", "terminal_abs_s2"),
-    ("longest_stall_s", "longest_stall_s"),
-    ("prepare_time_ms_p50", "prepare_time_ms_p50"),
-    ("prepare_time_ms_max", "prepare_time_ms_max"),
-    ("solve_time_ms_p50", "solve_time_ms_p50"),
-    ("solve_time_ms_p99", "solve_time_ms_p99"),
-    ("deadline_misses", "deadline_misses"),
-    ("total_solver_iters", "total_solver_iters"),
-)
+_JSON_KEYS = tuple((f.name, _RENAMED.get(f.name, f.name)) for f in fields(RunMetrics))
 # the keys from longest_stall_s on were appended: older summaries lack them
-_FIRST_APPENDED = [name for name, _ in _SUMMARY_KEYS].index("longest_stall_s")
+_FIRST_APPENDED = [name for name, _ in _JSON_KEYS].index("longest_stall_s")
 
 
 def summarize_json(metrics: RunMetrics, path: str) -> None:
     """Flat JSON summary of a completed run."""
     if metrics.steps == 0:
         raise ValueError("refusing to summarize an empty run")
-    doc = {key: getattr(metrics, name) for name, key in _SUMMARY_KEYS}
+    doc = {key: getattr(metrics, name) for name, key in _JSON_KEYS}
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
@@ -520,5 +494,5 @@ def metrics_from_summary(path: str) -> RunMetrics:
     """Rebuild RunMetrics from an exported summary (for the compare CLI)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return RunMetrics(**{name: doc[key] for name, key in _SUMMARY_KEYS[:_FIRST_APPENDED]},
-                      **{name: doc.get(key) for name, key in _SUMMARY_KEYS[_FIRST_APPENDED:]})
+    return RunMetrics(**{name: doc[key] for name, key in _JSON_KEYS[:_FIRST_APPENDED]},
+                      **{name: doc.get(key) for name, key in _JSON_KEYS[_FIRST_APPENDED:]})

@@ -300,9 +300,9 @@ class DenseNlp:
 
     def kkt_step(self, blocks, g, c, sigma, reg):
         """Newton step of the dense KKT system with Hessian ``2 J^T J + sigma``
-        (see :func:`_newton_direction`) on the rows with an entry above 1e-14
-        on a free variable at this point; the others carry no multiplier and
-        must hold already (to 1e-9), else ``LinAlgError``."""
+        (plus ``reg`` on the free variables) on the rows with an entry above
+        1e-14 on a free variable at this point; the others carry no multiplier
+        and must hold already (to 1e-9), else ``LinAlgError``."""
         return self.kkt_feedback(self._kkt_system(blocks, g, c, sigma, reg), c)
 
     def kkt_system(self, blocks, g, c, sigma):
@@ -312,45 +312,34 @@ class DenseNlp:
 
     def kkt_feedback(self, system, c):
         """The step of a :meth:`kkt_system`: its LU solve."""
-        (kkt, rhs), keep = system
+        kkt, rhs, keep = system
         if np.any(np.abs(c[~keep]) > 1e-9):
             raise np.linalg.LinAlgError("an equality row on frozen variables alone does not hold")
-        return _solve_kkt(kkt, rhs, self.box.free, keep)
+        sol = np.linalg.solve(kkt, rhs)
+        if not np.all(np.isfinite(sol)):
+            raise np.linalg.LinAlgError("non-finite KKT solution")
+        free = self.box.free
+        nf = int(np.sum(free))
+        dw = np.zeros(free.shape)
+        dw[free] = sol[:nf]
+        lam_new = np.zeros(keep.shape)
+        lam_new[keep] = sol[nf:]
+        return dw, lam_new
 
     def _kkt_system(self, blocks, g, c, sigma, reg):
         J, A = blocks
-        keep = np.max(np.abs(A[:, self.box.free]), axis=1, initial=0.0) > 1e-14
+        free = self.box.free
+        keep = np.max(np.abs(A[:, free]), axis=1, initial=0.0) > 1e-14
         h = 2.0 * (J.T @ J)
         h[np.diag_indices_from(h)] += sigma
-        return _kkt_matrix(h, g, A, c, self.box.free, keep, reg), keep
-
-
-def _newton_direction(h, g, a, c, free, keep, reg):
-    return _solve_kkt(*_kkt_matrix(h, g, a, c, free, keep, reg), free, keep)
-
-
-def _kkt_matrix(h, g, a, c, free, keep, reg):
-    nf = int(np.sum(free))
-    hf = h[np.ix_(free, free)] + reg * np.eye(nf)
-    af = a[np.ix_(keep, free)]
-    mk = af.shape[0]
-    kkt = np.zeros((nf + mk, nf + mk))
-    kkt[:nf, :nf] = hf
-    kkt[:nf, nf:] = af.T
-    kkt[nf:, :nf] = af
-    return kkt, np.concatenate([-g[free], -c[keep]])
-
-
-def _solve_kkt(kkt, rhs, free, keep):
-    sol = np.linalg.solve(kkt, rhs)
-    if not np.all(np.isfinite(sol)):
-        raise np.linalg.LinAlgError("non-finite KKT solution")
-    nf = int(np.sum(free))
-    dw = np.zeros(free.shape)
-    dw[free] = sol[:nf]
-    lam_new = np.zeros(keep.shape)
-    lam_new[keep] = sol[nf:]
-    return dw, lam_new
+        nf = int(np.sum(free))
+        af = A[np.ix_(keep, free)]
+        mk = af.shape[0]
+        kkt = np.zeros((nf + mk, nf + mk))
+        kkt[:nf, :nf] = h[np.ix_(free, free)] + reg * np.eye(nf)
+        kkt[:nf, nf:] = af.T
+        kkt[nf:, :nf] = af
+        return kkt, np.concatenate([-g[free], -c[keep]]), keep
 
 
 class _BoundDuals:

@@ -13,6 +13,9 @@ computes another way:
 - ``kkt_residual`` is the primal barrier measure of a solve result (the
   barrier gradient ``mu / gap`` in place of the bound duals), not the
   primal-dual error ``solve`` stops on;
+- ``newton_direction`` solves the dense KKT system of a Newton step in
+  one piece, against the condensed ``OcpStructure.kkt_step`` and
+  ``kkt_feedback``;
 - ``held_states_rejected`` is the two-test rule for held states, the
   structural rank of ``input_sensitivity_pattern`` (by a Kuhn matching,
   ``_structural_rank``) and the numerical rank at hover, against the one
@@ -217,6 +220,21 @@ def kkt_residual(problem, point, multipliers, mu: float) -> float:
     stat = np.max(np.abs(g[active])) if np.any(active) else 0.0
     eq = np.max(np.abs(c)) if c.size else 0.0
     return float(max(stat, eq))
+
+
+def newton_direction(h, g, a, c, free, keep, reg):
+    """``(dw, lam)`` of the KKT system ``[[H + reg I, A^T], [A, 0]]`` with
+    gradient ``g`` and equality values ``c``, on the ``free`` variables and
+    the ``keep`` rows; ``dw`` is zero off ``free`` and ``lam`` off ``keep``."""
+    hf = h[np.ix_(free, free)] + reg * np.eye(int(np.sum(free)))
+    af = a[np.ix_(keep, free)]
+    kkt = np.block([[hf, af.T], [af, np.zeros((af.shape[0], af.shape[0]))]])
+    sol = np.linalg.solve(kkt, -np.concatenate([g[free], c[keep]]))
+    dw = np.zeros(free.shape)
+    dw[free] = sol[:hf.shape[0]]
+    lam = np.zeros(keep.shape)
+    lam[keep] = sol[hf.shape[0]:]
+    return dw, lam
 
 
 def input_sensitivity_pattern() -> np.ndarray:

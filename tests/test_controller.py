@@ -226,7 +226,7 @@ class TestStageBlockedPath:
             raise AssertionError("dense Jacobian or KKT matrix on the OCP path")
         monkeypatch.setattr(transcription.OcpProblem, "equality_jacobian", refuse)
         monkeypatch.setattr(transcription.OcpStructure, "dense_jacobians", refuse)
-        monkeypatch.setattr(solver, "_newton_direction", refuse)
+        monkeypatch.setattr(solver.DenseNlp, "_kkt_system", refuse)
 
         class NoFullWidth:
             def __getattr__(self, name):

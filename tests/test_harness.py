@@ -28,7 +28,7 @@ from quadpath.simulate import (
     sense,
     summarize_json,
 )
-from quadpath.transcription import OcpStructure
+from quadpath.transcription import OcpConfig, OcpStructure
 
 from oracles import rk4_step_loop
 
@@ -74,6 +74,18 @@ class TestSense:
             lag_err.append(est - np.cos(times[k] - 2.5 * d))
         assert 0.10 < np.max(np.abs(raw_err)) < 0.15
         assert np.max(np.abs(lag_err)) < 0.01
+
+    def test_fd_reads_the_last_window_of_positions_only(self):
+        # run_scenario keeps FD_WINDOW past positions: a longer history must
+        # measure the same bits, a shorter one must not
+        cfg = scenario_config("hover", sensor="fd", position_noise=0.002, seed=1, total_time=5.0)
+        rng = np.random.default_rng(3)
+        history = [rng.normal(size=3) for _ in range(12)]
+        state = rng.normal(size=9)
+        long, trimmed, short = (sense(state, history[-keep:], cfg, np.random.default_rng(cfg.seed))
+                                for keep in (len(history), simulate.FD_WINDOW, simulate.FD_WINDOW - 1))
+        assert long.tobytes() == trimmed.tobytes()
+        assert not np.array_equal(short[3:6], long[3:6])
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +413,33 @@ class TestScenarioConfig:
         assert cfg.sensor == "fd"
         assert cfg.mass == 0.035
         assert cfg.q_diag == (80.0, 80.0, 100.0, 20.0, 1.0, 1.0, 1.0, 5.0)
+
+    def test_a_file_of_every_default_loads_as_the_defaults(self, tmp_path):
+        # each value parsed by its field's annotation, to the annotated type
+        default = ScenarioConfig()
+        lines = []
+        for f in dataclasses.fields(ScenarioConfig):
+            value = getattr(default, f.name)
+            if value is not None:
+                text = ",".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+                lines.append(f"{f.name} = {text}\n")
+        cfg_file = tmp_path / "defaults.cfg"
+        cfg_file.write_text("".join(lines))
+        cfg = load_config(str(cfg_file))
+        assert cfg == default
+        for f in dataclasses.fields(ScenarioConfig):
+            assert type(getattr(cfg, f.name)) is type(getattr(default, f.name)), f.name
+
+    def test_defaults_agree_with_the_model_and_the_horizon_problem(self):
+        # ScenarioConfig restates defaults of OcpConfig and ModelParams
+        _, ocp, params = build_components(ScenarioConfig())
+        assert params == ModelParams()
+        default = OcpConfig()
+        for f in dataclasses.fields(OcpConfig):
+            ours, theirs = getattr(ocp, f.name), getattr(default, f.name)
+            if isinstance(theirs, np.ndarray):
+                ours, theirs = ((a.dtype, a.shape, a.tobytes()) for a in (ours, theirs))
+            assert ours == theirs, f.name
 
     def test_load_config_scenario_override_wins(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

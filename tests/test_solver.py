@@ -19,14 +19,13 @@ from quadpath.solver import (
     prepare,
     solve,
 )
-from quadpath.solver import _newton_direction
 from quadpath import controller as controller_module
 from quadpath import solver as solver_module
 from quadpath import transcription
 from quadpath.simulate import run_scenario, scenario_config
 from quadpath.transcription import OcpConfig, OcpStructure, build_ocp, warm_start_shift
 
-from oracles import _barrier_terms, frozen_mask, kkt_residual, project_interior
+from oracles import _barrier_terms, frozen_mask, kkt_residual, newton_direction, project_interior
 
 INF = np.inf
 
@@ -232,7 +231,7 @@ class TestGlobalization:
         h = 2.0 * J.T @ J + np.eye(2) * 1e-8
         free = np.ones(2, dtype=bool)
         keep = np.ones(1, dtype=bool)
-        dw, _ = _newton_direction(h, g, A, c, free, keep, 0.0)
+        dw, _ = newton_direction(h, g, A, c, free, keep, 0.0)
         rho = 1e3
         directional = float(g @ dw) - rho * float(np.sum(np.abs(c)))
         assert directional < 0.0

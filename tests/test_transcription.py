@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from quadpath.dynamics import ModelParams
 from quadpath.paths import make_path
 from quadpath.simulate import run_scenario, scenario_config
-from quadpath.solver import _newton_direction, prepare
+from quadpath.solver import prepare
 from quadpath.transcription import (
     DEFAULT_INPUT_BOUND,
     DEFAULT_STATE_LOWER,
@@ -22,6 +22,7 @@ from oracles import (
     frozen_mask,
     held_states_rejected,
     linearize_assembly,
+    newton_direction,
     project_interior,
     quadrature_cost,
     residual_jacobian_loop,
@@ -366,7 +367,7 @@ def check_condensed_step(prob, rng, sigma_max, regs, check_lam):
     assert keep.all()
     h = 2.0 * J.T @ J + np.diag(sigma)
     for reg in regs:
-        dw_ref, lam_ref = _newton_direction(h, g, A, c, free, keep, reg)
+        dw_ref, lam_ref = newton_direction(h, g, A, c, free, keep, reg)
         dw, lam = prob.kkt_step(blocks, g, c, sigma, reg)
         assert np.max(np.abs(dw - dw_ref)) <= 1e-9 * np.max(np.abs(dw_ref))
         assert not np.any(dw[~free])
@@ -421,7 +422,7 @@ class TestCondensedStep:
             # it keeps the backward-error check alone
             h = 2.0 * J.T @ J + np.diag(sigma)
             keep = np.ones(st.m_eq, bool)
-            dw_ref, lam_ref = _newton_direction(h, g, A, c, free, keep, 0.0)
+            dw_ref, lam_ref = newton_direction(h, g, A, c, free, keep, 0.0)
             assert kkt_relative_residual(h, g, A, c, free, keep, dw, lam) <= 1e-12
             if kind != "zero-width":
                 assert np.max(np.abs(dw - dw_ref)) <= 1e-9 * np.max(np.abs(dw_ref))

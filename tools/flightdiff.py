@@ -46,7 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # (name, scenario file): the five scenarios at their defaults, the
-# zero-width corridor and a long horizon
+# zero-width corridor, a long horizon and the benchmark's sensor setting
 FLIGHTS = (
     ("spiral", "scenario = spiral\n"),
     ("lemniscate", "scenario = lemniscate\n"),
@@ -55,6 +55,7 @@ FLIGHTS = (
     ("hover", "scenario = hover\n"),
     ("zero-width-20s", "scenario = sinusoid-corridor\ns2_min = 0.0\ns2_max = 0.0\ntotal_time = 20\n"),
     ("spiral-n20-8s", "scenario = spiral\nhorizon = 20\ntotal_time = 8\n"),
+    ("spiral-fd-noise-8s", "scenario = spiral\nsensor = fd\nposition_noise = 0.002\nseed = 1\ntotal_time = 8\n"),
 )
 
 # (column title, summary.json key) of the report
