@@ -68,7 +68,7 @@ class PathController:
         else:
             self.path_state = np.array([-1.0, config.s_dot_floor])
         self.last_solution: Optional[SolveResult] = None
-        # (the solution it was shifted from, the shifted guess, its start)
+        # (the solution it was shifted from, the start of its shifted plan)
         self._prepared = None
         self.clamp_log: list[str] = []
 
@@ -77,7 +77,7 @@ class PathController:
         measurement; the next :meth:`control_step` consumes it."""
         if self.last_solution is not None:
             guess = warm_start_shift(self.last_solution, self.structure)
-            self._prepared = (self.last_solution, guess,
+            self._prepared = (self.last_solution,
                               prepare_start(self.structure, guess, self.last_solution.multipliers))
 
     def control_step(self, measured):
@@ -96,7 +96,10 @@ class PathController:
             result = solve(problem, problem.rollout(), multipliers=None, log=self.solver_log)
         else:
             if prepared is not None and prepared[0] is self.last_solution:
-                _, guess, start = prepared
+                # the start's point is the shifted plan, projected into the
+                # box; solve prepares nothing from it
+                start = prepared[1]
+                guess = start.w
             else:
                 guess, start = warm_start_shift(self.last_solution, self.structure), None
             result = solve(problem, guess, multipliers=self.last_solution.multipliers, log=self.solver_log,

@@ -235,6 +235,8 @@ class RunMetrics:
     solve_time_ms_p99: Optional[float] = None
     deadline_misses: Optional[int] = None
     total_solver_iters: Optional[int] = None
+    period_time_ms_p50: Optional[float] = None
+    period_time_ms_p99: Optional[float] = None
 
 
 def sense(plant_state, position_history, cfg: ScenarioConfig, rng=None):
@@ -376,6 +378,8 @@ def compute_metrics(log: SimLog, ocp: OcpConfig) -> RunMetrics:
     iters = np.array([r.solve_iterations for r in log.records])
     times = np.array([r.solve_time_ms for r in log.records])
     prepare_times = np.array([r.prepare_time_ms for r in log.records])
+    # a step's period: its preparation, then its feedback
+    periods = prepare_times + times
     failures = sum(1 for r in log.records if r.status != "converged")
 
     max_s2 = terminal_s2 = None
@@ -407,6 +411,8 @@ def compute_metrics(log: SimLog, ocp: OcpConfig) -> RunMetrics:
         solve_time_ms_p99=float(np.percentile(times, 99)),
         deadline_misses=int(np.sum(times > 1e3 * cfg.delta)),
         total_solver_iters=int(np.sum(iters)),
+        period_time_ms_p50=float(np.median(periods)),
+        period_time_ms_p99=float(np.percentile(periods, 99)),
     )
 
 

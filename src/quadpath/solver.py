@@ -60,9 +60,13 @@ point gives back the previous duals.
 A solve is a preparation (:func:`prepare`), which reads no pin (measured
 state) and can run on a pin-free structure before the measurement, then
 the feedback (:func:`solve`), which fills the pin rows of ``c`` and iterates.
-The preparation builds the first iteration's Newton system at ``reg = 0``
-with the pins left open (``kkt_system``), so the feedback's first step
-only applies the pins and solves it (``kkt_feedback``).
+The preparation builds and solves the first iteration's Newton system at
+``reg = 0`` with the pins left open (``kkt_system``), so the feedback's
+first step only applies the pins to that solved system (``kkt_feedback``):
+for the horizon problem two matrix-vector products, and no factorization
+after the measurement.  A prepared system that is singular is handed over
+as ``None``, and the feedback's first step is then ``kkt_step`` at the
+first regularization.
 
 The problem keeps its own Jacobians and solves its own KKT system, so it
 can use its structure: :class:`DenseNlp` holds dense matrices and factors
@@ -101,16 +105,17 @@ Problem objects must expose:
   it raises ``numpy.linalg.LinAlgError`` when the system is singular;
 - ``kkt_system(blocks, g, c, sigma)`` and ``kkt_feedback(system, c)``:
   ``kkt_step``'s ``(dw, lam)`` at ``reg = 0`` in two parts, the system,
-  built without reading a pin row of ``c``, and its solve, which reads
-  only the pin rows of ``c``; ``kkt_feedback`` raises
-  ``numpy.linalg.LinAlgError`` when the system is singular.
+  built without reading a pin row of ``c``, and the step from it, which
+  reads only the pin rows of ``c``; either may raise
+  ``numpy.linalg.LinAlgError`` when the system is singular (the horizon
+  problem's ``kkt_system`` factors it, a dense ``kkt_feedback`` does).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -386,13 +391,36 @@ def _first_order(problem, blocks, r, bgrad, duals, lam):
     return grad_r + _MU * bgrad, stat
 
 
-def prepare(problem, initial_guess, multipliers: Optional[np.ndarray] = None) -> tuple:
-    """A solve's start: all of its first iteration that reads no pin row
-    of ``c``, ``(w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat,
-    sigma, system, seconds taken)``, ``system`` the first Newton system at
-    ``reg = 0`` with its pins open (``kkt_system``); :func:`solve` consumes
-    it.  A cold guess (no ``multipliers``) is pushed strictly inside the
-    box; a warm guess, such as the plan
+class Start(NamedTuple):
+    """A solve's start, as :func:`prepare` makes it: the projected guess
+    ``w`` with its residuals ``r``, equality values ``c`` (pin rows empty),
+    Jacobian ``blocks`` and barrier ``(bval, bgrad, gap)``, the equality
+    multipliers ``lam``, the bound ``duals``, the step's gradient ``g``,
+    the stationarity term ``stat`` and ``sigma``; ``system``, the first
+    Newton system at ``reg = 0`` with its pins open (``kkt_system``), or
+    ``None`` when it is singular; and the seconds it took."""
+
+    w: np.ndarray
+    r: np.ndarray
+    c: np.ndarray
+    blocks: object
+    bval: float
+    bgrad: np.ndarray
+    gap: np.ndarray
+    lam: np.ndarray
+    duals: _BoundDuals
+    g: np.ndarray
+    stat: float
+    sigma: np.ndarray
+    system: object
+    prepare_time: float
+
+
+def prepare(problem, initial_guess, multipliers: Optional[np.ndarray] = None) -> Start:
+    """A solve's :class:`Start`: all of its first iteration that reads no
+    pin row of ``c``, the first Newton system included; :func:`solve`
+    consumes it.  A cold guess (no ``multipliers``) is pushed strictly
+    inside the box; a warm guess, such as the plan
     ``quadpath.transcription.warm_start_shift`` returns, is only moved just
     inside it (:meth:`Box.project` at a margin of 1e-6), which keeps its
     active bounds where they are."""
@@ -410,13 +438,16 @@ def prepare(problem, initial_guess, multipliers: Optional[np.ndarray] = None) ->
     duals = _BoundDuals(box, gap)
     g, stat = _first_order(problem, blocks, r, bgrad, duals, lam)
     sigma = duals.sigma(gap)
-    system = problem.kkt_system(blocks, g, c, sigma)
-    return (w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat, sigma, system,
-            time.perf_counter() - t_start)
+    try:
+        system = problem.kkt_system(blocks, g, c, sigma)
+    except np.linalg.LinAlgError:
+        system = None
+    return Start(w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat, sigma, system,
+                 time.perf_counter() - t_start)
 
 
 def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=None,
-          start: Optional[tuple] = None) -> SolveResult:
+          start: Optional[Start] = None) -> SolveResult:
     """Solve the barrier problem at ``mu = 1e-7`` until its primal-dual
     optimality error (the module docstring's ``E``) is at most 1e-6.
 
@@ -425,7 +456,8 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
     pin-free structure, then the feedback, whose first Newton step is the
     prepared system with the pins applied (``kkt_feedback``); a
     regularization, a second-order correction and every later iteration
-    take ``kkt_step``.  On line search failure, iteration
+    take ``kkt_step``, and so does the first when the prepared system is
+    singular, at the first regularization.  On line search failure, iteration
     exhaustion (50 iterations, dual-only ones included) or a step at the
     rounding floor with the bound duals already at ``mu / gap``, the current
     iterate is returned with the corresponding status; the caller decides what to do with a non-converged first input.
@@ -440,8 +472,13 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
     # bval, bgrad and gap its barrier: the accepted line-search point brings
     # its values and barrier along, and its Jacobians come from what its
     # evaluation kept; sigma is the bound duals' at w, None once they move
-    w, r, c, blocks, bval, bgrad, gap, lam, duals, g, stat, sigma, system, prepare_time = start
+    w, r, c, blocks = start.w, start.r, start.c, start.blocks
+    bval, bgrad, gap = start.bval, start.bgrad, start.gap
+    lam, duals, g, stat, sigma = start.lam, start.duals, start.g, start.stat, start.sigma
     problem.fill_pins(w, c)
+    # the prepared system serves the first attempt of the first iteration
+    # alone; a singular one fails that attempt, as its solve would
+    prepared = True
 
     rho = _PENALTY
     iters = 0
@@ -451,7 +488,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         return SolveResult(
             decision=w, status=stat, kkt_residual=float(kkt_val), iterations=iters,
             solve_time=time.perf_counter() - t_start, multipliers=lam, trials=total_trials,
-            prepare_time=prepare_time,
+            prepare_time=start.prepare_time,
         )
 
     def merit_of(r, c, bval):
@@ -477,14 +514,14 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         reg = 0.0
         direction = None
         for _ in range(_MAX_REG_ESCALATIONS):
-            # the prepared system serves the first attempt of the first
-            # iteration alone
-            first, system = system, None
+            first, prepared = prepared, False
             try:
-                if first is None:
+                if not first:
                     dw, lam_new = problem.kkt_step(blocks, g, c, sigma, reg)
+                elif start.system is None:
+                    raise np.linalg.LinAlgError("singular prepared system")
                 else:
-                    dw, lam_new = problem.kkt_feedback(first, c)
+                    dw, lam_new = problem.kkt_feedback(start.system, c)
             except np.linalg.LinAlgError:
                 reg = max(_REG_FLOOR, reg * 10.0) if reg else _REG_FLOOR
                 continue
@@ -567,8 +604,8 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
                     alphas.append(alpha)
                 steps = np.array(alphas)[:, None] * dw
                 points = w + steps
-                for start in range(0, left, _PASS_ROWS):
-                    rows = start + np.flatnonzero(box.strictly_inside(points[start:start + _PASS_ROWS]))
+                for head in range(0, left, _PASS_ROWS):
+                    rows = head + np.flatnonzero(box.strictly_inside(points[head:head + _PASS_ROWS]))
                     if rows.size:
                         R, C, kept = problem.evaluate(points[rows])
                     for i, j in enumerate(rows):

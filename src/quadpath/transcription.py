@@ -562,33 +562,71 @@ class OcpStructure:
         Raises ``LinAlgError`` when the condensed system is singular.
         """
         X, L, aug = self._condense(blocks, g, c, sigma, reg, False)
+        sol = np.linalg.solve(aug[:, 1:], -aug[:, 0])
+        if not np.isfinite(sol).all():
+            raise np.linalg.LinAlgError("non-finite KKT solution")
         v = np.empty(aug.shape[1])
         v[0] = 1.0
-        v[1:] = np.linalg.solve(aug[:, 1:], -aug[:, 0])
-        return self._step(X, L, v)
+        v[1:] = sol
+        n_s, nf = self.state_idx.size, self.q_free_idx.size
+        steps = np.empty(n_s + nf + 1)
+        np.matmul(X, v, out=steps[:n_s].reshape(X.shape[:2]))
+        steps[n_s:-1] = sol[:nf]
+        steps[-1] = 0.0
+        lam = L @ v
+        np.negative(lam, out=lam)
+        return steps[self.dw_src], lam.reshape(-1)[self.lam_src]
 
     def kkt_system(self, blocks: StageBlocks, g, c, sigma):
-        """The system of :meth:`kkt_step` at ``reg = 0`` with its pins left
-        open, which reads no pin row of ``c``: both sweeps and the condensed
-        rows carry the pins' effect as ``ns`` more columns after column 0
-        (``X_0 = [0 | I | 0]``, so they hold ``F_{k-1} .. F_0``), and column
-        0 is the system with zero pin rows.  :meth:`kkt_feedback` applies
-        the pins."""
-        return self._condense(blocks, g, c, sigma, 0.0, True)
+        """The step of :meth:`kkt_step` at ``reg = 0`` as its response to
+        the pins, which reads no pin row of ``c``.  Both sweeps and the
+        condensed rows carry the pins' effect as ``ns`` more columns after
+        column 0 (``X_0 = [0 | I | 0]``, so they hold ``F_{k-1} .. F_0``),
+        and column 0 is the system with zero pin rows.  One LU solve of the
+        condensed matrix for those ``1 + ns`` right-hand sides gives
+        ``(dq, mu)`` as ``S u`` in ``u = [1; -c_pin]``, and the state steps,
+        input steps and multipliers follow as ``[X_u + X_q S_q; S_q; 0]``
+        and ``-(L_u + L_q S)``, with ``S_q`` the rows of ``dq`` and ``X_u``,
+        ``L_u`` (``X_q``, ``L_q``) the sweeps' columns of ``u`` (of the
+        inputs and holds).  Those two matrices, ``1 + ns`` columns wide,
+        are the system :meth:`kkt_feedback` applies the pins to.  Raises
+        ``LinAlgError`` when the condensed system is singular or its
+        response not finite."""
+        X, L, aug = self._condense(blocks, g, c, sigma, 0.0, True)
+        n_s, nf = self.state_idx.size, self.q_free_idx.size
+        nc = 1 + self.state_idx.shape[1]
+        sol = np.linalg.solve(aug[:, nc:], -aug[:, :nc])
+        if not np.isfinite(sol).all():
+            raise np.linalg.LinAlgError("non-finite KKT solution")
+        # one row per state entry; the hold columns of X are zero, as the
+        # holds do not move the states
+        X, L = X.reshape(n_s, -1), L.reshape(n_s, -1)
+        steps = np.empty((n_s + nf + 1, nc))
+        np.matmul(X[:, nc:nc + nf], sol[:nf], out=steps[:n_s])
+        steps[:n_s] += X[:, :nc]
+        steps[n_s:-1] = sol[:nf]
+        steps[-1] = 0.0
+        lam = L[:, nc:] @ sol
+        lam += L[:, :nc]
+        np.negative(lam, out=lam)
+        return steps, lam
 
     def kkt_feedback(self, system, c):
         """:meth:`kkt_step` at ``reg = 0`` from the :meth:`kkt_system` of
         its arguments but ``c``, of which it reads the pin rows alone: the
-        pins enter the condensed right-hand side and ``v = [1; -c_pin; dq;
-        mu]`` by linearity, one LU solve, and the sweeps are not run again.
-        Raises ``LinAlgError`` when the condensed system is singular."""
-        X, L, aug = system
-        ns = self.state_idx.shape[1]
-        v = np.empty(aug.shape[1])
-        v[0] = 1.0
-        np.negative(c[:ns], out=v[1:1 + ns])
-        v[1 + ns:] = np.linalg.solve(aug[:, 1 + ns:], -(aug[:, 0] + aug[:, 1:1 + ns] @ v[1:1 + ns]))
-        return self._step(X, L, v)
+        state and input steps and the multipliers are the system's two
+        matrices times ``u = [1; -c_pin]``, two matrix-vector products, and
+        no sweep or LU solve runs again.  Raises ``LinAlgError`` when the
+        step is not finite."""
+        steps, lam = system
+        u = np.empty(steps.shape[1])
+        u[0] = 1.0
+        np.negative(c[:u.size - 1], out=u[1:])
+        steps = steps @ u
+        lam = lam @ u
+        if not (np.isfinite(steps).all() and np.isfinite(lam).all()):
+            raise np.linalg.LinAlgError("non-finite KKT solution")
+        return steps[self.dw_src], lam[self.lam_src]
 
     def _condense(self, blocks: StageBlocks, g, c, sigma, reg, pins: bool):
         """The forward sweep ``X``, the backward sweep ``L`` and the
@@ -637,21 +675,6 @@ class OcpStructure:
         aug[:nf, 0] += g[qf]
         aug.reshape(-1)[1 + p:nf * (width + 1):width + 1] += sigma[qf] + reg
         return X, L, aug
-
-    def _step(self, X, L, v):
-        """``(dw, lam)`` of a solved condensed system: ``v = [1; pins;
-        dq; mu]``, its columns those of ``X`` and ``L``."""
-        sol = v[v.size - self.n_kkt:]
-        if not np.isfinite(sol).all():
-            raise np.linalg.LinAlgError("non-finite KKT solution")
-        n_s, nf = self.state_idx.size, self.q_free_idx.size
-        steps = np.empty(n_s + nf + 1)
-        np.matmul(X, v, out=steps[:n_s].reshape(X.shape[:2]))
-        steps[n_s:-1] = sol[:nf]
-        steps[-1] = 0.0
-        lam = L @ v
-        np.negative(lam, out=lam)
-        return steps[self.dw_src], lam.reshape(-1)[self.lam_src]
 
 
 class OcpProblem:

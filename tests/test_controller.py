@@ -642,3 +642,31 @@ class TestPrepareFeedback:
             steps = [kkt_feedback(structure, system, rows) for system in (system_a, system_b)
                      for rows in (c, pins_only)]
             assert len({b"".join(a.tobytes() for a in step) for step in steps}) == 1
+
+    @pytest.mark.parametrize("horizon", [5, 20])
+    def test_the_feedback_factors_nothing_before_its_first_trial(self, monkeypatch, horizon):
+        # a warm step from a prepared start: its first Newton step is the
+        # prepared pin response, so no LU solve and no sweep runs between
+        # the measurement and the first line-search evaluation
+        controller, cfg = spiral_controller(horizon=horizon)
+        x = state_on_path(controller.path, -1.0)
+        inp, nu, _ = controller.control_step(x)
+        x = rk4_step(x, inp, cfg.delta, PARAMS)
+        controller.advance_path_state(nu)
+        controller.prepare()
+        events = []
+
+        def recorded(name, original):
+            def call(*args, **kwargs):
+                events.append(name)
+                return original(*args, **kwargs)
+            return call
+        monkeypatch.setattr(np.linalg, "solve", recorded("solve", np.linalg.solve))
+        for name in ("_condense", "evaluate", "kkt_feedback"):
+            monkeypatch.setattr(transcription.OcpStructure, name,
+                                recorded(name, getattr(transcription.OcpStructure, name)))
+        _, _, diag = controller.control_step(x)
+        assert diag.solve.status == CONVERGED and diag.solve.iterations >= 1
+        first = events.index("evaluate")
+        assert events[:first] == ["kkt_feedback"]
+        assert "solve" in events[first:]  # the probe sees the in-loop solves

@@ -234,7 +234,8 @@ class TestSummarizeJson:
             summarize_json(metrics, str(out))
             docs.append(json.loads(out.read_text()))
         timing_keys = {"mean_solve_time_ms", "max_solve_time_ms", "prepare_time_ms_p50", "prepare_time_ms_max",
-                       "solve_time_ms_p50", "solve_time_ms_p99", "deadline_misses"}
+                       "solve_time_ms_p50", "solve_time_ms_p99", "deadline_misses", "period_time_ms_p50",
+                       "period_time_ms_p99"}
         for key in docs[0]:
             if key not in timing_keys:
                 assert docs[0][key] == docs[1][key], key
@@ -253,7 +254,8 @@ class TestSummarizeJson:
         assert metrics_from_summary(str(out)) == metrics
 
     APPENDED_KEYS = ("longest_stall_s", "prepare_time_ms_p50", "prepare_time_ms_max", "solve_time_ms_p50",
-                     "solve_time_ms_p99", "deadline_misses", "total_solver_iters")
+                     "solve_time_ms_p99", "deadline_misses", "total_solver_iters", "period_time_ms_p50",
+                     "period_time_ms_p99")
 
     def test_appended_keys_last_in_order_and_optional_on_read(self, hover_run, tmp_path):
         cfg, log, metrics = hover_run
@@ -262,9 +264,9 @@ class TestSummarizeJson:
         doc = json.loads(out.read_text())
         assert tuple(doc)[-len(self.APPENDED_KEYS):] == self.APPENDED_KEYS
         assert doc["total_solver_iters"] == sum(r.solve_iterations for r in log.records)
-        # summaries written before the stall key, or before the step-time
-        # keys, were appended still read
-        for first in (0, 1):
+        # summaries written before the stall key, before the step-time
+        # keys or before the period keys were appended still read
+        for first in (0, 1, 7):
             missing = self.APPENDED_KEYS[first:]
             out.write_text(json.dumps({k: v for k, v in doc.items() if k not in missing}))
             assert metrics_from_summary(str(out)) == dataclasses.replace(metrics, **dict.fromkeys(missing))
@@ -272,8 +274,9 @@ class TestSummarizeJson:
 
 class TestStepTimes:
     """The appended step-time keys: feedback solve time p50 / p99, the
-    preparation's p50 / max, feedback solves over the control period and
-    the iterations of the flight."""
+    preparation's p50 / max, feedback solves over the control period, the
+    iterations of the flight and the period (preparation plus feedback)
+    p50 / p99."""
 
     def test_percentiles_misses_and_iterations(self):
         cfg = scenario_config("spiral", total_time=10.0)
@@ -292,6 +295,9 @@ class TestStepTimes:
         assert (metrics.prepare_time_ms_p50, metrics.prepare_time_ms_max) == (0.625, 9.0)
         assert metrics.deadline_misses == 2  # 50 ms is on the period, not over it
         assert metrics.total_solver_iters == 21
+        # the period of a step is its preparation plus its feedback
+        assert metrics.period_time_ms_p50 == 30.5
+        assert metrics.period_time_ms_p99 == pytest.approx(59.825)
 
     def test_flight_records_the_feedback_and_the_preparation(self):
         log, metrics = run_scenario(scenario_config("spiral", total_time=1.0))
@@ -299,6 +305,8 @@ class TestStepTimes:
         assert all(t > 0.0 for t in prepare_ms)
         assert metrics.prepare_time_ms_max == max(prepare_ms)
         assert metrics.solve_time_ms_p50 == float(np.median([r.solve_time_ms for r in log.records]))
+        periods = [r.prepare_time_ms + r.solve_time_ms for r in log.records]
+        assert metrics.period_time_ms_p50 == float(np.median(periods)) > metrics.solve_time_ms_p50
 
 
 class TestLongestStall:

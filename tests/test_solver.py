@@ -688,13 +688,18 @@ class TestPrepareThenFeedback:
         regs = []
 
         def singular(*args):
-            system = kkt_system(*args)
             if kind == "dense":
-                system[0][0][:] = 0.0  # the dense KKT matrix
-            else:
-                system[2][:, 1 + prob.structure.n_x + prob.structure.n_z:] = 0.0  # the condensed one
-            return system
+                system = kkt_system(*args)
+                system[0][0][:] = 0.0  # the dense KKT matrix, factored by the feedback
+                return system
+            # the condensed matrix, factored by kkt_system: its LU sees zeros
+            lu = np.linalg.solve
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np.linalg, "solve", lambda a, b: lu(np.zeros_like(a), b))
+                return kkt_system(*args)
         prob.kkt_system = singular
+        if kind == "classic":
+            assert prepare(prob, guess).system is None
         prob.kkt_step = lambda blocks, g, c, sigma, reg: regs.append(reg) or kkt_step(blocks, g, c, sigma, reg)
         result = solve(prob, guess)
         assert result.status == CONVERGED

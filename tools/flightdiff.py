@@ -65,7 +65,8 @@ REPORT_KEYS = (("steps", "steps"), ("failures", "failures"), ("total iterations"
 
 TIMING_COLUMN = "solve_time_ms"
 TIMING_KEYS = ("mean_solve_time_ms", "max_solve_time_ms", "prepare_time_ms_p50", "prepare_time_ms_max",
-               "solve_time_ms_p50", "solve_time_ms_p99", "deadline_misses")
+               "solve_time_ms_p50", "solve_time_ms_p99", "deadline_misses", "period_time_ms_p50",
+               "period_time_ms_p99")
 
 
 def export_revision(rev: str, dest: Path) -> Path:
