@@ -67,6 +67,10 @@ class PathController:
             self.path_state = np.array([-1.0, 0.0, config.s_dot_floor, 0.0])
         else:
             self.path_state = np.array([-1.0, config.s_dot_floor])
+        # the timing box, and the box of the pins (measured state, then
+        # timing state), both fixed by the configuration
+        zlo, zhi = self._z_box = config.z_bounds()
+        self._pin_box = (np.concatenate((config.state_lower, zlo)), np.concatenate((config.state_upper, zhi)))
         self.last_solution: Optional[SolveResult] = None
         # (the solution it was shifted from, the start of its shifted plan)
         self._prepared = None
@@ -105,9 +109,9 @@ class PathController:
             result = solve(problem, guess, multipliers=self.last_solution.multipliers, log=self.solver_log,
                            start=start)
 
-        _, U, _, V = self.structure.unpack(result.decision)
+        w, st = result.decision, self.structure
         self.last_solution = result
-        return U[0].copy(), V[0].copy(), ControlDiagnostics(solve=result)
+        return w[st.u0].copy(), w[st.v0].copy(), ControlDiagnostics(solve=result)
 
     def _feasible_pin(self) -> np.ndarray:
         """Progress state to pin the horizon problem at.
@@ -144,7 +148,11 @@ class PathController:
 
     def _log_pins_outside_box(self, x_pin, z_pin) -> None:
         """One message per pinned coordinate outside the configured box."""
-        zlo, zhi = self.config.z_bounds()
+        lo, hi = self._pin_box
+        pins = np.concatenate((x_pin, z_pin))
+        if not ((pins < lo) | (pins > hi)).any():
+            return
+        zlo, zhi = self._z_box
         for name, value, lo, hi in (
             ("state", x_pin, self.config.state_lower, self.config.state_upper),
             ("path", z_pin, zlo, zhi),
@@ -162,7 +170,7 @@ class PathController:
         if not np.all(np.isfinite(nu_applied)):
             raise ValueError("virtual input must be finite")
         z = step_timing(self.path_state, nu_applied, self.config.delta)
-        lo, hi = self.config.z_bounds()
+        lo, hi = self._z_box
         clipped = np.clip(z, lo, hi)
         moved = np.abs(clipped - z) > 1e-12
         for idx in np.flatnonzero(moved):

@@ -222,17 +222,14 @@ def _rk4_stages(x, u, h: float, params: ModelParams, c, tau):
     att[2, 0], k[:, 8] = xt[8], ut[3]
     np.add(xt[8], c_col * ut[3], out=att[2, 1:])
     # roll and pitch lag their commands: k = (cmd - angle) / tau, stage by
-    # stage over contiguous (2,) + batch blocks
+    # stage, written in place into att and k
     tau = tau.reshape((2,) + ones)
-    cmd, x_angles = ut[1:3].copy(), xt[6:8].copy()
-    angles, rates = np.empty((2, 4, 2) + batch, dtype=float)
-    angles[0] = x_angles
+    cmd, x_angles, angles = ut[1:3], xt[6:8], att[0:2]
+    angles[:, 0] = x_angles
     for i in range(3):
-        np.divide(cmd - angles[i], tau, out=rates[i])
-        np.add(x_angles, c[i] * rates[i], out=angles[i + 1])
-    np.divide(cmd - angles[3], tau, out=rates[3])
-    att[0:2] = angles.swapaxes(0, 1)
-    k[:, 6:8] = rates
+        np.divide(cmd - angles[:, i], tau, out=k[i, 6:8])
+        np.add(x_angles, c[i] * k[i, 6:8], out=angles[:, i + 1])
+    np.divide(cmd - angles[:, 3], tau, out=k[3, 6:8])
 
     trig = _attitude_trig(att)
     axis = _thrust_axis(trig, np.empty(att.shape))

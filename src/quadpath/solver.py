@@ -187,6 +187,7 @@ class Box:
         lo_idx = np.flatnonzero(free & np.isfinite(lower))
         hi_idx = np.flatnonzero(free & np.isfinite(upper))
         self.lower, self.upper, self.free = lower, upper, free
+        self.free_idx = np.flatnonzero(free)
         self.n = lower.size
         self.n_lo = lo_idx.size
         self.idx = np.concatenate([lo_idx, hi_idx])
@@ -364,19 +365,27 @@ class _BoundDuals:
         full length."""
         return np.bincount(self.box.idx, self.box.neg_sign * self.z, self.box.n)
 
-    def complementarity(self, gap) -> float:
-        """``max |z * gap - mu|`` scaled by ``tol / mu``, so that it meets the
-        tolerance when every ``|z * gap - mu| <= mu``."""
-        return float(np.abs(self.z * gap - _MU).max(initial=0.0)) * (_TOLERANCE / _MU)
+    @staticmethod
+    def complementarity(zgap) -> float:
+        """``max |z * gap - mu|`` of the products ``zgap = z * gap``, scaled
+        by ``tol / mu``, so that it meets the tolerance when every
+        ``|z * gap - mu| <= mu``."""
+        return float(np.abs(zgap - _MU).max(initial=0.0)) * (_TOLERANCE / _MU)
 
-    def update(self, gap, step):
+    def update(self, gap, zgap, step):
         """Linearized-complementarity dual step for the accepted primal step,
-        cut per side by the fraction-to-boundary rule."""
+        cut per side by the fraction-to-boundary rule; ``zgap`` is
+        ``z * gap``.  Sides cut to one length take one update."""
         z, k = self.z, self.box.n_lo
-        dz = (_MU - z * gap - self.box.sign * z * step[self.box.idx]) / gap
+        dz = (_MU - zgap - self.box.sign * z * step[self.box.idx]) / gap
         ratio = np.divide(z, -dz, out=np.full(z.shape, np.inf), where=dz < 0.0)
-        z[:k] += min(1.0, _TAU * ratio[:k].min(initial=np.inf)) * dz[:k]
-        z[k:] += min(1.0, _TAU * ratio[k:].min(initial=np.inf)) * dz[k:]
+        lo = min(1.0, _TAU * ratio[:k].min(initial=np.inf))
+        hi = min(1.0, _TAU * ratio[k:].min(initial=np.inf))
+        if lo == hi:
+            z += lo * dz
+        else:
+            z[:k] += lo * dz[:k]
+            z[k:] += hi * dz[k:]
 
     def clip(self, gap):
         self.z = self.z.clip(_MU / (_DUAL_SAFEGUARD * gap), _DUAL_SAFEGUARD * _MU / gap)
@@ -386,7 +395,7 @@ def _first_order(problem, blocks, r, bgrad, duals, lam):
     """The step's gradient ``g`` and the stationarity term of ``E`` at a
     point."""
     grad_r = 2.0 * problem.jt_dot(blocks, r)
-    stat = float(np.abs((grad_r + duals.gradient() + problem.at_dot(blocks, lam))[problem.box.free])
+    stat = float(np.abs((grad_r + duals.gradient() + problem.at_dot(blocks, lam))[problem.box.free_idx])
                  .max(initial=0.0))
     return grad_r + _MU * bgrad, stat
 
@@ -468,10 +477,11 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         start = prepare(problem, initial_guess, multipliers)
     t_start = time.perf_counter()
     box = problem.box
-    # r, c and blocks always hold the values and the Jacobians at w, and
-    # bval, bgrad and gap its barrier: the accepted line-search point brings
-    # its values and barrier along, and its Jacobians come from what its
-    # evaluation kept; sigma is the bound duals' at w, None once they move
+    # r, c and blocks always hold the values and the Jacobians at w, terms
+    # its merit terms, and bval, bgrad and gap its barrier: the accepted
+    # line-search point brings its values, merit terms and barrier along,
+    # and its Jacobians come from what its evaluation kept; sigma is the
+    # bound duals' at w, None once they move
     w, r, c, blocks = start.w, start.r, start.c, start.blocks
     bval, bgrad, gap = start.bval, start.bgrad, start.gap
     lam, duals, g, stat, sigma = start.lam, start.duals, start.g, start.stat, start.sigma
@@ -491,18 +501,27 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
             prepare_time=start.prepare_time,
         )
 
-    def merit_of(r, c, bval):
-        """Merit at the current rho of a point's residual, equality values
-        and barrier value."""
-        return float(r @ r) + _MU * bval + rho * float(np.abs(c).sum())
+    def merit_terms(r, c):
+        """``(r @ r, |c|, ||c||_1)`` of a point's residual and equality
+        values: its merit's terms but the barrier."""
+        abs_c = np.abs(c)
+        return float(r @ r), abs_c, float(abs_c.sum())
 
+    def merit_of(terms, bval):
+        """Merit at the current rho of a point's merit terms and barrier
+        value."""
+        return terms[0] + _MU * bval + rho * terms[2]
+
+    terms = merit_terms(r, c)
     if log is not None:
         log.write(f"# solve n={box.n} m={c.shape[0]}\n")
 
     while True:
-        abs_c = np.abs(c)
+        rr, abs_c, c_l1 = terms
         eq_val = float(abs_c.max(initial=0.0))
-        kkt_val = max(stat, eq_val, duals.complementarity(gap))
+        # the stopping test and the dual update read the same products
+        zgap = duals.z * gap
+        kkt_val = max(stat, eq_val, duals.complementarity(zgap))
         if kkt_val <= _TOLERANCE:
             return _finish(CONVERGED)
         if iters >= _ITERATION_CAP:
@@ -510,7 +529,6 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
 
         if sigma is None:
             sigma = duals.sigma(gap)
-        c_l1 = float(abs_c.sum())
         reg = 0.0
         direction = None
         for _ in range(_MAX_REG_ESCALATIONS):
@@ -541,7 +559,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
             descent = float(g @ dw) - rho * c_l1
             if descent >= 0.0 and dw.any():
                 return _finish(LINESEARCH_FAILURE)
-        merit0 = float(r @ r) + _MU * bval + rho * c_l1
+        merit0 = rr + _MU * bval + rho * c_l1
         if np.abs(dw).max() <= 100.0 * _EPS * (1.0 + np.abs(w).max()):
             # step at the rounding floor above the tolerance: the primal has
             # no progress left, but duals that lag behind it do; once they
@@ -557,9 +575,10 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
 
         noise = 16.0 * _EPS * (1.0 + abs(merit0))
         alpha = box.step_to_boundary(gap, dw, _TAU)
-        # the first trial inside the box; most iterations accept it.  val
-        # holds the (r, c, kept) of the candidate and at its index in kept:
-        # ... for one point, its row for a pass of halvings
+        # the first trial inside the box; most iterations accept it.  point
+        # is the candidate, val its (r, c, kept), at its index in kept (...
+        # for one point, its row for a pass of halvings) and new_terms its
+        # merit terms
         for left in range(_MAX_BACKTRACKS - 1, -1, -1):
             step = alpha * dw
             point = w + step
@@ -572,7 +591,8 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         val, at = problem.evaluate(point), ...
         trials = 1
         soc = False
-        merit = merit_of(val[0], val[1], bar[0])  # same rho as merit0
+        new_terms = merit_terms(val[0], val[1])
+        merit = merit_of(new_terms, bar[0])  # same rho as merit0
         bound = merit0 + _ARMIJO * alpha * descent
         if not (merit <= bound or abs(alpha * descent) <= noise):
             step = None
@@ -591,10 +611,11 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
                 if bar_soc[2] is not None:
                     val_soc = problem.evaluate(point)
                     trials += 1
-                    merit_soc = merit_of(val_soc[0], val_soc[1], bar_soc[0])
+                    terms_soc = merit_terms(val_soc[0], val_soc[1])
+                    merit_soc = merit_of(terms_soc, bar_soc[0])
                     if merit_soc <= bound:
-                        step, merit, val, bar, lam_new, soc = (soc_step, merit_soc, val_soc, bar_soc,
-                                                               lam_soc, True)
+                        step, merit, val, new_terms, bar, lam_new, soc = (soc_step, merit_soc, val_soc, terms_soc,
+                                                                          bar_soc, lam_soc, True)
             if step is None:
                 # the halvings left, examined in order; each pass values the
                 # next _PASS_ROWS of them inside the box at once
@@ -611,26 +632,27 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
                     for i, j in enumerate(rows):
                         bar = box.barrier(points[j])
                         trials += 1
-                        merit = merit_of(R[i], C[i], bar[0])
+                        new_terms = merit_terms(R[i], C[i])
+                        merit = merit_of(new_terms, bar[0])
                         alpha = alphas[j]
                         if merit <= merit0 + _ARMIJO * alpha * descent or abs(alpha * descent) <= noise:
                             break
                     else:
                         continue
-                    step = steps[j]
+                    step, point = steps[j], points[j]
                     val, at = (R[i], C[i], kept), i
                     break
                 else:
                     return _finish(LINESEARCH_FAILURE)
 
-        duals.update(gap, step)
-        w = w + step
+        duals.update(gap, zgap, step)
+        w, terms = point, new_terms
         r, c, kept = val
         blocks = problem.row_blocks(kept, at)
         bval, bgrad, gap = bar
         duals.clip(gap)
         sigma = None
-        lam = lam_new.copy()
+        lam = lam_new
         g, stat = _first_order(problem, blocks, r, bgrad, duals, lam)
         iters += 1
         total_trials += trials

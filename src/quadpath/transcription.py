@@ -262,6 +262,10 @@ class OcpStructure:
         self.ou = (N + 1) * nx
         self.oz = self.ou + N * nu
         self.ov = self.oz + (N + 1) * nz
+        # the first input and the first virtual input, the ones a control
+        # step applies
+        self.u0 = slice(self.ou, self.ou + nu)
+        self.v0 = slice(self.ov, self.ov + nv)
 
         # index arrays of the stage blocks: state s_k for k = 0..N, input
         # q_k for k < N, and the equality rows of row block k (the pins for
@@ -305,6 +309,9 @@ class OcpStructure:
         if config.corridor:
             self.jt[1, nx + 1] = np.sqrt(config.terminal_weight_s2)
         self.hs_terminal = 2.0 * (self.jt.T @ self.jt)
+        # the square roots of the terminal weights, the terminal residual's
+        # factors of the final timing state
+        self.term = self.jt[:, nx:].diagonal().copy()
         # the constants of one RK4 step of length delta and its sensitivities
         self.rk4_constants = _step_constants(float(config.delta), params)
 
@@ -485,8 +492,7 @@ class OcpStructure:
         np.matmul(q, self.lq.T, out=R[..., :N * nq].reshape(batch + (N, nq)))
         np.matmul(W.take(self.input_idx, axis=-1), self.lr.T,
                   out=R[..., N * nq:N * (nq + nr)].reshape(batch + (N, nr)))
-        term = self.jt[:, nx:].diagonal()  # the square roots of the terminal weights
-        np.multiply(term, Z[..., N, :term.size], out=R[..., N * (nq + nr):])
+        np.multiply(self.term, Z[..., N, :self.term.size], out=R[..., N * (nq + nr):])
 
         # gaps: one integration of every row; its stage quantities give the
         # sensitivities of a row on demand
@@ -669,9 +675,11 @@ class OcpStructure:
 
         # condensed system in the free inputs, bordered by the holds, as
         # [-rhs | kkt]: the gradient rows over the hold rows
-        hg = G.transpose(0, 2, 1) @ L[1:]
-        hg.reshape(-1)[self.hq_pos[int(pins)]] += self.hq_free
-        aug = np.concatenate([hg.reshape(nf, width), X[1:, held].reshape(-1, width)])
+        aug = np.empty((self.n_kkt, width))
+        np.matmul(G.transpose(0, 2, 1), L[1:], out=aug[:nf].reshape(N, -1, width))
+        aug.reshape(-1)[self.hq_pos[int(pins)]] += self.hq_free
+        if nf < self.n_kkt:
+            aug[nf:] = X[1:, held].reshape(-1, width)
         aug[:nf, 0] += g[qf]
         aug.reshape(-1)[1 + p:nf * (width + 1):width + 1] += sigma[qf] + reg
         return X, L, aug

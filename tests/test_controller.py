@@ -88,6 +88,58 @@ class TestControlStep:
         controller.control_step(x0)
         assert any("state[2]" in e for e in controller.clamp_log)
 
+    @pytest.mark.parametrize("corridor", [False, True])
+    def test_first_inputs_are_copies_of_the_plan(self, corridor):
+        name = "sinusoid-corridor" if corridor else "spiral"
+        controller = PathController(make_path(name), OcpConfig(corridor=corridor), PARAMS)
+        x = state_on_path(controller.path, -1.0, corridor)
+        for _ in range(2):  # the rollout solve, then a warm one
+            inp, nu, diag = controller.control_step(x)
+            decision = controller.last_solution.decision
+            kept = decision.copy()
+            _, U, _, V = controller.structure.unpack(decision)
+            assert inp.tobytes() == U[0].tobytes() and nu.tobytes() == V[0].tobytes()
+            inp[:] = 7.0
+            nu[:] = 7.0
+            assert decision.tobytes() == kept.tobytes()
+            controller.advance_path_state(V[0])
+            controller.prepare()
+
+
+class TestPinCheck:
+    """The pins are tested against their box in one comparison; the
+    per-coordinate messages are written only when a pin lies outside, the
+    same messages in the same order as the per-coordinate loop."""
+
+    @staticmethod
+    def per_coordinate(config, x_pin, z_pin):
+        zlo, zhi = config.z_bounds()
+        log = []
+        for name, value, lo, hi in (
+            ("state", x_pin, config.state_lower, config.state_upper),
+            ("path", z_pin, zlo, zhi),
+        ):
+            for idx in np.flatnonzero((value < lo) | (value > hi)):
+                log.append(f"pinned {name}[{idx}]={value[idx]:.6g} outside box [{lo[idx]:.6g}, {hi[idx]:.6g}]")
+        return log
+
+    @pytest.mark.parametrize("corridor", [False, True])
+    @pytest.mark.parametrize("outside", [(), ("state",), ("path",), ("state", "path")])
+    def test_messages_match_the_per_coordinate_loop(self, corridor, outside):
+        name = "sinusoid-corridor" if corridor else "spiral"
+        cfg = OcpConfig(corridor=corridor)
+        controller = PathController(make_path(name), cfg, PARAMS)
+        x_pin = state_on_path(controller.path, -0.5, corridor)
+        z_pin = controller.path_state.copy()  # on the faces of its box
+        if "state" in outside:
+            x_pin[2], x_pin[7] = 2.0, -0.5  # above the ceiling, below the pitch bound
+        if "path" in outside:
+            z_pin[-1] = 1.0  # the last rate above its bound
+            z_pin[0] = -1.5  # before the path start
+        controller._log_pins_outside_box(x_pin, z_pin)
+        assert controller.clamp_log == self.per_coordinate(cfg, x_pin, z_pin)
+        assert len(controller.clamp_log) == 2 * len(outside)
+
 
 class TestAdvancePathState:
     def test_closed_form_update(self):
