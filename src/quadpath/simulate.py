@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from decimal import Decimal
 from typing import Optional
 
 import numpy as np
@@ -275,6 +276,13 @@ def _plant_step(state, inp, cfg: ScenarioConfig, params: ModelParams,
     return rk4_step(state, u_eff, cfg.delta, plant_params, substeps=cfg.plant_substeps)
 
 
+def sim_time(k: int, delta: float) -> float:
+    """The simulated time of step ``k``, or of ``k`` steps: ``k`` periods of
+    ``delta`` counted in decimal and rounded once, so step 3 at 0.05 s is
+    0.15, where ``3 * 0.05`` is 0.15000000000000002."""
+    return float(k * Decimal(repr(float(delta))))
+
+
 def _reference(path, z, corridor: bool) -> np.ndarray:
     """The path point at timing state ``z``: at its progress, and on a
     corridor at its offset too."""
@@ -301,7 +309,7 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
     n_steps = int(round(cfg.total_time / cfg.delta))
 
     for k in range(n_steps):
-        t = k * cfg.delta
+        t = sim_time(k, cfg.delta)
         measured = sense(state, position_history, cfg, rng)
         inp, nu, diag = controller.control_step(measured)
         z_now = controller.path_state.copy()  # after the feasible-pin guards
@@ -404,7 +412,7 @@ def compute_metrics(log: SimLog, ocp: OcpConfig) -> RunMetrics:
         steps=len(log.records),
         max_abs_s2=max_s2,
         terminal_abs_s2=terminal_s2,
-        longest_stall_s=longest * cfg.delta,
+        longest_stall_s=sim_time(longest, cfg.delta),
         prepare_time_ms_p50=float(np.median(prepare_times)),
         prepare_time_ms_max=float(np.max(prepare_times)),
         solve_time_ms_p50=float(np.median(times)),

@@ -26,6 +26,7 @@ from quadpath.simulate import (
     run_scenario,
     scenario_config,
     sense,
+    sim_time,
     summarize_json,
 )
 from quadpath.transcription import OcpConfig, OcpStructure
@@ -320,7 +321,7 @@ class TestLongestStall:
         for k, (rate, s) in enumerate(zip(rates, progress)):
             z = np.array([s, 0.1, rate, 0.0]) if cfg.corridor else np.array([s, rate])
             log.records.append(StepRecord(
-                t=k * cfg.delta, state=np.zeros(9), inp=np.zeros(4), nu=np.zeros(2),
+                t=sim_time(k, cfg.delta), state=np.zeros(9), inp=np.zeros(4), nu=np.zeros(2),
                 path_state=z, reference=np.zeros(4), error=np.zeros(4),
                 solve_iterations=1, solve_time_ms=1.0, status="converged"))
         return cfg, compute_metrics(log, build_components(cfg)[1])
@@ -332,17 +333,41 @@ class TestLongestStall:
         rates = [5e-4, 5e-4, 0.02, 1e-4, 0.0, 9e-4, 1e-3, 5e-4, 0.0, 0.0, 0.0, 0.0, 0.0]
         progress = [-1.0, -0.9, -0.8, -0.7, -0.6, -0.5, -0.4, -0.3, -1e-3, -5e-4, 0.0, 0.0, 0.0]
         cfg, metrics = self.flight(scenario, rates, progress)
-        assert metrics.longest_stall_s == 3 * cfg.delta
-        assert metrics.time_to_path_end == 8 * cfg.delta
+        assert metrics.longest_stall_s == sim_time(3, cfg.delta)
+        assert metrics.time_to_path_end == sim_time(8, cfg.delta)
 
     def test_whole_flight_when_the_end_is_not_reached(self):
         cfg, metrics = self.flight("spiral", [1e-5] * 6, np.linspace(-1.0, -0.5, 6))
-        assert metrics.longest_stall_s == 6 * cfg.delta
+        assert metrics.longest_stall_s == sim_time(6, cfg.delta)
         assert metrics.time_to_path_end is None
 
     def test_no_stall_reads_zero(self):
         _, metrics = self.flight("spiral", [0.02] * 5, np.linspace(-1.0, -0.5, 5))
         assert metrics.longest_stall_s == 0.0
+
+
+class TestSimTime:
+    """Step k is stamped at k periods counted in decimal and rounded once, and
+    so are the path end and the longest stall: they read their decimal values,
+    not k * delta (0.15000000000000002 at k = 3)."""
+
+    def test_decimal_periods(self):
+        assert [sim_time(k, 0.05) for k in (0, 3, 514)] == [0.0, 0.15, 25.7]
+        assert sim_time(3, 0.1) == 0.3
+        assert sim_time(3, np.float64(0.05)) == 0.15
+
+    def test_a_short_flight_reads_decimal_times(self, tmp_path):
+        # a slow progress ramp: three stalled steps, and the path end at step
+        # 328, where 328 * 0.05 is 16.400000000000002
+        cfg_file = tmp_path / "slow-hover.cfg"
+        cfg_file.write_text("scenario = hover\ns_dot_max = 0.115\nnu_bound = 0.008\ntotal_time = 20\n")
+        assert cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "log.csv") as fh:
+            stamps = [float(row["t"]) for row in csv.DictReader(fh)]
+        assert stamps == [float(f"{5 * k}e-2") for k in range(len(stamps))]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["time_to_path_end_s"] == 16.4
+        assert summary["longest_stall_s"] == 0.15
 
 
 # every bound and weight key of a scenario file
