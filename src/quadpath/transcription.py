@@ -311,7 +311,7 @@ class OcpStructure:
         self.hs_terminal = 2.0 * (self.jt.T @ self.jt)
         # the square roots of the terminal weights, the terminal residual's
         # factors of the final timing state
-        self.term = self.jt[:, nx:].diagonal().copy()
+        self.term_roots = self.jt[:, nx:].diagonal().copy()
         # the constants of one RK4 step of length delta and its sensitivities
         self.rk4_constants = _step_constants(float(config.delta), params)
 
@@ -492,7 +492,7 @@ class OcpStructure:
         np.matmul(q, self.lq.T, out=R[..., :N * nq].reshape(batch + (N, nq)))
         np.matmul(W.take(self.input_idx, axis=-1), self.lr.T,
                   out=R[..., N * nq:N * (nq + nr)].reshape(batch + (N, nr)))
-        np.multiply(self.term, Z[..., N, :self.term.size], out=R[..., N * (nq + nr):])
+        np.multiply(self.term_roots, Z[..., N, :self.term_roots.size], out=R[..., N * (nq + nr):])
 
         # gaps: one integration of every row; its stage quantities give the
         # sensitivities of a row on demand
@@ -678,7 +678,7 @@ class OcpStructure:
         aug = np.empty((self.n_kkt, width))
         np.matmul(G.transpose(0, 2, 1), L[1:], out=aug[:nf].reshape(N, -1, width))
         aug.reshape(-1)[self.hq_pos[int(pins)]] += self.hq_free
-        if nf < self.n_kkt:
+        if nf < self.n_kkt:  # some state is held
             aug[nf:] = X[1:, held].reshape(-1, width)
         aug[:nf, 0] += g[qf]
         aug.reshape(-1)[1 + p:nf * (width + 1):width + 1] += sigma[qf] + reg
