@@ -375,17 +375,12 @@ class _BoundDuals:
     def update(self, gap, zgap, step):
         """Linearized-complementarity dual step for the accepted primal step,
         cut per side by the fraction-to-boundary rule; ``zgap`` is
-        ``z * gap``.  Sides cut to one length take one update."""
+        ``z * gap``."""
         z, k = self.z, self.box.n_lo
         dz = (_MU - zgap - self.box.sign * z * step[self.box.idx]) / gap
         ratio = np.divide(z, -dz, out=np.full(z.shape, np.inf), where=dz < 0.0)
-        lo = min(1.0, _TAU * ratio[:k].min(initial=np.inf))
-        hi = min(1.0, _TAU * ratio[k:].min(initial=np.inf))
-        if lo == hi:
-            z += lo * dz
-        else:
-            z[:k] += lo * dz[:k]
-            z[k:] += hi * dz[k:]
+        z[:k] += min(1.0, _TAU * ratio[:k].min(initial=np.inf)) * dz[:k]
+        z[k:] += min(1.0, _TAU * ratio[k:].min(initial=np.inf)) * dz[k:]
 
     def clip(self, gap):
         self.z = self.z.clip(_MU / (_DUAL_SAFEGUARD * gap), _DUAL_SAFEGUARD * _MU / gap)

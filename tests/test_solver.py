@@ -790,46 +790,6 @@ class TestBoxIndexSets:
         assert v[box.free_idx].tobytes() == v[box.free].tobytes()
 
 
-class TestDualUpdate:
-    """``_BoundDuals.update``, which updates both sides in one operation when
-    their step lengths agree, against the per-side update, bit for bit."""
-
-    @staticmethod
-    def per_side(box, z, gap, step):
-        """The updated duals of the per-side update, and its two lengths."""
-        z, k = z.copy(), box.n_lo
-        dz = (solver_module._MU - z * gap - box.sign * z * step[box.idx]) / gap
-        ratio = np.divide(z, -dz, out=np.full(z.shape, INF), where=dz < 0.0)
-        lengths = (min(1.0, solver_module._TAU * ratio[:k].min(initial=INF)),
-                   min(1.0, solver_module._TAU * ratio[k:].min(initial=INF)))
-        z[:k] += lengths[0] * dz[:k]
-        z[k:] += lengths[1] * dz[k:]
-        return z, lengths
-
-    # a short step leaves both sides uncut; a long one cuts a side that has
-    # faces, each to its own length
-    @pytest.mark.parametrize("sides", ["both", "lower only", "upper only"])
-    @pytest.mark.parametrize("scale", [1e-3, 10.0])
-    def test_matches_the_per_side_update_bitwise(self, sides, scale):
-        rng = np.random.default_rng(11)
-        lo, hi = -np.ones(40), np.ones(40)
-        if sides == "lower only":
-            hi[:] = INF
-        elif sides == "upper only":
-            lo[:] = -INF
-        box = Box(lo, hi)
-        _, _, gap = box.barrier(rng.uniform(-0.9, 0.9, 40))
-        duals = solver_module._BoundDuals(box, gap)
-        duals.z *= rng.uniform(0.5, 2.0, duals.z.size)  # off mu / gap
-        step = scale * rng.standard_normal(40)
-        want, lengths = self.per_side(box, duals.z, gap, step)
-        assert (lengths[0] == lengths[1]) == (scale < 1.0)
-        if sides != "both":
-            assert 1.0 in lengths  # the side without faces
-        duals.update(gap, duals.z * gap, step)
-        assert duals.z.tobytes() == want.tobytes()
-
-
 class TestProjectInterior:
     """``Box.project`` on the faces, against the full-length mask oracle."""
 
