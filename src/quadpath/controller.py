@@ -149,19 +149,12 @@ class PathController:
     def _log_pins_outside_box(self, x_pin, z_pin) -> None:
         """One message per pinned coordinate outside the configured box."""
         lo, hi = self._pin_box
-        pins = np.concatenate((x_pin, z_pin))
-        if not ((pins < lo) | (pins > hi)).any():
-            return
-        zlo, zhi = self._z_box
-        for name, value, lo, hi in (
-            ("state", x_pin, self.config.state_lower, self.config.state_upper),
-            ("path", z_pin, zlo, zhi),
-        ):
-            for idx in np.flatnonzero((value < lo) | (value > hi)):
-                self.clamp_log.append(
-                    f"pinned {name}[{idx}]={value[idx]:.6g} outside box "
-                    f"[{lo[idx]:.6g}, {hi[idx]:.6g}]"
-                )
+        pins, nx = np.concatenate((x_pin, z_pin)), x_pin.size
+        for i in np.flatnonzero((pins < lo) | (pins > hi)):
+            name = f"state[{i}]" if i < nx else f"path[{i - nx}]"
+            self.clamp_log.append(
+                f"pinned {name}={pins[i]:.6g} outside box [{lo[i]:.6g}, {hi[i]:.6g}]"
+            )
 
     def advance_path_state(self, nu_applied) -> np.ndarray:
         """Integrate the timing chains exactly over one control period

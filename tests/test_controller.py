@@ -107,9 +107,9 @@ class TestControlStep:
 
 
 class TestPinCheck:
-    """The pins are tested against their box in one comparison; the
-    per-coordinate messages are written only when a pin lies outside, the
-    same messages in the same order as the per-coordinate loop."""
+    """The pins are tested against their box in one comparison, which
+    writes the same messages in the same order as the per-coordinate loop
+    over the state pin, then the timing pin."""
 
     @staticmethod
     def per_coordinate(config, x_pin, z_pin):
