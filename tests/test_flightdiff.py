@@ -61,20 +61,24 @@ def test_summary_keys_appended_by_one_tree_are_not_a_difference(flightdiff):
 
 
 def report_rows(flightdiff, capsys, tree):
+    """The report's hover row and the identical-mode lines below it."""
     assert flightdiff.main(["--report", "--against", str(tree)], flights=SHORT_HOVER) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "| flight | steps | failures | total iterations | RMS error m | path end s | longest stall s | |"
-    assert len(out) == 4
-    return out[3]
+    assert len(out) == 8 and out[4] == ""
+    return out[3], out[5:]
 
 
 def test_report_of_the_working_tree_against_itself_has_equal_rows(flightdiff, capsys):
-    row = report_rows(flightdiff, capsys, ROOT)
+    row, lines = report_rows(flightdiff, capsys, ROOT)
     assert row.startswith("| hover-2s | 40 | 0 | ") and row.endswith(" | same |")
     assert "->" not in row
+    assert lines == ["validate: identical", "hover-2s: identical", "identical"]
 
 
 def test_report_shows_the_perturbed_hover_row_differing(flightdiff, perturbed_tree, capsys):
-    row = report_rows(flightdiff, capsys, perturbed_tree)
+    row, lines = report_rows(flightdiff, capsys, perturbed_tree)
     assert row.startswith("| hover-2s | 40 | 0 | ") and row.endswith(" | differs |")
     assert " -> " in row.split(" | ")[4]  # the RMS error
+    assert lines[0] == "validate: identical" and lines[2] == "differences found"
+    assert lines[1].startswith("hover-2s: log.csv row 2, ")

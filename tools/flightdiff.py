@@ -25,9 +25,11 @@ same flights and prints one Markdown table row per flight, the other tree
 against this one, with the steps, failures, total solver iterations, RMS
 position error, path-end time and longest stall of each ``summary.json``
 (:data:`REPORT_KEYS`); a cell reads ``theirs -> ours`` where the two differ,
-and the last column says whether the row differs.  Its exit status is 0
-when every flight of both trees wrote its summary, else 1 (2 when a tree
-cannot be found).
+and the last column says whether the row differs.  Below the table it
+prints the identical-mode lines and verdict of the same runs, ``quadpath
+validate`` included, so one flight of each tree serves both readings.  Its
+exit status is 0 when every flight of both trees wrote its summary, else 1
+(2 when a tree cannot be found).
 """
 
 from __future__ import annotations
@@ -153,15 +155,24 @@ def _fly(ours: Path, theirs: Path, entries):
             yield name, *(_outputs(proc, out) for proc, out in runs)
 
 
-def compare(ours: Path, theirs: Path, flights=FLIGHTS) -> int:
-    """Run ``quadpath validate`` and fly ``flights`` in both trees; print
-    one line each and return 0 when everything is identical, else 1."""
+def _verdict(runs) -> int:
+    """Print the identical-mode line of each ``(name, ours, theirs)`` run,
+    the first difference or ``identical``, then the verdict; return how
+    many runs differ."""
     differing = 0
-    for name, a, b in _fly(ours, theirs, (("validate", None), *flights)):
-        diff = first_difference(a, b)
+    for name, ours, theirs in runs:
+        diff = first_difference(ours, theirs)
         differing += diff is not None
         print(f"{name}: {diff or 'identical'}")
-    return 1 if differing else 0
+    print("differences found" if differing else "identical")
+    return differing
+
+
+def compare(ours: Path, theirs: Path, flights=FLIGHTS) -> int:
+    """Run ``quadpath validate`` and fly ``flights`` in both trees; print
+    one line each and the verdict, and return 0 when everything is
+    identical, else 1."""
+    return 1 if _verdict(_fly(ours, theirs, (("validate", None), *flights))) else 0
 
 
 def _report_row(name: str, ours: dict, theirs: dict) -> str:
@@ -177,14 +188,19 @@ def _report_row(name: str, ours: dict, theirs: dict) -> str:
 
 
 def report(ours: Path, theirs: Path, flights=FLIGHTS) -> int:
-    """Fly ``flights`` in both trees and print the report table; return 0
-    when every run wrote its summary, else 1."""
+    """Run ``quadpath validate`` and fly ``flights`` in both trees; print
+    the report table, then the identical-mode lines and verdict of the same
+    runs; return 0 when every flight of both trees wrote its summary, else
+    1."""
     print(f"| flight | {' | '.join(title for title, _ in REPORT_KEYS)} | |")
     print("|" + " --- |" * (len(REPORT_KEYS) + 2))
+    runs = list(_fly(ours, theirs, (("validate", None), *flights)))
     missing = 0
-    for name, a, b in _fly(ours, theirs, flights):
+    for name, a, b in runs[1:]:
         missing += ("summary.json" not in a) + ("summary.json" not in b)
         print(_report_row(name, a, b))
+    print()
+    _verdict(runs)
     return 1 if missing else 0
 
 
@@ -205,9 +221,7 @@ def main(argv=None, flights=FLIGHTS) -> int:
         print(f"flightdiff: this tree against {args.against}")
         if args.report:
             return report(ROOT, theirs, flights)
-        code = compare(ROOT, theirs, flights)
-        print("identical" if code == 0 else "differences found")
-        return code
+        return compare(ROOT, theirs, flights)
 
 
 if __name__ == "__main__":
