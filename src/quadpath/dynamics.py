@@ -167,7 +167,7 @@ def dynamics(state, inp, params: ModelParams) -> np.ndarray:
     acc = (thrust[..., None] / params.mass) * axis
     acc = acc - np.array([0.0, 0.0, params.gravity])
 
-    out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (N_STATES,), dtype=float)
+    out = np.empty(x.shape)
     out[..., POS] = x[..., VEL]
     out[..., VEL] = acc
     out[..., 6] = (u[..., 1] - x[..., 6]) / params.tau_roll
@@ -188,18 +188,22 @@ def _check_dt(dt) -> None:
 
 
 def _state_and_input(state, inp):
-    """Float arrays of a state and an input, refused without 9 and 4 components."""
+    """Float arrays of a state and an input, refused without 9 and 4 components, broadcast to one batch."""
     x, u = np.asarray(state, dtype=float), np.asarray(inp, dtype=float)
     if x.shape[-1:] != (N_STATES,) or u.shape[-1:] != (N_INPUTS,):
         raise ValueError(f"states need {N_STATES} components and inputs {N_INPUTS}")
+    if x.shape[:-1] != u.shape[:-1]:
+        batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+        x, u = np.broadcast_to(x, batch + (N_STATES,)), np.broadcast_to(u, batch + (N_INPUTS,))
     return x, u
 
 
 def _rk4_stages(x, u, h: float, params: ModelParams, c, tau):
-    """One RK4 step of length ``h``: ``(x_next, trig, axis, scale)``, with
-    the :func:`_attitude_trig` and thrust axes of the four stage attitudes,
-    each of shape ``(3, 4) + batch`` (component, stage), and the thrust per
-    mass.  ``c`` and ``tau`` are the stage offsets and time constants of
+    """One RK4 step of length ``h`` from states ``x`` under inputs ``u`` of
+    one batch shape: ``(x_next, trig, axis, scale)``, with the
+    :func:`_attitude_trig` and thrust axes of the four stage attitudes, each
+    of shape ``(3, 4) + batch`` (component, stage), and the thrust per mass.
+    ``c`` and ``tau`` are the stage offsets and time constants of
     :func:`_step_constants` for ``h``, which the caller looks up once.
 
     The attitude rows do not depend on position or velocity, so the stage
@@ -208,9 +212,6 @@ def _rk4_stages(x, u, h: float, params: ModelParams, c, tau):
     :func:`dynamics` stage by stage, so ``x_next`` is bitwise that route's.
     """
     batch = x.shape[:-1]
-    if u.shape[:-1] != batch:
-        batch = np.broadcast_shapes(batch, u.shape[:-1])
-        x, u = np.broadcast_to(x, batch + (N_STATES,)), np.broadcast_to(u, batch + (N_INPUTS,))
     # components first: xt[j] and ut[j] have the batch shape
     first = (x.ndim - 1, *range(x.ndim - 1))
     xt, ut = x.transpose(first), u.transpose(first)
@@ -250,14 +251,10 @@ def rk4_step(state, inp, dt: float, params: ModelParams, substeps: int = 1) -> n
     if isinstance(substeps, bool) or not isinstance(substeps, Integral) or substeps < 1:
         raise ValueError("substeps must be a positive integer")
     x, u = _state_and_input(state, inp)
-    batch = x.shape[:-1]
-    if u.shape[:-1] != batch:
-        batch = np.broadcast_shapes(batch, u.shape[:-1])
-        x, u = np.broadcast_to(x, batch + (N_STATES,)), np.broadcast_to(u, batch + (N_INPUTS,))
     h = float(dt / substeps)
     rows = [_rk4_one(xi, ui, h, substeps, params)
             for xi, ui in zip(x.reshape(-1, N_STATES).tolist(), u.reshape(-1, N_INPUTS).tolist())]
-    return np.array(rows, dtype=float).reshape(batch + (N_STATES,))
+    return np.array(rows, dtype=float).reshape(x.shape)
 
 
 def _rk4_one(x, u, h: float, substeps: int, params: ModelParams) -> list:

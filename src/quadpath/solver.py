@@ -27,27 +27,30 @@ again.  A backtracking line search on the exact-penalty merit
     ||r(w)||^2 + mu * B(w) + rho * ||c(w)||_1
 
 globalizes the iteration; a fraction-to-boundary rule keeps every iterate
-strictly interior, so the problem is never evaluated outside the box.
-Every point the solve examines is valued once, by the problem's
-``evaluate``: the start, each iteration's first line-search trial inside
-the box and, when that is rejected, the second-order correction below,
-one point each; when that fails too, every halving left of the step in
+strictly interior, so the problem is never evaluated outside the box.  One
+test judges every point the search examines, at its step length
+``alpha``: the Armijo bound ``merit0 + 1e-4 * alpha * D`` on its merit,
+``D`` the direction's merit slope, or ``|alpha * D|`` under the rounding
+noise of ``merit0``.  Every examined point is valued once, by the
+problem's ``evaluate``: the start, each iteration's first trial inside the
+box and, when that is rejected, the second-order correction below, one
+point each; when that fails too, every halving left of the step in
 order, in batched passes over the ones inside the box, up to 12 halvings
 a pass, the next pass only when none of a pass is accepted.  Jacobians
 (``row_blocks``) are built from what that evaluation kept, at the start
-and at each iteration's accepted point alone, so a rejected point never
-pays for them.  The barrier is evaluated once per examined point as
-well, on the faces of the problem's :class:`Box`, and the value and
-gradient of the accepted one travel with its values.
+and at each iteration's accepted point alone.  The barrier is evaluated
+once per examined point, on the faces of the problem's :class:`Box`, and
+the accepted one's value and gradient travel with its values.
 
 Along a full Gauss-Newton step the equality gaps grow quadratically (the
 Maratos effect), so the l1 merit can reject steps that are good.  When the
-first in-box trial of an iteration fails the Armijo test, one second-order
+first in-box trial of an iteration is rejected, one second-order
 correction is tried (Waechter & Biegler 2006, Math. Program. 106(1), sec.
 2.4): the same KKT system is solved with the gaps ``alpha * c + c(trial)``,
-and the corrected point, cut by the fraction-to-boundary rule, is accepted
-with its multipliers if it meets the original step's Armijo bound;
-otherwise the original direction is backtracked.
+and the corrected point, cut by the fraction-to-boundary rule, is judged
+at the trial's ``alpha``, so it is accepted with its multipliers if it
+meets the original step's Armijo bound; otherwise the original direction
+is backtracked.
 
 Cold starts are pushed ``0.1 * sqrt(mu)`` away from the box faces.  A guess
 passed with ``multipliers`` is taken to be a shifted previous optimum
@@ -141,9 +144,10 @@ _REG_FLOOR = 1e-8
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
 # halvings valued in one pass once the first trial and the second-order
-# correction are rejected: the deepest backtracking of a 70 s
-# sinusoid-corridor flight accepts the 11th, and at N = 5 a pass of 12
-# costs about one linearization
+# correction are rejected, at N = 5 about the cost of one linearization:
+# the deepest backtracking of a 70 s sinusoid-corridor flight accepts the
+# 11th; the default sinusoid and zero-width-20s flights run a second pass
+# 14 times each, the corridor and the benchmark flights never
 _PASS_ROWS = 12
 _MAX_REG_ESCALATIONS = 24
 _DUAL_SAFEGUARD = 1e10
@@ -497,15 +501,16 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         )
 
     def merit_terms(r, c):
-        """``(r @ r, |c|, ||c||_1)`` of a point's residual and equality
-        values: its merit's terms but the barrier."""
+        """``(r @ r, |c|, ||c||_1)``, a point's merit terms but the barrier."""
         abs_c = np.abs(c)
         return float(r @ r), abs_c, float(abs_c.sum())
 
-    def merit_of(terms, bval):
-        """Merit at the current rho of a point's merit terms and barrier
-        value."""
-        return terms[0] + _MU * bval + rho * terms[2]
+    def judge(r, c, bval, alpha):
+        """A point's merit terms, its merit at the current rho and whether
+        the line search accepts it at step length ``alpha``."""
+        terms = merit_terms(r, c)
+        merit = terms[0] + _MU * bval + rho * terms[2]
+        return terms, merit, merit <= merit0 + _ARMIJO * alpha * descent or abs(alpha * descent) <= noise
 
     terms = merit_terms(r, c)
     if log is not None:
@@ -525,27 +530,21 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         if sigma is None:
             sigma = duals.sigma(gap)
         reg = 0.0
-        direction = None
         for _ in range(_MAX_REG_ESCALATIONS):
             first, prepared = prepared, False
             try:
-                if not first:
-                    dw, lam_new = problem.kkt_step(blocks, g, c, sigma, reg)
-                elif start.system is None:
+                if first and start.system is None:
                     raise np.linalg.LinAlgError("singular prepared system")
-                else:
-                    dw, lam_new = problem.kkt_feedback(start.system, c)
+                dw, lam_new = (problem.kkt_feedback(start.system, c) if first
+                               else problem.kkt_step(blocks, g, c, sigma, reg))
+                descent = float(g @ dw) - rho * c_l1
+                if descent < 0.0 or not dw.any():
+                    break
             except np.linalg.LinAlgError:
-                reg = max(_REG_FLOOR, reg * 10.0) if reg else _REG_FLOOR
-                continue
-            descent = float(g @ dw) - rho * c_l1
-            if descent < 0.0 or not dw.any():
-                direction = (dw, lam_new, descent)
-                break
-            reg = max(_REG_FLOOR, reg * 10.0) if reg else _REG_FLOOR
-        if direction is None:
+                pass
+            reg = max(_REG_FLOOR, reg * 10.0)
+        else:
             return _finish(LINESEARCH_FAILURE)
-        dw, lam_new, descent = direction
         # the l1 penalty is exact only above the multiplier scale; grow it
         # when the fresh multiplier estimate exceeds the current weight
         lam_max = float(np.abs(lam_new).max(initial=0.0))
@@ -572,8 +571,7 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         alpha = box.step_to_boundary(gap, dw, _TAU)
         # the first trial inside the box; most iterations accept it.  point
         # is the candidate, val its (r, c, kept), at its index in kept (...
-        # for one point, its row for a pass of halvings) and new_terms its
-        # merit terms
+        # for one point, its row in a pass of halvings) and bar its barrier
         for left in range(_MAX_BACKTRACKS - 1, -1, -1):
             step = alpha * dw
             point = w + step
@@ -584,70 +582,57 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
         else:
             return _finish(LINESEARCH_FAILURE)
         val, at = problem.evaluate(point), ...
-        trials = 1
-        soc = False
-        new_terms = merit_terms(val[0], val[1])
-        merit = merit_of(new_terms, bar[0])  # same rho as merit0
-        bound = merit0 + _ARMIJO * alpha * descent
-        if not (merit <= bound or abs(alpha * descent) <= noise):
-            step = None
+        trials, soc = 1, False
+        terms, merit, ok = judge(val[0], val[1], bar[0], alpha)
+        if not ok:
             try:
                 # second-order correction: the full step's constraint
                 # curvature (RK4 gaps grow quadratically along it) makes
                 # the l1 merit reject it; re-solve with the trial's gaps
-                # and accept the corrected point on the same Armijo bound
+                # and judge the corrected point at the trial's step length
                 dw_soc, lam_soc = problem.kkt_step(blocks, g, alpha * c + val[1], sigma, reg)
             except np.linalg.LinAlgError:
                 pass
             else:
-                soc_step = box.step_to_boundary(gap, dw_soc, _TAU) * dw_soc
-                point = w + soc_step
-                bar_soc = box.barrier(point)
-                if bar_soc[2] is not None:
-                    val_soc = problem.evaluate(point)
+                step = box.step_to_boundary(gap, dw_soc, _TAU) * dw_soc
+                point = w + step
+                bar = box.barrier(point)
+                if bar[2] is not None:
+                    val = problem.evaluate(point)
                     trials += 1
-                    terms_soc = merit_terms(val_soc[0], val_soc[1])
-                    merit_soc = merit_of(terms_soc, bar_soc[0])
-                    if merit_soc <= bound:
-                        step, merit, val, new_terms, bar, lam_new, soc = (soc_step, merit_soc, val_soc, terms_soc,
-                                                                          bar_soc, lam_soc, True)
-            if step is None:
-                # the halvings left, examined in order; each pass values the
-                # next _PASS_ROWS of them inside the box at once
-                alphas = []
-                for _ in range(left):
-                    alpha *= _BACKTRACK
-                    alphas.append(alpha)
-                steps = np.array(alphas)[:, None] * dw
-                points = w + steps
-                for head in range(0, left, _PASS_ROWS):
-                    rows = head + np.flatnonzero(box.strictly_inside(points[head:head + _PASS_ROWS]))
-                    if rows.size:
-                        R, C, kept = problem.evaluate(points[rows])
-                    for i, j in enumerate(rows):
-                        bar = box.barrier(points[j])
-                        trials += 1
-                        new_terms = merit_terms(R[i], C[i])
-                        merit = merit_of(new_terms, bar[0])
-                        alpha = alphas[j]
-                        if merit <= merit0 + _ARMIJO * alpha * descent or abs(alpha * descent) <= noise:
-                            break
-                    else:
-                        continue
-                    step, point = steps[j], points[j]
-                    val, at = (R[i], C[i], kept), i
+                    terms, merit, ok = judge(val[0], val[1], bar[0], alpha)
+                    soc = ok
+        if not ok:
+            # the halvings left, examined in order; each pass values the
+            # next _PASS_ROWS of them inside the box at once
+            alphas = alpha * _BACKTRACK ** np.arange(1, left + 1)
+            steps = alphas[:, None] * dw
+            points = w + steps
+            for head in range(0, left, _PASS_ROWS):
+                rows = head + np.flatnonzero(box.strictly_inside(points[head:head + _PASS_ROWS]))
+                if rows.size:
+                    R, C, kept = problem.evaluate(points[rows])
+                for i, j in enumerate(rows):
+                    bar = box.barrier(points[j])
+                    trials += 1
+                    alpha = alphas[j]
+                    terms, merit, ok = judge(R[i], C[i], bar[0], alpha)
+                    if ok:
+                        break
+                if ok:
+                    step, point, val, at = steps[j], points[j], (R[i], C[i], kept), i
                     break
-                else:
-                    return _finish(LINESEARCH_FAILURE)
+            else:
+                return _finish(LINESEARCH_FAILURE)
 
         duals.update(gap, zgap, step)
-        w, terms = point, new_terms
+        w = point
         r, c, kept = val
         blocks = problem.row_blocks(kept, at)
         bval, bgrad, gap = bar
         duals.clip(gap)
         sigma = None
-        lam = lam_new
+        lam = lam_soc if soc else lam_new
         g, stat = _first_order(problem, blocks, r, bgrad, duals, lam)
         iters += 1
         total_trials += trials

@@ -543,6 +543,44 @@ class TestSecondOrderCorrection:
         assert "alpha=1.000e+00" in first and first.endswith("trials=2 soc=1")
 
 
+class TestLineSearchAcceptance:
+    """The one test every examined point passes or fails: the Armijo bound,
+    or a predicted decrease under the rounding noise."""
+
+    @staticmethod
+    def one_sided(residual, jacobian, n):
+        return DenseNlp(n, residual=residual, residual_jacobian=jacobian,
+                        lower=np.full(n, -INF), upper=np.full(n, INF))
+
+    def test_exhausted_line_search(self):
+        # a wrong-sign Jacobian predicts a decrease along a step that only
+        # raises the merit: the first trial, the correction (the same point,
+        # with no equality to correct) and all 29 halvings are rejected
+        a = np.array([1.0, -2.0])
+        prob = self.one_sided(lambda w: w - a, lambda w: -np.eye(2), 2)
+        rows = []
+        evaluate = prob.evaluate
+        prob.evaluate = lambda W: rows.append(len(np.atleast_2d(W))) or evaluate(W)
+        trace = io.StringIO()
+        res = solve(prob, np.zeros(2), log=trace)
+        assert res.status == LINESEARCH_FAILURE
+        assert res.iterations == 0 and res.trials == 0
+        np.testing.assert_array_equal(res.decision, np.zeros(2))
+        # the start, the first trial, the correction, then passes of halvings
+        assert rows == [1, 1, 1, 12, 12, 5] and sum(rows) == 32
+        assert trace.getvalue() == "# solve n=2 m=0\n"
+
+    def test_a_rise_under_the_rounding_noise_is_accepted(self):
+        # a merit of about 1e6 rounds a predicted decrease of 2e-10 away, so
+        # the full step is taken although the merit rose
+        prob = self.one_sided(lambda w: np.array([w[0] - 1.0, 1e3]), lambda w: np.array([[-1.0], [0.0]]), 1)
+        trace = io.StringIO()
+        solve(prob, np.array([1.0 + 1e-5]), log=trace)
+        first = trace.getvalue().splitlines()[1]
+        assert "merit=1000000.0000000003 merit_before=1000000.0000000001 alpha=1.000e+00" in first
+        assert first.endswith("trials=1 soc=0")
+
+
 class TestFrozenCoordinates:
     def test_zero_width_box_pins_variable(self):
         prob = DenseNlp(
