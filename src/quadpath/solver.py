@@ -545,14 +545,12 @@ def solve(problem, initial_guess, multipliers: Optional[np.ndarray] = None, log=
             reg = max(_REG_FLOOR, reg * 10.0)
         else:
             return _finish(LINESEARCH_FAILURE)
-        # the l1 penalty is exact only above the multiplier scale; grow it
-        # when the fresh multiplier estimate exceeds the current weight
+        # the l1 penalty is exact only above the multiplier scale; a larger
+        # rho keeps a negative descent negative, so no test follows the raise
         lam_max = float(np.abs(lam_new).max(initial=0.0))
         if 2.0 * lam_max > rho:
             rho = 2.0 * lam_max
             descent = float(g @ dw) - rho * c_l1
-            if descent >= 0.0 and dw.any():
-                return _finish(LINESEARCH_FAILURE)
         merit0 = rr + _MU * bval + rho * c_l1
         if np.abs(dw).max() <= 100.0 * _EPS * (1.0 + np.abs(w).max()):
             # step at the rounding floor above the tolerance: the primal has

@@ -1,6 +1,6 @@
 """``tools/flightdiff.py``, the behaviour oracle, on a short hover: a tree
-flies identically to itself, and one changed float on the flight path is
-found."""
+flies identically to itself, one changed float on the flight path is found,
+and a flight that neither tree flies fails."""
 
 import importlib.util
 import shutil
@@ -20,10 +20,21 @@ def flightdiff():
     return module
 
 
-def test_working_tree_against_itself_is_identical(flightdiff, capsys):
-    assert flightdiff.main(["--against", str(ROOT)], flights=SHORT_HOVER) == 0
+def flown(flightdiff, capsys, tree, code, flights=SHORT_HOVER):
+    """The table row of the one flight and the run lines below it, after
+    checking the exit status and the output's layout."""
+    assert flightdiff.main(["--against", str(tree)], flights=flights) == code
     out = capsys.readouterr().out.splitlines()
-    assert out[1:] == ["validate: identical", "hover-2s: identical", "identical"]
+    assert out[1] == "| flight | steps | failures | total iterations | RMS error m | path end s | longest stall s | |"
+    assert len(out) == 8 and out[4] == ""
+    return out[3], out[5:]
+
+
+def test_working_tree_against_itself_is_identical(flightdiff, capsys):
+    row, lines = flown(flightdiff, capsys, ROOT, 0)
+    assert row.startswith("| hover-2s | 40 | 0 | ") and row.endswith(" | same |")
+    assert "->" not in row
+    assert lines == ["validate: identical", "hover-2s: identical", "identical"]
 
 
 @pytest.fixture
@@ -40,11 +51,18 @@ def perturbed_tree(tmp_path):
 
 
 def test_one_changed_float_on_the_flight_path_fails(flightdiff, perturbed_tree, capsys):
-    assert flightdiff.main(["--against", str(perturbed_tree)], flights=SHORT_HOVER) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert "validate: identical" in out
-    assert any(line.startswith("hover-2s: log.csv row 2, column ") for line in out)
-    assert out[-1] == "differences found"
+    row, lines = flown(flightdiff, capsys, perturbed_tree, 1)
+    assert row.startswith("| hover-2s | 40 | 0 | ") and row.endswith(" | differs |")
+    assert " -> " in row.split(" | ")[4]  # the RMS error
+    assert lines[0] == "validate: identical" and lines[2] == "differences found"
+    assert lines[1].startswith("hover-2s: log.csv row 2, column ")
+
+
+def test_a_flight_neither_tree_flies_fails(flightdiff, capsys):
+    refused = (("nan-bound", "scenario = sinusoid\nyawrate_cmd_bound = nan\n"),)
+    row, lines = flown(flightdiff, capsys, ROOT, 1, flights=refused)
+    assert row == "| nan-bound |" + " <missing> |" * 6 + " same |"
+    assert lines == ["validate: identical", "nan-bound: identical", "a flight wrote no summary"]
 
 
 def test_unknown_revision_is_refused(flightdiff, tmp_path, capsys):
@@ -58,27 +76,3 @@ def test_summary_keys_appended_by_one_tree_are_not_a_difference(flightdiff):
     assert flightdiff.first_difference({"summary.json": [["steps", "3"]]}, ours) is None
     assert flightdiff.first_difference(ours, {"summary.json": [["steps", "4"]]}) == \
         "summary.json row 1, column 2: 3 != 4"
-
-
-def report_rows(flightdiff, capsys, tree):
-    """The report's hover row and the identical-mode lines below it."""
-    assert flightdiff.main(["--report", "--against", str(tree)], flights=SHORT_HOVER) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[1] == "| flight | steps | failures | total iterations | RMS error m | path end s | longest stall s | |"
-    assert len(out) == 8 and out[4] == ""
-    return out[3], out[5:]
-
-
-def test_report_of_the_working_tree_against_itself_has_equal_rows(flightdiff, capsys):
-    row, lines = report_rows(flightdiff, capsys, ROOT)
-    assert row.startswith("| hover-2s | 40 | 0 | ") and row.endswith(" | same |")
-    assert "->" not in row
-    assert lines == ["validate: identical", "hover-2s: identical", "identical"]
-
-
-def test_report_shows_the_perturbed_hover_row_differing(flightdiff, perturbed_tree, capsys):
-    row, lines = report_rows(flightdiff, capsys, perturbed_tree)
-    assert row.startswith("| hover-2s | 40 | 0 | ") and row.endswith(" | differs |")
-    assert " -> " in row.split(" | ")[4]  # the RMS error
-    assert lines[0] == "validate: identical" and lines[2] == "differences found"
-    assert lines[1].startswith("hover-2s: log.csv row 2, ")

@@ -95,6 +95,13 @@ def hover_run():
     return cfg, *run_scenario(cfg)
 
 
+@pytest.fixture(scope="module")
+def short_sinusoid_runs():
+    """The classic and the corridor sinusoid, 1 s each: ``(log, metrics)``
+    of both, classic first."""
+    return [run_scenario(scenario_config(name, total_time=1.0)) for name in ("sinusoid", "sinusoid-corridor")]
+
+
 class TestHoverScenario:
     def test_quadrotor_hovers(self, hover_run):
         cfg, log, metrics = hover_run
@@ -210,6 +217,19 @@ class TestExportCsv:
         with pytest.raises(OSError, match="no/such"):
             export_csv(log, "/no/such/dir/log.csv")
 
+    def test_corridor_columns_in_every_row(self, short_sinusoid_runs, tmp_path):
+        # a corridor path state is (s1, s2, s1dot, s2dot), its virtual input (nu1, nu2)
+        log, _ = short_sinusoid_runs[1]
+        out = tmp_path / "log.csv"
+        export_csv(log, str(out))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(log.records) == 20
+        for row, rec in zip(rows, log.records):
+            want = [rec.path_state[0], rec.path_state[2], rec.path_state[1], rec.path_state[3], *rec.nu]
+            assert [row[k] for k in ("s1", "s1dot", "s2", "s2dot", "nu1", "nu2")] == \
+                [format(float(v), ".17g") for v in want]
+
 
 class TestSummarizeJson:
     REQUIRED_KEYS = {
@@ -240,6 +260,12 @@ class TestSummarizeJson:
         for key in docs[0]:
             if key not in timing_keys:
                 assert docs[0][key] == docs[1][key], key
+
+    def test_write_failure_carries_path(self, hover_run, tmp_path):
+        cfg, log, metrics = hover_run
+        path = tmp_path / "missing" / "summary.json"
+        with pytest.raises(OSError, match=f"^failed to write summary to {re.escape(repr(str(path)))}"):
+            summarize_json(metrics, str(path))
 
     def test_empty_run_rejected(self, hover_run, tmp_path):
         cfg, log, metrics = hover_run
@@ -398,6 +424,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="spiral", thrust_scale=0.4)
 
+    @pytest.mark.parametrize("key, value, message", [("sensor", "lidar", "sensor must be 'exact' or 'fd'"),
+                                                     ("plant_substeps", 0, "plant_substeps must be at least 1")])
+    def test_out_of_range_value_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(**{key: value})
+
     def test_negative_position_noise_rejected(self):
         with pytest.raises(ValueError, match="position_noise"):
             ScenarioConfig(scenario="hover", position_noise=-0.5)
@@ -487,6 +519,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="unknown key"):
             load_config(str(cfg_file))
 
+    def test_load_config_names_the_line_without_an_equals_sign(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("horizon 5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cfg_file))}:1: expected 'key = value'$"):
+            load_config(str(cfg_file))
+
     @pytest.mark.parametrize("line", ["horizon = 5.0", "thrust_bound = abc", "q_diag = 1,x"])
     def test_load_config_names_the_line_of_a_bad_value(self, tmp_path, line):
         cfg_file = tmp_path / "run.cfg"
@@ -562,6 +600,12 @@ class TestCompareCorridor:
             compare_corridor(self.make_metrics("sinusoid", 0.02, 50.0),
                              self.make_metrics("sinusoid", 0.04, 40.0))
 
+    def test_rejects_runs_short_of_the_path_end(self, short_sinusoid_runs):
+        (_, classic), (_, corridor) = short_sinusoid_runs
+        assert classic.time_to_path_end is None and corridor.time_to_path_end is None
+        with pytest.raises(ValueError, match="both runs must reach the path end"):
+            compare_corridor(classic, corridor)
+
     def test_rejects_swapped_or_classic_only_runs(self):
         # the corridor run has an offset to report, the classic run none
         classic = self.make_metrics("sinusoid", 0.02, 80.0)
@@ -617,6 +661,17 @@ class TestCli:
         assert cli_main(["compare", "--classic", classic, "--corridor", corridor]) == 0
         assert json.loads(capsys.readouterr().out)["time_reduction_s"] == 20.0
         assert cli_main(["compare", "--classic", corridor, "--corridor", classic]) == 1
+
+    def test_run_overrides_win_over_the_config_file(self, tmp_path):
+        cfg_file = tmp_path / "exact.cfg"
+        cfg_file.write_text("scenario = hover\nsensor = exact\ntotal_time = 1.0\n")
+        out = tmp_path / "out"
+        code = cli_main(["run", "--config", str(cfg_file), "--thrust-scale", "0.97", "--sensor", "fd",
+                         "--out", str(out)])
+        assert code == 0
+        written = json.loads((out / "summary.json").read_text())["config_hash"]
+        assert written == load_config(str(cfg_file), thrust_scale=0.97, sensor="fd").config_hash()
+        assert written != load_config(str(cfg_file)).config_hash()
 
     def assert_one_line_refusal(self, code, capsys, text):
         err = capsys.readouterr().err

@@ -754,6 +754,20 @@ class TestPrepareThenFeedback:
         assert c.tobytes() == c_free.tobytes()
 
 
+class TestRefusals:
+    def test_box_sides_of_two_lengths(self):
+        with pytest.raises(ValueError, match="lower and upper must be vectors of one length"):
+            Box(np.zeros(2), np.zeros(3))
+
+    def test_multipliers_of_the_wrong_length(self):
+        prob = DenseNlp(2, residual=lambda w: w, residual_jacobian=lambda w: np.eye(2),
+                        lower=np.full(2, -INF), upper=np.full(2, INF),
+                        equality=lambda w: np.array([w[0] + w[1] - 1.0]),
+                        equality_jacobian=lambda w: np.array([[1.0, 1.0]]))
+        with pytest.raises(ValueError, match="multiplier vector has the wrong length"):
+            prepare(prob, np.zeros(2), np.zeros(3))
+
+
 class TestBoxIndexSets:
     """The barrier on the faces of a :class:`Box`, built once per problem,
     against the full-length mask oracle, bit for bit."""

@@ -12,6 +12,7 @@ from quadpath.transcription import (
     DEFAULT_STATE_LOWER,
     DEFAULT_STATE_UPPER,
     OcpConfig,
+    OcpProblem,
     OcpStructure,
     build_ocp,
 )
@@ -593,6 +594,16 @@ class TestConfigValidation:
             q[0] = bad
             with pytest.raises(ValueError, match="Q must be positive definite"):
                 OcpConfig(q_weight=q)
+
+    @pytest.mark.parametrize("x0, z0, message", [
+        (np.zeros(8), [-1.0, 1e-5], "x0 must be a 9-vector"),
+        (np.zeros(9), [-1.0, 1e-5, 0.0], "z0 must have length 2"),
+        (np.r_[np.nan, np.zeros(8)], [-1.0, 1e-5], "initial conditions must be finite"),
+    ], ids=["short-x0", "long-z0", "nan-x0"])
+    def test_bad_initial_conditions_rejected(self, x0, z0, message):
+        structure = OcpStructure(make_path("spiral"), OcpConfig(), PARAMS)
+        with pytest.raises(ValueError, match=message):
+            OcpProblem(x0, z0, structure)
 
     def test_path_config_mismatch(self):
         with pytest.raises(ValueError):

@@ -2,34 +2,28 @@
 source trees and compare everything the runs write except solve times.
 
     python tools/flightdiff.py --against <rev|dir>
-    python tools/flightdiff.py --report --against <rev|dir>
 
 ``--against`` names a directory holding a source tree (its ``src/quadpath``
 is flown), or else a git revision of this repository, which is exported with
 ``git archive`` into a temporary directory, so no network is needed.  The
 other tree is the one this script lives in.
 
-Each flight of :data:`FLIGHTS` runs ``python -m quadpath.cli run --config
-<file> --verbose`` with the tree's ``src`` on ``PYTHONPATH``, both trees side
-by side.  Compared are ``log.csv`` without its ``solve_time_ms`` column,
+``quadpath validate`` and each flight of :data:`FLIGHTS` run once in each
+tree, both trees side by side; a flight is ``python -m quadpath.cli run
+--config <file> --verbose`` with the tree's ``src`` on ``PYTHONPATH``.  The
+output is first one Markdown table row per flight, the other tree against
+this one, with the steps, failures, total solver iterations, RMS position
+error, path-end time and longest stall of each ``summary.json``
+(:data:`REPORT_KEYS`); a cell reads ``theirs -> ours`` where the two differ,
+and the last column says whether the row differs.  Below it, one line per
+run: ``identical``, or the first differing file, row and column with both
+values.  Compared are ``log.csv`` without its ``solve_time_ms`` column,
 ``summary.json`` without its timing keys (:data:`TIMING_KEYS`) and up to
 the last key both trees write (keys are only ever appended),
-``solver.log``, stdout, stderr and the exit code; ``quadpath validate`` is
-compared once.  One line per flight: ``identical``, or the first differing
-file, row and column with both values.  The exit status is 0 only when
-everything is identical, 1 when something differs and 2 when a tree cannot
-be found.
-
-``--report`` serves a change that means to move behaviour: it flies the
-same flights and prints one Markdown table row per flight, the other tree
-against this one, with the steps, failures, total solver iterations, RMS
-position error, path-end time and longest stall of each ``summary.json``
-(:data:`REPORT_KEYS`); a cell reads ``theirs -> ours`` where the two differ,
-and the last column says whether the row differs.  Below the table it
-prints the identical-mode lines and verdict of the same runs, ``quadpath
-validate`` included, so one flight of each tree serves both readings.  Its
-exit status is 0 when every flight of both trees wrote its summary, else 1
-(2 when a tree cannot be found).
+``solver.log``, stdout, stderr and the exit code.  The last line is the
+verdict.  The exit status is 0 only when every run is identical and every
+flight of both trees wrote its ``summary.json``, 1 otherwise and 2 when a
+tree cannot be found.
 """
 
 from __future__ import annotations
@@ -48,7 +42,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # (name, scenario file): the five scenarios at their defaults, the
-# zero-width corridor, a long horizon and the benchmark's sensor setting
+# zero-width corridor, a long horizon, the fd sensor with seeded position
+# noise and the benchmark's setting (the exact sensor with that noise)
 FLIGHTS = (
     ("spiral", "scenario = spiral\n"),
     ("lemniscate", "scenario = lemniscate\n"),
@@ -58,6 +53,7 @@ FLIGHTS = (
     ("zero-width-20s", "scenario = sinusoid-corridor\ns2_min = 0.0\ns2_max = 0.0\ntotal_time = 20\n"),
     ("spiral-n20-8s", "scenario = spiral\nhorizon = 20\ntotal_time = 8\n"),
     ("spiral-fd-noise-8s", "scenario = spiral\nsensor = fd\nposition_noise = 0.002\nseed = 1\ntotal_time = 8\n"),
+    ("spiral-noise-8s", "scenario = spiral\nposition_noise = 0.002\nseed = 1\ntotal_time = 8\n"),
 )
 
 # (column title, summary.json key) of the report
@@ -155,26 +151,6 @@ def _fly(ours: Path, theirs: Path, entries):
             yield name, *(_outputs(proc, out) for proc, out in runs)
 
 
-def _verdict(runs) -> int:
-    """Print the identical-mode line of each ``(name, ours, theirs)`` run,
-    the first difference or ``identical``, then the verdict; return how
-    many runs differ."""
-    differing = 0
-    for name, ours, theirs in runs:
-        diff = first_difference(ours, theirs)
-        differing += diff is not None
-        print(f"{name}: {diff or 'identical'}")
-    print("differences found" if differing else "identical")
-    return differing
-
-
-def compare(ours: Path, theirs: Path, flights=FLIGHTS) -> int:
-    """Run ``quadpath validate`` and fly ``flights`` in both trees; print
-    one line each and the verdict, and return 0 when everything is
-    identical, else 1."""
-    return 1 if _verdict(_fly(ours, theirs, (("validate", None), *flights))) else 0
-
-
 def _report_row(name: str, ours: dict, theirs: dict) -> str:
     """The report's Markdown row of one flight from both trees' outputs."""
     theirs_values, our_values = ({key: json.loads(value) for key, value in out.get("summary.json", [])}
@@ -189,8 +165,8 @@ def _report_row(name: str, ours: dict, theirs: dict) -> str:
 
 def report(ours: Path, theirs: Path, flights=FLIGHTS) -> int:
     """Run ``quadpath validate`` and fly ``flights`` in both trees; print
-    the report table, then the identical-mode lines and verdict of the same
-    runs; return 0 when every flight of both trees wrote its summary, else
+    the table, then one line per run and the verdict; return 0 when every
+    run is identical and every flight of both trees wrote its summary, else
     1."""
     print(f"| flight | {' | '.join(title for title, _ in REPORT_KEYS)} | |")
     print("|" + " --- |" * (len(REPORT_KEYS) + 2))
@@ -200,15 +176,18 @@ def report(ours: Path, theirs: Path, flights=FLIGHTS) -> int:
         missing += ("summary.json" not in a) + ("summary.json" not in b)
         print(_report_row(name, a, b))
     print()
-    _verdict(runs)
-    return 1 if missing else 0
+    differing = 0
+    for name, a, b in runs:
+        diff = first_difference(a, b)
+        differing += diff is not None
+        print(f"{name}: {diff or 'identical'}")
+    print("differences found" if differing else "a flight wrote no summary" if missing else "identical")
+    return 1 if differing or missing else 0
 
 
 def main(argv=None, flights=FLIGHTS) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="a source-tree directory or a git revision")
-    parser.add_argument("--report", action="store_true",
-                        help="print the per-flight table of both trees instead of comparing them")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="flightdiff-tree-") as tmp:
         theirs = Path(args.against)
@@ -219,9 +198,7 @@ def main(argv=None, flights=FLIGHTS) -> int:
                 print(f"flightdiff: {exc}", file=sys.stderr)
                 return 2
         print(f"flightdiff: this tree against {args.against}")
-        if args.report:
-            return report(ROOT, theirs, flights)
-        return compare(ROOT, theirs, flights)
+        return report(ROOT, theirs, flights)
 
 
 if __name__ == "__main__":
