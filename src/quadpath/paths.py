@@ -26,11 +26,7 @@ TWO_PI = 2.0 * np.pi
 
 def wrap_angle(angle):
     """Wrap an angle (or array of angles) into (-pi, pi]."""
-    a = np.asarray(angle, dtype=float)
-    wrapped = -((-a + np.pi) % TWO_PI - np.pi)
-    if wrapped.ndim == 0:
-        return float(wrapped)
-    return wrapped
+    return -((-np.asarray(angle, dtype=float) + np.pi) % TWO_PI - np.pi)
 
 
 def _check_domain(s) -> np.ndarray:
@@ -91,7 +87,6 @@ class Path:
     one trigonometric pass; ``point`` and ``derivative`` are its parts.
     """
 
-    name: str
     _evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def point(self, s) -> np.ndarray:
@@ -111,7 +106,7 @@ def _constant_path(point) -> Path:
         shape = np.shape(_check_domain(s)) + (4,)
         return np.broadcast_to(point, shape).copy(), np.zeros(shape)
 
-    return Path("hover", evaluate)
+    return Path(evaluate)
 
 
 HOVER_POINT = np.array([0.0, 0.0, 0.5, 0.0])
@@ -134,10 +129,6 @@ class CorridorPath:
     base: Path
     # the offset axes: yaw alone
     direction: ClassVar[np.ndarray] = _YAW
-
-    @property
-    def name(self) -> str:
-        return self.base.name + "-corridor"
 
     def point(self, s1, s2) -> np.ndarray:
         return self.point_and_derivative(s1, s2)[0]
@@ -167,7 +158,7 @@ def make_path(name: str):
     """Look up a path by its scenario name (one of ``PATH_NAMES``); the
     corridor path's offset is bounded by the horizon problem, not here."""
     if name in _BASE_PATHS:
-        return Path(name, _BASE_PATHS[name])
+        return Path(_BASE_PATHS[name])
     if name == "sinusoid-corridor":
         return CorridorPath(make_path("sinusoid"))
     if name == "hover":

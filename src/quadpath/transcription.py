@@ -42,9 +42,9 @@ pins has one owner, the read-only :class:`OcpStructure` a controller builds
 once: the path, configuration and model, the layout, index arrays, constant
 blocks, the box and its held states, and every operation that reads no pin
 (``unpack``, ``evaluate`` but its pin rows, ``row_blocks``, ``jt_dot``,
-``at_dot``, ``kkt_step``, ``kkt_system``, ``kkt_feedback`` and, for
-checks, ``dense_jacobians``), so a solve's start, its first Newton system
-included, is prepared on it before the measurement.  A problem
+``at_dot``, ``kkt_step``, ``kkt_system`` and ``kkt_feedback``), so a
+solve's start, its first Newton system included, is prepared on it before
+the measurement.  A problem
 (:class:`OcpProblem`) is its two pins on a structure: it defines only what
 reads them, ``fill_pins``, ``evaluate`` and ``rollout``.
 :func:`warm_start_shift` moves a solution onto the structure's layout,
@@ -230,9 +230,9 @@ class OcpStructure:
     rows (:meth:`evaluate`), the stage blocks of an evaluation
     (:meth:`row_blocks`), the Jacobian products, the condensed Newton step
     (:meth:`kkt_step`, and split at the pins, :meth:`kkt_system` and
-    :meth:`kkt_feedback`) and, for checks, :meth:`dense_jacobians`.  A
-    controller builds one structure and shares it between the problems of
-    its control steps; all of its arrays are read-only.
+    :meth:`kkt_feedback`).  A controller builds one structure and shares
+    it between the problems of its control steps; all of its arrays are
+    read-only.
 
     Raises ``ValueError`` when the path type does not match
     ``config.corridor``, and when the free inputs of a stage cannot move
@@ -447,24 +447,6 @@ class OcpStructure:
         g = self.g.copy()
         g[:, :nx, :self.n_u] = bu
         return StageBlocks(js, f, g)
-
-    def dense_jacobians(self, blocks: StageBlocks):
-        """The residual and equality Jacobians ``(J, A)`` as dense matrices
-        assembled from the blocks (for checks; no solve forms them)."""
-        N = self.config.horizon
-        si, qi = self.state_idx, self.input_idx
-        nq, nr = self.n_res_q, self.n_res_r
-        J = np.zeros((self.m_res, self.n))
-        J[np.arange(N * nq).reshape(N, nq, 1), si[:N, None, :]] = blocks.js
-        J[N * nq + np.arange(N * nr).reshape(N, nr, 1), qi[:, None, :]] = self.lr
-        J[N * (nq + nr):, si[N]] = self.jt
-        # row block k holds the pins (k = 0) or the gap into s_k
-        rows = self.row_idx[:, :, None]
-        A = np.zeros((self.m_eq, self.n))
-        A[rows, si[:, None, :]] = np.eye(si.shape[1])
-        A[rows[1:], si[:N, None, :]] = -blocks.f
-        A[rows[1:], qi[:, None, :]] = -blocks.g
-        return J, A
 
     # ----- cost and equality constraints, in one pass -------------------------
 
@@ -750,27 +732,23 @@ class OcpProblem:
     # views of one point's evaluation and blocks, for checks; no solve calls
     # them
 
-    def linearize(self, w):
-        """``(r, c, blocks)`` at ``w``: :meth:`evaluate` on the one point
-        ``w``, and the structure's ``row_blocks`` of what it kept."""
-        r, c, kept = self.evaluate(w)
-        return r, c, self.row_blocks(kept, ...)
-
     def residual(self, w) -> np.ndarray:
-        return self.linearize(w)[0]
+        return self.evaluate(w)[0]
 
     def residual_jacobian(self, w) -> np.ndarray:
         """The path residual rows over ``s_k``, shape ``(N, n_res_q, n_x +
         n_z)``: the blocks of the residual Jacobian that depend on ``w``, in
         their progress column only."""
-        return self.linearize(w)[2].js
+        return self.row_blocks(self.evaluate(w)[2], ...).js
 
     def equality(self, w) -> np.ndarray:
-        return self.linearize(w)[1]
+        return self.evaluate(w)[1]
 
     def equality_jacobian(self, w) -> np.ndarray:
-        """Dense equality Jacobian at ``w``."""
-        return self.structure.dense_jacobians(self.linearize(w)[2])[1]
+        """Dense equality Jacobian at ``w``, its rows ``A^T e_i`` from
+        :meth:`at_dot`."""
+        blocks = self.row_blocks(self.evaluate(w)[2], ...)
+        return np.array([self.at_dot(blocks, e) for e in np.eye(self.structure.m_eq)])
 
 
 def build_ocp(x0, z0, structure: OcpStructure) -> OcpProblem:

@@ -5,7 +5,7 @@ computes another way:
 
 - ``stage_cost``, ``terminal_cost`` and ``quadrature_cost`` evaluate the
   horizon cost by direct quadrature, against the weighted residual route of
-  ``OcpProblem.linearize``;
+  ``OcpProblem.evaluate``;
 - ``timing_law`` is the continuous timing law that ``step_timing``
   integrates in closed form;
 - ``nominal_yaw_rate`` is the yaw rate the tangential sinusoid reference
@@ -27,9 +27,9 @@ computes another way:
   face-wise ``Box.project``;
 - ``residual_jacobian_loop`` and ``equality_jacobian_loop`` build the
   dense residual and equality Jacobians stage by stage, with the same
-  arithmetic as the stage blocks of ``OcpProblem.linearize``, so the dense
-  matrices ``OcpStructure.dense_jacobians`` assembles from those blocks agree
-  with them bitwise;
+  arithmetic as the stage blocks of ``OcpStructure.row_blocks``, so the
+  rows the solver's products ``jt_dot`` and ``at_dot`` give for unit
+  vectors agree with them bitwise (up to the sign of zero);
 - ``dynamics_jacobians`` differentiates ``dynamics`` by hand, and
   ``rk4_step_chain_rule`` carries those Jacobians through the four RK4
   stages as 9x9 chain products, against the structured

@@ -137,9 +137,9 @@ def test_criterion_2_solver_correctness():
             zs = z_slice(prob, k)
             w[zs.start] = rng.uniform(-0.9, -0.1)
             w[zs.start + 1] = rng.uniform(1e-4, 0.9 * cfg.s_dot_max)
-        r, _, blocks = prob.linearize(w)
-        g = 2.0 * prob.jt_dot(blocks, r)
-        A = prob.structure.dense_jacobians(blocks)[1]
+        r, _, kept = prob.evaluate(w)
+        g = 2.0 * prob.jt_dot(prob.row_blocks(kept, ...), r)
+        A = prob.equality_jacobian(w)
         for i in rng.choice(prob.structure.n, size=12, replace=False):
             wp, wm = w.copy(), w.copy()
             wp[i] += h

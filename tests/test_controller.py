@@ -277,7 +277,6 @@ class TestStageBlockedPath:
         def refuse(*args, **kwargs):
             raise AssertionError("dense Jacobian or KKT matrix on the OCP path")
         monkeypatch.setattr(transcription.OcpProblem, "equality_jacobian", refuse)
-        monkeypatch.setattr(transcription.OcpStructure, "dense_jacobians", refuse)
         monkeypatch.setattr(solver.DenseNlp, "_kkt_system", refuse)
 
         class NoFullWidth:

@@ -740,6 +740,23 @@ class TestCli:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["time_to_path_end_s"] == end  # stored unrounded
 
+    @pytest.mark.parametrize("change, code, message", [
+        (lambda m: {"failures": m.steps}, 3, "solver-failure budget exceeded"),
+        (lambda m: {"constraint_violation_max": 1.0}, 2, "constraint violation detected"),
+    ], ids=["failures", "violation"])
+    def test_run_exit_code_messages(self, tmp_path, monkeypatch, capsys, change, code, message):
+        # the real 1 s hover, its metrics changed before the exit-code policy
+        def flown(cfg, **kwargs):
+            log, metrics = run_scenario(cfg, **kwargs)
+            return log, dataclasses.replace(metrics, **change(metrics))
+        monkeypatch.setattr("quadpath.cli.run_scenario", flown)
+        cfg_file = tmp_path / "hover.cfg"
+        cfg_file.write_text("scenario = hover\ntotal_time = 1.0\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_file), "--out", str(out)]) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert (out / "summary.json").exists()
+
     def test_validate_passes(self, capsys):
         assert cli_main(["validate"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -542,6 +542,39 @@ class TestSecondOrderCorrection:
         first = trace.getvalue().splitlines()[1]
         assert "alpha=1.000e+00" in first and first.endswith("trials=2 soc=1")
 
+    def test_a_failed_correction_falls_back_to_the_halvings(self):
+        # past w[0] = 0.5 the gap is infinite: the correction's KKT solution
+        # is not finite, and the halvings take alpha 1/4; at iteration 2
+        # the correction fails again and every halving leaves the finite gaps
+        prob = DenseNlp(
+            2,
+            residual=lambda w: w - 2.0,
+            residual_jacobian=lambda w: np.eye(2),
+            lower=np.full(2, -INF),
+            upper=np.full(2, INF),
+            equality=lambda w: np.array([INF if w[0] > 0.5 else w[1] - w[0]]),
+            equality_jacobian=lambda w: np.array([[-1.0, 1.0]]),
+        )
+        raised = []
+        kkt_step = prob.kkt_step
+
+        def recording(*args):
+            try:
+                return kkt_step(*args)
+            except np.linalg.LinAlgError as exc:
+                raised.append(str(exc))
+                raise
+        prob.kkt_step = recording
+        trace = io.StringIO()
+        res = solve(prob, np.zeros(2), log=trace)
+        assert raised == ["non-finite KKT solution"] * 2
+        assert res.status == LINESEARCH_FAILURE
+        assert res.iterations == 1 and res.trials == 3
+        np.testing.assert_array_equal(res.decision, [0.5, 0.5])
+        lines = trace.getvalue().splitlines()
+        assert len(lines) == 2
+        assert "merit=4.5 merit_before=8 alpha=2.500e-01" in lines[1] and lines[1].endswith("trials=3 soc=0")
+
 
 class TestLineSearchAcceptance:
     """The one test every examined point passes or fails: the Armijo bound,

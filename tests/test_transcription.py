@@ -179,26 +179,32 @@ class TestEqualityConstraints:
 
 
 class TestResidualJacobian:
-    """The stage blocks of ``linearize`` against the dense stage loops."""
+    """The stage blocks of one point's evaluation against the dense stage
+    loops."""
 
     @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
     @pytest.mark.parametrize("horizon", [1, 5, 20])
     def test_equals_stage_loop_bitwise(self, kind, horizon):
+        # the rows J^T e_i of the solver's product and the rows A^T e_i of
+        # the equality_jacobian view are the loops' (array_equal: -0.0 is
+        # 0.0), and the other three check views are the evaluation's
         prob = horizon_problem(kind, horizon)
         rng = np.random.default_rng(17)
         for _ in range(5):
             w = random_interior_iterate(prob, rng)
-            J, A = prob.structure.dense_jacobians(prob.linearize(w)[2])
+            r, c, blocks = linearized(prob, w)
+            J = np.array([prob.jt_dot(blocks, e) for e in np.eye(prob.structure.m_res)])
             assert np.array_equal(J, residual_jacobian_loop(prob, w))
-            assert np.array_equal(A, equality_jacobian_loop(prob, w))
-            assert np.array_equal(prob.equality_jacobian(w), A)
+            assert np.array_equal(prob.equality_jacobian(w), equality_jacobian_loop(prob, w))
+            for got, ref in ((prob.residual(w), r), (prob.equality(w), c), (prob.residual_jacobian(w), blocks.js)):
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("kind", ["classic", "corridor", "zero-width"])
     @pytest.mark.parametrize("horizon", [1, 5, 20])
     def test_linearize_equals_concatenated_assembly_bitwise(self, kind, horizon):
         # one point's evaluation and its blocks (row_blocks at ...) are the
-        # assembly's and linearize's, and every row of one batched
-        # evaluation, with its blocks, is that row's evaluation alone
+        # assembly's, and every row of one batched evaluation, with its
+        # blocks, is that row's evaluation alone
         prob = horizon_problem(kind, horizon)
         rng = np.random.default_rng(23)
         yaw = np.arange(horizon + 1) * prob.structure.n_x + 8
@@ -210,10 +216,7 @@ class TestResidualJacobian:
                 w[yaw] += rng.uniform(-3.0 * np.pi, 3.0 * np.pi, horizon + 1)
             r, c, kept = prob.evaluate(w)
             one = (r, c, *prob.row_blocks(kept, ...))
-            r, c, blocks = prob.linearize(w)
             for got, ref in zip(one, linearize_assembly(prob, w)):
-                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-            for got, ref in zip(one, (r, c, *blocks)):
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         R, C, kept = prob.evaluate(W)
         for i, w in enumerate(W):
@@ -230,8 +233,8 @@ class TestResidualJacobian:
         rng = np.random.default_rng(19)
         for _ in range(3):
             w = random_interior_iterate(prob, rng)
-            r, c, blocks = prob.linearize(w)
-            J, A = prob.structure.dense_jacobians(blocks)
+            r, c, blocks = linearized(prob, w)
+            J, A = residual_jacobian_loop(prob, w), equality_jacobian_loop(prob, w)
             lam = rng.normal(0.0, 1.0, prob.structure.m_eq)
             for got, ref in ((prob.jt_dot(blocks, r), J.T @ r), (prob.at_dot(blocks, lam), A.T @ lam)):
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -334,6 +337,13 @@ def horizon_problem(kind, horizon, freeze_input=False, hold=(), **overrides):
     return build_ocp(x0, z0, OcpStructure(path, OcpConfig(**kw, **overrides), PARAMS))
 
 
+def linearized(prob, w):
+    """``(r, c, blocks)`` at ``w``: one point's evaluation and the stage
+    blocks of what it kept."""
+    r, c, kept = prob.evaluate(w)
+    return r, c, prob.row_blocks(kept, ...)
+
+
 def random_interior_iterate(prob, rng):
     """A perturbed rollout, strictly inside the box (off the gap manifold)."""
     st = prob.structure
@@ -359,8 +369,8 @@ def check_condensed_step(prob, rng, sigma_max, regs, check_lam):
     with ``check_lam`` the multipliers of the kept rows to 1e-10."""
     free = prob.box.free
     w = random_interior_iterate(prob, rng)
-    r, c, blocks = prob.linearize(w)
-    J, A = prob.structure.dense_jacobians(blocks)
+    r, c, blocks = linearized(prob, w)
+    J, A = residual_jacobian_loop(prob, w), equality_jacobian_loop(prob, w)
     _, bgrad = _barrier_terms(w, prob.box.lower, prob.box.upper, free)
     g = 2.0 * J.T @ r + 1e-2 * bgrad
     sigma = np.where(free, rng.uniform(0.0, sigma_max, prob.structure.n), 0.0)
@@ -406,8 +416,8 @@ class TestCondensedStep:
         ns = st.n_x + st.n_z
         for _ in range(3):
             w = random_interior_iterate(prob, rng)
-            r, c, blocks = prob.linearize(w)
-            J, A = st.dense_jacobians(blocks)
+            r, c, blocks = linearized(prob, w)
+            J, A = residual_jacobian_loop(prob, w), equality_jacobian_loop(prob, w)
             g = 2.0 * J.T @ r
             sigma = np.where(free, rng.uniform(0.0, 10.0, st.n), 0.0)
             open_pins = c.copy()
@@ -428,6 +438,24 @@ class TestCondensedStep:
             if kind != "zero-width":
                 assert np.max(np.abs(dw - dw_ref)) <= 1e-9 * np.max(np.abs(dw_ref))
                 assert np.max(np.abs(lam - lam_ref)) <= 1e-10 * np.max(np.abs(lam_ref))
+
+    def test_non_finite_steps_are_refused(self):
+        # a NaN gradient at a free input reaches every step of the sweeps'
+        # solve, and NaN pin rows every step of the feedback
+        prob = horizon_problem("classic", 5)
+        st = prob.structure
+        w = project_interior(prob.rollout(), prob.box.lower, prob.box.upper, 1e-3)
+        r, c, blocks = linearized(prob, w)
+        g = 2.0 * prob.jt_dot(blocks, r)
+        sigma = np.zeros(st.n)
+        system = st.kkt_system(blocks, g, c, sigma)
+        nan_pins = c.copy()
+        nan_pins[:st.n_x + st.n_z] = np.nan
+        g[st.q_free_idx[0]] = np.nan
+        for refused in (lambda: st.kkt_step(blocks, g, c, sigma, 0.0), lambda: st.kkt_system(blocks, g, c, sigma),
+                        lambda: st.kkt_feedback(system, nan_pins)):
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite KKT solution"):
+                refused()
 
     @settings(max_examples=100, deadline=None)
     @given(horizon=st.integers(1, 12), kind=st.sampled_from(["classic", "corridor", "zero-width"]),
@@ -536,7 +564,7 @@ class TestCost:
         for _ in range(3):
             prob = horizon_problem(kind, int(rng.integers(1, 13)))
             w = random_path_point(prob, rng)
-            r, _, blocks = prob.linearize(w)
+            r, _, blocks = linearized(prob, w)
             g = 2.0 * prob.jt_dot(blocks, r)
             for i in finite_difference_columns(prob, w, rng, h):
                 wp, wm = w.copy(), w.copy()
