@@ -2,8 +2,10 @@
 
 Each control step builds the horizon NLP pinned at the measured state and
 the controller's own timing state, on the constant structure the controller
-built once, and runs one solve: from the input rollout on the first step,
-from the shifted previous solution on every later one.  The step returns
+built once, and runs one solve: on the first step a cold solve from the
+rollout of a timing guess that accelerates progress
+(:meth:`PathController._cold_guess`), on every later one a warm solve from
+the shifted previous solution.  The step returns
 the first input and the first virtual input; the caller applies the input
 and then advances the timing state in closed form over one control period
 with :meth:`PathController.advance_path_state`.  Advancing the controller
@@ -39,6 +41,26 @@ from .paths import step_timing
 from .solver import SolveResult, solve
 from .solver import prepare as prepare_start
 from .transcription import OcpConfig, OcpStructure, build_ocp, warm_start_shift
+
+# the first solve's progress guess, as a fraction of the progress input's
+# bound and of the rate's upper bound.  The optimum accelerates progress at
+# the input's face for most of the horizon; a guess on that face must leave
+# it, which a barrier Newton step does only geometrically.  First-solve
+# iterations, fewest to most over the five scenarios, each at seeds 1-3 and
+# 21-25 with 2 mm position noise and at seed 1 without (50 is the cap, and
+# a * marks solves that did not converge); "cold duals" start the bound
+# duals at max(mu / gap, 1), the others at mu / gap:
+#
+#   start                     N=3   5      8      10     12     15     20     30     40
+#   rate held, mu / gap       14    15-18  19-22  21-26  22-24  24-27  28-34  36-39  41-45
+#   rate held, cold duals     14-15 14-20  18-25  22-25  23-27  25-29  29-33  48-50* 50*
+#   0.9, mu / gap             9-14  11-45  14-50* 16-50* 18-50  18-36  16-29  19-24  18-23
+#   0.5, cold duals           6     7      7-13   8-10   8-13   10-12  11-12  11-13  12-13
+#   0.9, cold duals           4     4-5    5-7    6-9    6-11   6-11   10-11  10-11  10-12
+#   0.99, cold duals          3     3-4    3-25   4-29   5-24   5-14   8-10   8-9    8-9
+#
+# Every converged first input was within 1.9e-7 of the held rate's.
+_COLD_TIMING = 0.9
 
 
 @dataclass
@@ -97,7 +119,7 @@ class PathController:
 
         prepared, self._prepared = self._prepared, None
         if self.last_solution is None:
-            result = solve(problem, problem.rollout(), multipliers=None, log=self.solver_log)
+            result = solve(problem, self._cold_guess(problem), multipliers=None, log=self.solver_log)
         else:
             if prepared is not None and prepared[0] is self.last_solution:
                 # the start's point is the shifted plan, projected into the
@@ -112,6 +134,18 @@ class PathController:
         w, st = result.decision, self.structure
         self.last_solution = result
         return w[st.u0].copy(), w[st.v0].copy(), ControlDiagnostics(solve=result)
+
+    def _cold_guess(self, problem) -> np.ndarray:
+        """The first solve's guess: the rollout from the pins with the
+        physical inputs and the corridor offset input at 0, and the progress
+        input at ``_COLD_TIMING * nu_bound`` from the pinned rate until the
+        rate reaches ``_COLD_TIMING * s_dot_max``, then at 0."""
+        cfg = self.config
+        rate = problem.z0[cfg.n_z // 2]
+        ramp = rate + _COLD_TIMING * cfg.nu_bound * cfg.delta * np.arange(cfg.horizon + 1)
+        nu = np.zeros((cfg.horizon, cfg.n_nu))
+        nu[:, 0] = np.diff(np.minimum(ramp, max(rate, _COLD_TIMING * cfg.s_dot_max))) / cfg.delta
+        return problem.rollout(nu_seq=nu)
 
     def _feasible_pin(self) -> np.ndarray:
         """Progress state to pin the horizon problem at.

@@ -57,8 +57,9 @@ passed with ``multipliers`` is taken to be a shifted previous optimum
 (``quadpath.transcription.warm_start_shift``) and is only moved just
 inside the box (:meth:`Box.project` at a margin of 1e-6), so the bounds
 that were active stay active.
-Either way the bound duals start at ``mu / gap``, which at a converged
-point gives back the previous duals.
+A warm start's bound duals start at ``mu / gap``, which at a converged
+point gives back the previous duals; a cold start's at ``max(mu / gap,
+1)``, IPOPT's constant initialization (Waechter & Biegler 2006, sec. 3.6).
 
 A solve is a preparation (:func:`prepare`), which reads no pin (measured
 state) and can run on a pin-free structure before the measurement, then
@@ -354,12 +355,22 @@ class DenseNlp:
 
 class _BoundDuals:
     """Multiplier estimates ``z`` for the faces of a :class:`Box` (the
-    primal-dual device), starting at exact complementarity ``mu / gap``;
-    every method takes the gaps at the current point."""
+    primal-dual device), starting at exact complementarity ``mu / gap``, or
+    for a cold start at ``max(mu / gap, 1)``; every method takes the gaps
+    at the current point."""
 
-    def __init__(self, box: Box, gap):
+    def __init__(self, box: Box, gap, cold: bool = False):
         self.box = box
         self.z = _MU / gap
+        if cold:
+            # IPOPT's constant initialization (Waechter & Biegler 2006, sec.
+            # 3.6): far from the optimum, mu / gap curves a face (sigma =
+            # mu / gap^2) too little to keep the step off it, and the
+            # fraction-to-boundary rule cuts the step to a sliver (4.7e-4
+            # to 3.8e-2 in the first N=20 spiral solve from the zero-rate
+            # rollout); z = 1 curves it as a larger barrier would, and the
+            # dual steps bring z down
+            np.maximum(self.z, 1.0, out=self.z)
 
     def sigma(self, gap) -> np.ndarray:
         return np.bincount(self.box.idx, self.z / gap, self.box.n)
@@ -428,10 +439,12 @@ def prepare(problem, initial_guess, multipliers: Optional[np.ndarray] = None) ->
     """A solve's :class:`Start`: all of its first iteration that reads no
     pin row of ``c``, the first Newton system included; :func:`solve`
     consumes it.  A cold guess (no ``multipliers``) is pushed strictly
-    inside the box; a warm guess, such as the plan
+    inside the box and its bound duals start at ``max(mu / gap, 1)``; a
+    warm guess, such as the plan
     ``quadpath.transcription.warm_start_shift`` returns, is only moved just
     inside it (:meth:`Box.project` at a margin of 1e-6), which keeps its
-    active bounds where they are."""
+    active bounds where they are, and its bound duals start at
+    ``mu / gap``."""
     t_start = time.perf_counter()
     box = problem.box
     # a warm guess is a shifted optimum: keep its active bounds where they are
@@ -443,7 +456,7 @@ def prepare(problem, initial_guess, multipliers: Optional[np.ndarray] = None) ->
     lam = np.zeros(m) if multipliers is None else np.asarray(multipliers, dtype=float).copy()
     if lam.shape != (m,):
         raise ValueError("multiplier vector has the wrong length")
-    duals = _BoundDuals(box, gap)
+    duals = _BoundDuals(box, gap, cold=multipliers is None)
     g, stat = _first_order(problem, blocks, r, bgrad, duals, lam)
     sigma = duals.sigma(gap)
     try:

@@ -10,7 +10,7 @@ from quadpath.cli import FAILURE_BUDGET
 from quadpath.controller import PathController
 from quadpath.dynamics import ModelParams, rk4_step
 from quadpath.paths import make_path
-from quadpath.simulate import build_components, run_scenario, scenario_config
+from quadpath.simulate import build_components, run_scenario, scenario_config, sense
 from quadpath.solver import CONVERGED, MAX_ITERATIONS
 from quadpath.transcription import OcpConfig, build_ocp, warm_start_shift
 
@@ -349,9 +349,70 @@ class TestFirstSolve:
         assert diag.solve.iterations <= solver._ITERATION_CAP - 15
 
 
+# (scenario, horizon, seed of 2 mm position noise or None)
+FIRST_SOLVES = ([("spiral", n, None) for n in (3, 5, 8, 10, 12, 20, 40)]
+                + [(name, 5, None) for name in ("lemniscate", "sinusoid", "sinusoid-corridor", "hover")]
+                + [("spiral", 20, seed) for seed in range(21, 31)])
+
+
+class TestColdStart:
+    """The first solve starts from the accelerating timing guess with cold
+    bound duals; it converges in at most 12 iterations at every horizon,
+    with noise too, to the first input that the zero-rate rollout with the
+    duals at ``mu / gap`` reaches in 14 to 45."""
+
+    @staticmethod
+    def zero_rate_solve(problem):
+        class MuOverGap(solver._BoundDuals):
+            def __init__(self, box, gap, cold=False):
+                super().__init__(box, gap)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_BoundDuals", MuOverGap)
+            return solver.solve(problem, problem.rollout())
+
+    @pytest.mark.parametrize("scenario, horizon, seed", FIRST_SOLVES)
+    def test_first_solve_in_at_most_12_iterations(self, monkeypatch, scenario, horizon, seed):
+        cfg = scenario_config(scenario, horizon=horizon, seed=seed or 0,
+                              position_noise=0.0 if seed is None else 0.002)
+        path, ocp, params = build_components(cfg)
+        controller = PathController(path, ocp, params)
+        measured = sense(state_on_path(path, -1.0, cfg.corridor), [], cfg, np.random.default_rng(cfg.seed))
+        problems, solve = [], controller_module.solve
+
+        def recording(problem, *args, **kwargs):
+            problems.append(problem)
+            return solve(problem, *args, **kwargs)
+        monkeypatch.setattr(controller_module, "solve", recording)
+        inp, nu, diag = controller.control_step(measured)
+        assert diag.solve.status == CONVERGED and diag.solve.iterations <= 12
+        reference = self.zero_rate_solve(problems[0])
+        assert reference.status == CONVERGED and reference.iterations > diag.solve.iterations
+        st = controller.structure
+        np.testing.assert_allclose(np.concatenate((inp, nu)),
+                                   reference.decision[np.r_[st.u0, st.v0]], rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("scenario", ["spiral", "sinusoid-corridor"])
+    def test_the_guess_accelerates_progress_then_holds(self, scenario):
+        path, cfg, params = build_components(scenario_config(scenario, horizon=20))
+        controller = PathController(path, cfg, params)
+        x0 = state_on_path(path, -1.0, cfg.corridor)
+        problem = build_ocp(x0, controller._feasible_pin(), controller.structure)
+        _, U, Z, V = controller.structure.unpack(controller._cold_guess(problem))
+        rate, v = Z[:, cfg.n_z // 2], V[:, 0]
+        a, cap = controller_module._COLD_TIMING * cfg.nu_bound, controller_module._COLD_TIMING * cfg.s_dot_max
+        assert not U.any() and not V[:, 1:].any()
+        # full acceleration while the next rate stays under the cap, then the
+        # one partial step that meets it, then none
+        full = rate[:-1] + a * cfg.delta <= cap
+        assert full[0] and not full[-1]
+        np.testing.assert_allclose(v[full], a, rtol=1e-12)
+        assert 0.0 < v[~full][0] <= a and not v[~full][1:].any()
+        assert rate[-1] == pytest.approx(cap, rel=1e-12)
+
+
 class TestFallbackChain:
     """What ``control_step`` falls back on: nothing but the solve it ran.
-    The first step is one solve from the input rollout and every later step
+    The first step is one cold solve from a rollout and every later step
     one warm solve; a solve that does not converge is not retried, its
     iterate is applied and kept for the next warm start, and the step is
     flagged as a failure."""

@@ -787,6 +787,37 @@ class TestPrepareThenFeedback:
         assert c.tobytes() == c_free.tobytes()
 
 
+class TestStartDuals:
+    """``prepare`` starts the bound duals of a cold start (no multipliers)
+    at ``max(mu / gap, 1)`` and those of a warm start at ``mu / gap``, bit
+    for bit."""
+
+    @staticmethod
+    def problem(kind):
+        if kind == "horizon":
+            _, (prob, guess), _ = TestProtocol.problems()
+            return prob, guess
+        # a one-sided face 0.8 away, and an entry 4e-7 wide whose lower gap
+        # after the cold projection is under mu
+        dense = DenseNlp(3, residual=lambda w: w, residual_jacobian=lambda w: np.eye(3),
+                         lower=np.array([-INF, 0.2, 0.0]), upper=np.array([INF, INF, 4e-7]),
+                         equality=lambda w: np.array([w[0] + w[1] - 1.0]),
+                         equality_jacobian=lambda w: np.array([[1.0, 1.0, 0.0]]))
+        return dense, np.array([3.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("kind", ["dense", "horizon"])
+    def test_cold_duals_at_least_one_warm_duals_at_mu_over_gap(self, kind):
+        prob, guess = self.problem(kind)
+        mu = solver_module._MU
+        cold = prepare(prob, guess)
+        assert cold.duals.z.tobytes() == np.maximum(mu / cold.gap, 1.0).tobytes()
+        assert (cold.duals.z == 1.0).any()
+        assert (cold.duals.z > 1.0).any() == (kind == "dense")
+        warm = prepare(prob, guess, np.zeros(cold.c.shape[0]))
+        assert warm.duals.z.tobytes() == (mu / warm.gap).tobytes()
+        assert (warm.duals.z < 1.0).any()
+
+
 class TestRefusals:
     def test_box_sides_of_two_lengths(self):
         with pytest.raises(ValueError, match="lower and upper must be vectors of one length"):
