@@ -13,12 +13,12 @@ copy of the timing state by the applied virtual input, instead of reading
 back the solver prediction, keeps the plant-side and controller-side
 progress consistent even when a solve fails.
 
-A warm solve runs in two phases: :meth:`PathController.prepare`, after
-the timing state is advanced and before the next measurement, shifts the
-last solution and prepares the solve's start on the pin-free structure;
-:meth:`PathController.control_step`, the feedback, pins the problem at the
-measurement and solves from that start, or from one the solve prepares
-itself when none was prepared from the last solution (the first step).
+Every solve starts from a start prepared on the pin-free structure
+(``solver.prepare``), which reads no measurement:
+:meth:`PathController.advance_path_state` ends by preparing the next one
+from the shifted last solution, and :meth:`PathController.control_step`,
+the feedback, pins the problem at the measurement and solves from it.  The
+first step, and a step with no advance since the last, prepares its own.
 
 A solve that does not converge is not retried: its returned iterate is
 applied and kept as the next warm start, and its status marks the step as
@@ -85,26 +85,17 @@ class PathController:
         self.path = path
         self.config = config
         self.solver_log = solver_log
-        if config.corridor:
-            self.path_state = np.array([-1.0, 0.0, config.s_dot_floor, 0.0])
-        else:
-            self.path_state = np.array([-1.0, config.s_dot_floor])
+        # at the path start, the progress rate at its floor
+        self.path_state = np.zeros(config.n_z)
+        self.path_state[[0, config.n_z // 2]] = -1.0, config.s_dot_floor
         # the timing box, and the box of the pins (measured state, then
         # timing state), both fixed by the configuration
         zlo, zhi = self._z_box = config.z_bounds()
         self._pin_box = (np.concatenate((config.state_lower, zlo)), np.concatenate((config.state_upper, zhi)))
         self.last_solution: Optional[SolveResult] = None
-        # (the solution it was shifted from, the start of its shifted plan)
+        # (the last solution when it was prepared, the next solve's start)
         self._prepared = None
         self.clamp_log: list[str] = []
-
-    def prepare(self) -> None:
-        """Prepare the next warm solve from the last solution, before the
-        measurement; the next :meth:`control_step` consumes it."""
-        if self.last_solution is not None:
-            guess = warm_start_shift(self.last_solution, self.structure)
-            self._prepared = (self.last_solution,
-                              prepare_start(self.structure, guess, self.last_solution.multipliers))
 
     def control_step(self, measured):
         """Solve the horizon problem at the measured state; return the first
@@ -117,23 +108,25 @@ class PathController:
         problem = build_ocp(measured, z_pin, self.structure)
         self._log_pins_outside_box(measured, z_pin)
 
-        prepared, self._prepared = self._prepared, None
-        if self.last_solution is None:
-            result = solve(problem, self._cold_guess(problem), multipliers=None, log=self.solver_log)
-        else:
-            if prepared is not None and prepared[0] is self.last_solution:
-                # the start's point is the shifted plan, projected into the
-                # box; solve prepares nothing from it
-                start = prepared[1]
-                guess = start.w
-            else:
-                guess, start = warm_start_shift(self.last_solution, self.structure), None
-            result = solve(problem, guess, multipliers=self.last_solution.multipliers, log=self.solver_log,
-                           start=start)
+        last = self.last_solution
+        if self._prepared is None or self._prepared[0] is not last:
+            # the first step, or no advance since the last solution
+            self._prepare(self._cold_guess(problem) if last is None else warm_start_shift(last, self.structure))
+        start, self._prepared = self._prepared[1], None
+        # the start's point is the guess projected into the box; solve
+        # prepares nothing from it
+        result = solve(problem, start.w, multipliers=None if last is None else last.multipliers,
+                       log=self.solver_log, start=start)
 
         w, st = result.decision, self.structure
         self.last_solution = result
         return w[st.u0].copy(), w[st.v0].copy(), ControlDiagnostics(solve=result)
+
+    def _prepare(self, guess) -> None:
+        """Prepare the next solve's start from ``guess`` on the structure:
+        cold before the first solution, warm from its multipliers after."""
+        last = self.last_solution
+        self._prepared = (last, prepare_start(self.structure, guess, None if last is None else last.multipliers))
 
     def _cold_guess(self, problem) -> np.ndarray:
         """The first solve's guess: the rollout from the pins with the
@@ -161,7 +154,7 @@ class PathController:
         clamp.  Both guards are logged when they bind.
         """
         horizon_time = self.config.horizon * self.config.delta
-        rate_idx = 2 if self.config.corridor else 1
+        rate_idx = self.config.n_z // 2
         budget = -self.path_state[0] / horizon_time
         cap = max(self.config.s_dot_floor, budget)
         if self.path_state[rate_idx] > cap:
@@ -193,7 +186,8 @@ class PathController:
     def advance_path_state(self, nu_applied) -> np.ndarray:
         """Integrate the timing chains exactly over one control period
         ``config.delta`` and clamp to the admissible progress box (clamping
-        is logged, not an error)."""
+        is logged, not an error), then prepare the next warm solve from the
+        last solution, before the next measurement."""
         if not np.all(np.isfinite(nu_applied)):
             raise ValueError("virtual input must be finite")
         z = step_timing(self.path_state, nu_applied, self.config.delta)
@@ -205,4 +199,6 @@ class PathController:
                 f"path state [{idx}] clamped {z[idx]:.9g} -> {clipped[idx]:.9g}"
             )
         self.path_state = clipped
+        if self.last_solution is not None:
+            self._prepare(warm_start_shift(self.last_solution, self.structure))
         return self.path_state.copy()

@@ -142,11 +142,6 @@ class CorridorPath:
         base, deriv = self.base.point_and_derivative(s1)
         return base + s2[..., None] * self.direction, deriv
 
-    def derivative(self, s1) -> np.ndarray:
-        """Derivative w.r.t. the progress parameter; the offset direction is
-        constant and available as ``self.direction``."""
-        return self.base.derivative(s1)
-
 
 _BASE_PATHS = {"spiral": _spiral, "lemniscate": _lemniscate, "sinusoid": _sinusoid}
 

@@ -137,21 +137,25 @@ def load_config(path: str, **overrides) -> ScenarioConfig:
     """Read a flat ``key = value`` scenario file ('#' starts a comment);
     keyword overrides, ``scenario`` included, win over the file."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _CONFIG_PARSERS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_PARSERS[key](val)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read scenario file {path}: {exc.strerror}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _CONFIG_PARSERS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _CONFIG_PARSERS[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     values.update(overrides)
     name = values.pop("scenario", "spiral")
     return scenario_config(name, **values)
@@ -283,12 +287,6 @@ def sim_time(k: int, delta: float) -> float:
     return float(k * Decimal(repr(float(delta))))
 
 
-def _reference(path, z, corridor: bool) -> np.ndarray:
-    """The path point at timing state ``z``: at its progress, and on a
-    corridor at its offset too."""
-    return path.point(z[0], z[1]) if corridor else path.point(z[0])
-
-
 def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetrics]:
     """Run the closed loop until the time budget or settled path end."""
     path, ocp, params = build_components(cfg)
@@ -297,7 +295,8 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
                                params.tau_roll, params.tau_pitch)
     rng = np.random.default_rng(cfg.seed)
 
-    p0 = _reference(path, controller.path_state, cfg.corridor)
+    # the path point at the timing state's positions: progress (and offset)
+    p0 = path.point(*controller.path_state[:ocp.n_z // 2])
     state = np.zeros(9)
     state[0:3] = p0[0:3]
     state[8] = p0[3]
@@ -313,7 +312,7 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
         measured = sense(state, position_history, cfg, rng)
         inp, nu, diag = controller.control_step(measured)
         z_now = controller.path_state.copy()  # after the feasible-pin guards
-        ref = _reference(path, z_now, cfg.corridor)
+        ref = path.point(*z_now[:ocp.n_z // 2])
         err = path_error(output_map(state), ref)
         log.records.append(StepRecord(
             t=t, state=state.copy(), inp=inp, nu=nu, path_state=z_now,
@@ -337,8 +336,6 @@ def run_scenario(cfg: ScenarioConfig, solver_log=None) -> tuple[SimLog, RunMetri
         settled = settled + 1 if done else 0
         if settled >= settle_needed or k + 1 == n_steps:
             break
-        # the next step's measurement-free work, for a step that comes
-        controller.prepare()
 
     metrics = compute_metrics(log, ocp)
     return log, metrics
@@ -363,7 +360,7 @@ def compute_metrics(log: SimLog, ocp: OcpConfig) -> RunMetrics:
         t_end = float(log.records[reached[0]].t)
     # the longest run of consecutive steps under the stall rate, before the path end
     longest = run = 0
-    for slow in zs[:reached[0] if reached.size else len(zs), 2 if cfg.corridor else 1] < STALL_RATE:
+    for slow in zs[:reached[0] if reached.size else len(zs), ocp.n_z // 2] < STALL_RATE:
         run = run + 1 if slow else 0
         longest = max(longest, run)
 
@@ -505,8 +502,19 @@ def summarize_json(metrics: RunMetrics, path: str) -> None:
 
 
 def metrics_from_summary(path: str) -> RunMetrics:
-    """Rebuild RunMetrics from an exported summary (for the compare CLI)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Rebuild RunMetrics from an exported summary (for the compare CLI);
+    an unreadable or incomplete one is a ``ValueError`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read summary {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"summary {path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"summary {path} is not a JSON object")
+    missing = [key for _, key in _JSON_KEYS[:_FIRST_APPENDED] if key not in doc]
+    if missing:
+        raise ValueError(f"summary {path} lacks {', '.join(map(repr, missing))}")
     return RunMetrics(**{name: doc[key] for name, key in _JSON_KEYS[:_FIRST_APPENDED]},
                       **{name: doc.get(key) for name, key in _JSON_KEYS[_FIRST_APPENDED:]})

@@ -68,9 +68,9 @@ The preparation builds and solves the first iteration's Newton system at
 ``reg = 0`` with the pins left open (``kkt_system``), so the feedback's
 first step only applies the pins to that solved system (``kkt_feedback``):
 for the horizon problem two matrix-vector products, and no factorization
-after the measurement.  A prepared system that is singular is handed over
-as ``None``, and the feedback's first step is then ``kkt_step`` at the
-first regularization.
+after the measurement; a :class:`DenseNlp` system is its whole step.  A
+prepared system that is singular is handed over as ``None``, and the
+feedback's first step is then ``kkt_step`` at the first regularization.
 
 The problem keeps its own Jacobians and solves its own KKT system, so it
 can use its structure: :class:`DenseNlp` holds dense matrices and factors
@@ -112,7 +112,8 @@ Problem objects must expose:
   built without reading a pin row of ``c``, and the step from it, which
   reads only the pin rows of ``c``; either may raise
   ``numpy.linalg.LinAlgError`` when the system is singular (the horizon
-  problem's ``kkt_system`` factors it, a dense ``kkt_feedback`` does).
+  problem's ``kkt_system`` factors it; a dense ``kkt_system`` is the whole
+  step, which its ``kkt_feedback`` returns).
 """
 
 from __future__ import annotations
@@ -314,33 +315,11 @@ class DenseNlp:
         (plus ``reg`` on the free variables) on the rows with an entry above
         1e-14 on a free variable at this point; the others carry no multiplier
         and must hold already (to 1e-9), else ``LinAlgError``."""
-        return self.kkt_feedback(self._kkt_system(blocks, g, c, sigma, reg), c)
-
-    def kkt_system(self, blocks, g, c, sigma):
-        """The dense KKT matrix and right-hand side of :meth:`kkt_step` at
-        ``reg = 0``; no row reads a pin."""
-        return self._kkt_system(blocks, g, c, sigma, 0.0)
-
-    def kkt_feedback(self, system, c):
-        """The step of a :meth:`kkt_system`: its LU solve."""
-        kkt, rhs, keep = system
-        if np.any(np.abs(c[~keep]) > 1e-9):
-            raise np.linalg.LinAlgError("an equality row on frozen variables alone does not hold")
-        sol = np.linalg.solve(kkt, rhs)
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError("non-finite KKT solution")
-        free = self.box.free
-        nf = int(np.sum(free))
-        dw = np.zeros(free.shape)
-        dw[free] = sol[:nf]
-        lam_new = np.zeros(keep.shape)
-        lam_new[keep] = sol[nf:]
-        return dw, lam_new
-
-    def _kkt_system(self, blocks, g, c, sigma, reg):
         J, A = blocks
         free = self.box.free
         keep = np.max(np.abs(A[:, free]), axis=1, initial=0.0) > 1e-14
+        if np.any(np.abs(c[~keep]) > 1e-9):
+            raise np.linalg.LinAlgError("an equality row on frozen variables alone does not hold")
         h = 2.0 * (J.T @ J)
         h[np.diag_indices_from(h)] += sigma
         nf = int(np.sum(free))
@@ -350,7 +329,23 @@ class DenseNlp:
         kkt[:nf, :nf] = h[np.ix_(free, free)] + reg * np.eye(nf)
         kkt[:nf, nf:] = af.T
         kkt[nf:, :nf] = af
-        return kkt, np.concatenate([-g[free], -c[keep]]), keep
+        sol = np.linalg.solve(kkt, np.concatenate([-g[free], -c[keep]]))
+        if not np.all(np.isfinite(sol)):
+            raise np.linalg.LinAlgError("non-finite KKT solution")
+        dw = np.zeros(free.shape)
+        dw[free] = sol[:nf]
+        lam_new = np.zeros(keep.shape)
+        lam_new[keep] = sol[nf:]
+        return dw, lam_new
+
+    def kkt_system(self, blocks, g, c, sigma):
+        """The step itself, :meth:`kkt_step` at ``reg = 0``: no row reads a
+        pin, so the whole step is prepared."""
+        return self.kkt_step(blocks, g, c, sigma, 0.0)
+
+    def kkt_feedback(self, system, c):
+        """The step :meth:`kkt_system` prepared; no pin is left to apply."""
+        return system
 
 
 class _BoundDuals:

@@ -304,7 +304,9 @@ def residual_jacobian_loop(problem, w) -> np.ndarray:
     nq, nr = st.n_res_q, st.n_res_r
     lq, lr = st.lq, st.lr
     J = np.zeros((st.m_res, st.n))
-    dp = st.path.derivative(np.clip(Z[:N, 0], -1.0, 0.0))
+    # the derivative does not depend on a corridor's offset
+    offset = (np.zeros(N),) if cfg.corridor else ()
+    dp = st.path.point_and_derivative(np.clip(Z[:N, 0], -1.0, 0.0), *offset)[1]
     dx = np.zeros((nq, st.n_x))
     dx[0:3, 0:3] = np.eye(3)
     dx[3, 8] = 1.0

@@ -103,7 +103,6 @@ class TestControlStep:
             nu[:] = 7.0
             assert decision.tobytes() == kept.tobytes()
             controller.advance_path_state(V[0])
-            controller.prepare()
 
 
 class TestPinCheck:
@@ -260,7 +259,8 @@ class TestStageBlockedPath:
         # numpy in the controller, solver and transcription refuses to
         # return an array of two or more dimensions with one of length n,
         # but for the stack of line-search candidates OcpProblem.evaluate
-        # is valuing, itself
+        # is valuing, itself; the dense step (DenseNlp.kkt_step, which
+        # its kkt_system returns) refuses too
         controller, cfg = spiral_controller(horizon=20)
         n = controller.structure.n
         stacks = []
@@ -277,7 +277,7 @@ class TestStageBlockedPath:
         def refuse(*args, **kwargs):
             raise AssertionError("dense Jacobian or KKT matrix on the OCP path")
         monkeypatch.setattr(transcription.OcpProblem, "equality_jacobian", refuse)
-        monkeypatch.setattr(solver.DenseNlp, "_kkt_system", refuse)
+        monkeypatch.setattr(solver.DenseNlp, "kkt_step", refuse)
 
         class NoFullWidth:
             def __getattr__(self, name):
@@ -530,7 +530,9 @@ class TestVelocityKick:
 class TestOnePassPerPoint:
     """Each point a solve evaluates is evaluated once, in one pass per
     stack of points with one path evaluation, and the barrier is evaluated
-    once per examined point."""
+    once per examined point.  ``OcpStructure.evaluate`` is the one
+    evaluation route: a start is prepared on the structure, and a pinned
+    problem's ``evaluate`` calls it."""
 
     @pytest.mark.parametrize("scenario", ["spiral", "sinusoid-corridor"])
     def test_one_path_and_barrier_evaluation_per_linearization(self, monkeypatch, scenario):
@@ -551,7 +553,7 @@ class TestOnePassPerPoint:
 
         def refuse(*args, **kwargs):
             raise AssertionError("a second evaluation of a visited point")
-        recorded(transcription.OcpProblem, "evaluate",
+        recorded(transcription.OcpStructure, "evaluate",
                  lambda args, _: stacks.append(np.atleast_2d(args[1]).copy()))
         recorded(type(path), "point_and_derivative", lambda args, _: path_calls.append(1))
         recorded(solver.Box, "barrier",
@@ -560,7 +562,7 @@ class TestOnePassPerPoint:
                             (transcription.OcpProblem, "residual_jacobian"),
                             (transcription.OcpProblem, "equality"),
                             (paths.Path, "point"), (paths.Path, "derivative"),
-                            (paths.CorridorPath, "point"), (paths.CorridorPath, "derivative")):
+                            (paths.CorridorPath, "point")):
             monkeypatch.setattr(owner, name, refuse)
 
         results = []
@@ -574,11 +576,12 @@ class TestOnePassPerPoint:
         assert len(path_calls) == len(stacks)
         evaluated = [w.tobytes() for stack in stacks for w in stack]
         assert len(set(evaluated)) == len(evaluated)
-        # the in-box barrier evaluations are those of each start and of the
-        # examined trials: in order, a non-empty prefix of each evaluated
-        # stack (the whole of a one-point stack); candidates of a pass past
-        # the accepted one are evaluated, not examined
-        assert len(in_box) == len(results) + sum(r.trials for r in results)
+        # the in-box barrier evaluations are those of each start (the three
+        # solves' and the one the last advance prepared) and of the examined
+        # trials: in order, a non-empty prefix of each evaluated stack (the
+        # whole of a one-point stack); candidates of a pass past the
+        # accepted one are evaluated, not examined
+        assert len(in_box) == len(results) + 1 + sum(r.trials for r in results)
         seen = 0
         for stack in stacks:
             examined = 0
@@ -632,14 +635,17 @@ class TestCorridorMode:
 
 
 class TestPrepareFeedback:
-    """``PathController.prepare`` moves a warm solve's measurement-free work
-    ahead of the measurement, and ``control_step`` is the feedback: the
-    split changes no bit, and a prepared start serves one solve."""
+    """``PathController.advance_path_state`` ends by preparing the next warm
+    solve's measurement-free work, ahead of the measurement, and
+    ``control_step`` is the feedback: every solve starts from a start
+    prepared on the structure, the split changes no bit, and a prepared
+    start serves one solve."""
 
     @staticmethod
-    def fly(scenario, prepares, steps=60):
-        """Inputs, decisions and multipliers of a flight that calls
-        ``prepare`` ``prepares`` times after each ``advance_path_state``."""
+    def fly(scenario, forced, steps=60):
+        """Inputs, decisions and multipliers of a flight of ``control_step``
+        and ``advance_path_state``; when ``forced``, each step is made to
+        prepare its own start, the advance's dropped."""
         path, ocp, params = build_components(scenario_config(scenario))
         controller = PathController(path, ocp, params)
         x = state_on_path(path, -1.0, ocp.corridor)
@@ -649,20 +655,18 @@ class TestPrepareFeedback:
             out += [inp.tobytes(), nu.tobytes(), diag.solve.decision.tobytes(), diag.solve.multipliers.tobytes()]
             x = rk4_step(x, inp, ocp.delta, params)
             controller.advance_path_state(nu)
-            for _ in range(prepares):
-                controller.prepare()
+            if forced:
+                controller._prepared = None
         return out
 
     @pytest.mark.parametrize("scenario", ["spiral", "sinusoid-corridor"])
-    def test_flight_identical_prepared_once_never_or_twice(self, scenario):
-        once = self.fly(scenario, 1)
-        assert self.fly(scenario, 0) == once
-        assert self.fly(scenario, 2) == once
+    def test_flight_identical_prepared_in_the_step_or_the_advance(self, scenario):
+        assert self.fly(scenario, forced=True) == self.fly(scenario, forced=False)
 
     @staticmethod
     def count_preparations(monkeypatch):
-        """Count the starts prepared on the structure (by ``prepare``) and
-        on a pinned problem (by a solve that prepares for itself)."""
+        """Count the starts prepared on the structure and on a pinned
+        problem (by a solve that prepares for itself)."""
         counts = {"structure": 0, "problem": 0}
         original = solver.prepare
 
@@ -673,48 +677,69 @@ class TestPrepareFeedback:
         monkeypatch.setattr(controller_module, "prepare_start", counted)
         return counts
 
-    def test_a_prepared_start_serves_one_solve(self, monkeypatch):
+    def test_every_start_is_prepared_on_the_structure(self, monkeypatch):
         counts = self.count_preparations(monkeypatch)
         controller, cfg = spiral_controller()
         x = state_on_path(controller.path, -1.0)
-        controller.prepare()  # no solution yet: nothing to prepare
-        expected = []
-        for prepares in (0, 1, 0, 2, 1):
-            for _ in range(prepares):
-                controller.prepare()
+        seen = []
+        for _ in range(4):
             inp, nu, diag = controller.control_step(x)
             assert diag.solve.status == CONVERGED
+            seen.append(dict(counts))
             x = rk4_step(x, inp, cfg.delta, PARAMS)
             controller.advance_path_state(nu)
-            expected.append(dict(counts))
-        # the cold step prepares on its problem; a prepared start is used by
-        # the next step alone, which then prepares nothing itself
-        assert [(c["structure"], c["problem"]) for c in expected] == [(0, 1), (1, 1), (1, 2), (3, 2), (4, 2)]
+        # the cold step prepares its own start, and each advance the next
+        # step's, which that step then uses; none is prepared on a problem
+        assert [(c["structure"], c["problem"]) for c in seen] == [(1, 0), (2, 0), (3, 0), (4, 0)]
+        assert counts == {"structure": 5, "problem": 0}
+        # a prepared start serves one step: a second step with no advance
+        # between prepares its own
+        controller.control_step(x)
+        controller.control_step(x)
+        assert counts == {"structure": 6, "problem": 0}
 
-    def test_a_solution_replaced_after_prepare_is_not_served_the_old_start(self, monkeypatch):
+    def test_a_solution_replaced_after_the_advance_is_not_served_the_old_start(self, monkeypatch):
         counts = self.count_preparations(monkeypatch)
         controller, cfg = spiral_controller()
         x = state_on_path(controller.path, -1.0)
         inp, nu, diag = controller.control_step(x)
         controller.advance_path_state(nu)
-        controller.prepare()
         controller.last_solution = replace(controller.last_solution)
         controller.control_step(rk4_step(x, inp, cfg.delta, PARAMS))
-        assert (counts["structure"], counts["problem"]) == (1, 2)
+        assert (counts["structure"], counts["problem"]) == (3, 0)
+
+    def test_the_controller_passes_multipliers_by_keyword(self, monkeypatch):
+        # perfbench tells a warm solve from a cold one by this keyword
+        calls = []
+        original = controller_module.solve
+
+        def recorded(problem, guess, *args, **kwargs):
+            calls.append((args, kwargs))
+            return original(problem, guess, *args, **kwargs)
+        monkeypatch.setattr(controller_module, "solve", recorded)
+        controller, cfg = spiral_controller()
+        x = state_on_path(controller.path, -1.0)
+        for _ in range(2):  # a cold step, then a warm one
+            last = controller.last_solution
+            inp, nu, _ = controller.control_step(x)
+            args, kwargs = calls[-1]
+            assert args == () and kwargs["start"] is not None
+            assert kwargs["multipliers"] is (None if last is None else last.multipliers)
+            x = rk4_step(x, inp, cfg.delta, PARAMS)
+            controller.advance_path_state(nu)
 
     def test_the_prepared_start_reads_no_pin(self, monkeypatch):
-        # two controllers, one solution; after prepare, the second gets
-        # another timing state and another measurement
+        # two controllers, one solution, advanced to two timing states: the
+        # advances prepare one start
         starts, feedbacks = [], []
-        original = controller_module.prepare_start
-        monkeypatch.setattr(controller_module, "prepare_start",
-                            lambda *args: starts.append(original(*args)) or starts[-1])
         controller, cfg = spiral_controller()
         x = state_on_path(controller.path, -1.0)
         inp, nu, _ = controller.control_step(x)
         x = rk4_step(x, inp, cfg.delta, PARAMS)
-        controller.advance_path_state(nu)
         twin = copy.deepcopy(controller)
+        original = controller_module.prepare_start
+        monkeypatch.setattr(controller_module, "prepare_start",
+                            lambda *args: starts.append(original(*args)) or starts[-1])
         ns = controller.structure.n_x + controller.structure.n_z
 
         def start_bytes(start):
@@ -723,12 +748,11 @@ class TestPrepareFeedback:
             values[2] = start[2][ns:]  # c
             return [np.asarray(a).tobytes() for v in values for a in (v if isinstance(v, tuple) else (v,))]
 
-        controller.prepare()
-        twin.prepare()
-        twin.path_state = twin.path_state + np.array([0.01, 0.001])
-        twin.prepare()
-        assert len(starts) == 3
-        assert start_bytes(starts[1]) == start_bytes(starts[0]) == start_bytes(starts[2])
+        controller.advance_path_state(nu)
+        twin.advance_path_state(nu + 0.01)
+        assert not np.array_equal(twin.path_state, controller.path_state)
+        assert len(starts) == 2
+        assert start_bytes(starts[0]) == start_bytes(starts[1])
 
         # the first Newton step is the prepared system's feedback: both
         # controllers solve one system, and the feedback reads c's pin rows
@@ -743,6 +767,7 @@ class TestPrepareFeedback:
         measured = x.copy()
         measured[0] += 0.02
         twin.control_step(measured)
+        assert len(starts) == 2  # both steps were served the advance's start
         assert len(feedbacks) == 2
         (structure, system_a, c_a), (_, system_b, c_b) = feedbacks
         assert all(a.tobytes() == b.tobytes() for a, b in zip(system_a, system_b))
@@ -764,8 +789,7 @@ class TestPrepareFeedback:
         x = state_on_path(controller.path, -1.0)
         inp, nu, _ = controller.control_step(x)
         x = rk4_step(x, inp, cfg.delta, PARAMS)
-        controller.advance_path_state(nu)
-        controller.prepare()
+        controller.advance_path_state(nu)  # prepares the next step's start
         events = []
 
         def recorded(name, original):

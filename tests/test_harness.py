@@ -679,6 +679,7 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert err.startswith("quadpath: ") and text in err
         assert "Traceback" not in err
+        return err
 
     def test_swapped_compare_is_one_line_not_traceback(self, hover_run, tmp_path, capsys):
         _, _, metrics = hover_run
@@ -692,6 +693,29 @@ class TestCli:
         code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         self.assert_one_line_refusal(code, capsys, "unknown key 'wingspan'")
         assert not (tmp_path / "out").exists()
+
+    def test_missing_config_is_one_line_not_traceback(self, tmp_path, capsys):
+        missing, out = tmp_path / "missing.cfg", tmp_path / "out"
+        code = cli_main(["run", "--config", str(missing), "--out", str(out)])
+        self.assert_one_line_refusal(code, capsys, f"cannot read scenario file {missing}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read summary"),
+        ('{"scenario": "sinusoid"}', "lacks 'path'"),
+        ("[1, 2]", "is not a JSON object"),
+        ("{", "is not JSON"),
+    ], ids=["missing", "lacks-keys", "list", "not-json"])
+    def test_unreadable_summary_is_one_line_not_traceback(self, hover_run, tmp_path, capsys, text, message):
+        _, _, metrics = hover_run
+        classic, corridor = self.write_compare_runs(tmp_path, metrics)
+        summary = tmp_path / "classic" / "summary.json"
+        if text is None:
+            summary.unlink()
+        else:
+            summary.write_text(text)
+        code = cli_main(["compare", "--classic", classic, "--corridor", corridor])
+        assert str(summary) in self.assert_one_line_refusal(code, capsys, message)
 
     @pytest.mark.parametrize("key", BOUND_AND_WEIGHT_KEYS)
     def test_nan_bound_or_weight_is_one_line_not_traceback(self, tmp_path, capsys, key):

@@ -161,6 +161,8 @@ class TestStoppingTest:
             dw, lam = original(blocks, g, c, sigma, reg)
             return np.zeros_like(dw), lam
         prob.kkt_step = stalling
+        # the prepared system, a dense problem's step at reg = 0, stays whole
+        prob.kkt_system = lambda blocks, g, c, sigma: original(blocks, g, c, sigma, 0.0)
         trace = io.StringIO()
         res = solve(prob, np.array([0.0]), log=trace)
         assert res.status == MAX_ITERATIONS and res.iterations == 2
@@ -759,20 +761,17 @@ class TestPrepareThenFeedback:
         regs = []
 
         def singular(*args):
-            if kind == "dense":
-                system = kkt_system(*args)
-                system[0][0][:] = 0.0  # the dense KKT matrix, factored by the feedback
-                return system
-            # the condensed matrix, factored by kkt_system: its LU sees zeros
+            # the LU that kkt_system runs sees zeros: the dense step's, or
+            # the condensed matrix's
             lu = np.linalg.solve
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(np.linalg, "solve", lambda a, b: lu(np.zeros_like(a), b))
                 return kkt_system(*args)
         prob.kkt_system = singular
-        if kind == "classic":
-            assert prepare(prob, guess).system is None
+        start = prepare(prob, guess)
+        assert start.system is None
         prob.kkt_step = lambda blocks, g, c, sigma, reg: regs.append(reg) or kkt_step(blocks, g, c, sigma, reg)
-        result = solve(prob, guess)
+        result = solve(prob, guess, start=start)
         assert result.status == CONVERGED
         assert regs[0] == solver_module._REG_FLOOR
 
